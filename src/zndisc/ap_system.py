@@ -2,11 +2,17 @@
 
 Progressions are handled as element sets; the same set arises from many
 (offset, step, length) triples, and mirrored steps d and n - d trace the same
-arcs, so the discrepancy evaluator only visits steps d in [1, n//2] and reads
-window sums off doubled-prefix arrays per orbit.  The canonical segment
-decomposition (at most two segments per progression) and its dyadic block
-refinement live here too; the coloring engine builds its constraint systems
-from them.
+arcs, so the discrepancy evaluators only visit steps d in [1, n//2].  Every
+scan goes through one kernel: ``_orbit_prefix`` gathers each step-d orbit,
+reads it twice around and takes prefix sums (any leading batch axes pass
+through), and ``_end_best`` gives, per window end, the largest |window sum|
+over windows of length 1..L from prefix and suffix extremes.  The single,
+batch and witness searches reduce its output; complex sums, which have no
+extremes to sweep, loop over window lengths on the same prefix sums.
+
+The canonical segment decomposition (at most two segments per progression)
+and its dyadic block refinement live here too; the coloring engine builds its
+constraint systems from them.
 """
 
 from __future__ import annotations
@@ -94,13 +100,16 @@ class Coloring:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values):
-        v = np.asarray(values, dtype=np.int8)
+        v = np.asarray(values)
         if v.shape != (n,):
             raise ValueError(f"expected {n} values, got shape {v.shape}")
-        if v.size and np.abs(v).max() > 1:
+        # checked before the int8 cast, which would truncate 0.7 or wrap 257
+        if np.iscomplexobj(v):
+            raise ValueError("coloring values must be real")
+        if not np.isin(v, (-1, 0, 1)).all():
             raise ValueError("coloring values must lie in {-1, 0, +1}")
         self.n = int(n)
-        self.values = v
+        self.values = np.asarray(v, dtype=np.int8)
 
     @classmethod
     def zeros(cls, n: int) -> "Coloring":
@@ -201,62 +210,50 @@ def ap_index_arrays(ctx: ZnContext, min_len: int = 1) -> list[np.ndarray]:
     ]
 
 
-def _orbit_index_matrix(n: int, d: int) -> np.ndarray:
-    """Row a holds the orbit a, a+d, a+2d, ... (one row per class mod gcd(d, n))."""
+def _orbit_prefix(values: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Prefix sums of every step-d orbit read twice around, shape (..., g, 2L+1).
+
+    Row a of the orbit axis follows a, a+d, a+2d, ... (L = n/g points, with
+    g = gcd(d, n)) twice, so P[..., a, j] - P[..., a, i] is the sum over the
+    cyclic window of positions i..j-1.  Leading batch axes pass through.
+    """
     g = math.gcd(d, n)
     L = n // g
-    return (
+    idx = (
         np.arange(g, dtype=np.int64)[:, None]
         + np.arange(L, dtype=np.int64)[None, :] * d
     ) % n
+    vals = values[..., idx]
+    P = np.zeros(vals.shape[:-1] + (2 * L + 1,), dtype=vals.dtype)
+    np.cumsum(np.concatenate([vals, vals], axis=-1), axis=-1, out=P[..., 1:])
+    return P
 
 
-def _window_best(vals: np.ndarray) -> float:
-    """Largest |window sum| over cyclic windows of length 1..L in each row.
+def _end_best(P: np.ndarray) -> np.ndarray:
+    """Largest |P[j] - P[i]| over the starts allowed for each end j in [1, 2L-1].
 
-    Windows are read off a doubled prefix array: ends j in [1, 2L-1], starts i
-    in [max(0, j-L), min(j-1, L-1)], so prefix extremes cover j <= L and suffix
-    extremes cover the wrapped ends.
+    End j admits starts i in [max(0, j-L), min(j-1, L-1)], i.e. every window of
+    length 1..L: prefix extremes of P[:L] cover the ends j <= L and suffix
+    extremes the wrapped ends.
     """
-    g, L = vals.shape
-    doubled = np.concatenate([vals, vals], axis=1)
-    P = np.zeros((g, 2 * L + 1), dtype=vals.dtype)
-    np.cumsum(doubled, axis=1, out=P[:, 1:])
-    Pi = P[:, :L]
-    pmin = np.minimum.accumulate(Pi, axis=1)
-    pmax = np.maximum.accumulate(Pi, axis=1)
-    e1 = P[:, 1 : L + 1]
-    best = np.maximum(e1 - pmin, pmax - e1).max()
-    if L >= 2:
-        smin = np.minimum.accumulate(Pi[:, ::-1], axis=1)[:, ::-1]
-        smax = np.maximum.accumulate(Pi[:, ::-1], axis=1)[:, ::-1]
-        e2 = P[:, L + 1 : 2 * L]
-        wrap = np.maximum(e2 - smin[:, 1:], smax[:, 1:] - e2).max()
-        best = max(best, wrap)
-    return best
-
-
-def _window_argbest(vals: np.ndarray, target) -> tuple[int, int, int]:
-    """First (row, start, end) window attaining |sum| = target, scanning rows then ends."""
-    g, L = vals.shape
-    doubled = np.concatenate([vals, vals], axis=1)
-    P = np.zeros((g, 2 * L + 1), dtype=vals.dtype)
-    np.cumsum(doubled, axis=1, out=P[:, 1:])
-    for row in range(g):
-        p = P[row]
-        for j in range(1, 2 * L):
-            lo = max(0, j - L)
-            hi = min(j, L)
-            window = p[lo:hi]
-            span = np.abs(window - p[j])
-            hits = np.flatnonzero(span == target)
-            if hits.size:
-                return row, lo + int(hits[0]), j
-    raise AssertionError("target window sum not found")
+    L = P.shape[-1] // 2
+    starts, tail, ends = P[..., :L], P[..., L - 1 : 0 : -1], P[..., 1 : 2 * L]
+    lo, hi = np.empty_like(ends), np.empty_like(ends)
+    # suffix extremes run backwards over starts L-1..1 into ends 2L-1..L+1
+    for acc, out in ((np.minimum.accumulate, lo), (np.maximum.accumulate, hi)):
+        acc(starts, axis=-1, out=out[..., :L])
+        acc(tail, axis=-1, out=out[..., : L - 1 : -1])
+    np.subtract(ends, lo, out=lo)
+    np.subtract(hi, ends, out=hi)
+    return np.maximum(lo, hi, out=lo)
 
 
 def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
-    """Max |chi(A)| over all progressions A, with a witness attaining it."""
+    """Max |chi(A)| over all progressions A, with a witness attaining it.
+
+    The witness is the first window attaining the maximum over steps d, then
+    orbit rows, then window ends, then window starts.
+    """
     n = chi.n
     v = chi.values.astype(np.int64)
     if n == 1:
@@ -266,15 +263,19 @@ def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
     best = 0
     best_d = None
     for d in range(1, n // 2 + 1):
-        cand = _window_best(v[_orbit_index_matrix(n, d)])
+        cand = int(_end_best(_orbit_prefix(v, n, d)).max())
         if cand > best:
-            best = int(cand)
+            best = cand
             best_d = d
     if best == 0:
         return 0, ModAP(n, 0, 1, 0, -1)
-    row, i, j = _window_argbest(v[_orbit_index_matrix(n, best_d)], best)
-    start = (row + i * best_d) % n
-    return best, full_ap(n, start, best_d, j - i)
+    P = _orbit_prefix(v, n, best_d)
+    L = P.shape[-1] // 2
+    row, k = divmod(int(np.argmax(_end_best(P) == best)), 2 * L - 1)
+    j = k + 1  # column k of _end_best holds window end j = k + 1
+    lo = max(0, j - L)
+    i = lo + int(np.argmax(np.abs(P[row, lo : min(j, L)] - P[row, j]) == best))
+    return best, full_ap(n, (row + i * best_d) % n, best_d, j - i)
 
 
 def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
@@ -286,43 +287,26 @@ def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
         return np.abs(values[:, 0])
     out = np.zeros(values.shape[0], dtype=np.int64)
     for d in range(1, n // 2 + 1):
-        idx = _orbit_index_matrix(n, d)
-        vals = values[:, idx]  # (B, g, L)
-        B, g, L = vals.shape
-        doubled = np.concatenate([vals, vals], axis=2)
-        P = np.zeros((B, g, 2 * L + 1), dtype=np.int64)
-        np.cumsum(doubled, axis=2, out=P[:, :, 1:])
-        Pi = P[:, :, :L]
-        pmin = np.minimum.accumulate(Pi, axis=2)
-        pmax = np.maximum.accumulate(Pi, axis=2)
-        e1 = P[:, :, 1 : L + 1]
-        cand = np.maximum(e1 - pmin, pmax - e1).max(axis=(1, 2))
-        if L >= 2:
-            smin = np.minimum.accumulate(Pi[:, :, ::-1], axis=2)[:, :, ::-1]
-            smax = np.maximum.accumulate(Pi[:, :, ::-1], axis=2)[:, :, ::-1]
-            e2 = P[:, :, L + 1 : 2 * L]
-            wrap = np.maximum(e2 - smin[:, :, 1:], smax[:, :, 1:] - e2).max(axis=(1, 2))
-            cand = np.maximum(cand, wrap)
-        np.maximum(out, cand, out=out)
+        np.maximum(out, _end_best(_orbit_prefix(values, n, d)).max(axis=(1, 2)), out=out)
     return out
 
 
 def max_ap_sum_complex(f) -> float:
-    """Max |sum of f over a progression| for complex-valued f (quadratic scan)."""
+    """Max |sum of f over a progression| for complex-valued f.
+
+    Complex sums have no min/max extremes to sweep, so every window length l
+    is read off the orbit prefix sums in turn (quadratic scan).
+    """
     f = np.asarray(f, dtype=np.complex128)
     n = f.shape[0]
     if n == 1:
         return float(abs(f[0]))
     best = 0.0
     for d in range(1, n // 2 + 1):
-        vals = f[_orbit_index_matrix(n, d)]
-        g, L = vals.shape
-        doubled = np.concatenate([vals, vals], axis=1)
-        P = np.zeros((g, 2 * L + 1), dtype=np.complex128)
-        np.cumsum(doubled, axis=1, out=P[:, 1:])
+        P = _orbit_prefix(f, n, d)
+        L = P.shape[-1] // 2
         for l in range(1, L + 1):
-            diff = P[:, l : l + L] - P[:, :L]
-            cand = np.abs(diff).max()
+            cand = np.abs(P[:, l : l + L] - P[:, :L]).max()
             if cand > best:
                 best = float(cand)
     return best

@@ -10,6 +10,7 @@ failure, 4 solver limit exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -72,7 +73,6 @@ def _meta(args, command: str, seed: int) -> dict:
         "c_hat": getattr(args, "c_hat", None),
         "kappa": getattr(args, "kappa", None),
         "budget": getattr(args, "budget", None),
-        "workers": getattr(args, "workers", None),
         "method": getattr(args, "method", None),
         "format": args.format,
     }
@@ -173,13 +173,14 @@ def cmd_construct(args) -> int:
     try:
         chi, report = construct_best_coloring(
             ctx, c_hat=args.c_hat, seed=seed, kappa=args.kappa,
-            retries=args.budget,
+            retries=args.budget, measure=False,
         )
     except SearchFailed as exc:
         print(f"search failed (cell r={exc.cell}): {exc}", file=sys.stderr)
         return EXIT_SEARCH
-    report_dict = report.as_dict()
-    report_dict["measure"] = measure(chi, ctx)
+    measured = measure(chi, ctx)
+    report = dataclasses.replace(report, measured_t=measured["T"])
+    report_dict = {**report.as_dict(), "measure": measured}
     if args.format == "csv":
         _emit(args, "\n".join(str(int(v)) for v in chi.values) + "\n")
         print(json.dumps(report_dict, sort_keys=True), file=sys.stderr)
@@ -204,61 +205,48 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def cmd_exact(args) -> int:
+def _run_exact_oracle(args, command: str, solve) -> int:
+    """Shared body of `exact` and `herdisc`: solve(ctx) returns the result row.
+
+    The JSON artifact goes to --out, or to stdout with --format json; the bare
+    value is printed beside --out and in the other formats.
+    """
     seed = _resolve_seed(args)
     if args.n is None or args.n < 1:
         print("--n is required and must be positive", file=sys.stderr)
         return EXIT_USAGE
-    ctx = make_context(args.n)
     try:
-        res = exact_disc(ctx, method=args.method, workers=args.workers)
+        row = solve(make_context(args.n))
     except LimitExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_LIMIT
-    payload = {
-        "meta": _meta(args, "exact", seed),
-        "inputs": {"n": args.n},
-        "results": [{
+    if args.out or args.format == "json":
+        _emit_json(args, {"meta": _meta(args, command, seed),
+                          "inputs": {"n": args.n}, "results": [row]})
+    if args.out or args.format != "json":
+        print(row["value"])
+    return EXIT_OK
+
+
+def cmd_exact(args) -> int:
+    def solve(ctx):
+        res = exact_disc(ctx, method=args.method)
+        return {
             "value": res.value,
             "method": res.method,
             "nodes_explored": res.nodes_explored,
             "coloring": [int(v) for v in res.optimal_coloring.values],
-        }],
-    }
-    if args.out:
-        _emit_json(args, payload)
-        print(res.value)
-    elif args.format == "json":
-        _emit_json(args, payload)
-    else:
-        print(res.value)
-    return EXIT_OK
+        }
+
+    return _run_exact_oracle(args, "exact", solve)
 
 
 def cmd_herdisc(args) -> int:
-    seed = _resolve_seed(args)
-    if args.n is None or args.n < 1:
-        print("--n is required and must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    ctx = make_context(args.n)
-    try:
+    def solve(ctx):
         value, witness = exact_herdisc(ctx)
-    except LimitExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_LIMIT
-    payload = {
-        "meta": _meta(args, "herdisc", seed),
-        "inputs": {"n": args.n},
-        "results": [{"value": value, "witness_subset": list(witness)}],
-    }
-    if args.out:
-        _emit_json(args, payload)
-        print(value)
-    elif args.format == "json":
-        _emit_json(args, payload)
-    else:
-        print(value)
-    return EXIT_OK
+        return {"value": value, "witness_subset": list(witness)}
+
+    return _run_exact_oracle(args, "herdisc", solve)
 
 
 def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
@@ -385,7 +373,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=64, help="engine restart budget")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--method", choices=("exhaustive", "branch_and_bound"),
                    default="branch_and_bound")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import upper_bound_main
 from .ap_system import Coloring, _as_subset, max_ap_discrepancy, max_congruence_discrepancy
 from .engine import (
     DEFAULT_HEREDITARY_C1,
@@ -339,28 +340,23 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
                             *, kappa: float = 1.0, retries: int = DEFAULT_RETRIES,
                             measure: bool = True) -> tuple[Coloring, ConstructionReport]:
     """Best divisor-balanced coloring of Z_n: pick r* minimizing the predicted
-    bound n/r + c_hat*sqrt(r)*2^omega(r), color Z_{r*}, and lift.
+    bound n/r + c_hat*sqrt(r)*2^omega(r) (``upper_bound_main``), color Z_{r*},
+    and lift.
 
     The unit class-sum invariant belongs to the base coloring of Z_{r*};
     lifting preserves the progression bound, not the class bound.
     """
-    if c_hat <= 0:
-        raise ValueError("c_hat must be positive")
-    n = ctx.n
-    best_r, best_val = None, None
-    for r in ctx.divisors:
-        val = n / r + c_hat * math.sqrt(r) * 2 ** ctx.omega_of_divisor(r)
-        if best_val is None or val < best_val:
-            best_r, best_val = r, val
+    bound = upper_bound_main(ctx, c_hat)
+    best_r = bound.witness["r"]
     base_ctx = make_context(best_r)
     base = congruence_balanced_coloring(base_ctx, seed=seed, kappa=kappa,
                                         retries=retries)
-    chi = lift_coloring(base, n)
+    chi = lift_coloring(base, ctx.n)
     measured = None
     if measure:
         measured, _ = max_ap_discrepancy(chi)
     report = ConstructionReport(
-        n=n, r_star=best_r, predicted=best_val, measured_t=measured,
+        n=ctx.n, r_star=best_r, predicted=bound.value, measured_t=measured,
         base_congruence_max=max_congruence_discrepancy(base, base_ctx),
         c_hat=c_hat, kappa=kappa, seed=seed,
     )

@@ -10,8 +10,6 @@ coloring to value >= 1, which seeds the search floor.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,42 +102,31 @@ class _BBState:
         self.lengths = np.array([A.size for A in self.aps], dtype=np.int64)
 
 
-def _bb_subtree(state: _BBState, prefix: np.ndarray, incumbent: int):
-    """Exact minimum over completions of the sign prefix; local incumbent only."""
+def _bb_search(state: _BBState, incumbent: int) -> tuple[int, int]:
+    """Exact minimum below the incumbent over colorings with chi(0) = +1 (the
+    incumbent itself if none is lower), and the number of nodes explored."""
     n = state.n
     sums = np.zeros(len(state.aps), dtype=np.int64)
     unassigned = state.lengths.copy()
-    chi = np.zeros(n, dtype=np.int8)
+    best = incumbent
     nodes = 0
 
     def apply(x: int, sg: int) -> None:
         ids = state.incident[x]
         sums[ids] += sg
         unassigned[ids] -= 1
-        chi[x] = sg
 
     def undo(x: int, sg: int) -> None:
         ids = state.incident[x]
         sums[ids] -= sg
         unassigned[ids] += 1
-        chi[x] = 0
-
-    for x, sg in enumerate(prefix):
-        apply(x, int(sg))
-
-    best = incumbent
-    best_col = None
-    depth0 = len(prefix)
 
     def dfs(x: int) -> None:
-        nonlocal best, best_col, nodes
+        nonlocal best, nodes
         if best <= 1:
             return
         if x == n:
-            val = max(1, int(np.abs(sums).max()) if sums.size else 0)
-            if val < best:
-                best = val
-                best_col = chi.copy()
+            best = min(best, max(1, int(np.abs(sums).max()) if sums.size else 0))
             return
         ids = state.incident[x]
         vote = int(np.sign(sums[ids]).sum()) if ids.size else 0
@@ -151,10 +138,9 @@ def _bb_subtree(state: _BBState, prefix: np.ndarray, incumbent: int):
                 dfs(x + 1)
             undo(x, sg)
 
-    dfs(depth0)
-    for x in reversed(range(depth0)):
-        undo(x, int(prefix[x]))
-    return best, best_col, nodes
+    apply(0, 1)
+    dfs(1)
+    return best, nodes
 
 
 def _first_coloring_at(state: _BBState, value: int) -> np.ndarray:
@@ -193,39 +179,22 @@ def _alternating_value(ctx: ZnContext) -> tuple[int, np.ndarray]:
     return max(1, t), alt
 
 
-def _branch_and_bound(ctx: ZnContext, workers: int = 1) -> ExactResult:
+def _branch_and_bound(ctx: ZnContext) -> ExactResult:
     n = ctx.n
-    state = _BBState(ctx)
-    heuristic, _ = _alternating_value(ctx)
-    incumbent = heuristic
-    nodes = 0
     if n == 1:
         return ExactResult(1, 1, Coloring(1, np.array([1], dtype=np.int8)), 1,
                            "branch_and_bound")
-    if workers <= 1:
-        best, _, nodes = _bb_subtree(state, np.array([1], dtype=np.int8), incumbent + 1)
-        value = min(best, heuristic)
-    else:
-        split = min(max(1, math.ceil(math.log2(workers))), n - 1)
-        prefixes = []
-        for pat in range(1 << split):
-            pre = np.ones(split + 1, dtype=np.int8)
-            for b in range(split):
-                pre[b + 1] = 1 - 2 * ((pat >> b) & 1)
-            prefixes.append(pre)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda pre: _bb_subtree(state, pre, incumbent + 1), prefixes
-            ))
-        value = min(min(r[0] for r in results), heuristic)
-        nodes = sum(r[2] for r in results)
+    state = _BBState(ctx)
+    heuristic, _ = _alternating_value(ctx)
+    best, nodes = _bb_search(state, heuristic + 1)
+    value = min(best, heuristic)
     witness = _first_coloring_at(state, value)
     return ExactResult(n=n, value=value, optimal_coloring=Coloring(n, witness),
                        nodes_explored=nodes, method="branch_and_bound")
 
 
 def exact_disc(ctx: ZnContext, method: str = "branch_and_bound",
-               limit: int | None = None, workers: int = 1) -> ExactResult:
+               limit: int | None = None) -> ExactResult:
     """Exact disc over all progressions by full search; LimitExceeded past the cap."""
     if method not in ("exhaustive", "branch_and_bound"):
         raise ValueError(f"unknown method {method!r}")
@@ -236,7 +205,7 @@ def exact_disc(ctx: ZnContext, method: str = "branch_and_bound",
         raise LimitExceeded(f"n={ctx.n} exceeds limit {cap} for {method}")
     if method == "exhaustive":
         return _exhaustive(ctx)
-    return _branch_and_bound(ctx, workers=workers)
+    return _branch_and_bound(ctx)
 
 
 def exact_herdisc(ctx: ZnContext, limit: int | None = None) -> tuple[int, tuple[int, ...]]:

@@ -416,7 +416,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     commands = [
         ["construct", "--n", "48", "--seed", "9"],
         ["bounds", "--range", "2..24", "--format", "csv"],
-        ["exact", "--n", "10", "--method", "branch_and_bound", "--workers", "2"],
+        ["exact", "--n", "10", "--method", "branch_and_bound"],
         ["fourier-check", "--n", "12", "--trials", "3", "--seed", "4"],
         ["sweep", "--range", "2..16", "--seed", "2"],
         ["herdisc", "--n", "7"],

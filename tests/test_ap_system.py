@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zndisc.ap_system import (
     Coloring,
@@ -137,6 +138,16 @@ def test_max_ap_partial_colorings():
             assert t == naive_max_ap(vals, sets)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=40))
+def test_max_ap_property_against_naive(vals):
+    n = len(vals)
+    chi = Coloring(n, vals)
+    t, wit = max_ap_discrepancy(chi)
+    assert t == naive_max_ap(vals, naive_ap_sets(n))
+    assert abs(chi.sum_over(wit.elements())) == t
+
+
 def test_parity_full_coloring():
     rng = np.random.default_rng(11)
     for n in range(1, 30):
@@ -161,6 +172,23 @@ def test_complex_ap_sum_against_naive():
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         naive = max(abs(sum(f[x] for x in s)) for s in naive_ap_sets(n))
         assert max_ap_sum_complex(f) == pytest.approx(naive)
+
+
+@pytest.mark.parametrize("n,values", [
+    (3, [0.7, 1, -1]),  # non-integral: the int8 cast made it [0, 1, -1]
+    (1, np.array([257])),  # out of range: the int8 cast wrapped it to [1]
+    (3, np.array([1, -1, 1], dtype=np.complex128)),  # complex: imaginary part dropped
+    (2, [2, 1]),
+])
+def test_coloring_rejects_bad_input(n, values):
+    with pytest.raises(ValueError):
+        Coloring(n, values)
+
+
+def test_coloring_accepts_integral_input():
+    assert Coloring(3, [1.0, 0.0, -1.0]).values.tolist() == [1, 0, -1]
+    assert Coloring(2, [True, False]).values.tolist() == [1, 0]
+    assert Coloring(2, np.array([1, 0], dtype=np.uint8)).values.tolist() == [1, 0]
 
 
 # ---------------------------------------------------------- class sums

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -152,3 +153,24 @@ def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "construct_best_coloring", fake)
     assert run(["construct", "--n", "4", "--out",
                 str(tmp_path / "x.json")]) == EXIT_INVARIANT
+
+
+# sha256 of json.dumps(payload["results"], sort_keys=True); meta is left out
+# because it carries the configuration, not the computed results.
+GOLDEN_RESULTS = [
+    (["construct", "--n", "360", "--seed", "7"],
+     "f330d717f6ccede652143fe2a5b481db4c2cebf2bb188337c85585e2009dc23c"),
+    (["exact", "--n", "12"],
+     "c9561459a310c32dba774ec78993794d6df5ceaff584158e1c107b88d3e62bfb"),
+    (["herdisc", "--n", "7"],
+     "642134280f2e7d56e62f4307cc4a9633b279c842492eebda3e8506a6504ac3bc"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_RESULTS, ids=["construct", "exact", "herdisc"])
+def test_golden_results(tmp_path, args, digest):
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert got == digest

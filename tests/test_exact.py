@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from zndisc.ap_system import Coloring, max_ap_discrepancy
@@ -48,14 +47,6 @@ def test_methods_agree_and_witnesses_attain():
             t, _ = max_ap_discrepancy(res.optimal_coloring)
             assert max(t, 1) == res.value
             assert res.optimal_coloring.values[0] == 1
-
-
-def test_workers_deterministic():
-    ctx = make_context(13)
-    a = exact_disc(ctx, "branch_and_bound", workers=1)
-    b = exact_disc(ctx, "branch_and_bound", workers=4)
-    assert a.value == b.value
-    assert np.array_equal(a.optimal_coloring.values, b.optimal_coloring.values)
 
 
 def test_limit_exceeded():
