@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ap_system import Coloring, max_ap_discrepancy, max_ap_sum_complex
-from .number_theory import ZnContext, make_context, totient
+from .number_theory import ZnContext, make_context
 
 __all__ = [
     "Spectrum",
@@ -263,9 +263,9 @@ def verify_lhs_upper(f, m: int, t_f: float | None = None,
         t_f = max_progression_sum(f)
     lhs = weighted_lhs(arr, m)
     rhs = n * n * t_f * t_f
-    for k in ctx.divisors:
+    for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
         if 1 <= k < m:
-            rhs += m * m * totient(k) / k * class_power(arr, n // k)
+            rhs += m * m * phi_k / k * class_power(arr, n // k)
     tol = _ineq_tol(n, m)
     passed = lhs <= rhs + tol
     err = (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -281,7 +281,8 @@ def mobius_identity_check(f, m: int, fhat: np.ndarray | None = None,
     ctx = ctx if ctx is not None else make_context(n)
     if fhat is None:
         fhat = np.fft.fft(arr)
-    lhs = sum(m * m * totient(k) / k * class_power(arr, n // k) for k in ctx.divisors)
+    lhs = sum(m * m * phi_k / k * class_power(arr, n // k)
+              for k, phi_k in zip(ctx.divisors, ctx.divisor_phi))
     rhs = float((np.abs(fhat) ** 2 * (m * m * _gcd_weights(n) / n)).sum())
     scale = max(1.0, abs(lhs), abs(rhs))
     err = abs(lhs - rhs) / scale
@@ -302,10 +303,10 @@ def mobius_inequality_check(f, m: int, l: int, fhat: np.ndarray | None = None,
     weights = np.minimum(m * m * _gcd_weights(n) / n, m)
     lhs = float((np.abs(fhat) ** 2 * weights).sum())
     rhs = 0.0
-    for k in ctx.divisors:
+    for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
         G = class_power(arr, n // k)
         if k <= l:
-            rhs += m * m * totient(k) / k * G
+            rhs += m * m * phi_k / k * G
         else:
             rhs += m * n / k * G
     tol = _ineq_tol(n, m)
@@ -327,9 +328,9 @@ def composite_lower_check(f, m: int, fhat: np.ndarray | None = None,
     if t_f is None:
         t_f = max_progression_sum(f)
     lhs = n * n * t_f * t_f
-    for k in ctx.divisors:
+    for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
         if 1 <= k < m:
-            lhs += m * m * totient(k) / k * class_power(arr, n // k)
+            lhs += m * m * phi_k / k * class_power(arr, n // k)
     weights = np.maximum(m * m * _gcd_weights(n) / n, m)
     rhs = float((np.abs(fhat) ** 2 * weights).sum())
     tol = _ineq_tol(n, m)
@@ -344,7 +345,7 @@ def lower_bound_prop(ctx: ZnContext, l: int) -> BoundReport:
     n = ctx.n
     if not 1 <= l <= n:
         raise ValueError("l must lie in [1, n]")
-    s1 = sum(totient(k) for k in ctx.divisors if k <= l)
+    s1 = sum(phi_k for k, phi_k in zip(ctx.divisors, ctx.divisor_phi) if k <= l)
     s2 = sum(1.0 / (k * k) for k in ctx.divisors if k > l)
     value = (8.0 * s1 / n + 2.0 * s2) ** -0.5
     return BoundReport(

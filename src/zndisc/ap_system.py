@@ -454,7 +454,11 @@ def block_elements(n: int, xs, block: DyadicBlock) -> np.ndarray:
 
 
 def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:
-    """Number of dyadic blocks per scale over all (d, a) orbits of X."""
+    """Number of dyadic blocks per scale over all (d, a) orbits of X.
+
+    The phi(n/g) steps d with gcd(d, n) = g share one row count per residue
+    a mod g, so the count is a sum over the proper divisors g of n.
+    """
     xs = _as_subset(n, xs)
     m = int(xs.size)
     if m == 0 or n == 1:
@@ -463,8 +467,10 @@ def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:
         scales = range(m.bit_length())
     scales = [s for s in scales if (1 << s) <= m]
     counts = {s: 0 for s in scales}
-    for d in range(1, n):
-        cnt = np.bincount(xs % math.gcd(d, n))
+    ctx = make_context(n)
+    # divisors ascend, so phi(n/g) for g = divisors[i] is divisor_phi[-1-i]
+    for g, steps in zip(ctx.divisors[:-1], ctx.divisor_phi[:0:-1]):
+        cnt = np.bincount(xs % g)
         for s in scales:
-            counts[s] += int((cnt >> s).sum())
+            counts[s] += steps * int((cnt >> s).sum())
     return counts

@@ -4,7 +4,7 @@ solvers, and batch-verify the Fourier identities.
 Every artifact embeds the full run configuration (version, command, seed,
 c-hat, kappa, budget), so identical invocations produce byte-identical
 output.  Exit codes: 0 ok, 1 usage or I/O, 2 invariant breach, 3 search
-failure, 4 solver limit exceeded.
+failure, 4 solver or engine-table size limit exceeded.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ def cmd_construct(args) -> int:
     except SearchFailed as exc:
         print(f"search failed (cell r={exc.cell}): {exc}", file=sys.stderr)
         return EXIT_SEARCH
+    except LimitExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_LIMIT
     measured = measure(chi, ctx)
     report = dataclasses.replace(report, measured_t=measured["T"])
     report_dict = {**report.as_dict(), "measure": measured}
@@ -331,6 +334,9 @@ def cmd_sweep(args) -> int:
         except SearchFailed as exc:
             print(f"search failed at n={n} (cell r={exc.cell})", file=sys.stderr)
             return EXIT_SEARCH
+        except LimitExceeded as exc:
+            print(f"limit exceeded at n={n}: {exc}", file=sys.stderr)
+            return EXIT_LIMIT
         rows.append({
             "n": n,
             "r_star": report.r_star,

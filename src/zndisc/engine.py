@@ -8,6 +8,16 @@ points get colored.  Every returned coloring is re-verified against its block
 constraints before being handed back; the certificate is what callers rely
 on, not the search heuristic.
 
+The walk reads one point-major table.  For the dyadic blocks of
+``build_c2_request`` it holds, per X-point and step d, a slot built from the
+point's rank in its step-d orbit row (a cumulative count of X along the
+orbit, no sort); the point's block at scale 2^s is slot >> s, and slots of
+points outside every full block fall in exempt ids.  The entropy budget uses
+closed-form block counts, and the table's size is known in closed form
+before it is allocated.  The certificate never reads that table: it re-sums
+each binding block from its definition, by sorting every step-d orbit row of
+X and differencing prefix sums (``certify_partial_coloring``).
+
 Blocks whose allowance Delta is at least their size cannot be violated by any
 signing (|chi(S)| <= |S| <= Delta), so they are exempt from the walk, the
 entropy-budget precondition, and the numeric recheck; that exemption is an
@@ -22,17 +32,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ap_system import Coloring, _as_subset
-from .number_theory import ZnContext
+from .ap_system import Coloring, _as_subset, dyadic_block_counts
+from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
     "BudgetExceeded",
     "SearchFailed",
     "DeltaSchedule",
     "PartialColorRequest",
+    "OrbitBlocks",
+    "TABLE_BYTES_LIMIT",
     "entropy_weight",
     "schedule_entropy_budget",
     "build_c2_request",
+    "orbit_table_bytes",
+    "certify_partial_coloring",
     "partial_color",
     "full_color_iterate",
     "full_color_iterate_traced",
@@ -41,6 +55,12 @@ __all__ = [
 DEFAULT_RETRIES = 64
 DEFAULT_HEREDITARY_C1 = 5.0
 COLOR_FRACTION_DENOM = 10  # at least ceil(m/10) points must receive a sign
+# build_c2_request refuses a request whose walk table would pass this many
+# bytes (a prime cell near n = 23000); it also keeps every slot id in int32.
+TABLE_BYTES_LIMIT = 1 << 30
+# Orbit grids (step x Z_n) and sorted orbits (step x X) are built for at most
+# this many cells at a time, so no (steps x n) tensor is held at once.
+_CHUNK_CELLS = 1 << 15
 
 
 class BudgetExceeded(ValueError):
@@ -146,13 +166,38 @@ def schedule_entropy_budget(blocks: Mapping[int, object], deltas: Mapping[int, f
     return total
 
 
+@dataclass(frozen=True)
+class OrbitBlocks:
+    """The dyadic blocks of one size along every step-d orbit of a request's X.
+
+    Row a of step d (a = x mod gcd(d, n)) lists X's points in ascending k of
+    x = a + k*d; its block t holds the points of row rank t*size .. t*size +
+    size - 1, for t < (row length) // size.  The request's n and X and the
+    size it is filed under define the blocks, so only their count is held.
+    """
+
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+
 @dataclass
 class PartialColorRequest:
-    """One partial-coloring job: a point set, block constraints, and search knobs."""
+    """One partial-coloring job: a point set, block constraints, and search knobs.
+
+    ``blocks`` maps a block size to that size's blocks: either explicit element
+    arrays (subsets of X, distinct elements) or, as ``build_c2_request``
+    writes them, one ``OrbitBlocks`` per size.  A request uses one form.  The
+    walk reads either form through one point-major table (for orbit blocks, a
+    slot per point and step d from the point's orbit rank), while
+    ``certify_partial_coloring`` re-sums the blocks from their definition: the
+    element arrays, or the sorted step-d orbit rows of X.
+    """
 
     n: int
     x: np.ndarray
-    blocks: Mapping[int, Sequence[np.ndarray]]
+    blocks: Mapping[int, Sequence[np.ndarray] | OrbitBlocks]
     deltas: Mapping[int, float]
     kind: str = "main"
     retries: int = DEFAULT_RETRIES
@@ -160,14 +205,21 @@ class PartialColorRequest:
 
     def __post_init__(self):
         self.x = _as_subset(self.n, self.x)
+        orbit = [isinstance(group, OrbitBlocks) for group in self.blocks.values()]
+        if any(orbit) and not all(orbit):
+            raise ValueError("orbit blocks and explicit blocks cannot be mixed")
         chunks = []
         for size, group in self.blocks.items():
             if float(self.deltas[size]) <= 0:
                 raise ValueError("deltas must be strictly positive")
+            if isinstance(group, OrbitBlocks):
+                continue
             for b in group:
                 arr = np.asarray(b, dtype=np.int64)
                 if arr.size != size:
                     raise ValueError("block size mismatch")
+                if np.unique(arr).size != size:
+                    raise ValueError("block elements must be distinct")
                 chunks.append(arr)
         if chunks:
             flat = np.concatenate(chunks)
@@ -176,76 +228,251 @@ class PartialColorRequest:
             if not np.all(ok):
                 raise ValueError("blocks must be subsets of X")
 
+    def binding(self) -> dict:
+        """The block groups a signing can violate (delta < size), by ascending size."""
+        return {
+            size: self.blocks[size]
+            for size in sorted(self.blocks)
+            if float(self.deltas[size]) < size
+        }
 
-def _flatten_binding_blocks(req: PartialColorRequest):
-    """Constraint arrays for blocks that can actually be violated (delta < size)."""
-    elem_chunks: list[np.ndarray] = []
-    lengths: list[int] = []
-    deltas: list[float] = []
-    sizes: list[int] = []
-    for size in sorted(req.blocks):
-        delta = float(req.deltas[size])
-        if delta >= size:
-            continue
-        for b in req.blocks[size]:
-            arr = np.asarray(b, dtype=np.int64)
-            elem_chunks.append(arr)
-            lengths.append(arr.size)
-            deltas.append(delta)
-            sizes.append(size)
-    j = len(lengths)
-    if j == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return 0, empty, empty, np.zeros(0), np.zeros(0, dtype=np.int64)
-    flat = np.concatenate(elem_chunks)
-    elem_ids = np.searchsorted(req.x, flat)
-    block_of = np.repeat(np.arange(j, dtype=np.int64), lengths)
-    return (
-        j,
-        elem_ids,
-        block_of,
-        np.asarray(deltas, dtype=np.float64),
-        np.asarray(sizes, dtype=np.int64),
+
+@dataclass(frozen=True)
+class _WalkTable:
+    """Point-major constraint table the sign walk reads.
+
+    Point t (an index into X) belongs to the blocks
+    ``(positions[t] >> shifts) + offsets``, one row per scale; ``caps`` is the
+    largest |sum| each block may reach.  A position equal to ``exempt`` falls
+    in no binding block, and neither does any id whose cap is m: each point
+    moves a block sum by at most one, so such a cap never binds.
+    """
+
+    positions: np.ndarray
+    shifts: np.ndarray
+    offsets: np.ndarray
+    caps: np.ndarray
+    exempt: int
+
+
+def _explicit_table(req: PartialColorRequest, binding) -> _WalkTable:
+    """One position per (point, block) pair, block ids padded with the exempt id."""
+    m = int(req.x.size)
+    members = []
+    caps = []
+    for size, group in binding.items():
+        cap = math.floor(float(req.deltas[size]))
+        for b in group:
+            members.append(np.searchsorted(req.x, np.asarray(b, dtype=np.int64)))
+            caps.append(cap)
+    exempt = len(members)
+    width = int(np.bincount(np.concatenate(members), minlength=m).max()) if members else 0
+    positions = np.full((m, width), exempt, dtype=np.int32)
+    fill = np.zeros(m, dtype=np.int64)
+    for j, elems in enumerate(members):
+        positions[elems, fill[elems]] = j
+        fill[elems] += 1
+    zero = np.zeros((1, 1), dtype=np.int32)
+    return _WalkTable(positions, zero, zero, np.array(caps + [m], dtype=np.int32), exempt)
+
+
+def _orbit_layout(n: int, xs: np.ndarray, shifts: list[int]):
+    """Slot layout of the orbit table: one column per step d, one slot per X-point.
+
+    Steps are grouped by g = gcd(d, n); the phi(n/g) steps of a group share the
+    row lengths l_a = #{x in X : x = a mod g}.  Within a column, a row with at
+    least 2^shifts[0] points gets l_a slots starting at a multiple of its
+    largest binding block size, so no block of any scale straddles two rows;
+    shorter rows get none (offset -1).  Columns span a multiple of the largest
+    block size.  Yields (g, steps in the group, row offsets, row lengths,
+    column span) per group with a row that has slots.
+    """
+    ctx = make_context(n)
+    smin, top = 1 << shifts[0], 1 << shifts[-1]
+    for g, steps in zip(ctx.divisors[:-1], ctx.divisor_phi[:0:-1]):
+        cnt = np.bincount(xs % g, minlength=g)
+        rowoff = np.full(g, -1, dtype=np.int64)
+        end = 0
+        for a in np.flatnonzero(cnt >= smin):
+            align = 1 << max(s for s in shifts if (1 << s) <= cnt[a])
+            end = -(-end // align) * align
+            rowoff[a] = end
+            end += int(cnt[a])
+        if end:
+            yield g, steps, rowoff, cnt, -(-end // top) * top
+
+
+def _orbit_coordinates(n: int, xs: np.ndarray, g: int, chunk: int):
+    """For the steps d = g*u with gcd(u, n/g) = 1, ascending, the k with
+    x = a + k*d (a = x mod g) of every X-point: yields (index of the chunk's
+    first step, k of shape (steps in chunk, |X|)), at most ``chunk`` steps at
+    a time."""
+    L = n // g
+    units = np.flatnonzero(np.gcd(np.arange(L), L) == 1)
+    q = xs // g
+    for lo in range(0, units.size, chunk):
+        inv = np.array([pow(int(u), -1, L) for u in units[lo : lo + chunk]])
+        yield lo, q[None, :] * inv[:, None] % L
+
+
+def orbit_table_bytes(n: int, xs, scales) -> int:
+    """Closed-form size of the walk table for the orbit blocks at the given scales.
+
+    ``scales`` are the exponents s of the binding block sizes 2^s.  Counts the
+    int32 positions (|X| per step column) and an int32 cap and sum per block
+    id.
+    """
+    xs = _as_subset(n, xs)
+    scales = sorted(scales)
+    columns = slots = 0
+    for _, steps, _, _, span in _orbit_layout(n, xs, scales):
+        columns += steps
+        slots += steps * span
+    ids = sum((slots >> s) + 1 for s in scales)
+    return 4 * int(xs.size) * columns + 8 * ids
+
+
+def _orbit_table(req: PartialColorRequest, binding) -> _WalkTable:
+    """Each X-point's slot per step column, from its rank in its orbit row.
+
+    The rank comes from a cumulative count of X along the orbit grid
+    (row a, position k), never from a sort.  Block ids at scale 2^s are
+    slot >> s plus that scale's offset.
+    """
+    n, xs = req.n, req.x
+    m = int(xs.size)
+    shifts = [size.bit_length() - 1 for size in binding]
+    layout = list(_orbit_layout(n, xs, shifts))
+    columns = sum(steps for _, steps, _, _, _ in layout)
+    exempt = sum(steps * span for _, steps, _, _, span in layout)
+    positions = np.empty((m, columns), dtype=np.int32)
+    caps = [np.full((exempt >> s) + 1, m, dtype=np.int32) for s in shifts]
+    col = base = 0
+    for g, steps, rowoff, cnt, span in layout:
+        L = n // g
+        a = xs % g
+        off = rowoff[a]
+        colbase = base + span * np.arange(steps, dtype=np.int64)
+        for j, (size, s) in enumerate(zip(binding, shifts)):
+            per_row = cnt >> s
+            rows = np.repeat(np.arange(g), per_row)
+            t = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
+            ids = (colbase[:, None] >> s) + ((rowoff[rows] >> s) + t)[None, :]
+            caps[j][ids] = math.floor(float(req.deltas[size]))
+        for lo, k in _orbit_coordinates(n, xs, g, max(1, _CHUNK_CELLS // n)):
+            c = k.shape[0]
+            # flat index of (row a, position k) in the step-d orbit grid
+            cell = a * L + k
+            grid = np.zeros((c, n), dtype=np.int32)
+            np.put_along_axis(grid, cell, 1, axis=1)
+            np.cumsum(grid.reshape(c, g, L), axis=2, out=grid.reshape(c, g, L))
+            rank = np.take_along_axis(grid, cell, axis=1) - 1
+            slot = colbase[lo : lo + c, None] + off[None, :] + rank
+            positions[:, col + lo : col + lo + c] = np.where(off >= 0, slot, exempt).T
+        col += steps
+        base += span * steps
+    offsets = np.cumsum([0] + [scale_caps.size for scale_caps in caps[:-1]])
+    return _WalkTable(
+        positions,
+        np.array(shifts, dtype=np.int32)[:, None],
+        offsets.astype(np.int32)[:, None],
+        np.concatenate(caps),
+        exempt,
     )
 
 
+def _walk_table(req: PartialColorRequest) -> _WalkTable:
+    binding = req.binding()
+    if binding and isinstance(next(iter(binding.values())), OrbitBlocks):
+        return _orbit_table(req, binding)
+    return _explicit_table(req, binding)
+
+
 def _binding_budget(req: PartialColorRequest) -> float:
-    binding = {
-        size: group
-        for size, group in req.blocks.items()
-        if float(req.deltas[size]) < size
-    }
-    return schedule_entropy_budget(binding, req.deltas, req.kind)
+    counts = {size: len(group) for size, group in req.binding().items()}
+    return schedule_entropy_budget(counts, req.deltas, req.kind)
 
 
-def _sign_walk(m, indptr, ids, sums, block_deltas, rng):
+def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
+    m = table.positions.shape[0]
     chi = np.zeros(m, dtype=np.int8)
+    sums = np.zeros(table.caps.size, dtype=np.int32)
     order = rng.permutation(m)
     pref = rng.integers(0, 2, size=m, dtype=np.int64) * 2 - 1
     for t in order:
-        lo, hi = indptr[t], indptr[t + 1]
-        if lo == hi:
-            chi[t] = pref[t]
-            continue
-        bl = ids[lo:hi]
+        bl = (table.positions[t] >> table.shifts) + table.offsets
         s = sums[bl]
-        dl = block_deltas[bl]
+        cap = table.caps[bl]
         sg = int(pref[t])
-        if np.all(np.abs(s + sg) <= dl):
+        if np.all(np.abs(s + sg) <= cap):
             chi[t] = sg
             sums[bl] = s + sg
-        elif np.all(np.abs(s - sg) <= dl):
+        elif np.all(np.abs(s - sg) <= cap):
             chi[t] = -sg
             sums[bl] = s - sg
     return chi
+
+
+def _orbit_blocks_hold(n: int, xs: np.ndarray, values: np.ndarray, limits) -> bool:
+    """Every orbit block sum within its delta, re-summed from the definition:
+    sort each step-d row of X by k, take prefix sums, difference them at
+    multiples of the block size.  ``limits`` holds (size, delta) pairs."""
+    m = int(xs.size)
+    v = values[xs].astype(np.int64)
+    ctx = make_context(n)
+    smallest = min(size for size, _ in limits)
+    for g in ctx.divisors[:-1]:
+        L = n // g
+        a = xs % g
+        cnt = np.bincount(a, minlength=g)
+        if cnt.max() < smallest:
+            continue
+        # in (a, k) order row a fills cnt[a] consecutive places; `within` is the rank
+        row = np.repeat(np.arange(g), cnt)
+        within = np.arange(m) - (np.cumsum(cnt) - cnt)[row]
+        bounds = []
+        for size, delta in limits:
+            ends = np.flatnonzero((within + 1) % size == 0) + 1
+            bounds.append((ends - size, ends, delta))
+        for _, k in _orbit_coordinates(n, xs, g, max(1, _CHUNK_CELLS // m)):
+            order = np.argsort(a * L + k, axis=1)
+            P = np.zeros((k.shape[0], m + 1), dtype=np.int64)
+            np.cumsum(v[order], axis=1, out=P[:, 1:])
+            for lo, hi, delta in bounds:
+                if np.any(np.abs(P[:, hi] - P[:, lo]) > delta):
+                    return False
+    return True
+
+
+def certify_partial_coloring(req: PartialColorRequest, values) -> bool:
+    """True when every binding block of the request has |chi(block)| <= delta.
+
+    ``values`` is the coloring over Z_n.  Each block sum is recomputed from the
+    block's definition: the element arrays of an explicit request, the sorted
+    step-d orbits of X for ``OrbitBlocks``.  Nothing the search built is used.
+    """
+    values = np.asarray(values)
+    binding = req.binding()
+    if not binding:
+        return True
+    if isinstance(next(iter(binding.values())), OrbitBlocks):
+        limits = [(size, float(req.deltas[size])) for size in binding]
+        return _orbit_blocks_hold(req.n, req.x, values, limits)
+    for size, group in binding.items():
+        if len(group) == 0:
+            continue
+        sums = values[np.stack([np.asarray(b, dtype=np.int64) for b in group])]
+        if np.any(np.abs(sums.astype(np.int64).sum(axis=1)) > float(req.deltas[size])):
+            return False
+    return True
 
 
 def partial_color(req: PartialColorRequest) -> Coloring:
     """Search for a partial coloring meeting every block bound.
 
     Raises BudgetExceeded if the entropy condition fails for the binding
-    blocks, and SearchFailed when no restart yields a certified coloring that
-    signs at least ceil(m/10) points.
+    blocks, and SearchFailed when no restart yields a coloring that signs at
+    least ceil(m/10) points and passes ``certify_partial_coloring``.
     """
     m = int(req.x.size)
     if m == 0:
@@ -256,29 +483,18 @@ def partial_color(req: PartialColorRequest) -> Coloring:
         raise BudgetExceeded(
             f"entropy budget {budget:.6g} exceeds {threshold:.6g} for m={m}"
         )
-    nblocks, pair_elems, pair_blocks, block_deltas, _ = _flatten_binding_blocks(req)
-    order = np.argsort(pair_elems, kind="stable")
-    sorted_elems = pair_elems[order]
-    sorted_blocks = pair_blocks[order]
-    indptr = np.searchsorted(sorted_elems, np.arange(m + 1))
+    table = _walk_table(req)
     need = -(-m // COLOR_FRACTION_DENOM)
     for restart in range(max(1, req.retries)):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=req.seed, spawn_key=(restart,))
         )
-        sums = np.zeros(nblocks, dtype=np.float64)
-        chi_local = _sign_walk(m, indptr, sorted_blocks, sums, block_deltas, rng)
+        chi_local = _sign_walk(table, rng)
         if int(np.count_nonzero(chi_local)) < need:
             continue
-        # certification: recompute every binding block sum from scratch
-        check = np.zeros(nblocks, dtype=np.float64)
-        if nblocks:
-            check = np.bincount(
-                sorted_blocks, weights=chi_local[sorted_elems], minlength=nblocks
-            )
-        if nblocks == 0 or np.all(np.abs(check) <= block_deltas):
-            values = np.zeros(req.n, dtype=np.int8)
-            values[req.x] = chi_local
+        values = np.zeros(req.n, dtype=np.int8)
+        values[req.x] = chi_local
+        if certify_partial_coloring(req, values):
             return Coloring(req.n, values)
     raise SearchFailed(
         f"no certified partial coloring after {req.retries} restarts (m={m})",
@@ -295,7 +511,9 @@ def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
     """Dyadic block constraints over X for every step d, at the binding scales.
 
     Scales whose allowance kappa*b(2^i) reaches 2^i are left out: no signing
-    can violate them.
+    can violate them.  The blocks are ``OrbitBlocks`` counted in closed form;
+    raises LimitExceeded when the walk table for them would pass
+    TABLE_BYTES_LIMIT.
     """
     xs = _as_subset(n, xs)
     m = int(xs.size)
@@ -306,32 +524,15 @@ def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
     max_scale = m.bit_length() - 1
     deltas = {1 << i: kappa * schedule.b(1 << i) for i in range(max_scale + 1)}
     binding = [i for i in range(max_scale + 1) if deltas[1 << i] < (1 << i)]
-    blocks: dict[int, list[np.ndarray]] = {1 << i: [] for i in binding}
-    if binding and n > 1:
-        smin = 1 << min(binding)
-        for d in range(1, n):
-            g = math.gcd(d, n)
-            L = n // g
-            if L < smin:
-                continue
-            a = xs % g
-            cnt = np.bincount(a)
-            if int(cnt.max()) < smin:
-                continue
-            k = (xs - a) // g * pow(d // g, -1, L) % L
-            order = np.lexsort((k, a))
-            sa = a[order]
-            cuts = np.flatnonzero(np.diff(sa)) + 1
-            for grp in np.split(order, cuts):
-                l = grp.size
-                if l < smin:
-                    continue
-                elems = xs[grp]
-                for i in binding:
-                    size = 1 << i
-                    nb = l >> i
-                    for t in range(nb):
-                        blocks[size].append(elems[t * size : (t + 1) * size])
+    if binding:
+        table_bytes = orbit_table_bytes(n, xs, binding)
+        if table_bytes > TABLE_BYTES_LIMIT:
+            raise LimitExceeded(
+                f"n={n}, m={m}: the constraint table needs {table_bytes} bytes, "
+                f"past the limit of {TABLE_BYTES_LIMIT}"
+            )
+    counts = dyadic_block_counts(n, xs, binding)
+    blocks = {1 << i: OrbitBlocks(counts.get(i, 0)) for i in binding}
     return PartialColorRequest(
         n=n, x=xs, blocks=blocks, deltas=deltas, kind=schedule.kind,
         retries=retries, seed=seed,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ap_system import Coloring, ap_index_arrays, max_ap_discrepancy, congruence_class_sums
-from .number_theory import ZnContext, make_context
+from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
     "LimitExceeded",
@@ -32,10 +32,6 @@ EXHAUSTIVE_LIMIT = 16
 BRANCH_AND_BOUND_LIMIT = 22
 HERDISC_LIMIT = 12
 _CHUNK = 1 << 12
-
-
-class LimitExceeded(ValueError):
-    """n is past the configured search limit."""
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "N_LIMIT",
+    "LimitExceeded",
     "ZnContext",
     "factorize",
     "divisors_from_factors",
@@ -24,6 +25,10 @@ __all__ = [
 
 # Trial division up to sqrt(n) stays fast well past this.
 N_LIMIT = 1 << 41
+
+
+class LimitExceeded(ValueError):
+    """A request is past a configured size limit (search size or memory)."""
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -64,6 +69,7 @@ def totient(n: int) -> int:
 class ZnContext:
     """A modulus n with its factorization, divisor list, and multiplicative invariants.
 
+    ``divisor_phi`` holds phi(r) for each r in ``divisors``, in the same order.
     ``prime_powers`` are the pairwise-coprime factors p_i^{a_i}; ``crt_basis``
     holds e_i with e_i = 1 mod p_i^{a_i} and e_i = 0 mod the other prime powers,
     so combining residues is a dot product mod n.
@@ -72,6 +78,7 @@ class ZnContext:
     n: int
     factors: tuple[tuple[int, int], ...]
     divisors: tuple[int, ...]
+    divisor_phi: tuple[int, ...]
     phi: int
     omega: int
     d: int
@@ -92,9 +99,13 @@ def make_context(n: int) -> ZnContext:
         raise ValueError(f"n exceeds the supported limit {N_LIMIT}")
     factors = factorize(n)
     divisors = divisors_from_factors(factors)
-    phi = 1
-    for p, e in factors:
-        phi *= p ** (e - 1) * (p - 1)
+    divisor_phi = []
+    for r in divisors:
+        phi = r
+        for p, _ in factors:
+            if r % p == 0:
+                phi = phi // p * (p - 1)
+        divisor_phi.append(phi)
     d = 1
     for _, e in factors:
         d *= e + 1
@@ -107,7 +118,8 @@ def make_context(n: int) -> ZnContext:
         n=n,
         factors=factors,
         divisors=divisors,
-        phi=phi,
+        divisor_phi=tuple(divisor_phi),
+        phi=divisor_phi[-1],
         omega=len(factors),
         d=d,
         prime_powers=prime_powers,

@@ -326,6 +326,22 @@ def test_dyadic_block_count_bounds():
             assert f_i <= c0 * (m / s) * ctx.phi * math.log(math.e * n / s)
 
 
+def test_dyadic_block_counts_match_step_loop():
+    # reference: one bincount of the orbit rows per step d
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        n = int(rng.integers(1, 300))
+        xs = np.flatnonzero(rng.integers(0, 2, n))
+        if xs.size == 0:
+            continue
+        expect = {s: 0 for s in range(xs.size.bit_length())}
+        for d in range(1, n):
+            cnt = np.bincount(xs % math.gcd(d, n))
+            for s in expect:
+                expect[s] += int((cnt >> s).sum())
+        assert dyadic_block_counts(n, xs) == (expect if n > 1 else {})
+
+
 def test_orbit_ordering_is_by_k():
     rng = np.random.default_rng(53)
     from zndisc.ap_system import orbit_intersection

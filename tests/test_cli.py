@@ -139,6 +139,16 @@ def test_construct_search_failure_exit_code(monkeypatch):
     assert run(["construct", "--n", "12"]) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["construct", "--n", "999983"],
+    ["sweep", "--range", "999983..999983", "--primes-only"],
+])
+def test_engine_table_limit_exit_code(command, capsys):
+    # refused from the closed-form table size, before anything is allocated
+    assert run(command) == EXIT_LIMIT
+    assert "limit" in capsys.readouterr().err
+
+
 def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path):
     import zndisc.cli as cli
     from zndisc.constructions import ConstructionReport
@@ -160,6 +170,9 @@ def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path):
 GOLDEN_RESULTS = [
     (["construct", "--n", "360", "--seed", "7"],
      "f330d717f6ccede652143fe2a5b481db4c2cebf2bb188337c85585e2009dc23c"),
+    # a prime cell whose engine request binds 1 628 160 (point, block) pairs
+    (["construct", "--n", "1061", "--seed", "1"],
+     "76d5507db1c0c8abc836e68a18e618884f087d4d1fc13b5e0d2fab7c7617f735"),
     (["exact", "--n", "12"],
      "c9561459a310c32dba774ec78993794d6df5ceaff584158e1c107b88d3e62bfb"),
     (["herdisc", "--n", "7"],
@@ -167,7 +180,8 @@ GOLDEN_RESULTS = [
 ]
 
 
-@pytest.mark.parametrize("args,digest", GOLDEN_RESULTS, ids=["construct", "exact", "herdisc"])
+@pytest.mark.parametrize("args,digest", GOLDEN_RESULTS,
+                         ids=["construct", "construct-engine", "exact", "herdisc"])
 def test_golden_results(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert run(args + ["--out", str(out)]) == EXIT_OK

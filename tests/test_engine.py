@@ -1,22 +1,30 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zndisc.ap_system import Coloring
+from zndisc import engine
+from zndisc.ap_system import Coloring, orbit_intersection
 from zndisc.engine import (
+    TABLE_BYTES_LIMIT,
     BudgetExceeded,
     DeltaSchedule,
     PartialColorRequest,
     SearchFailed,
     build_c2_request,
+    certify_partial_coloring,
     entropy_weight,
     full_color_iterate,
     full_color_iterate_traced,
+    orbit_table_bytes,
     partial_color,
     schedule_entropy_budget,
 )
-from zndisc.number_theory import make_context
+from zndisc.number_theory import LimitExceeded, make_context
+
+from .test_acceptance import _certify_blocks
 
 
 # ---------------------------------------------------------------- oracles
@@ -238,3 +246,190 @@ def test_search_failure_reports_iteration():
     )
     with pytest.raises((SearchFailed, BudgetExceeded)):
         partial_color(req)
+
+
+# ------------------------------------------------- orbit table and certificate
+
+def orbit_blocks_by_definition(n, xs, size):
+    """Every size-`size` block of X along each step-d orbit, in (d, a, t) order."""
+    out = []
+    for d in range(1, n):
+        for a in range(math.gcd(d, n)):
+            row = orbit_intersection(n, d, a, xs)
+            out.extend(row[t * size : (t + 1) * size] for t in range(row.size // size))
+    return out
+
+
+def table_blocks(req):
+    """The binding blocks the walk table encodes: Counter of (cap, element set)."""
+    table = engine._walk_table(req)
+    m, width = table.positions.shape
+    point = np.repeat(np.arange(m), width)
+    found = Counter()
+    for shift, offset in zip(table.shifts[:, 0], table.offsets[:, 0]):
+        ids = ((table.positions >> shift) + offset).ravel()
+        keep = table.caps[ids] < m
+        order = np.argsort(ids[keep], kind="stable")
+        ids, members = ids[keep][order], point[keep][order]
+        if ids.size == 0:
+            continue
+        cuts = np.flatnonzero(np.diff(ids)) + 1
+        for block_ids, pts in zip(np.split(ids, cuts), np.split(members, cuts)):
+            block = frozenset(int(x) for x in req.x[pts])
+            assert len(block) == pts.size  # a point sits in a block once
+            found[(int(table.caps[block_ids[0]]), block)] += 1
+    return found
+
+
+def test_orbit_table_matches_explicit_blocks():
+    # the rank-built table must hold exactly the blocks of the definition, with
+    # their caps, and the walk must give the same coloring as over explicit blocks
+    rng = np.random.default_rng(91)
+    cases = [(257, np.arange(257)), (256, np.arange(256)), (240, np.arange(0, 240, 2))]
+    for _ in range(6):
+        n = int(rng.integers(130, 260))
+        cases.append((n, np.flatnonzero(rng.random(n) < 0.8)))
+    binding_seen = 0
+    for i, (n, xs) in enumerate(cases):
+        for sched in (DeltaSchedule.main(n), DeltaSchedule.hereditary(make_context(n))):
+            req = build_c2_request(n, xs, sched, seed=i)
+            explicit = {
+                size: orbit_blocks_by_definition(n, xs, size) for size in req.blocks
+            }
+            assert {s: len(g) for s, g in req.blocks.items()} == {
+                s: len(g) for s, g in explicit.items()
+            }
+            expect = Counter(
+                (math.floor(req.deltas[size]), frozenset(int(x) for x in b))
+                for size, group in explicit.items() for b in group
+            )
+            assert table_blocks(req) == expect
+            binding_seen += sum(expect.values())
+            twin = PartialColorRequest(n=n, x=xs, blocks=explicit, deltas=req.deltas,
+                                       kind=req.kind, seed=req.seed)
+            assert table_blocks(twin) == expect
+            assert np.array_equal(partial_color(req).values, partial_color(twin).values)
+    assert binding_seen > 0
+
+
+def test_orbit_table_bytes_closed_form():
+    cases = [(1061, np.arange(1, 531)), (360, np.arange(0, 360, 2)), (240, np.arange(240))]
+    for n, xs in cases:
+        req = build_c2_request(n, xs, DeltaSchedule.main(n))
+        scales = [size.bit_length() - 1 for size in req.blocks]
+        table = engine._walk_table(req)
+        assert orbit_table_bytes(n, xs, scales) == (
+            table.positions.nbytes + 8 * table.caps.size
+        )
+
+
+def test_table_limit_refused_before_allocation():
+    # a prime near 10^6: one column of |X| int32 slots per step is ~2 TB
+    p = 999_983
+    xs = np.arange(1, (p - 1) // 2 + 1)
+    sched = DeltaSchedule.main(p)
+    scales = [i for i in range(20) if sched.b(1 << i) < (1 << i)]
+    estimate = orbit_table_bytes(p, xs, scales)
+    assert estimate >= 4 * xs.size * (p - 1) > TABLE_BYTES_LIMIT
+    with pytest.raises(LimitExceeded):
+        build_c2_request(p, xs, sched)
+
+
+def test_block_duplicate_validation():
+    with pytest.raises(ValueError):
+        PartialColorRequest(
+            n=8, x=np.array([0, 1, 2]), blocks={2: [np.array([1, 1])]},
+            deltas={2: 1.0},
+        )
+
+
+def _drop_first_block(monkeypatch):
+    """Make the table builder leave out the first block of the smallest binding
+    scale (its members point at the exempt slot); returns those members."""
+    dropped = {}
+    build = engine._walk_table
+
+    def without_one_block(req):
+        table = build(req)
+        # smallest scale first: the first id with a binding cap is one of its blocks
+        block = int(np.flatnonzero(table.caps < req.x.size)[0])
+        ids = (table.positions >> table.shifts[0, 0]) + table.offsets[0, 0]
+        t, col = np.nonzero(ids == block)
+        table.positions[t, col] = table.exempt
+        dropped["points"] = t
+        return table
+
+    monkeypatch.setattr(engine, "_walk_table", without_one_block)
+    return dropped
+
+
+def test_certificate_independent_of_walk_table(monkeypatch):
+    n = 257
+    xs = np.arange(n)
+    sched = DeltaSchedule.main(n)
+    dropped = _drop_first_block(monkeypatch)
+    for seed in range(4):
+        req = build_c2_request(n, xs, sched, seed=seed)
+        try:
+            chi = partial_color(req)
+        except SearchFailed:
+            continue
+        assert _certify_blocks(n, xs, chi.values, sched, 1.0)
+
+    # plant a violation of the dropped block in the first restart's walk
+    walk = engine._sign_walk
+    verdicts = []
+    certify = engine.certify_partial_coloring
+
+    def planted_walk(table, rng):
+        chi = walk(table, rng)
+        if not verdicts:
+            chi[dropped["points"]] = 1
+        return chi
+
+    def recorded(req, values):
+        verdicts.append(certify(req, values))
+        return verdicts[-1]
+
+    monkeypatch.setattr(engine, "_sign_walk", planted_walk)
+    monkeypatch.setattr(engine, "certify_partial_coloring", recorded)
+    req = build_c2_request(n, xs, sched, seed=11)
+    assert dropped["points"].size == min(req.blocks)
+    try:
+        chi = partial_color(req)
+    except SearchFailed:
+        chi = None
+    assert verdicts[0] is False
+    if chi is not None:
+        assert _certify_blocks(n, xs, chi.values, sched, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**30),
+    kappa=st.sampled_from((1.0, 4.0)),
+)
+def test_certificate_agrees_with_orbit_definition(n, density, seed, kappa):
+    rng = np.random.default_rng(seed)
+    xs = np.flatnonzero(rng.random(n) < density)
+    if xs.size == 0:
+        xs = np.array([seed % n])
+    sched = DeltaSchedule.main(n)
+    req = build_c2_request(n, xs, sched, kappa=kappa, seed=seed)
+    try:
+        chi = partial_color(req).values
+    except SearchFailed:
+        return
+    flipped = chi.copy()
+    x = xs[seed % xs.size]
+    flipped[x] = -flipped[x]
+    # the first block of the step-1 orbit, all +1: violates every binding scale
+    stacked = chi.copy()
+    stacked[xs[: 1 << (xs.size.bit_length() - 1)]] = 1
+    for values in (chi, flipped, stacked):
+        assert certify_partial_coloring(req, values) == _certify_blocks(
+            n, xs, values, sched, kappa
+        )
+    assert certify_partial_coloring(req, chi)

@@ -62,6 +62,7 @@ def test_context_invariants_sampled():
         assert len(ctx.divisors) == ctx.d
         assert all(n % r == 0 for r in ctx.divisors)
         assert ctx.phi == phi[n]
+        assert ctx.divisor_phi == tuple(int(phi[r]) for r in ctx.divisors)
         assert ctx.omega == len(ctx.factors)
 
 
