@@ -1,0 +1,8 @@
+"""``python -m zndisc``: the same command line as the ``zndisc`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,17 @@ above by progression discrepancy plus congruence-class power, and comparing
 the two yields lower bounds on the discrepancy that depend only on the
 divisor structure of n.
 
+The five m-indexed checks have one implementation, ``fourier_checks``: one
+call evaluates them for every m (and every (m, l) for the truncated divisor
+bound) with numpy arrays, computing the class powers once and the double sum
+from one chunked gather of f(a + b*k).  ``weighted_lhs`` and the per-m
+checkers (``verify_rhs_lower``, ``verify_lhs_upper``,
+``mobius_identity_check``, ``mobius_inequality_check``,
+``composite_lower_check``) are one-m views of it, and every entry is bitwise
+what the scalar formula gives for its m.  ``weighted_lhs_all_m`` and
+``weighted_lhs_spectral`` are independent routes to the double sum, kept as
+cross-checks.
+
 Equalities are checked to relative 1e-8; inequalities get an absolute floor
 of 1e-6 at the n^2 m^2 scale on top.  Class-sum tables for integer colorings
 are computed in exact integer arithmetic.
@@ -27,6 +38,7 @@ from .number_theory import ZnContext, make_context
 __all__ = [
     "Spectrum",
     "CheckResult",
+    "CheckGrid",
     "BoundReport",
     "REL_TOL",
     "dft",
@@ -38,6 +50,8 @@ __all__ = [
     "weighted_lhs",
     "weighted_lhs_all_m",
     "weighted_lhs_spectral",
+    "FOURIER_CHECKS",
+    "fourier_checks",
     "verify_rhs_lower",
     "verify_lhs_upper",
     "mobius_identity_check",
@@ -54,6 +68,10 @@ __all__ = [
 REL_TOL = 1e-8
 _ABS_COEFF = 1e-6
 _DIRECT_DFT_LIMIT = 4096
+_GATHER_CELLS = 1 << 14  # cells per gather of f(a + b*k) in the double sum
+
+FOURIER_CHECKS = ("rhs_lower", "lhs_upper", "mobius_identity", "mobius_inequality",
+                  "composite_lower")
 
 
 @dataclass(frozen=True)
@@ -171,16 +189,7 @@ def check_subgroup_plancherel(f, r: int, fhat: np.ndarray | None = None) -> Chec
 def weighted_lhs(f, m: int) -> float:
     """Direct double sum over a, b of |sum_{k<m} f(a + b*k)|^2."""
     arr = _as_complex(f)
-    n = arr.size
-    if not 1 <= m <= n:
-        raise ValueError("m must lie in [1, n]")
-    a = np.arange(n, dtype=np.int64)[:, None]
-    k = np.arange(m, dtype=np.int64)[None, :]
-    total = 0.0
-    for b in range(n):
-        inner = arr[(a + b * k) % n].sum(axis=1)
-        total += float((np.abs(inner) ** 2).sum())
-    return total
+    return float(_double_sums(arr, _grid(arr.size, [m], "m"))[0])
 
 
 def weighted_lhs_all_m(f) -> np.ndarray:
@@ -220,24 +229,48 @@ def _gcd_weights(n: int) -> np.ndarray:
     return np.gcd(np.arange(n, dtype=np.int64), n)
 
 
-def _ineq_tol(n: int, m: int) -> float:
-    return _ABS_COEFF * (n * m) ** 2
+def _scale(lhs, rhs):
+    """max(1, |lhs|, |rhs|), elementwise."""
+    return np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
 
-def verify_rhs_lower(f, m: int, fhat: np.ndarray | None = None) -> CheckResult:
-    """Lower bound on the double sum by the gcd-weighted spectral sum:
-    sum_{a,b} |f(a+bM)|^2 >= sum_r |fhat(r)|^2 max(m^2 gcd(r,n)/n, m)."""
-    arr = _as_complex(f)
+def _grid(n: int, values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if (arr.ndim != 1 or arr.size == 0 or not np.issubdtype(arr.dtype, np.integer)
+            or arr.min() < 1 or arr.max() > n):
+        raise ValueError(f"{name} must lie in [1, n]")
+    return arr.astype(np.int64)
+
+
+def _double_sums(arr: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms.
+
+    One gather of f(a + b*k), k < max(ms), serves every m: each row sum over
+    k < m is a prefix slice of the contiguous last axis, so numpy sums it
+    pairwise exactly as it would a gather of m columns.  |.|^2 is summed over
+    a along a contiguous axis and the total adds up over b in order.  A gather
+    holds at most _GATHER_CELLS cells (one row of max(ms) if that is larger).
+    """
     n = arr.size
-    if fhat is None:
-        fhat = np.fft.fft(arr)
-    lhs = weighted_lhs(arr, m)
-    weights = np.maximum(m * m * _gcd_weights(n) / n, m)
-    rhs = float((np.abs(fhat) ** 2 * weights).sum())
-    tol = _ineq_tol(n, m)
-    passed = lhs >= rhs - tol
-    err = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-    return CheckResult("rhs_lower", lhs, rhs, bool(passed), err)
+    width = int(ms.max())
+    k = np.arange(width, dtype=np.int64)
+    a_rows = min(n, max(1, _GATHER_CELLS // width))
+    b_rows = min(n, max(1, _GATHER_CELLS // (a_rows * width)))
+    per_b = np.empty((ms.size, n))
+    for b0 in range(0, n, b_rows):
+        b = np.arange(b0, min(b0 + b_rows, n), dtype=np.int64)[:, None, None]
+        square = np.empty((ms.size, b.shape[0], n))  # |row sum|^2 per (m, b, a)
+        for a0 in range(0, n, a_rows):
+            a = np.arange(a0, min(a0 + a_rows, n), dtype=np.int64)[:, None]
+            index = a + b * k
+            table = arr[np.remainder(index, n, out=index)]
+            del index
+            for i, m in enumerate(ms):
+                row = np.abs(table[..., :m].sum(axis=-1))
+                square[i, :, a0:a0 + a.shape[0]] = np.square(row, out=row)
+            del table
+        per_b[:, b0:b0 + b.shape[0]] = square.sum(axis=-1)
+    return np.cumsum(per_b, axis=1)[:, -1]
 
 
 def max_progression_sum(f) -> float:
@@ -252,67 +285,128 @@ def max_progression_sum(f) -> float:
     return max_ap_sum_complex(arr)
 
 
+@dataclass(frozen=True)
+class CheckGrid:
+    """One check evaluated over a grid of m (and l): ``lhs``, ``rhs``,
+    ``passed`` and ``error`` share the shape (len(ms),), or (len(ms), len(ls))
+    for mobius_inequality.  ``at(i)`` / ``at(i, j)`` is one CheckResult."""
+
+    name: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: np.ndarray
+    error: np.ndarray
+
+    def at(self, *index) -> CheckResult:
+        return CheckResult(self.name, float(self.lhs[index]), float(self.rhs[index]),
+                           bool(self.passed[index]), float(self.error[index]))
+
+
+def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None = None,
+                   t_f: float | None = None, ms=None, ls=None,
+                   checks=FOURIER_CHECKS) -> dict[str, CheckGrid]:
+    """Evaluate the m-indexed checks for every m in ``ms`` (default 1..n) and,
+    for mobius_inequality, every (m, l) with l in ``ls`` (default the divisors
+    of n).  Each check's formula is in the docstring of its one-m view below.
+
+    ``checks`` picks a subset: the double sum is computed only for rhs_lower
+    and lhs_upper, and T_f (when not given) only for lhs_upper and
+    composite_lower.  Every entry is bitwise what the scalar formula gives for
+    its m (while m^2 phi(k) < 2^53, i.e. n below about 2e5): divisor sums add
+    up term by term in ascending k, spectral sums are pairwise along
+    contiguous rows.
+    """
+    arr = _as_complex(f)
+    n = arr.size
+    want = set(checks)
+    if not want <= set(FOURIER_CHECKS):
+        raise ValueError(f"unknown checks {sorted(want - set(FOURIER_CHECKS))}")
+    ms = _grid(n, range(1, n + 1) if ms is None else ms, "m")
+    ctx = ctx if ctx is not None else make_context(n)
+    ls = _grid(n, ctx.divisors if ls is None else ls, "l")
+    if fhat is None:
+        fhat = np.fft.fft(arr)
+    power = np.abs(fhat) ** 2
+    m2 = ms * ms
+    col = ms[:, None]
+    scaled = np.outer(m2, _gcd_weights(n)) / n  # m^2 gcd(r, n) / n
+    # squared in float: (n m)^2 would wrap in int64 past n m = 3e9
+    tol = _ABS_COEFF * (n * ms).astype(np.float64) ** 2
+    terms = []  # (k, m^2 (phi(k)/k) G(k), G(k)) for k | n ascending
+    if want != {"rhs_lower"}:
+        for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
+            G = class_power(arr, n // k)
+            terms.append((k, m2 * phi_k / k * G, G))
+
+    out = {}
+    if want & {"rhs_lower", "lhs_upper"}:
+        double = _double_sums(arr, ms)
+    if want & {"rhs_lower", "composite_lower"}:
+        spectral_max = (power * np.maximum(scaled, col)).sum(axis=1)
+    if want & {"lhs_upper", "composite_lower"}:
+        if t_f is None:
+            t_f = max_progression_sum(f)
+        below = np.full(ms.size, n * n * t_f * t_f, dtype=np.float64)
+        for k, term, _ in terms:
+            np.add(below, term, out=below, where=k < ms)
+    if "rhs_lower" in want:
+        out["rhs_lower"] = CheckGrid("rhs_lower", double, spectral_max,
+                                     double >= spectral_max - tol,
+                                     (spectral_max - double) / _scale(double, spectral_max))
+    if "lhs_upper" in want:
+        out["lhs_upper"] = CheckGrid("lhs_upper", double, below, double <= below + tol,
+                                     (double - below) / _scale(double, below))
+    if "mobius_identity" in want:
+        lhs = np.zeros(ms.size)
+        for _, term, _ in terms:
+            lhs += term
+        rhs = (power * scaled).sum(axis=1)
+        err = np.abs(lhs - rhs) / _scale(lhs, rhs)
+        out["mobius_identity"] = CheckGrid("mobius_identity", lhs, rhs, err <= REL_TOL, err)
+    if "mobius_inequality" in want:
+        lhs = (power * np.minimum(scaled, col)).sum(axis=1)[:, None]
+        rhs = np.zeros((ms.size, ls.size))
+        for k, term, G in terms:
+            rhs += np.where(k <= ls, term[:, None], (ms * n / k * G)[:, None])
+        lhs = np.broadcast_to(lhs, rhs.shape)
+        out["mobius_inequality"] = CheckGrid("mobius_inequality", lhs, rhs,
+                                             lhs <= rhs + tol[:, None],
+                                             (lhs - rhs) / _scale(lhs, rhs))
+    if "composite_lower" in want:
+        out["composite_lower"] = CheckGrid("composite_lower", below, spectral_max,
+                                           below >= spectral_max - tol,
+                                           (spectral_max - below) / _scale(below, spectral_max))
+    return out
+
+
+def verify_rhs_lower(f, m: int, fhat: np.ndarray | None = None) -> CheckResult:
+    """Lower bound on the double sum by the gcd-weighted spectral sum:
+    sum_{a,b} |f(a+bM)|^2 >= sum_r |fhat(r)|^2 max(m^2 gcd(r,n)/n, m)."""
+    return fourier_checks(f, fhat=fhat, ms=[m], checks=("rhs_lower",))["rhs_lower"].at(0)
+
+
 def verify_lhs_upper(f, m: int, t_f: float | None = None,
                      ctx: ZnContext | None = None) -> CheckResult:
     """Upper bound on the double sum by discrepancy plus class power:
     sum_{a,b} |f(a+bM)|^2 <= n^2 T_f^2 + sum_{1<=k<m, k|n} m^2 (phi(k)/k) G_f(n/k)."""
-    arr = _as_complex(f)
-    n = arr.size
-    ctx = ctx if ctx is not None else make_context(n)
-    if t_f is None:
-        t_f = max_progression_sum(f)
-    lhs = weighted_lhs(arr, m)
-    rhs = n * n * t_f * t_f
-    for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
-        if 1 <= k < m:
-            rhs += m * m * phi_k / k * class_power(arr, n // k)
-    tol = _ineq_tol(n, m)
-    passed = lhs <= rhs + tol
-    err = (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    return CheckResult("lhs_upper", lhs, float(rhs), bool(passed), err)
+    return fourier_checks(f, ctx, t_f=t_f, ms=[m],
+                          checks=("lhs_upper",))["lhs_upper"].at(0)
 
 
 def mobius_identity_check(f, m: int, fhat: np.ndarray | None = None,
                           ctx: ZnContext | None = None) -> CheckResult:
     """Divisor identity: sum_{k|n} m^2 (phi(k)/k) G_f(n/k)
     = sum_r |fhat(r)|^2 m^2 gcd(r,n)/n."""
-    arr = _as_complex(f)
-    n = arr.size
-    ctx = ctx if ctx is not None else make_context(n)
-    if fhat is None:
-        fhat = np.fft.fft(arr)
-    lhs = sum(m * m * phi_k / k * class_power(arr, n // k)
-              for k, phi_k in zip(ctx.divisors, ctx.divisor_phi))
-    rhs = float((np.abs(fhat) ** 2 * (m * m * _gcd_weights(n) / n)).sum())
-    scale = max(1.0, abs(lhs), abs(rhs))
-    err = abs(lhs - rhs) / scale
-    return CheckResult("mobius_identity", float(lhs), rhs, err <= REL_TOL, err)
+    return fourier_checks(f, ctx, fhat=fhat, ms=[m],
+                          checks=("mobius_identity",))["mobius_identity"].at(0)
 
 
 def mobius_inequality_check(f, m: int, l: int, fhat: np.ndarray | None = None,
                             ctx: ZnContext | None = None) -> CheckResult:
     """Truncated divisor bound: sum_r |fhat(r)|^2 min(m^2 gcd(r,n)/n, m)
     <= sum_{k<=l, k|n} m^2 (phi(k)/k) G_f(n/k) + sum_{k>l, k|n} (m n/k) G_f(n/k)."""
-    arr = _as_complex(f)
-    n = arr.size
-    if not 1 <= l <= n:
-        raise ValueError("l must lie in [1, n]")
-    ctx = ctx if ctx is not None else make_context(n)
-    if fhat is None:
-        fhat = np.fft.fft(arr)
-    weights = np.minimum(m * m * _gcd_weights(n) / n, m)
-    lhs = float((np.abs(fhat) ** 2 * weights).sum())
-    rhs = 0.0
-    for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
-        G = class_power(arr, n // k)
-        if k <= l:
-            rhs += m * m * phi_k / k * G
-        else:
-            rhs += m * n / k * G
-    tol = _ineq_tol(n, m)
-    passed = lhs <= rhs + tol
-    err = (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    return CheckResult("mobius_inequality", lhs, float(rhs), bool(passed), err)
+    return fourier_checks(f, ctx, fhat=fhat, ms=[m], ls=[l],
+                          checks=("mobius_inequality",))["mobius_inequality"].at(0, 0)
 
 
 def composite_lower_check(f, m: int, fhat: np.ndarray | None = None,
@@ -320,23 +414,8 @@ def composite_lower_check(f, m: int, fhat: np.ndarray | None = None,
                           ctx: ZnContext | None = None) -> CheckResult:
     """Combined bound: n^2 T_f^2 + sum_{1<=k<m, k|n} m^2 (phi(k)/k) G_f(n/k)
     >= sum_r |fhat(r)|^2 max(m^2 gcd(r,n)/n, m)."""
-    arr = _as_complex(f)
-    n = arr.size
-    ctx = ctx if ctx is not None else make_context(n)
-    if fhat is None:
-        fhat = np.fft.fft(arr)
-    if t_f is None:
-        t_f = max_progression_sum(f)
-    lhs = n * n * t_f * t_f
-    for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
-        if 1 <= k < m:
-            lhs += m * m * phi_k / k * class_power(arr, n // k)
-    weights = np.maximum(m * m * _gcd_weights(n) / n, m)
-    rhs = float((np.abs(fhat) ** 2 * weights).sum())
-    tol = _ineq_tol(n, m)
-    passed = lhs >= rhs - tol
-    err = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-    return CheckResult("composite_lower", float(lhs), rhs, bool(passed), err)
+    return fourier_checks(f, ctx, fhat=fhat, t_f=t_f, ms=[m],
+                          checks=("composite_lower",))["composite_lower"].at(0)
 
 
 def lower_bound_prop(ctx: ZnContext, l: int) -> BoundReport:

@@ -378,7 +378,14 @@ def decompose_to_C1(A: ModAP) -> list[ModAP]:
 
 
 def _as_subset(n: int, xs) -> np.ndarray:
-    xs = np.unique(np.asarray(xs, dtype=np.int64))
+    """X as a sorted, duplicate-free int64 array inside [0, n).
+
+    A strictly increasing 1-d int64 array is already normal and comes back
+    as is after the range check, so normalising the same X again is O(|X|).
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.ndim != 1 or not (xs[1:] > xs[:-1]).all():
+        xs = np.unique(xs)
     if xs.size and (xs[0] < 0 or xs[-1] >= n):
         raise ValueError("subset elements must lie in [0, n)")
     return xs

@@ -20,17 +20,13 @@ import numpy as np
 from . import __version__
 from .analysis import (
     check_subgroup_plancherel,
-    composite_lower_check,
+    fourier_checks,
     hereditary_upper_bound,
     lower_bound_main,
     lower_bound_prime_power,
     lower_bound_prop,
     max_progression_sum,
-    mobius_identity_check,
-    mobius_inequality_check,
     upper_bound_main,
-    verify_lhs_upper,
-    verify_rhs_lower,
 )
 from .ap_system import Coloring
 from .constructions import construct_best_coloring
@@ -262,33 +258,22 @@ def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
         functions.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     stats: dict[str, dict] = {}
 
-    def record(name: str, passed: bool, err: float) -> None:
+    def record(name: str, passed: np.ndarray, err: np.ndarray) -> None:
         s = stats.setdefault(name, {"checks": 0, "passes": 0, "worst_error": 0.0})
-        s["checks"] += 1
-        s["passes"] += int(passed)
-        s["worst_error"] = max(s["worst_error"], err)
+        s["checks"] += int(passed.size)
+        s["passes"] += int(passed.sum())
+        s["worst_error"] = max(s["worst_error"], float(err.max()))
 
-    ls = sorted(set(ctx.divisors) | {1, n})
     for f in functions:
         fhat = np.fft.fft(np.asarray(f, dtype=np.complex128))
         t_f = max_progression_sum(
             Coloring(n, f) if np.isrealobj(f) else f
         )
-        for r in ctx.divisors:
-            res = check_subgroup_plancherel(f, r, fhat=fhat)
-            record(res.name, res.passed, abs(res.error))
-        for m in range(1, n + 1):
-            res = verify_rhs_lower(f, m, fhat=fhat)
-            record(res.name, res.passed, res.error)
-            res = verify_lhs_upper(f, m, t_f=t_f, ctx=ctx)
-            record(res.name, res.passed, res.error)
-            res = mobius_identity_check(f, m, fhat=fhat, ctx=ctx)
-            record(res.name, res.passed, abs(res.error))
-            res = composite_lower_check(f, m, fhat=fhat, t_f=t_f, ctx=ctx)
-            record(res.name, res.passed, res.error)
-            for l in ls:
-                res = mobius_inequality_check(f, m, l, fhat=fhat, ctx=ctx)
-                record(res.name, res.passed, res.error)
+        plancherel = [check_subgroup_plancherel(f, r, fhat=fhat) for r in ctx.divisors]
+        record("subgroup_plancherel", np.array([res.passed for res in plancherel]),
+               np.array([res.error for res in plancherel]))
+        for name, grid in fourier_checks(f, ctx, fhat=fhat, t_f=t_f).items():
+            record(name, grid.passed, grid.error)
     return [{"identity": k, **v} for k, v in sorted(stats.items())]
 
 
@@ -296,6 +281,9 @@ def cmd_fourier_check(args) -> int:
     seed = _resolve_seed(args)
     if args.n is None or args.n < 1:
         print("--n is required and must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trials < 1:
+        print("--trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     rows = _fourier_suite(args.n, args.trials, seed)
     payload = {

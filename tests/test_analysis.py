@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zndisc import analysis
 from zndisc.analysis import (
+    CheckResult,
     check_subgroup_plancherel,
     class_power,
     class_sums,
     composite_lower_check,
     dft,
     dft_direct,
+    fourier_checks,
     hereditary_upper_bound,
     lower_bound_main,
     lower_bound_prime_power,
@@ -121,6 +125,141 @@ def test_weighted_lhs_three_routes_agree():
             assert direct == pytest.approx(weighted_lhs_tiny(f, m), rel=1e-8)
             assert direct == pytest.approx(weighted_lhs_spectral(f, m), rel=1e-8)
             assert direct == pytest.approx(all_m[m - 1], rel=1e-8)
+
+
+def weighted_lhs_per_b(f, m):
+    """The double sum as one contiguous (a, k) gather per b, added up over b."""
+    arr = np.asarray(f, dtype=np.complex128)
+    n = arr.size
+    a = np.arange(n, dtype=np.int64)[:, None]
+    k = np.arange(m, dtype=np.int64)[None, :]
+    total = 0.0
+    for b in range(n):
+        total += float((np.abs(arr[(a + b * k) % n].sum(axis=1)) ** 2).sum())
+    return total
+
+
+def scalar_checks(f, m, ctx, fhat, t_f):
+    """The five checks at one m, written out one scalar at a time: class
+    powers per divisor in ascending k, spectral sums over 1-d arrays."""
+    arr = np.asarray(f, dtype=np.complex128)
+    n = arr.size
+    power = np.abs(fhat) ** 2
+    gcds = np.gcd(np.arange(n, dtype=np.int64), n)
+    tol = 1e-6 * (n * m) ** 2
+    lhs = weighted_lhs_per_b(arr, m)
+    spectral_max = float((power * np.maximum(m * m * gcds / n, m)).sum())
+    bound = n * n * t_f * t_f
+    full = 0
+    for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
+        term = m * m * phi_k / k * class_power(arr, n // k)
+        full += term
+        if k < m:
+            bound += term
+    mid = float((power * (m * m * gcds / n)).sum())
+    low = float((power * np.minimum(m * m * gcds / n, m)).sum())
+
+    def result(name, lhs, rhs, passed, err):
+        return CheckResult(name, float(lhs), float(rhs), bool(passed), err)
+
+    def scale(x, y):
+        return max(1.0, abs(x), abs(y))
+
+    ident_err = abs(full - mid) / scale(full, mid)
+    out = {
+        "rhs_lower": result("rhs_lower", lhs, spectral_max, lhs >= spectral_max - tol,
+                            (spectral_max - lhs) / scale(lhs, spectral_max)),
+        "lhs_upper": result("lhs_upper", lhs, bound, lhs <= bound + tol,
+                            (lhs - bound) / scale(lhs, bound)),
+        "mobius_identity": result("mobius_identity", full, mid, ident_err <= 1e-8, ident_err),
+        "composite_lower": result("composite_lower", bound, spectral_max,
+                                  bound >= spectral_max - tol,
+                                  (spectral_max - bound) / scale(bound, spectral_max)),
+    }
+    for l in ctx.divisors:
+        rhs = 0.0
+        for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
+            G = class_power(arr, n // k)
+            rhs += m * m * phi_k / k * G if k <= l else m * n / k * G
+        out[l] = result("mobius_inequality", low, rhs, low <= rhs + tol,
+                        (low - rhs) / scale(low, rhs))
+    return out
+
+
+class GatherSpy(np.ndarray):
+    """Records the size of every fancy-index gather taken from it."""
+
+    sizes: list = []
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray):
+            GatherSpy.sizes.append(index.size)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("n,ms", [(48, range(1, 49)), (150, (1, 7, 150)), (7, (3,))])
+def test_double_sum_gathers_are_chunked(n, ms):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    GatherSpy.sizes = []
+    got = analysis._double_sums(f.view(GatherSpy), np.asarray(ms, dtype=np.int64))
+    assert GatherSpy.sizes and max(GatherSpy.sizes) <= 1 << 14
+    assert sum(GatherSpy.sizes) == n * n * max(ms)
+    # bitwise the scalar route: rows summed pairwise, totals added up over b
+    for m, value in zip(ms, got):
+        assert value == weighted_lhs_per_b(f, m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), signs=st.booleans())
+def test_fourier_checks_property(n, seed, signs):
+    rng = np.random.default_rng(seed)
+    if signs:
+        f = rng.integers(0, 2, n) * 2 - 1
+    else:
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ctx = make_context(n)
+    fhat = np.fft.fft(np.asarray(f, dtype=np.complex128))
+    t_f = max_progression_sum(f)
+    grid = fourier_checks(f, ctx, fhat=fhat, t_f=t_f)
+    assert set(grid) == set(analysis.FOURIER_CHECKS)
+    assert grid["mobius_inequality"].passed.shape == (n, len(ctx.divisors))
+    lhs = grid["rhs_lower"].lhs
+    for i, m in enumerate(range(1, n + 1)):
+        assert lhs[i] == pytest.approx(weighted_lhs_tiny(f, m), rel=1e-8)
+        ref = scalar_checks(f, m, ctx, fhat, t_f)
+        for name in ("rhs_lower", "lhs_upper", "mobius_identity", "composite_lower"):
+            assert grid[name].at(i) == ref[name]
+        assert verify_rhs_lower(f, m, fhat=fhat) == grid["rhs_lower"].at(i)
+        assert verify_lhs_upper(f, m, t_f=t_f, ctx=ctx) == grid["lhs_upper"].at(i)
+        assert mobius_identity_check(f, m, fhat=fhat, ctx=ctx) == grid["mobius_identity"].at(i)
+        assert (composite_lower_check(f, m, fhat=fhat, t_f=t_f, ctx=ctx)
+                == grid["composite_lower"].at(i))
+        for j, l in enumerate(ctx.divisors):
+            assert (mobius_inequality_check(f, m, l, fhat=fhat, ctx=ctx)
+                    == grid["mobius_inequality"].at(i, j) == ref[l])
+    # a planted T_f = 0 breaks the upper bounds at the same m in both routes
+    planted = fourier_checks(f, ctx, fhat=fhat, t_f=0,
+                             checks=("lhs_upper", "composite_lower"))
+    assert set(planted) == {"lhs_upper", "composite_lower"}
+    for name, view in (("lhs_upper", lambda m: verify_lhs_upper(f, m, t_f=0, ctx=ctx)),
+                       ("composite_lower",
+                        lambda m: composite_lower_check(f, m, fhat=fhat, t_f=0, ctx=ctx))):
+        failed = ~planted[name].passed
+        assert failed[0]  # m = 1: no class-power term, the bound is 0
+        assert [not view(m).passed for m in range(1, n + 1)] == failed.tolist()
+
+
+def test_fourier_checks_rejects_bad_grid():
+    f = np.ones(6)
+    for kwargs in ({"ms": [0]}, {"ms": [7]}, {"ms": []}, {"ms": [1.5]},
+                   {"ls": [0]}, {"checks": ("nonsense",)}):
+        with pytest.raises(ValueError):
+            fourier_checks(f, **kwargs)
+    with pytest.raises(ValueError):
+        mobius_identity_check(f, 0)
+    with pytest.raises(ValueError):
+        weighted_lhs(f, 7)
 
 
 # ------------------------------------------------------------ inequalities

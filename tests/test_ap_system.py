@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,3 +355,49 @@ def test_orbit_ordering_is_by_k():
         a = int(rng.integers(0, g))
         got = list(orbit_intersection(n, d, a, xs))
         assert got == orbit_order_naive(n, d, a, xs)
+
+
+def _as_subset_by_unique(n, xs):
+    """The general normalisation: np.unique, then the range check."""
+    xs = np.unique(np.asarray(xs, dtype=np.int64))
+    if xs.size and (xs[0] < 0 or xs[-1] >= n):
+        raise ValueError("subset elements must lie in [0, n)")
+    return xs
+
+
+@pytest.mark.parametrize("xs", [
+    [],
+    [3],
+    [0, 2, 5, 9],
+    np.array([0, 2, 5, 9], dtype=np.int64),
+    np.array([1, 4, 7], dtype=np.int32),
+    [9, 0, 5, 2],
+    [2, 2, 5, 5, 9],
+    np.array([0, 2, 2, 9], dtype=np.int64),
+    np.array([[4, 1], [1, 0]]),
+    np.int64(6),
+    [0, 5, 10],
+    [-1, 3],
+    np.array([-1, 3], dtype=np.int64),
+    np.array([11, 3, 3]),
+])
+def test_as_subset_fast_path_matches_unique(xs):
+    from zndisc.ap_system import _as_subset
+
+    n = 10
+    try:
+        want = _as_subset_by_unique(n, xs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _as_subset(n, xs)
+        return
+    got = _as_subset(n, xs)
+    assert got.dtype == np.int64 and got.ndim == 1
+    assert np.array_equal(got, want)
+
+
+def test_as_subset_normal_input_is_not_copied():
+    from zndisc.ap_system import _as_subset
+
+    xs = np.arange(0, 1000, 3, dtype=np.int64)
+    assert _as_subset(1000, xs) is xs

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +116,23 @@ def test_fourier_check_passes(capsys):
     assert "mobius_identity" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fourier_check_rejects_no_trials(trials, capsys):
+    # zero functions would be zero checks, reported as a pass
+    assert run(["fourier-check", "--n", "8", "--trials", trials]) == EXIT_USAGE
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_python_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "zndisc", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "fourier-check" in proc.stdout
+
+
 def test_sweep_primes_fit(tmp_path):
     out = tmp_path / "sweep.json"
     assert run(["sweep", "--range", "2..40", "--primes-only", "--seed", "2",
@@ -177,11 +197,17 @@ GOLDEN_RESULTS = [
      "c9561459a310c32dba774ec78993794d6df5ceaff584158e1c107b88d3e62bfb"),
     (["herdisc", "--n", "7"],
      "642134280f2e7d56e62f4307cc4a9633b279c842492eebda3e8506a6504ac3bc"),
+    # the benchmark's analysis-suite input, and a second n, seed and trial count
+    (["fourier-check", "--n", "48", "--trials", "2", "--seed", "1"],
+     "f269b5b88db0db9804f336b824e254b9d21bc99aaec6e15ccf6d626d70b32fe8"),
+    (["fourier-check", "--n", "30", "--trials", "3", "--seed", "5"],
+     "a2a1bfec343979e4087f3dbc4e7b50a54f50fdf417a1a678150d9b5717847e45"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN_RESULTS,
-                         ids=["construct", "construct-engine", "exact", "herdisc"])
+                         ids=["construct", "construct-engine", "exact", "herdisc",
+                              "fourier-48", "fourier-30"])
 def test_golden_results(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert run(args + ["--out", str(out)]) == EXIT_OK
