@@ -10,6 +10,17 @@ over windows of length 1..L from prefix and suffix extremes.  The single,
 batch and witness searches reduce its output; complex sums, which have no
 extremes to sweep, loop over window lengths on the same prefix sums.
 
+``max_ap_discrepancy(chi, period=r)`` takes a coloring that repeats with
+period r | n (a lift from Z_r) and reads every step's maximum off Z_r:
+  - a step-d orbit of Z_n (L points) runs Q = L/m times round a step-(d mod r)
+    orbit of Z_r (m points);
+  - a window of length q*m + l (1 <= l <= m) sums to q*C + W, C the Z_r row sum;
+  - |q*C + W| is convex in q, so q in {0, Q-1} and each row's extreme W suffice.
+This costs O(r^2 + n) against O(n^2); only the witness step is scanned on Z_n.
+The batch scan and a plain call stay on the full scan, so the lifting
+inequality and the naive-enumeration tests keep an oracle that does not rely
+on this argument.
+
 The canonical segment decomposition (at most two segments per progression)
 and its dyadic block refinement live here too; the coloring engine builds its
 constraint systems from them.
@@ -18,6 +29,7 @@ constraint systems from them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,6 +58,9 @@ __all__ = [
     "block_elements",
     "dyadic_block_counts",
 ]
+
+
+_PERIODIC_CELLS = 1 << 14  # prefix cells per numpy call in the periodic scan
 
 
 @dataclass(frozen=True)
@@ -210,18 +225,20 @@ def ap_index_arrays(ctx: ZnContext, min_len: int = 1) -> list[np.ndarray]:
     ]
 
 
-def _orbit_prefix(values: np.ndarray, n: int, d: int) -> np.ndarray:
+def _orbit_prefix(values: np.ndarray, n: int, d) -> np.ndarray:
     """Prefix sums of every step-d orbit read twice around, shape (..., g, 2L+1).
 
     Row a of the orbit axis follows a, a+d, a+2d, ... (L = n/g points, with
     g = gcd(d, n)) twice, so P[..., a, j] - P[..., a, i] is the sum over the
-    cyclic window of positions i..j-1.  Leading batch axes pass through.
+    cyclic window of positions i..j-1.  Leading batch axes pass through.  An
+    array of steps sharing one gcd adds its shape in front of the orbit axis.
     """
-    g = math.gcd(d, n)
+    d = np.asarray(d, dtype=np.int64)
+    g = math.gcd(int(d.flat[0]), n)
     L = n // g
     idx = (
         np.arange(g, dtype=np.int64)[:, None]
-        + np.arange(L, dtype=np.int64)[None, :] * d
+        + np.arange(L, dtype=np.int64)[None, :] * d[..., None, None]
     ) % n
     vals = values[..., idx]
     P = np.zeros(vals.shape[:-1] + (2 * L + 1,), dtype=vals.dtype)
@@ -229,8 +246,10 @@ def _orbit_prefix(values: np.ndarray, n: int, d: int) -> np.ndarray:
     return P
 
 
-def _end_best(P: np.ndarray) -> np.ndarray:
-    """Largest |P[j] - P[i]| over the starts allowed for each end j in [1, 2L-1].
+def _end_extremes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest P[j] - P[i] and largest P[i] - P[j] over the starts allowed for
+    each end j in [1, 2L-1]: the largest window sum ending at j and the largest
+    negated one.
 
     End j admits starts i in [max(0, j-L), min(j-1, L-1)], i.e. every window of
     length 1..L: prefix extremes of P[:L] cover the ends j <= L and suffix
@@ -245,37 +264,103 @@ def _end_best(P: np.ndarray) -> np.ndarray:
         acc(tail, axis=-1, out=out[..., : L - 1 : -1])
     np.subtract(ends, lo, out=lo)
     np.subtract(hi, ends, out=hi)
-    return np.maximum(lo, hi, out=lo)
+    return lo, hi
 
 
-def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
+def _end_best(P: np.ndarray) -> np.ndarray:
+    """Largest |P[j] - P[i]| over the starts allowed for each end j in [1, 2L-1]."""
+    up, down = _end_extremes(P)
+    return np.maximum(up, down, out=up)
+
+
+def _periodic_step_maxima(base: np.ndarray, n: int) -> np.ndarray:
+    """Largest |window sum| of every step d in [1, n//2] of the coloring of Z_n
+    that repeats ``base`` (length r, r | n), computed on Z_r.
+
+    A step-d orbit of Z_n read mod r is a step-e orbit of Z_r, e = d mod r,
+    with m = r / gcd(e, r) points, repeated Q = L/m times; a window of length
+    q*m + l (1 <= l <= m) sums to q*C + W, with C the Z_r row sum and W a Z_r
+    window sum.  |q*C + W| is convex in q, so q in {0, Q-1} suffices, and the
+    step's maximum needs only each row's C and its extreme window sums.
+    """
+    r = base.shape[0]
+    d = np.arange(1, n // 2 + 1, dtype=np.int64)
+    e = np.minimum(d % r, -d % r)  # steps e and r - e trace the same rows reversed
+    h = np.gcd(e, r)  # step e has h rows of r/h points; gcd(0, r) = r
+    q = n // np.gcd(d, n) // (r // h) - 1
+    # steps sorted by (h, e), so the steps of one chunk of e's form one run
+    key = h * r + e
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    all_e = np.arange(r // 2 + 1, dtype=np.int64)
+    all_h = np.gcd(all_e, r)
+    out = np.empty(d.size, dtype=np.int64)
+    for g in np.flatnonzero(np.bincount(all_h)):
+        steps = all_e[all_h == g]
+        m = r // g
+        chunk = max(1, _PERIODIC_CELLS // (g * (2 * m + 1)))
+        for lo in range(0, steps.size, chunk):
+            es = steps[lo : lo + chunk]
+            P = _orbit_prefix(base, r, es)
+            up, down = _end_extremes(P)
+            hi, neg_lo, row_sum = up.max(axis=-1), down.max(axis=-1), P[..., m]
+            first, stop = np.searchsorted(key, [g * r + es[0], g * r + es[-1] + 1])
+            sel = order[first:stop]
+            k = np.searchsorted(es, e[sel])
+            lap = q[sel, None] * row_sum[k]
+            out[sel] = np.maximum(
+                np.maximum(hi[k], neg_lo[k]), np.maximum(hi[k] + lap, neg_lo[k] - lap)
+            ).max(axis=-1)
+    return out
+
+
+def _witness(v: np.ndarray, n: int, d: int, best: int) -> ModAP:
+    """First window of step d attaining ``best``, over orbit rows, then window
+    ends, then window starts."""
+    P = _orbit_prefix(v, n, d)
+    L = P.shape[-1] // 2
+    row, k = divmod(int(np.argmax(_end_best(P) == best)), 2 * L - 1)
+    j = k + 1  # column k of _end_best holds window end j = k + 1
+    lo = max(0, j - L)
+    i = lo + int(np.argmax(np.abs(P[row, lo : min(j, L)] - P[row, j]) == best))
+    return full_ap(n, (row + i * d) % n, d, j - i)
+
+
+def max_ap_discrepancy(chi: Coloring, period: int | None = None) -> tuple[int, ModAP]:
     """Max |chi(A)| over all progressions A, with a witness attaining it.
 
     The witness is the first window attaining the maximum over steps d, then
-    orbit rows, then window ends, then window starts.
+    orbit rows, then window ends, then window starts.  ``period`` r declares
+    chi = tile(chi[:r], n/r); the step maxima then come from Z_r and only the
+    witness step is scanned on Z_n.  A period that does not divide n, or one
+    chi does not have, raises ValueError.
     """
     n = chi.n
     v = chi.values.astype(np.int64)
+    r = n if period is None else operator.index(period)
+    if r < 1 or n % r:
+        raise ValueError(f"period must be a positive divisor of n={n}, got {r}")
+    if r < n and (v.reshape(n // r, r) != v[:r]).any():
+        raise ValueError(f"coloring does not repeat with period {r}")
     if n == 1:
         t = abs(int(v[0]))
         witness = ModAP(1, 0, 0, 0, 0) if t else ModAP(1, 0, 1, 0, -1)
         return t, witness
     best = 0
     best_d = None
-    for d in range(1, n // 2 + 1):
-        cand = int(_end_best(_orbit_prefix(v, n, d)).max())
-        if cand > best:
-            best = cand
-            best_d = d
+    if r == n:
+        for d in range(1, n // 2 + 1):
+            cand = int(_end_best(_orbit_prefix(v, n, d)).max())
+            if cand > best:
+                best = cand
+                best_d = d
+    else:
+        t = _periodic_step_maxima(v[:r], n)
+        best_d = int(np.argmax(t)) + 1  # the first maximum, as the strict > above
+        best = int(t[best_d - 1])
     if best == 0:
         return 0, ModAP(n, 0, 1, 0, -1)
-    P = _orbit_prefix(v, n, best_d)
-    L = P.shape[-1] // 2
-    row, k = divmod(int(np.argmax(_end_best(P) == best)), 2 * L - 1)
-    j = k + 1  # column k of _end_best holds window end j = k + 1
-    lo = max(0, j - L)
-    i = lo + int(np.argmax(np.abs(P[row, lo : min(j, L)] - P[row, j]) == best))
-    return best, full_ap(n, (row + i * best_d) % n, best_d, j - i)
+    return best, _witness(v, n, best_d, best)
 
 
 def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
@@ -337,6 +422,8 @@ def max_congruence_discrepancy(chi: Coloring, ctx: ZnContext | None = None) -> i
     suffice.
     """
     ctx = ctx if ctx is not None else make_context(chi.n)
+    if ctx.n != chi.n:
+        raise ValueError(f"context is for n={ctx.n}, coloring for n={chi.n}")
     v = chi.values.astype(np.int64)
     best = 0
     for r in ctx.divisors:

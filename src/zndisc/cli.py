@@ -177,7 +177,7 @@ def cmd_construct(args) -> int:
     except LimitExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_LIMIT
-    measured = measure(chi, ctx)
+    measured = measure(chi, ctx, period=report.r_star)
     report = dataclasses.replace(report, measured_t=measured["T"])
     report_dict = {**report.as_dict(), "measure": measured}
     if args.format == "csv":

@@ -354,7 +354,7 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
     chi = lift_coloring(base, ctx.n)
     measured = None
     if measure:
-        measured, _ = max_ap_discrepancy(chi)
+        measured, _ = max_ap_discrepancy(chi, period=best_r)
     report = ConstructionReport(
         n=ctx.n, r_star=best_r, predicted=bound.value, measured_t=measured,
         base_congruence_max=max_congruence_discrepancy(base, base_ctx),

@@ -241,11 +241,15 @@ def _all_ap_sets(ctx: ZnContext):
     return enumerate_aps(ctx)
 
 
-def measure(chi: Coloring, ctx: ZnContext | None = None) -> dict:
+def measure(chi: Coloring, ctx: ZnContext | None = None, *,
+            period: int | None = None) -> dict:
     """Serializable summary: max progression sum with witness, per-divisor
-    class-sum maxima, and the total sum."""
+    class-sum maxima, and the total sum.  ``period`` goes to
+    ``max_ap_discrepancy``."""
     ctx = ctx if ctx is not None else make_context(chi.n)
-    t, witness = max_ap_discrepancy(chi)
+    if ctx.n != chi.n:
+        raise ValueError(f"context is for n={ctx.n}, coloring for n={chi.n}")
+    t, witness = max_ap_discrepancy(chi, period=period)
     v = chi.values.astype(np.int64)
     per_divisor = {
         str(r): int(np.abs(congruence_class_sums(v, r)).max()) for r in ctx.divisors

@@ -149,6 +149,54 @@ def test_max_ap_property_against_naive(vals):
     assert abs(chi.sum_over(wit.elements())) == t
 
 
+@st.composite
+def periodic_colorings(draw):
+    """(coloring, period): a full, partial or all-zero base of a divisor r of n, tiled."""
+    n = draw(st.integers(1, 160))
+    r = draw(st.sampled_from([r for r in range(1, n + 1) if n % r == 0]))
+    kind = draw(st.sampled_from(("full", "partial", "zero")))
+    signs = {"full": (-1, 1), "partial": (-1, 0, 1), "zero": (0,)}[kind]
+    base = draw(st.lists(st.sampled_from(signs), min_size=r, max_size=r))
+    return Coloring(n, np.tile(base, n // r)), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_colorings())
+def test_periodic_scan_matches_full_scan(case):
+    chi, r = case
+    assert max_ap_discrepancy(chi, period=r) == max_ap_discrepancy(chi)
+
+
+def test_periodic_scan_edge_cases():
+    zero = Coloring.zeros(12)
+    for r in (1, 3, 12):
+        assert max_ap_discrepancy(zero, period=r) == (0, ModAP(12, 0, 1, 0, -1))
+    assert max_ap_discrepancy(Coloring(1, [-1]), period=1) == (1, ModAP(1, 0, 0, 0, 0))
+    assert max_ap_discrepancy(Coloring(1, [0]), period=1) == (0, ModAP(1, 0, 1, 0, -1))
+
+
+def test_periodic_scan_small_chunks(monkeypatch):
+    # one step e per numpy call exercises the chunk boundaries
+    monkeypatch.setattr("zndisc.ap_system._PERIODIC_CELLS", 1)
+    rng = np.random.default_rng(17)
+    for n, r in ((96, 12), (100, 20), (81, 27), (64, 32), (90, 45)):
+        chi = Coloring(n, np.tile(rng.integers(-1, 2, r), n // r))
+        assert max_ap_discrepancy(chi, period=r) == max_ap_discrepancy(chi)
+
+
+@pytest.mark.parametrize("values,period,message", [
+    ([1, -1, 1, -1, 1, -1], 4, "positive divisor"),
+    ([1, -1, 1, -1, 1, -1], 0, "positive divisor"),
+    ([1, -1, 1, -1, 1, -1], -2, "positive divisor"),
+    ([1, -1, 1, -1, 1, -1], 12, "positive divisor"),
+    ([1, -1, 1, -1, 1, 1], 2, "does not repeat"),  # the last period differs
+    ([1, 1, -1, 1, 1, 1], 3, "does not repeat"),
+])
+def test_periodic_scan_rejects_bad_period(values, period, message):
+    with pytest.raises(ValueError, match=message):
+        max_ap_discrepancy(Coloring(len(values), values), period=period)
+
+
 def test_parity_full_coloring():
     rng = np.random.default_rng(11)
     for n in range(1, 30):
@@ -209,6 +257,11 @@ def test_congruence_sum_examples():
 def test_max_congruence_examples():
     assert max_congruence_discrepancy(Coloring.full([1] * 7)) == 7
     assert max_congruence_discrepancy(Coloring(2, [1, -1])) == 1
+
+
+def test_max_congruence_rejects_foreign_context():
+    with pytest.raises(ValueError):
+        max_congruence_discrepancy(Coloring.full([1, 1, -1, -1]), make_context(2))
 
 
 def test_max_congruence_matches_naive():

@@ -202,12 +202,15 @@ GOLDEN_RESULTS = [
      "f269b5b88db0db9804f336b824e254b9d21bc99aaec6e15ccf6d626d70b32fe8"),
     (["fourier-check", "--n", "30", "--trials", "3", "--seed", "5"],
      "a2a1bfec343979e4087f3dbc4e7b50a54f50fdf417a1a678150d9b5717847e45"),
+    # a lifted coloring (r* = 512), measured on the periodic scan
+    (["construct", "--n", "16384", "--seed", "1"],
+     "b39d109e1528e296684c33f96bc109ce2a8055747ad4a265fa5ce7bf24501714"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN_RESULTS,
                          ids=["construct", "construct-engine", "exact", "herdisc",
-                              "fourier-48", "fourier-30"])
+                              "fourier-48", "fourier-30", "construct-lifted"])
 def test_golden_results(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert run(args + ["--out", str(out)]) == EXIT_OK

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zndisc.ap_system import (
     Coloring,
     congruence_class_sums,
     max_ap_discrepancy,
+    max_ap_discrepancy_batch,
     max_congruence_discrepancy,
 )
 from zndisc.constructions import (
@@ -54,6 +56,17 @@ def test_lift_inequality_random():
         lifted = lift_coloring(base, n)
         t_n, _ = max_ap_discrepancy(lifted)
         assert t_n <= t_r + (n // r) * c_r
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.data())
+def test_lift_inequality_property(n, data):
+    # T_n <= T_r + (n/r) cong_r, both T on the full (batch) scan, not the periodic one
+    r = data.draw(st.sampled_from(make_context(n).divisors))
+    base = np.array(data.draw(st.lists(st.sampled_from((-1, 1)), min_size=r, max_size=r)))
+    t_r = int(max_ap_discrepancy_batch(r, base[None, :])[0])
+    t_n = int(max_ap_discrepancy_batch(n, np.tile(base, n // r)[None, :])[0])
+    assert t_n <= t_r + (n // r) * max_congruence_discrepancy(Coloring(r, base))
 
 
 # ------------------------------------------------------- interval doubling
@@ -239,6 +252,18 @@ def test_balanced_coloring_random_moduli():
         chi = congruence_balanced_coloring(ctx, seed=int(rng.integers(1 << 20)))
         assert chi.is_full()
         assert max_congruence_discrepancy(chi, ctx) <= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 500), st.integers(0, 1 << 20))
+def test_balanced_coloring_class_sums_property(n, seed):
+    chi = congruence_balanced_coloring(make_context(n), seed=seed)
+    assert chi.is_full()
+    classes = np.arange(n)
+    for r in range(1, n + 1):
+        if n % r == 0:
+            sums = np.bincount(classes % r, weights=chi.values, minlength=r)
+            assert np.abs(sums).max() <= 1
 
 
 # ------------------------------------------------------------ best + lift

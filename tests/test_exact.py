@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zndisc.ap_system import Coloring, max_ap_discrepancy
@@ -82,6 +83,18 @@ def test_herdisc_witness_value():
         worst = max(abs(sum(chi[x] for x in s)) for s in sets)
         best = min(best, worst)
     assert best == value
+
+
+def test_measure_rejects_foreign_context():
+    with pytest.raises(ValueError):
+        measure(Coloring.full([1, 1, -1, -1]), make_context(2))
+
+
+def test_measure_with_period_matches_full_scan():
+    chi = Coloring.full(np.tile([1, 1, -1, 1, -1, -1], 8))
+    assert measure(chi, period=6) == measure(chi)
+    with pytest.raises(ValueError):
+        measure(chi, period=5)
 
 
 def test_measure_examples():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zndisc.number_theory import (
     N_LIMIT,
@@ -109,6 +110,22 @@ def test_crt_round_trip_scalar_spot_checks():
         ctx = make_context(n)
         x = int(rng.integers(0, n))
         assert crt_combine(ctx, crt_split(ctx, x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**6), st.data())
+def test_crt_basis_round_trip_property(n, data):
+    ctx = make_context(n)
+    qs, basis = ctx.prime_powers, ctx.crt_basis
+    for i, e in enumerate(basis):
+        assert 0 <= e < n
+        assert [e % q for q in qs] == [int(i == j) for j in range(len(qs))]
+    t = tuple(data.draw(st.integers(0, q - 1)) for q in qs)
+    x = sum(ti * e for ti, e in zip(t, basis)) % n
+    assert crt_combine(ctx, t) == x
+    assert tuple(int(r) for r in crt_split(ctx, x)) == t
+    y = data.draw(st.integers(0, n - 1))
+    assert crt_combine(ctx, crt_split(ctx, y)) == y
 
 
 def test_crt_rejects_out_of_range():
