@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .number_theory import ZnContext, make_context, crt_combine, crt_split
 from .ap_system import (
     Coloring,
-    CongClass,
-    DyadicBlock,
     ModAP,
     enumerate_aps,
     full_ap,
@@ -53,8 +51,6 @@ __all__ = [
     "crt_combine",
     "crt_split",
     "Coloring",
-    "CongClass",
-    "DyadicBlock",
     "ModAP",
     "enumerate_aps",
     "full_ap",

@@ -471,8 +471,8 @@ def lower_bound_prime_power(p: int, k: int) -> BoundReport:
 
 def upper_bound_main(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
     """Construction-side upper bound: min_{r|n}(n/r + c_hat sqrt(r) 2^omega(r))."""
-    if c_hat <= 0:
-        raise ValueError("c_hat must be positive")
+    if not 0 < c_hat < math.inf:
+        raise ValueError(f"c_hat must be positive and finite, got {c_hat}")
     n = ctx.n
     best_r, best_val = None, None
     for r in ctx.divisors:
@@ -488,8 +488,8 @@ def upper_bound_main(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
 
 def hereditary_upper_bound(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
     """Subset-uniform upper bound: c_hat * phi(n)^(1/2) * log(e n / phi(n))^(3/2)."""
-    if c_hat <= 0:
-        raise ValueError("c_hat must be positive")
+    if not 0 < c_hat < math.inf:
+        raise ValueError(f"c_hat must be positive and finite, got {c_hat}")
     n = ctx.n
     value = c_hat * math.sqrt(ctx.phi) * math.log(math.e * n / ctx.phi) ** 1.5
     return BoundReport(

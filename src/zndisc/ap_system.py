@@ -21,9 +21,8 @@ The batch scan and a plain call stay on the full scan, so the lifting
 inequality and the naive-enumeration tests keep an oracle that does not rely
 on this argument.
 
-The canonical segment decomposition (at most two segments per progression)
-and its dyadic block refinement live here too; the coloring engine builds its
-constraint systems from them.
+``dyadic_block_counts`` counts the dyadic blocks of X along every step-d orbit
+in closed form; the engine's entropy budget takes its block counts from it.
 """
 
 from __future__ import annotations
@@ -39,11 +38,8 @@ from .number_theory import ZnContext, make_context
 
 __all__ = [
     "ModAP",
-    "CongClass",
     "Coloring",
-    "DyadicBlock",
     "full_ap",
-    "is_c1_form",
     "enumerate_aps",
     "ap_index_arrays",
     "max_ap_discrepancy",
@@ -52,10 +48,6 @@ __all__ = [
     "congruence_sum",
     "congruence_class_sums",
     "max_congruence_discrepancy",
-    "decompose_to_C1",
-    "orbit_intersection",
-    "dyadic_decompose",
-    "block_elements",
     "dyadic_block_counts",
 ]
 
@@ -89,24 +81,6 @@ class ModAP:
 
     def element_set(self) -> frozenset[int]:
         return frozenset(int(x) for x in self.elements())
-
-
-@dataclass(frozen=True)
-class CongClass:
-    """Congruence class {x in Z_n : x = w mod r} for a divisor r of n."""
-
-    n: int
-    r: int
-    w: int
-
-    def __post_init__(self):
-        if self.r < 1 or self.n % self.r != 0:
-            raise ValueError("r must divide n")
-        if not 0 <= self.w < self.r:
-            raise ValueError("residue out of range")
-
-    def elements(self) -> np.ndarray:
-        return np.arange(self.w, self.n, self.r, dtype=np.int64)
 
 
 class Coloring:
@@ -153,25 +127,6 @@ class Coloring:
         return f"Coloring(n={self.n}, colored={int(np.count_nonzero(self.values))})"
 
 
-@dataclass(frozen=True)
-class DyadicBlock:
-    """Positions (t-1)*2^scale + 1 .. t*2^scale (1-based) of X in one step-d orbit.
-
-    The orbit is the residue class a mod gcd(d, n) traversed in ascending k of
-    x = a + k*d; the block refers to the ordered intersection with an ambient
-    subset X fixed by context.
-    """
-
-    d: int
-    a: int
-    scale: int
-    t: int
-
-    @property
-    def size(self) -> int:
-        return 1 << self.scale
-
-
 def full_ap(n: int, a: int, d: int, length: int) -> ModAP:
     """Canonical progression {a + k*d : 0 <= k < length} with distinct elements."""
     if length < 0:
@@ -182,20 +137,6 @@ def full_ap(n: int, a: int, d: int, length: int) -> ModAP:
     if length > orbit:
         raise ValueError(f"length {length} exceeds orbit size {orbit}")
     return ModAP(n, a, d, 0, length - 1)
-
-
-def is_c1_form(ap: ModAP) -> bool:
-    """Segment-family membership: step in [1, n), offset below gcd, indices inside one orbit.
-
-    The degenerate modulus n = 1 admits the singleton encoding with d = 1.
-    """
-    n, d = ap.n, ap.d
-    if n == 1:
-        return d == 1 and ap.a == 0 and ap.i == ap.j == 0
-    if not 1 <= d < n:
-        return False
-    g = math.gcd(d, n)
-    return 0 <= ap.a < g and 0 <= ap.i <= ap.j < n // g
 
 
 def enumerate_aps(ctx: ZnContext) -> Iterator[tuple[int, ...]]:
@@ -433,37 +374,6 @@ def max_congruence_discrepancy(chi: Coloring, ctx: ZnContext | None = None) -> i
     return best
 
 
-def decompose_to_C1(A: ModAP) -> list[ModAP]:
-    """Split a canonical progression into at most two disjoint segments.
-
-    The offset is slid to its residue below gcd(n, d) by retargeting the index
-    range, then the range is cut at the orbit boundary if it wraps.
-    """
-    n = A.n
-    if A.i != 0:
-        raise ValueError("expected canonical form with start index 0")
-    length = A.length
-    if length == 0:
-        return []
-    a = A.a % n
-    d = A.d % n
-    orbit = n // math.gcd(d, n)
-    if length > orbit:
-        raise ValueError("length exceeds orbit size")
-    if n == 1:
-        return [ModAP(1, 0, 1, 0, 0)]
-    if d == 0:
-        return [ModAP(n, 0, 1, a, a)]
-    g = math.gcd(d, n)
-    L = n // g
-    aa = a % g
-    k = (a - aa) // g * pow(d // g, -1, L) % L
-    hi = k + length - 1
-    if hi < L:
-        return [ModAP(n, aa, d, k, hi)]
-    return [ModAP(n, aa, d, k, L - 1), ModAP(n, aa, d, 0, hi - L)]
-
-
 def _as_subset(n: int, xs) -> np.ndarray:
     """X as a sorted, duplicate-free int64 array inside [0, n).
 
@@ -476,75 +386,6 @@ def _as_subset(n: int, xs) -> np.ndarray:
     if xs.size and (xs[0] < 0 or xs[-1] >= n):
         raise ValueError("subset elements must lie in [0, n)")
     return xs
-
-
-def orbit_intersection(n: int, d: int, a: int, xs) -> np.ndarray:
-    """X intersected with the step-d orbit of residue a, in ascending k of x = a + k*d."""
-    xs = _as_subset(n, xs)
-    if n == 1:
-        return xs
-    g = math.gcd(d, n)
-    L = n // g
-    if not 0 <= a < g:
-        raise ValueError("orbit residue must lie in [0, gcd(d, n))")
-    sel = xs[xs % g == a]
-    if sel.size == 0:
-        return sel
-    k = (sel - a) // g * pow(d // g, -1, L) % L
-    return sel[np.argsort(k, kind="stable")]
-
-
-def _prefix_blocks(d: int, a: int, count: int) -> list[DyadicBlock]:
-    """Binary decomposition of positions 1..count into dyadic blocks, big scales first."""
-    out: list[DyadicBlock] = []
-    done = 0
-    for b in reversed(range(count.bit_length())):
-        if count >> b & 1:
-            size = 1 << b
-            out.append(DyadicBlock(d=d, a=a, scale=b, t=done // size + 1))
-            done += size
-    return out
-
-
-def dyadic_decompose(xs, A: ModAP) -> tuple[list[DyadicBlock], list[DyadicBlock]]:
-    """Write A∩X as (union of U blocks) minus (union of V blocks), V inside U.
-
-    U covers the ordered prefix of X's orbit up to A's last index, V the prefix
-    before A's first index; each prefix splits into blocks of distinct
-    power-of-two sizes.
-    """
-    n = A.n
-    if not is_c1_form(A):
-        raise ValueError("progression must be in segment (C1) form")
-    xs = _as_subset(n, xs)
-    ordered = orbit_intersection(n, A.d, A.a, xs)
-    if ordered.size == 0:
-        return [], []
-    if n == 1:
-        ks = np.zeros(ordered.size, dtype=np.int64)
-    else:
-        g = math.gcd(A.d, n)
-        L = n // g
-        ks = np.sort((ordered - A.a) // g * pow(A.d // g, -1, L) % L)
-    first = int(np.searchsorted(ks, A.i, side="left"))
-    last = int(np.searchsorted(ks, A.j, side="right")) - 1
-    if first > last:
-        return [], []
-    return (
-        _prefix_blocks(A.d, A.a, last + 1),
-        _prefix_blocks(A.d, A.a, first),
-    )
-
-
-def block_elements(n: int, xs, block: DyadicBlock) -> np.ndarray:
-    """Elements covered by a dyadic block of X, in orbit order."""
-    ordered = orbit_intersection(n, block.d, block.a, xs)
-    size = block.size
-    lo = (block.t - 1) * size
-    hi = block.t * size
-    if hi > ordered.size:
-        raise ValueError("block index past the orbit intersection")
-    return ordered[lo:hi]
 
 
 def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:

@@ -346,6 +346,11 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
     The unit class-sum invariant belongs to the base coloring of Z_{r*};
     lifting preserves the progression bound, not the class bound.
     """
+    # the engine checks these too, but a small r* needs no engine request
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
+    if retries < 1:
+        raise ValueError(f"retries (the restart budget) must be at least 1, got {retries}")
     bound = upper_bound_main(ctx, c_hat)
     best_r = bound.witness["r"]
     base_ctx = make_context(best_r)

@@ -8,15 +8,16 @@ points get colored.  Every returned coloring is re-verified against its block
 constraints before being handed back; the certificate is what callers rely
 on, not the search heuristic.
 
-The walk reads one point-major table.  For the dyadic blocks of
-``build_c2_request`` it holds, per X-point and step d, a slot built from the
-point's rank in its step-d orbit row (a cumulative count of X along the
-orbit, no sort); the point's block at scale 2^s is slot >> s, and slots of
-points outside every full block fall in exempt ids.  The entropy budget uses
-closed-form block counts, and the table's size is known in closed form
-before it is allocated.  The certificate never reads that table: it re-sums
-each binding block from its definition, by sorting every step-d orbit row of
-X and differencing prefix sums (``certify_partial_coloring``).
+A request's constraints are the dyadic blocks of X along every step-d orbit,
+one ``OrbitBlocks`` count per size.  The walk reads one point-major table: per
+X-point and step d, a slot built from the point's rank in its step-d orbit
+row (a cumulative count of X along the orbit, no sort); the point's block at
+scale 2^s is slot >> s, and slots of points outside every full block fall in
+exempt ids.  The entropy budget uses closed-form block counts, and the
+table's size is known in closed form before it is allocated.  The
+certificate never reads that table: it re-sums each binding block from its
+definition, by sorting every step-d orbit row of X and differencing prefix
+sums (``certify_partial_coloring``).
 
 Blocks whose allowance Delta is at least their size cannot be violated by any
 signing (|chi(S)| <= |S| <= Delta), so they are exempt from the walk, the
@@ -27,8 +28,8 @@ arithmetic fact, not a relaxation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -101,7 +102,7 @@ class DeltaSchedule:
         if self.kind == "hereditary":
             if self.M is None or self.c1 is None:
                 raise ValueError("hereditary schedule needs M and c1")
-            if self.c1 <= 2:
+            if not self.c1 > 2:
                 raise ValueError("hereditary schedule requires c1 > 2")
 
     @classmethod
@@ -140,27 +141,23 @@ def entropy_weight(kind: str, delta, size):
     return np.where(lam >= 2.0, 10.0 * np.exp(-(lam**2) / 4.0), 10.0 * np.log1p(2.0 / lam))
 
 
-def schedule_entropy_budget(blocks: Mapping[int, object], deltas: Mapping[int, float],
+def schedule_entropy_budget(counts: Mapping[int, int], deltas: Mapping[int, float],
                             kind: str) -> float:
-    """Left-hand side of the entropy condition over the given nonempty blocks.
+    """Left-hand side of the entropy condition over the given blocks.
 
-    ``blocks`` maps size -> either a sequence of element arrays or a plain
-    count.  The caller compares the result against m/50 (main) or m/5
-    (hereditary).
+    ``counts`` maps block size -> number of blocks of that size.  The caller
+    compares the result against m/50 (main) or m/5 (hereditary).
     """
     if kind not in ("main", "hereditary"):
         raise ValueError(f"unknown schedule kind {kind!r}")
     total = 0.0
-    for size, entry in blocks.items():
+    for size, count in counts.items():
         if size < 1:
             raise ValueError("block sizes must be positive")
-        count = entry if isinstance(entry, (int, np.integer)) else sum(
-            1 for b in entry if len(b) > 0
-        )
         if count == 0:
             continue
         delta = float(deltas[size])
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError("deltas must be strictly positive")
         total += count * float(entropy_weight(kind, delta, size))
     return total
@@ -186,18 +183,17 @@ class OrbitBlocks:
 class PartialColorRequest:
     """One partial-coloring job: a point set, block constraints, and search knobs.
 
-    ``blocks`` maps a block size to that size's blocks: either explicit element
-    arrays (subsets of X, distinct elements) or, as ``build_c2_request``
-    writes them, one ``OrbitBlocks`` per size.  A request uses one form.  The
-    walk reads either form through one point-major table (for orbit blocks, a
-    slot per point and step d from the point's orbit rank), while
-    ``certify_partial_coloring`` re-sums the blocks from their definition: the
-    element arrays, or the sorted step-d orbit rows of X.
+    ``blocks`` maps a block size to one ``OrbitBlocks``: the dyadic blocks of
+    that size along every step-d orbit of X, as ``build_c2_request`` writes
+    them.  The walk reads them through one point-major table (a slot per
+    point and step d from the point's orbit rank), while
+    ``certify_partial_coloring`` re-sums them from their definition, the
+    sorted step-d orbit rows of X.
     """
 
     n: int
     x: np.ndarray
-    blocks: Mapping[int, Sequence[np.ndarray] | OrbitBlocks]
+    blocks: Mapping[int, OrbitBlocks]
     deltas: Mapping[int, float]
     kind: str = "main"
     retries: int = DEFAULT_RETRIES
@@ -205,28 +201,15 @@ class PartialColorRequest:
 
     def __post_init__(self):
         self.x = _as_subset(self.n, self.x)
-        orbit = [isinstance(group, OrbitBlocks) for group in self.blocks.values()]
-        if any(orbit) and not all(orbit):
-            raise ValueError("orbit blocks and explicit blocks cannot be mixed")
-        chunks = []
+        if self.retries < 1:
+            raise ValueError(f"retries (the restart budget) must be at least 1, "
+                             f"got {self.retries}")
         for size, group in self.blocks.items():
-            if float(self.deltas[size]) <= 0:
+            if not isinstance(group, OrbitBlocks):
+                raise ValueError(f"blocks of size {size} must be one OrbitBlocks, "
+                                 f"got {type(group).__name__}")
+            if not float(self.deltas[size]) > 0:
                 raise ValueError("deltas must be strictly positive")
-            if isinstance(group, OrbitBlocks):
-                continue
-            for b in group:
-                arr = np.asarray(b, dtype=np.int64)
-                if arr.size != size:
-                    raise ValueError("block size mismatch")
-                if np.unique(arr).size != size:
-                    raise ValueError("block elements must be distinct")
-                chunks.append(arr)
-        if chunks:
-            flat = np.concatenate(chunks)
-            loc = np.searchsorted(self.x, flat)
-            ok = (loc < self.x.size) & (self.x[np.minimum(loc, self.x.size - 1)] == flat)
-            if not np.all(ok):
-                raise ValueError("blocks must be subsets of X")
 
     def binding(self) -> dict:
         """The block groups a signing can violate (delta < size), by ascending size."""
@@ -253,27 +236,6 @@ class _WalkTable:
     offsets: np.ndarray
     caps: np.ndarray
     exempt: int
-
-
-def _explicit_table(req: PartialColorRequest, binding) -> _WalkTable:
-    """One position per (point, block) pair, block ids padded with the exempt id."""
-    m = int(req.x.size)
-    members = []
-    caps = []
-    for size, group in binding.items():
-        cap = math.floor(float(req.deltas[size]))
-        for b in group:
-            members.append(np.searchsorted(req.x, np.asarray(b, dtype=np.int64)))
-            caps.append(cap)
-    exempt = len(members)
-    width = int(np.bincount(np.concatenate(members), minlength=m).max()) if members else 0
-    positions = np.full((m, width), exempt, dtype=np.int32)
-    fill = np.zeros(m, dtype=np.int64)
-    for j, elems in enumerate(members):
-        positions[elems, fill[elems]] = j
-        fill[elems] += 1
-    zero = np.zeros((1, 1), dtype=np.int32)
-    return _WalkTable(positions, zero, zero, np.array(caps + [m], dtype=np.int32), exempt)
 
 
 def _orbit_layout(n: int, xs: np.ndarray, shifts: list[int]):
@@ -332,8 +294,9 @@ def orbit_table_bytes(n: int, xs, scales) -> int:
     return 4 * int(xs.size) * columns + 8 * ids
 
 
-def _orbit_table(req: PartialColorRequest, binding) -> _WalkTable:
-    """Each X-point's slot per step column, from its rank in its orbit row.
+def _walk_table(req: PartialColorRequest) -> _WalkTable:
+    """The walk's table: each X-point's slot per step column, from its rank in
+    its orbit row.
 
     The rank comes from a cumulative count of X along the orbit grid
     (row a, position k), never from a sort.  Block ids at scale 2^s are
@@ -341,6 +304,11 @@ def _orbit_table(req: PartialColorRequest, binding) -> _WalkTable:
     """
     n, xs = req.n, req.x
     m = int(xs.size)
+    binding = req.binding()
+    if not binding:  # no columns: every sign is free
+        zero = np.zeros((1, 1), dtype=np.int32)
+        return _WalkTable(np.empty((m, 0), dtype=np.int32), zero, zero,
+                          np.array([m], dtype=np.int32), 0)
     shifts = [size.bit_length() - 1 for size in binding]
     layout = list(_orbit_layout(n, xs, shifts))
     columns = sum(steps for _, steps, _, _, _ in layout)
@@ -379,13 +347,6 @@ def _orbit_table(req: PartialColorRequest, binding) -> _WalkTable:
         np.concatenate(caps),
         exempt,
     )
-
-
-def _walk_table(req: PartialColorRequest) -> _WalkTable:
-    binding = req.binding()
-    if binding and isinstance(next(iter(binding.values())), OrbitBlocks):
-        return _orbit_table(req, binding)
-    return _explicit_table(req, binding)
 
 
 def _binding_budget(req: PartialColorRequest) -> float:
@@ -448,23 +409,14 @@ def certify_partial_coloring(req: PartialColorRequest, values) -> bool:
     """True when every binding block of the request has |chi(block)| <= delta.
 
     ``values`` is the coloring over Z_n.  Each block sum is recomputed from the
-    block's definition: the element arrays of an explicit request, the sorted
-    step-d orbits of X for ``OrbitBlocks``.  Nothing the search built is used.
+    block's definition, the sorted step-d orbits of X.  Nothing the search
+    built is used.
     """
-    values = np.asarray(values)
     binding = req.binding()
     if not binding:
         return True
-    if isinstance(next(iter(binding.values())), OrbitBlocks):
-        limits = [(size, float(req.deltas[size])) for size in binding]
-        return _orbit_blocks_hold(req.n, req.x, values, limits)
-    for size, group in binding.items():
-        if len(group) == 0:
-            continue
-        sums = values[np.stack([np.asarray(b, dtype=np.int64) for b in group])]
-        if np.any(np.abs(sums.astype(np.int64).sum(axis=1)) > float(req.deltas[size])):
-            return False
-    return True
+    limits = [(size, float(req.deltas[size])) for size in binding]
+    return _orbit_blocks_hold(req.n, req.x, np.asarray(values), limits)
 
 
 def partial_color(req: PartialColorRequest) -> Coloring:
@@ -485,7 +437,7 @@ def partial_color(req: PartialColorRequest) -> Coloring:
         )
     table = _walk_table(req)
     need = -(-m // COLOR_FRACTION_DENOM)
-    for restart in range(max(1, req.retries)):
+    for restart in range(req.retries):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=req.seed, spawn_key=(restart,))
         )
@@ -519,8 +471,8 @@ def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
     m = int(xs.size)
     if m == 0:
         raise ValueError("X must be nonempty")
-    if kappa < 1.0:
-        raise ValueError("kappa must be at least 1")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
     max_scale = m.bit_length() - 1
     deltas = {1 << i: kappa * schedule.b(1 << i) for i in range(max_scale + 1)}
     binding = [i for i in range(max_scale + 1) if deltas[1 << i] < (1 << i)]

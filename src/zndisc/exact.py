@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import Coloring, ap_index_arrays, max_ap_discrepancy, congruence_class_sums
+from .ap_system import (
+    Coloring,
+    ap_index_arrays,
+    congruence_class_sums,
+    enumerate_aps,
+    max_ap_discrepancy,
+)
 from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
@@ -211,7 +217,7 @@ def exact_herdisc(ctx: ZnContext, limit: int | None = None) -> tuple[int, tuple[
     if n > cap:
         raise LimitExceeded(f"n={n} exceeds limit {cap} for herdisc")
     masks = set()
-    for t in _all_ap_sets(ctx):
+    for t in enumerate_aps(ctx):
         masks.add(sum(1 << x for x in t))
     ap_masks = np.array(sorted(masks), dtype=np.int64)
     sign_cache: dict[int, np.ndarray] = {}
@@ -233,12 +239,6 @@ def exact_herdisc(ctx: ZnContext, limit: int | None = None) -> tuple[int, tuple[
             best = disc_x
             best_x = tuple(int(e) for e in elems)
     return best, best_x
-
-
-def _all_ap_sets(ctx: ZnContext):
-    from .ap_system import enumerate_aps
-
-    return enumerate_aps(ctx)
 
 
 def measure(chi: Coloring, ctx: ZnContext | None = None, *,

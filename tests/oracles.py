@@ -1,0 +1,46 @@
+"""Reference implementations kept for the tests only.
+
+The library enforces the orbit reduction through ``OrbitBlocks`` and an
+orbit-rank table; these materialise the same objects directly, so the tests
+can compare the two.
+"""
+
+import math
+
+import numpy as np
+
+from zndisc.engine import _WalkTable
+
+
+def orbit_intersection(n, d, a, xs):
+    """X intersected with the step-d orbit of residue a, in ascending k of x = a + k*d."""
+    xs = np.unique(np.asarray(xs, dtype=np.int64))
+    if n == 1:
+        return xs
+    g = math.gcd(d, n)
+    L = n // g
+    sel = xs[xs % g == a]
+    k = (sel - a) // g * pow(d // g, -1, L) % L
+    return sel[np.argsort(k, kind="stable")]
+
+
+def explicit_walk_table(xs, blocks, deltas):
+    """The walk table over materialised blocks: one position per (point, block)
+    pair, padded with the exempt id.  ``blocks`` maps size -> element arrays."""
+    m = int(xs.size)
+    members, caps = [], []
+    for size, group in blocks.items():
+        if float(deltas[size]) >= size:
+            continue
+        for b in group:
+            members.append(np.searchsorted(xs, np.asarray(b, dtype=np.int64)))
+            caps.append(math.floor(float(deltas[size])))
+    exempt = len(members)
+    width = int(np.bincount(np.concatenate(members), minlength=m).max()) if members else 0
+    positions = np.full((m, width), exempt, dtype=np.int32)
+    fill = np.zeros(m, dtype=np.int64)
+    for j, elems in enumerate(members):
+        positions[elems, fill[elems]] = j
+        fill[elems] += 1
+    zero = np.zeros((1, 1), dtype=np.int32)
+    return _WalkTable(positions, zero, zero, np.array(caps + [m], dtype=np.int32), exempt)

@@ -394,6 +394,14 @@ def test_hereditary_upper_bound_examples():
     )
 
 
+@pytest.mark.parametrize("c_hat", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bound", [upper_bound_main, hereditary_upper_bound])
+def test_upper_bounds_reject_bad_c_hat(bound, c_hat):
+    # c_hat = inf made every divisor's bound inf, so r* = 1; nan read as a bound
+    with pytest.raises(ValueError, match="c_hat"):
+        bound(make_context(12), c_hat)
+
+
 def test_class_sums_match_naive():
     rng = np.random.default_rng(20)
     for n in (6, 12, 20):

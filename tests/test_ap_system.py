@@ -8,20 +8,18 @@ from hypothesis import given, settings, strategies as st
 from zndisc.ap_system import (
     Coloring,
     ModAP,
-    block_elements,
     congruence_sum,
-    decompose_to_C1,
     dyadic_block_counts,
-    dyadic_decompose,
     enumerate_aps,
     full_ap,
-    is_c1_form,
     max_ap_discrepancy,
     max_ap_discrepancy_batch,
     max_ap_sum_complex,
     max_congruence_discrepancy,
 )
 from zndisc.number_theory import make_context, totient
+
+from .oracles import orbit_intersection
 
 
 # ---------------------------------------------------------------- oracles
@@ -279,89 +277,7 @@ def test_max_congruence_matches_naive():
             assert max_congruence_discrepancy(chi, ctx) == naive
 
 
-# ------------------------------------------------------- decompositions
-
-def test_decompose_examples():
-    assert decompose_to_C1(full_ap(6, 0, 2, 0)) == []
-    segs = decompose_to_C1(full_ap(7, 3, 0, 1))
-    assert [(s.a, s.d, s.i, s.j) for s in segs] == [(0, 1, 3, 3)]
-    segs = decompose_to_C1(full_ap(6, 4, 1, 4))
-    assert len(segs) == 2
-    union = set()
-    for s in segs:
-        assert is_c1_form(s)
-        elems = s.element_set()
-        assert not (union & elems)
-        union |= elems
-    assert union == {4, 5, 0, 1}
-
-
-def test_decompose_partitions_random():
-    rng = np.random.default_rng(23)
-    for _ in range(300):
-        n = int(rng.integers(1, 201))
-        d = int(rng.integers(0, n))
-        orbit = n // math.gcd(d, n)
-        l = int(rng.integers(0, orbit + 1))
-        a = int(rng.integers(0, n))
-        A = full_ap(n, a, d, l)
-        segs = decompose_to_C1(A)
-        assert len(segs) <= 2
-        union = set()
-        for s in segs:
-            assert is_c1_form(s)
-            elems = s.element_set()
-            assert not (union & elems)
-            union |= elems
-        assert union == A.element_set()
-
-
-def test_dyadic_example_power_of_two_prefix():
-    X = np.arange(8)
-    A = ModAP(8, 0, 1, 0, 3)  # exactly the first 4 positions
-    U, V = dyadic_decompose(X, A)
-    assert V == []
-    assert len(U) == 1 and U[0].size == 4
-
-
-def test_dyadic_empty_intersection():
-    U, V = dyadic_decompose([0, 1], ModAP(8, 0, 1, 4, 6))
-    assert U == [] and V == []
-
-
-def test_dyadic_reassembly_random():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        n = int(rng.integers(2, 201))
-        xs = np.flatnonzero(rng.integers(0, 2, n))
-        if xs.size == 0:
-            continue
-        d = int(rng.integers(1, n))
-        g = math.gcd(d, n)
-        a = int(rng.integers(0, g))
-        L = n // g
-        i = int(rng.integers(0, L))
-        j = int(rng.integers(i, L))
-        A = ModAP(n, a, d, i, j)
-        U, V = dyadic_decompose(xs, A)
-        u_elems = [frozenset(int(v) for v in block_elements(n, xs, b)) for b in U]
-        v_elems = [frozenset(int(v) for v in block_elements(n, xs, b)) for b in V]
-        # sizes within each list are distinct powers of two
-        for blocks in (U, V):
-            sizes = [b.size for b in blocks]
-            assert len(set(sizes)) == len(sizes)
-            assert all(s & (s - 1) == 0 for s in sizes)
-        u_union = set().union(*u_elems) if u_elems else set()
-        v_union = set().union(*v_elems) if v_elems else set()
-        assert v_union <= u_union
-        expect = A.element_set() & set(int(v) for v in xs)
-        assert u_union - v_union == expect
-        # blocks are ordered-prefix slices: verify against a naive orbit walk
-        ordered = orbit_order_naive(n, d, a, xs)
-        for b, elems in zip(U + V, u_elems + v_elems):
-            lo = (b.t - 1) * b.size
-            assert elems == frozenset(ordered[lo : lo + b.size])
-
+# ------------------------------------------ orbit order and dyadic block counts
 
 def test_dyadic_block_count_bounds():
     rng = np.random.default_rng(41)
@@ -397,9 +313,8 @@ def test_dyadic_block_counts_match_step_loop():
 
 
 def test_orbit_ordering_is_by_k():
+    # the test oracle the engine tests build explicit blocks from
     rng = np.random.default_rng(53)
-    from zndisc.ap_system import orbit_intersection
-
     for _ in range(100):
         n = int(rng.integers(2, 150))
         xs = np.flatnonzero(rng.integers(0, 2, n))

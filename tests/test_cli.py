@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -123,6 +124,27 @@ def test_fourier_check_rejects_no_trials(trials, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, name", [
+    (["construct", "--n", "64", "--c-hat", "nan"], "c_hat"),
+    (["construct", "--n", "64", "--c-hat", "inf"], "c_hat"),
+    (["construct", "--n", "64", "--kappa", "nan"], "kappa"),
+    (["construct", "--n", "64", "--kappa", "inf"], "kappa"),
+    (["construct", "--n", "64", "--budget", "0"], "budget"),
+    (["construct", "--n", "64", "--budget", "-3"], "budget"),
+    # r* = 1 or 2 colors its base without an engine request
+    (["construct", "--n", "2", "--kappa", "inf"], "kappa"),
+    (["construct", "--n", "3", "--budget", "0"], "budget"),
+    (["sweep", "--range", "2..4", "--kappa", "nan"], "kappa"),
+    (["bounds", "--n", "12", "--c-hat", "nan"], "c_hat"),
+])
+def test_rejects_bad_engine_parameters(args, name, capsys):
+    # nan and inf passed every check before: c_hat = inf picked r* = 1, kappa = nan
+    # left the walk unconstrained, kappa = inf wrote Infinity into the JSON, and a
+    # budget below 1 still ran one restart
+    assert run(args) == EXIT_USAGE
+    assert name in capsys.readouterr().err
+
+
 def test_python_m_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -217,3 +239,12 @@ def test_golden_results(tmp_path, args, digest):
     results = json.loads(out.read_text())["results"]
     got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert got == digest
+
+
+@pytest.mark.parametrize("module", [None, "number_theory", "ap_system", "engine",
+                                    "constructions", "exact", "analysis"])
+def test_public_names_resolve(module):
+    # the benchmark's tracer wraps each of these names with getattr
+    mod = importlib.import_module("zndisc" + ("." + module if module else ""))
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing

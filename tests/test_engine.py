@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zndisc import engine
-from zndisc.ap_system import Coloring, orbit_intersection
+from zndisc.ap_system import dyadic_block_counts
 from zndisc.engine import (
     TABLE_BYTES_LIMIT,
     BudgetExceeded,
     DeltaSchedule,
+    OrbitBlocks,
     PartialColorRequest,
     SearchFailed,
     build_c2_request,
@@ -24,6 +25,7 @@ from zndisc.engine import (
 )
 from zndisc.number_theory import LimitExceeded, make_context
 
+from .oracles import explicit_walk_table, orbit_intersection
 from .test_acceptance import _certify_blocks
 
 
@@ -106,9 +108,7 @@ def test_budget_examples():
     assert schedule_entropy_budget({}, {}, "main") == 0.0
     n, s = 64, 8
     sched = DeltaSchedule.main(n)
-    lhs = schedule_entropy_budget(
-        {s: [np.arange(s)]}, {s: sched.b(s)}, "main"
-    )
+    lhs = schedule_entropy_budget({s: 1}, {s: sched.b(s)}, "main")
     assert lhs == pytest.approx(math.exp(-25 / 4) * (s / n) ** (25 / 4))
     lhs = schedule_entropy_budget({4: 3}, {4: 2 * 2.0}, "hereditary")
     assert lhs == pytest.approx(3 * 10 * math.exp(-1))
@@ -123,32 +123,63 @@ def test_singleton_no_blocks():
     assert np.count_nonzero(chi.values) == 1
 
 
+def orbit_blocks(n, xs, sizes):
+    """One OrbitBlocks per size, counted in closed form."""
+    counts = dyadic_block_counts(n, xs, [s.bit_length() - 1 for s in sizes])
+    return {s: OrbitBlocks(counts.get(s.bit_length() - 1, 0)) for s in sizes}
+
+
 def test_vacuous_deltas_accepted():
     # deltas equal to block sizes cannot be violated, so any signing works
     xs = np.arange(10)
-    blocks = {2: [np.array([0, 1]), np.array([4, 5])], 4: [np.array([2, 3, 6, 7])]}
+    blocks = orbit_blocks(10, xs, (2, 4))
+    assert all(len(group) > 0 for group in blocks.values())
     req = PartialColorRequest(n=10, x=xs, blocks=blocks, deltas={2: 2.0, 4: 4.0}, seed=3)
+    assert req.binding() == {}
     chi = partial_color(req)
     assert np.count_nonzero(chi.values) >= 1
 
 
 def test_budget_exceeded_raised():
-    # one tight constraint per point with a hopeless entropy budget
+    # every orbit block of size 32 tight, a hopeless entropy budget
     xs = np.arange(50)
-    blocks = {50: [xs.copy()] * 60}
+    blocks = orbit_blocks(50, xs, (32,))
+    assert len(blocks[32]) == 20  # one block per step d coprime to 50
     req = PartialColorRequest(
-        n=50, x=xs, blocks=blocks, deltas={50: 0.5}, kind="main", seed=0
+        n=50, x=xs, blocks=blocks, deltas={32: 0.5}, kind="main", seed=0
     )
     with pytest.raises(BudgetExceeded):
         partial_color(req)
 
 
-def test_block_subset_validation():
-    with pytest.raises(ValueError):
-        PartialColorRequest(
-            n=8, x=np.array([0, 1, 2]), blocks={2: [np.array([0, 5])]},
-            deltas={2: 1.0},
-        )
+@pytest.mark.parametrize("group", [[np.array([0, 1])], (), 3])
+def test_request_rejects_block_groups_not_orbit_blocks(group):
+    # a list of arrays would otherwise pass as orbit blocks of that size
+    with pytest.raises(ValueError, match="OrbitBlocks"):
+        PartialColorRequest(n=8, x=np.array([0, 1, 2]), blocks={2: group},
+                            deltas={2: 1.0})
+
+
+@pytest.mark.parametrize("retries", [0, -3])
+def test_request_rejects_restart_budget_below_one(retries):
+    with pytest.raises(ValueError, match="retries"):
+        PartialColorRequest(n=8, x=np.arange(8), blocks={}, deltas={}, retries=retries)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_request_rejects_nonpositive_delta(delta):
+    with pytest.raises(ValueError, match="deltas"):
+        PartialColorRequest(n=8, x=np.arange(8), blocks={2: OrbitBlocks(1)},
+                            deltas={2: delta})
+    with pytest.raises(ValueError, match="deltas"):
+        schedule_entropy_budget({2: 1}, {2: delta}, "main")
+
+
+@pytest.mark.parametrize("kappa", [0.5, math.nan, math.inf])
+def test_build_request_rejects_bad_kappa(kappa):
+    # kappa = nan made every scale look non-binding: an unconstrained walk
+    with pytest.raises(ValueError, match="kappa"):
+        build_c2_request(1061, range(1, 531), DeltaSchedule.main(1061), kappa=kappa)
 
 
 def test_partial_color_full_z16():
@@ -240,7 +271,7 @@ def test_hereditary_switches_to_main():
 def test_search_failure_reports_iteration():
     # impossible by construction: delta below 1 on singleton blocks
     xs = np.arange(6)
-    blocks = {1: [np.array([i]) for i in xs]}
+    blocks = orbit_blocks(6, xs, (1,))
     req = PartialColorRequest(
         n=6, x=xs, blocks=blocks, deltas={1: 0.5}, kind="main", retries=2, seed=0
     )
@@ -260,9 +291,8 @@ def orbit_blocks_by_definition(n, xs, size):
     return out
 
 
-def table_blocks(req):
-    """The binding blocks the walk table encodes: Counter of (cap, element set)."""
-    table = engine._walk_table(req)
+def table_blocks(table, x):
+    """The binding blocks a walk table encodes: Counter of (cap, element set)."""
     m, width = table.positions.shape
     point = np.repeat(np.arange(m), width)
     found = Counter()
@@ -275,7 +305,7 @@ def table_blocks(req):
             continue
         cuts = np.flatnonzero(np.diff(ids)) + 1
         for block_ids, pts in zip(np.split(ids, cuts), np.split(members, cuts)):
-            block = frozenset(int(x) for x in req.x[pts])
+            block = frozenset(int(v) for v in x[pts])
             assert len(block) == pts.size  # a point sits in a block once
             found[(int(table.caps[block_ids[0]]), block)] += 1
     return found
@@ -283,7 +313,7 @@ def table_blocks(req):
 
 def test_orbit_table_matches_explicit_blocks():
     # the rank-built table must hold exactly the blocks of the definition, with
-    # their caps, and the walk must give the same coloring as over explicit blocks
+    # their caps, and the walk must give the same coloring over either table
     rng = np.random.default_rng(91)
     cases = [(257, np.arange(257)), (256, np.arange(256)), (240, np.arange(0, 240, 2))]
     for _ in range(6):
@@ -303,12 +333,18 @@ def test_orbit_table_matches_explicit_blocks():
                 (math.floor(req.deltas[size]), frozenset(int(x) for x in b))
                 for size, group in explicit.items() for b in group
             )
-            assert table_blocks(req) == expect
+            table = engine._walk_table(req)
+            assert table_blocks(table, req.x) == expect
             binding_seen += sum(expect.values())
-            twin = PartialColorRequest(n=n, x=xs, blocks=explicit, deltas=req.deltas,
-                                       kind=req.kind, seed=req.seed)
-            assert table_blocks(twin) == expect
-            assert np.array_equal(partial_color(req).values, partial_color(twin).values)
+            twin = explicit_walk_table(req.x, explicit, req.deltas)
+            assert table_blocks(twin, req.x) == expect
+            for restart in range(3):
+                chis = [
+                    engine._sign_walk(t, np.random.default_rng(np.random.SeedSequence(
+                        entropy=req.seed, spawn_key=(restart,))))
+                    for t in (table, twin)
+                ]
+                assert np.array_equal(*chis)
     assert binding_seen > 0
 
 
@@ -333,14 +369,6 @@ def test_table_limit_refused_before_allocation():
     assert estimate >= 4 * xs.size * (p - 1) > TABLE_BYTES_LIMIT
     with pytest.raises(LimitExceeded):
         build_c2_request(p, xs, sched)
-
-
-def test_block_duplicate_validation():
-    with pytest.raises(ValueError):
-        PartialColorRequest(
-            n=8, x=np.array([0, 1, 2]), blocks={2: [np.array([1, 1])]},
-            deltas={2: 1.0},
-        )
 
 
 def _drop_first_block(monkeypatch):
