@@ -34,8 +34,6 @@ from .constructions import (
 )
 from .analysis import (
     BoundReport,
-    Spectrum,
-    dft,
     hereditary_upper_bound,
     lower_bound_main,
     lower_bound_prime_power,
@@ -74,8 +72,6 @@ __all__ = [
     "lift_coloring",
     "prime_power_coloring",
     "BoundReport",
-    "Spectrum",
-    "dft",
     "hereditary_upper_bound",
     "lower_bound_main",
     "lower_bound_prime_power",

@@ -2,7 +2,7 @@
 
 The transform convention is fhat(r) = sum_x f(x) exp(-2*pi*i*x*r/n), which is
 exactly numpy's forward FFT; a direct O(n^2) evaluator is kept alongside as a
-cross-check.  The identity and inequality checkers below all revolve around
+cross-check.  The identity and inequality checks below all revolve around
 the weighted double sum sum_{a,b} |f(a + b*M)|^2 for the initial segment
 M = {0, ..., m-1}: it is bounded below by a gcd-weighted spectral sum and
 above by progression discrepancy plus congruence-class power, and comparing
@@ -12,13 +12,9 @@ divisor structure of n.
 The five m-indexed checks have one implementation, ``fourier_checks``: one
 call evaluates them for every m (and every (m, l) for the truncated divisor
 bound) with numpy arrays, computing the class powers once and the double sum
-from one chunked gather of f(a + b*k).  ``weighted_lhs`` and the per-m
-checkers (``verify_rhs_lower``, ``verify_lhs_upper``,
-``mobius_identity_check``, ``mobius_inequality_check``,
-``composite_lower_check``) are one-m views of it, and every entry is bitwise
-what the scalar formula gives for its m.  ``weighted_lhs_all_m`` and
-``weighted_lhs_spectral`` are independent routes to the double sum, kept as
-cross-checks.
+from one chunked gather of f(a + b*k); a one-m check is the call with
+``ms=[m]``.  ``weighted_lhs_all_m`` and ``weighted_lhs_spectral`` are
+independent routes to the double sum, kept as cross-checks.
 
 Equalities are checked to relative 1e-8; inequalities get an absolute floor
 of 1e-6 at the n^2 m^2 scale on top.  Class-sum tables for integer colorings
@@ -36,27 +32,18 @@ from .ap_system import Coloring, max_ap_discrepancy, max_ap_sum_complex
 from .number_theory import ZnContext, make_context
 
 __all__ = [
-    "Spectrum",
     "CheckResult",
     "CheckGrid",
     "BoundReport",
     "REL_TOL",
-    "dft",
     "dft_direct",
     "class_sums",
     "class_power",
-    "class_power_table",
     "check_subgroup_plancherel",
-    "weighted_lhs",
     "weighted_lhs_all_m",
     "weighted_lhs_spectral",
     "FOURIER_CHECKS",
     "fourier_checks",
-    "verify_rhs_lower",
-    "verify_lhs_upper",
-    "mobius_identity_check",
-    "mobius_inequality_check",
-    "composite_lower_check",
     "max_progression_sum",
     "lower_bound_prop",
     "lower_bound_main",
@@ -72,17 +59,6 @@ _GATHER_CELLS = 1 << 14  # cells per gather of f(a + b*k) in the double sum
 
 FOURIER_CHECKS = ("rhs_lower", "lhs_upper", "mobius_identity", "mobius_inequality",
                   "composite_lower")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Fourier coefficients fhat(r) = sum_x f(x) e^{-2 pi i x r / n}."""
-
-    n: int
-    fhat: np.ndarray
-
-    def power(self) -> np.ndarray:
-        return np.abs(self.fhat) ** 2
 
 
 @dataclass(frozen=True)
@@ -111,15 +87,6 @@ class BoundReport:
     witness: dict
     constants: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "value": self.value,
-            "witness": self.witness,
-            "constants": self.constants,
-        }
-
 
 def _as_complex(f) -> np.ndarray:
     if isinstance(f, Coloring):
@@ -130,14 +97,8 @@ def _as_complex(f) -> np.ndarray:
     return arr
 
 
-def dft(f) -> Spectrum:
-    """Fourier transform via the FFT (matches the direct definition to 1e-9)."""
-    arr = _as_complex(f)
-    return Spectrum(n=arr.size, fhat=np.fft.fft(arr))
-
-
 def dft_direct(f) -> np.ndarray:
-    """Definition-level O(n^2) transform, the cross-check for dft."""
+    """Definition-level O(n^2) transform, the cross-check for np.fft.fft."""
     arr = _as_complex(f)
     n = arr.size
     if n > _DIRECT_DFT_LIMIT:
@@ -166,10 +127,6 @@ def class_power(f, r: int):
     return float((np.abs(g) ** 2).sum())
 
 
-def class_power_table(f, ctx: ZnContext) -> dict[int, float]:
-    return {r: class_power(f, r) for r in ctx.divisors}
-
-
 def check_subgroup_plancherel(f, r: int, fhat: np.ndarray | None = None) -> CheckResult:
     """Spectral mass on the order-r subgroup equals r times the class power:
     sum_{k<r} |fhat(k n/r)|^2 = r * G_f(r)."""
@@ -186,14 +143,8 @@ def check_subgroup_plancherel(f, r: int, fhat: np.ndarray | None = None) -> Chec
     return CheckResult("subgroup_plancherel", lhs, rhs, err <= REL_TOL, err)
 
 
-def weighted_lhs(f, m: int) -> float:
-    """Direct double sum over a, b of |sum_{k<m} f(a + b*k)|^2."""
-    arr = _as_complex(f)
-    return float(_double_sums(arr, _grid(arr.size, [m], "m"))[0])
-
-
 def weighted_lhs_all_m(f) -> np.ndarray:
-    """weighted_lhs for every m = 1..n at once (cumulative inner sums per b)."""
+    """The double sum for every m = 1..n at once (cumulative inner sums per b)."""
     arr = _as_complex(f)
     n = arr.size
     a = np.arange(n, dtype=np.int64)[:, None]
@@ -307,7 +258,14 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
                    checks=FOURIER_CHECKS) -> dict[str, CheckGrid]:
     """Evaluate the m-indexed checks for every m in ``ms`` (default 1..n) and,
     for mobius_inequality, every (m, l) with l in ``ls`` (default the divisors
-    of n).  Each check's formula is in the docstring of its one-m view below.
+    of n).  With S = sum_{a,b} |f(a + bM)|^2, P(r) = |fhat(r)|^2,
+    w(r) = m^2 gcd(r, n)/n and A(k) = m^2 (phi(k)/k) G_f(n/k), k | n:
+
+    rhs_lower          S >= sum_r P(r) max(w(r), m)
+    lhs_upper          S <= n^2 T_f^2 + sum_{1<=k<m} A(k)
+    mobius_identity    sum_k A(k) = sum_r P(r) w(r)
+    mobius_inequality  sum_r P(r) min(w(r), m) <= sum_{k<=l} A(k) + sum_{k>l} (m n/k) G_f(n/k)
+    composite_lower    n^2 T_f^2 + sum_{1<=k<m} A(k) >= sum_r P(r) max(w(r), m)
 
     ``checks`` picks a subset: the double sum is computed only for rhs_lower
     and lhs_upper, and T_f (when not given) only for lhs_upper and
@@ -323,6 +281,8 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
         raise ValueError(f"unknown checks {sorted(want - set(FOURIER_CHECKS))}")
     ms = _grid(n, range(1, n + 1) if ms is None else ms, "m")
     ctx = ctx if ctx is not None else make_context(n)
+    if ctx.n != n:
+        raise ValueError(f"context is for n={ctx.n}, f has length {n}")
     ls = _grid(n, ctx.divisors if ls is None else ls, "l")
     if fhat is None:
         fhat = np.fft.fft(arr)
@@ -377,45 +337,6 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
                                            below >= spectral_max - tol,
                                            (spectral_max - below) / _scale(below, spectral_max))
     return out
-
-
-def verify_rhs_lower(f, m: int, fhat: np.ndarray | None = None) -> CheckResult:
-    """Lower bound on the double sum by the gcd-weighted spectral sum:
-    sum_{a,b} |f(a+bM)|^2 >= sum_r |fhat(r)|^2 max(m^2 gcd(r,n)/n, m)."""
-    return fourier_checks(f, fhat=fhat, ms=[m], checks=("rhs_lower",))["rhs_lower"].at(0)
-
-
-def verify_lhs_upper(f, m: int, t_f: float | None = None,
-                     ctx: ZnContext | None = None) -> CheckResult:
-    """Upper bound on the double sum by discrepancy plus class power:
-    sum_{a,b} |f(a+bM)|^2 <= n^2 T_f^2 + sum_{1<=k<m, k|n} m^2 (phi(k)/k) G_f(n/k)."""
-    return fourier_checks(f, ctx, t_f=t_f, ms=[m],
-                          checks=("lhs_upper",))["lhs_upper"].at(0)
-
-
-def mobius_identity_check(f, m: int, fhat: np.ndarray | None = None,
-                          ctx: ZnContext | None = None) -> CheckResult:
-    """Divisor identity: sum_{k|n} m^2 (phi(k)/k) G_f(n/k)
-    = sum_r |fhat(r)|^2 m^2 gcd(r,n)/n."""
-    return fourier_checks(f, ctx, fhat=fhat, ms=[m],
-                          checks=("mobius_identity",))["mobius_identity"].at(0)
-
-
-def mobius_inequality_check(f, m: int, l: int, fhat: np.ndarray | None = None,
-                            ctx: ZnContext | None = None) -> CheckResult:
-    """Truncated divisor bound: sum_r |fhat(r)|^2 min(m^2 gcd(r,n)/n, m)
-    <= sum_{k<=l, k|n} m^2 (phi(k)/k) G_f(n/k) + sum_{k>l, k|n} (m n/k) G_f(n/k)."""
-    return fourier_checks(f, ctx, fhat=fhat, ms=[m], ls=[l],
-                          checks=("mobius_inequality",))["mobius_inequality"].at(0, 0)
-
-
-def composite_lower_check(f, m: int, fhat: np.ndarray | None = None,
-                          t_f: float | None = None,
-                          ctx: ZnContext | None = None) -> CheckResult:
-    """Combined bound: n^2 T_f^2 + sum_{1<=k<m, k|n} m^2 (phi(k)/k) G_f(n/k)
-    >= sum_r |fhat(r)|^2 max(m^2 gcd(r,n)/n, m)."""
-    return fourier_checks(f, ctx, fhat=fhat, t_f=t_f, ms=[m],
-                          checks=("composite_lower",))["composite_lower"].at(0)
 
 
 def lower_bound_prop(ctx: ZnContext, l: int) -> BoundReport:

@@ -188,7 +188,8 @@ class PartialColorRequest:
     them.  The walk reads them through one point-major table (a slot per
     point and step d from the point's orbit rank), while
     ``certify_partial_coloring`` re-sums them from their definition, the
-    sorted step-d orbit rows of X.
+    sorted step-d orbit rows of X.  Sizes must be powers of two, and each
+    count must be X's true block count (``dyadic_block_counts``).
     """
 
     n: int
@@ -210,6 +211,14 @@ class PartialColorRequest:
                                  f"got {type(group).__name__}")
             if not float(self.deltas[size]) > 0:
                 raise ValueError("deltas must be strictly positive")
+            if size < 1 or size & (size - 1):
+                raise ValueError(f"block sizes must be powers of two, got {size}")
+        # the entropy budget reads the counts; the walk and certificate use n and X
+        counts = dyadic_block_counts(self.n, self.x, [s.bit_length() - 1 for s in self.blocks])
+        for size, group in self.blocks.items():
+            true = counts.get(size.bit_length() - 1, 0)
+            if group.count != true:
+                raise ValueError(f"blocks of size {size}: count {group.count}, but X has {true}")
 
     def binding(self) -> dict:
         """The block groups a signing can violate (delta < size), by ascending size."""

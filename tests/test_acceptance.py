@@ -14,14 +14,10 @@ import pytest
 
 from zndisc.analysis import (
     class_power,
-    composite_lower_check,
+    fourier_checks,
     lower_bound_main,
     lower_bound_prime_power,
     lower_bound_prop,
-    mobius_identity_check,
-    mobius_inequality_check,
-    verify_lhs_upper,
-    verify_rhs_lower,
     weighted_lhs_all_m,
 )
 from zndisc.ap_system import (
@@ -256,15 +252,11 @@ def test_criterion_5_fourier_suite():
         for _ in range(100):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             _fourier_one(f, ctx, stats)
-        # tie the vectorized run to the public checkers on a spot sample
+        # tie the vectorized run to the library's checks on a spot sample
         chi = rng.integers(0, 2, n) * 2 - 1
-        for m in (1, n // 2, n):
-            assert verify_rhs_lower(chi, m).passed
-            assert verify_lhs_upper(chi, m).passed
-            assert mobius_identity_check(chi, m).passed
-            assert composite_lower_check(chi, m).passed
-            for l in (1, n):
-                assert mobius_inequality_check(chi, m, l).passed
+        grid = fourier_checks(chi, ms=[1, n // 2, n], ls=[1, n])
+        for name, checked in grid.items():
+            assert checked.passed.all(), name
         for name, err in stats.items():
             worst[name] = max(worst.get(name, -np.inf), err)
     elapsed = time.perf_counter() - t0

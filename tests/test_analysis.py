@@ -10,8 +10,6 @@ from zndisc.analysis import (
     check_subgroup_plancherel,
     class_power,
     class_sums,
-    composite_lower_check,
-    dft,
     dft_direct,
     fourier_checks,
     hereditary_upper_bound,
@@ -19,12 +17,7 @@ from zndisc.analysis import (
     lower_bound_prime_power,
     lower_bound_prop,
     max_progression_sum,
-    mobius_identity_check,
-    mobius_inequality_check,
     upper_bound_main,
-    verify_lhs_upper,
-    verify_rhs_lower,
-    weighted_lhs,
     weighted_lhs_all_m,
     weighted_lhs_spectral,
 )
@@ -43,38 +36,44 @@ def weighted_lhs_tiny(f, m):
     return total
 
 
-# ------------------------------------------------------------------- dft
+def double_sums(f, ms):
+    """The double sum for each m in ms, as fourier_checks reports it."""
+    return fourier_checks(f, ms=ms, checks=("rhs_lower",))["rhs_lower"].lhs
+
+
+# ----------------------------------------------------- Fourier transform
 
 def test_dft_examples():
     delta = np.zeros(9)
     delta[0] = 1
-    assert np.allclose(dft(delta).fhat, np.ones(9))
-    ones = dft(np.ones(9)).fhat
-    assert ones[0] == pytest.approx(9)
-    assert np.allclose(ones[1:], 0, atol=1e-12)
+    for transform in (np.fft.fft, dft_direct):
+        assert np.allclose(transform(delta), np.ones(9))
+        ones = transform(np.ones(9))
+        assert ones[0] == pytest.approx(9)
+        assert np.allclose(ones[1:], 0, atol=1e-12)
 
 
 def test_dft_matches_direct():
     rng = np.random.default_rng(2)
     for n in (1, 2, 7, 16, 45):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.allclose(dft(f).fhat, dft_direct(f), rtol=1e-9, atol=1e-9)
+        assert np.allclose(np.fft.fft(f), dft_direct(f), rtol=1e-9, atol=1e-9)
 
 
 def test_plancherel_random():
     rng = np.random.default_rng(4)
     for n in (3, 10, 32):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        spec = dft(f)
-        assert spec.power().sum() == pytest.approx(n * (np.abs(f) ** 2).sum(), rel=1e-9)
+        power = np.abs(np.fft.fft(f)) ** 2
+        assert power.sum() == pytest.approx(n * (np.abs(f) ** 2).sum(), rel=1e-9)
 
 
 def test_spectral_mass_of_colorings():
     rng = np.random.default_rng(6)
     for n in (5, 12, 64):
         chi = rng.integers(0, 2, n) * 2 - 1
-        spec = dft(chi)
-        assert spec.power().sum() == pytest.approx(n * n, rel=1e-8)
+        power = np.abs(np.fft.fft(chi)) ** 2
+        assert power.sum() == pytest.approx(n * n, rel=1e-8)
         assert class_power(chi, n) == n  # G(n) over singleton classes
 
 
@@ -109,10 +108,10 @@ def test_subgroup_plancherel_random():
 
 def test_weighted_lhs_examples():
     n = 10
-    assert weighted_lhs(np.ones(n), 4) == pytest.approx(n * n * 16)
+    assert double_sums(np.ones(n), [4])[0] == pytest.approx(n * n * 16)
     delta = np.zeros(n)
     delta[0] = 1
-    assert weighted_lhs(delta, 1) == pytest.approx(n)
+    assert double_sums(delta, [1])[0] == pytest.approx(n)
 
 
 def test_weighted_lhs_three_routes_agree():
@@ -120,8 +119,8 @@ def test_weighted_lhs_three_routes_agree():
     for n in (6, 9, 14):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         all_m = weighted_lhs_all_m(f)
-        for m in range(1, n + 1):
-            direct = weighted_lhs(f, m)
+        grid = double_sums(f, range(1, n + 1))
+        for m, direct in zip(range(1, n + 1), grid):
             assert direct == pytest.approx(weighted_lhs_tiny(f, m), rel=1e-8)
             assert direct == pytest.approx(weighted_lhs_spectral(f, m), rel=1e-8)
             assert direct == pytest.approx(all_m[m - 1], rel=1e-8)
@@ -228,26 +227,24 @@ def test_fourier_checks_property(n, seed, signs):
     for i, m in enumerate(range(1, n + 1)):
         assert lhs[i] == pytest.approx(weighted_lhs_tiny(f, m), rel=1e-8)
         ref = scalar_checks(f, m, ctx, fhat, t_f)
+        # a one-m call of one check is bitwise the full grid's entry
         for name in ("rhs_lower", "lhs_upper", "mobius_identity", "composite_lower"):
-            assert grid[name].at(i) == ref[name]
-        assert verify_rhs_lower(f, m, fhat=fhat) == grid["rhs_lower"].at(i)
-        assert verify_lhs_upper(f, m, t_f=t_f, ctx=ctx) == grid["lhs_upper"].at(i)
-        assert mobius_identity_check(f, m, fhat=fhat, ctx=ctx) == grid["mobius_identity"].at(i)
-        assert (composite_lower_check(f, m, fhat=fhat, t_f=t_f, ctx=ctx)
-                == grid["composite_lower"].at(i))
+            one = fourier_checks(f, ctx, fhat=fhat, t_f=t_f, ms=[m], checks=(name,))
+            assert grid[name].at(i) == ref[name] == one[name].at(0)
         for j, l in enumerate(ctx.divisors):
-            assert (mobius_inequality_check(f, m, l, fhat=fhat, ctx=ctx)
+            one = fourier_checks(f, ctx, fhat=fhat, ms=[m], ls=[l],
+                                 checks=("mobius_inequality",))
+            assert (one["mobius_inequality"].at(0, 0)
                     == grid["mobius_inequality"].at(i, j) == ref[l])
     # a planted T_f = 0 breaks the upper bounds at the same m in both routes
     planted = fourier_checks(f, ctx, fhat=fhat, t_f=0,
                              checks=("lhs_upper", "composite_lower"))
     assert set(planted) == {"lhs_upper", "composite_lower"}
-    for name, view in (("lhs_upper", lambda m: verify_lhs_upper(f, m, t_f=0, ctx=ctx)),
-                       ("composite_lower",
-                        lambda m: composite_lower_check(f, m, fhat=fhat, t_f=0, ctx=ctx))):
-        failed = ~planted[name].passed
-        assert failed[0]  # m = 1: no class-power term, the bound is 0
-        assert [not view(m).passed for m in range(1, n + 1)] == failed.tolist()
+    for name in ("lhs_upper", "composite_lower"):
+        assert not planted[name].passed[0]  # m = 1: no class-power term, the bound is 0
+        one_m = [fourier_checks(f, ctx, fhat=fhat, t_f=0, ms=[m], checks=(name,))[name].at(0)
+                 for m in range(1, n + 1)]
+        assert one_m == [planted[name].at(i) for i in range(n)]
 
 
 def test_fourier_checks_rejects_bad_grid():
@@ -256,27 +253,28 @@ def test_fourier_checks_rejects_bad_grid():
                    {"ls": [0]}, {"checks": ("nonsense",)}):
         with pytest.raises(ValueError):
             fourier_checks(f, **kwargs)
-    with pytest.raises(ValueError):
-        mobius_identity_check(f, 0)
-    with pytest.raises(ValueError):
-        weighted_lhs(f, 7)
+
+
+def test_fourier_checks_rejects_context_for_another_n():
+    # the class powers were taken over the divisors of 6, failing the identities
+    with pytest.raises(ValueError, match="context"):
+        fourier_checks(np.ones(12), make_context(6))
 
 
 # ------------------------------------------------------------ inequalities
 
 def test_rhs_lower_equality_for_ones():
     n = 12
-    for m in (1, 5, 12):
-        res = verify_rhs_lower(np.ones(n), m)
-        assert res.passed
-        assert res.lhs == pytest.approx(res.rhs)  # gcd(0, n) = n makes it tight
+    res = fourier_checks(np.ones(n), ms=[1, 5, 12], checks=("rhs_lower",))["rhs_lower"]
+    assert res.passed.all()
+    assert res.lhs == pytest.approx(res.rhs)  # gcd(0, n) = n makes it tight
 
 
 def test_lhs_upper_m1_is_singleton_bound():
     rng = np.random.default_rng(12)
     n = 16
     f = rng.integers(0, 2, n) * 2 - 1
-    res = verify_lhs_upper(f, 1)
+    res = fourier_checks(f, ms=[1], checks=("lhs_upper",))["lhs_upper"].at(0)
     assert res.passed
     assert res.lhs == pytest.approx(n * n)
 
@@ -289,13 +287,10 @@ def test_identity_and_inequalities_random_colorings():
             chi = rng.integers(0, 2, n) * 2 - 1
             fhat = np.fft.fft(chi.astype(np.complex128))
             t_f = max_progression_sum(Coloring(n, chi))
-            for m in range(1, n + 1):
-                assert verify_rhs_lower(chi, m, fhat=fhat).passed
-                assert verify_lhs_upper(chi, m, t_f=t_f, ctx=ctx).passed
-                assert mobius_identity_check(chi, m, fhat=fhat, ctx=ctx).passed
-                assert composite_lower_check(chi, m, fhat=fhat, t_f=t_f, ctx=ctx).passed
-                for l in ctx.divisors:
-                    assert mobius_inequality_check(chi, m, l, fhat=fhat, ctx=ctx).passed
+            grid = fourier_checks(chi, ctx, fhat=fhat, t_f=t_f, ms=range(1, n + 1),
+                                  ls=ctx.divisors)
+            for name, checked in grid.items():
+                assert checked.passed.all(), name
 
 
 def test_identities_random_complex():
@@ -306,12 +301,12 @@ def test_identities_random_complex():
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             fhat = np.fft.fft(f)
             t_f = max_progression_sum(f)
-            for m in (1, n // 2, n):
-                assert verify_rhs_lower(f, m, fhat=fhat).passed
-                assert verify_lhs_upper(f, m, t_f=t_f, ctx=ctx).passed
-                assert mobius_identity_check(f, m, fhat=fhat, ctx=ctx).passed
-                for l in (1, n // 2, n):
-                    assert mobius_inequality_check(f, m, l, fhat=fhat, ctx=ctx).passed
+            grid = fourier_checks(f, ctx, fhat=fhat, t_f=t_f, ms=(1, n // 2, n),
+                                  ls=(1, n // 2, n),
+                                  checks=("rhs_lower", "lhs_upper", "mobius_identity",
+                                          "mobius_inequality"))
+            for name, checked in grid.items():
+                assert checked.passed.all(), name
 
 
 def test_mobius_identity_delta_function():
@@ -319,9 +314,8 @@ def test_mobius_identity_delta_function():
     for n in (6, 12, 64):
         delta = np.zeros(n)
         delta[0] = 1
-        for m in (1, 3, n):
-            res = mobius_identity_check(delta, m)
-            assert res.passed
+        res = fourier_checks(delta, ms=(1, 3, n), checks=("mobius_identity",))
+        assert res["mobius_identity"].passed.all()
 
 
 def test_g_bounds_exact_integers():

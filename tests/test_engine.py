@@ -175,6 +175,24 @@ def test_request_rejects_nonpositive_delta(delta):
         schedule_entropy_budget({2: 1}, {2: delta}, "main")
 
 
+def test_request_rejects_block_size_not_power_of_two():
+    # the walk read size 3 as shift 1 (size-2 blocks), the certificate as size 3
+    with pytest.raises(ValueError, match="powers of two"):
+        PartialColorRequest(n=30, x=np.arange(30), blocks={3: OrbitBlocks(0)},
+                            deltas={3: 0.5}, retries=3)
+
+
+def test_request_rejects_wrong_block_count():
+    # an understated count skipped the entropy budget and ran every restart
+    with pytest.raises(ValueError, match="count 0, but X has 20"):
+        PartialColorRequest(n=50, x=np.arange(50), blocks={32: OrbitBlocks(0)},
+                            deltas={32: 0.5})
+    req = PartialColorRequest(n=50, x=np.arange(50), blocks={32: OrbitBlocks(20)},
+                              deltas={32: 0.5})
+    with pytest.raises(BudgetExceeded):
+        partial_color(req)
+
+
 @pytest.mark.parametrize("kappa", [0.5, math.nan, math.inf])
 def test_build_request_rejects_bad_kappa(kappa):
     # kappa = nan made every scale look non-binding: an unconstrained walk
@@ -268,15 +286,26 @@ def test_hereditary_switches_to_main():
     assert sizes[0] == 1021
 
 
-def test_search_failure_reports_iteration():
-    # impossible by construction: delta below 1 on singleton blocks
-    xs = np.arange(6)
-    blocks = orbit_blocks(6, xs, (1,))
-    req = PartialColorRequest(
-        n=6, x=xs, blocks=blocks, deltas={1: 0.5}, kind="main", retries=2, seed=0
-    )
-    with pytest.raises((SearchFailed, BudgetExceeded)):
-        partial_color(req)
+def test_search_failure_reports_iteration(monkeypatch):
+    # the first request leaves point 0 unsigned; every later walk signs nothing,
+    # so iteration 1 (X = {0}) exhausts its restarts in the search itself
+    real_walk, walks = engine._sign_walk, []
+
+    def walk(table, rng):
+        walks.append(table)
+        chi = real_walk(table, rng)
+        if table is walks[0]:
+            chi[0] = 0
+            return chi
+        return np.zeros_like(chi)
+
+    monkeypatch.setattr(engine, "_sign_walk", walk)
+    with pytest.raises(SearchFailed) as info:
+        full_color_iterate_traced(make_context(127), np.arange(127), seed=5, retries=3)
+    assert info.value.iteration == 1
+    assert info.value.restarts == 3
+    assert "iteration 1" in str(info.value)
+    assert sum(table is not walks[0] for table in walks) == 3
 
 
 # ------------------------------------------------- orbit table and certificate
