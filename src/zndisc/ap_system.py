@@ -27,6 +27,7 @@ in closed form; the engine's entropy budget takes its block counts from it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ __all__ = [
     "Coloring",
     "full_ap",
     "enumerate_aps",
-    "ap_index_arrays",
+    "progression_incidence",
     "max_ap_discrepancy",
     "max_ap_discrepancy_batch",
     "max_ap_sum_complex",
@@ -157,13 +158,31 @@ def enumerate_aps(ctx: ZnContext) -> Iterator[tuple[int, ...]]:
                     yield t
 
 
-def ap_index_arrays(ctx: ZnContext, min_len: int = 1) -> list[np.ndarray]:
-    """Distinct progression sets of size >= min_len as sorted index arrays."""
-    return [
-        np.array(t, dtype=np.int64)
-        for t in enumerate_aps(ctx)
-        if len(t) >= min_len
-    ]
+def progression_incidence(ctx: ZnContext, min_len: int = 1) -> np.ndarray:
+    """Distinct progression sets of size >= min_len as an n x A boolean incidence.
+
+    Every set is a window of some step-d orbit, and steps d and n - d trace
+    the same windows, so the windows of steps d in [0, n//2] (d = 0 gives the
+    singletons) are built at once per step, packed to bytes and deduplicated
+    by ``np.unique``.  Columns follow the packed bytes' order; the column sets
+    are ``enumerate_aps``' sets, for any n.
+    """
+    n = ctx.n
+    packed = []
+    for d in range(n // 2 + 1):
+        g = math.gcd(d, n)
+        L = n // g
+        orbit = (np.arange(g)[:, None] + np.arange(L)[None, :] * d) % n
+        # window (start i, length l) holds orbit position k iff (k - i) mod L < l
+        rank = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
+        window = rank[:, None, :] < np.arange(1, L + 1)[None, :, None]
+        member = np.zeros((g, L * L, n), dtype=bool)
+        np.put_along_axis(member, np.broadcast_to(orbit[:, None, :], (g, L * L, L)),
+                          window.reshape(1, L * L, L), axis=2)
+        packed.append(np.packbits(member.reshape(-1, n), axis=1))
+    sets = np.unique(np.concatenate(packed), axis=0)
+    sets = np.unpackbits(sets, axis=1, count=n).astype(bool)
+    return np.ascontiguousarray(sets[sets.sum(axis=1) >= min_len].T)
 
 
 def _orbit_prefix(values: np.ndarray, n: int, d) -> np.ndarray:
@@ -392,7 +411,8 @@ def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:
     """Number of dyadic blocks per scale over all (d, a) orbits of X.
 
     The phi(n/g) steps d with gcd(d, n) = g share one row count per residue
-    a mod g, so the count is a sum over the proper divisors g of n.
+    a mod g, so the count is a sum over the proper divisors g of n.  The last
+    few counts are kept, so an engine request and its own check count once.
     """
     xs = _as_subset(n, xs)
     m = int(xs.size)
@@ -400,7 +420,13 @@ def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:
         return {}
     if scales is None:
         scales = range(m.bit_length())
-    scales = [s for s in scales if (1 << s) <= m]
+    scales = tuple(dict.fromkeys(s for s in scales if (1 << s) <= m))  # a repeat counts once
+    return dict(_block_counts(n, xs.tobytes(), scales))
+
+
+@functools.lru_cache(maxsize=4)
+def _block_counts(n: int, xs_bytes: bytes, scales: tuple[int, ...]) -> dict[int, int]:
+    xs = np.frombuffer(xs_bytes, dtype=np.int64)
     counts = {s: 0 for s in scales}
     ctx = make_context(n)
     # divisors ascend, so phi(n/g) for g = divisors[i] is divisor_phi[-1-i]

@@ -1,11 +1,31 @@
 """Ground-truth oracles: exact discrepancy and hereditary discrepancy at small n.
 
+All three oracles read one dense incidence: ``progression_incidence`` gives
+the distinct progression sets as an n x A boolean array (sets of size >= 2
+for the disc searches, whose singletons only pin the value to >= 1).
+
 Exhaustive search evaluates every coloring with the first sign fixed to +1
-(negation flips no absolute sum); branch and bound walks elements in natural
-order, keeps per-progression partial sums, and prunes a branch as soon as
-some progression is forced to reach the incumbent (|partial sum| minus the
-number of its unassigned points).  Singleton progressions pin every full
-coloring to value >= 1, which seeds the search floor.
+(negation flips no absolute sum) by split sums: the progression sums of every
+sign pattern on the low half of the points and on the high half are built by
+doubling (one concatenation per point), and each high-half row is added to
+every low-half row in int8 before the max |sum| over the A progressions.  The
+row-major index of the (high, low) grid is the coloring's bit pattern, so the
+first minimiser is the first in enumeration order.  Exact herdisc runs the
+same grid over every {-1, 0, +1} vector on the full incidence: a vector's
+support is the subset X it colors, so the restricted disc of X is the least
+grid entry over the vectors with support X.  A grid past 2^25 cells
+raises LimitExceeded rather than exhausting memory.
+
+Branch and bound walks the points in natural order and keeps, per
+progression, the window [lo, hi] = [s - u, s + u] of final sums it can still
+reach (s its partial sum, u its unassigned points): a +1 at x adds 2*inc[x] to
+lo, a -1 subtracts it from hi.  A branch is pruned as soon as some
+progression is forced to reach the bound (lo.max() >= bound or hi.min() <=
+-bound), a dense test over every progression.  One DFS kernel serves both
+modes: optimisation tries the sign against the incident partial sums' vote
+first and lowers the bound at each leaf; the witness pin searches +1 first
+with bound value + 1 and stops at the first leaf, the lexicographically first
+coloring that attains the value.
 """
 
 from __future__ import annotations
@@ -16,10 +36,9 @@ import numpy as np
 
 from .ap_system import (
     Coloring,
-    ap_index_arrays,
     congruence_class_sums,
-    enumerate_aps,
     max_ap_discrepancy,
+    progression_incidence,
 )
 from .number_theory import LimitExceeded, ZnContext, make_context
 
@@ -37,7 +56,10 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 16
 BRANCH_AND_BOUND_LIMIT = 22
 HERDISC_LIMIT = 12
-_CHUNK = 1 << 12
+# the split-sum grid holds one int8 per sign vector (exhaustive n <= 26,
+# herdisc n <= 15); its adds run over at most _GRID_CHUNK cells at a time
+_GRID_CELLS_LIMIT = 1 << 25
+_GRID_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,129 +71,92 @@ class ExactResult:
     method: str
 
 
-def _sign_matrix(bits: int, count_lo: int, count_hi: int) -> np.ndarray:
-    """Rows count_lo..count_hi-1 of the +-1 matrix indexed by bit patterns (0 -> +1)."""
-    c = np.arange(count_lo, count_hi, dtype=np.int64)[:, None]
-    b = (c >> np.arange(bits, dtype=np.int64)[None, :]) & 1
-    return (1 - 2 * b).astype(np.float32)
+def _digit_sums(inc: np.ndarray, digits: tuple[int, ...]) -> np.ndarray:
+    """Row c: progression sums of the signs digits[c_i] on the points of inc,
+    c_i the base-len(digits) digits of c, point 0 the least significant."""
+    sums = np.zeros((1, inc.shape[1]), dtype=np.int8)
+    for row in inc:
+        sums = np.concatenate([sums + v * row for v in digits])
+    return sums
 
 
-def _eval_colorings(signs: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """Per-row max |progression sum| (>= 1 floor from singletons)."""
-    if inc.shape[1] == 0:
-        return np.ones(signs.shape[0], dtype=np.int64)
-    sums = signs @ inc
-    return np.maximum(np.abs(sums).max(axis=1).astype(np.int64), 1)
+def _split_grid(inc: np.ndarray, digits: tuple[int, ...],
+                base: np.ndarray | int = 0) -> np.ndarray:
+    """max |base + progression sum| of every sign vector over inc's points.
+
+    Entry (c_hi, c_lo) signs the low half by the digits of c_lo and the high
+    half by those of c_hi, so the row-major index is the vector's digit
+    pattern over all the points.
+    """
+    cells = len(digits) ** inc.shape[0]
+    if cells > _GRID_CELLS_LIMIT:
+        raise LimitExceeded(f"the search grid needs {cells} cells, past the limit of "
+                            f"{_GRID_CELLS_LIMIT}")
+    inc = inc.astype(np.int8)
+    k = (inc.shape[0] + 1) // 2
+    lo = _digit_sums(inc[:k], digits) + base
+    hi = _digit_sums(inc[k:], digits)
+    grid = np.empty((hi.shape[0], lo.shape[0]), dtype=np.int8)
+    rows = max(1, _GRID_CHUNK // lo.size)
+    for j in range(0, hi.shape[0], rows):
+        t = lo + hi[j:j + rows, None, :]
+        np.maximum(t.max(axis=2), -t.min(axis=2), out=grid[j:j + rows])
+    return grid
 
 
 def _exhaustive(ctx: ZnContext) -> ExactResult:
     n = ctx.n
-    aps = ap_index_arrays(ctx, min_len=2)
-    inc = np.zeros((n, len(aps)), dtype=np.float32)
-    for j, A in enumerate(aps):
-        inc[A, j] = 1.0
-    best = n + 1
-    best_row = None
-    total = 1 << (n - 1)
-    nodes = 0
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        signs = np.hstack([np.ones((hi - lo, 1), dtype=np.float32),
-                           _sign_matrix(n - 1, lo, hi)])
-        vals = _eval_colorings(signs, inc)
-        nodes += hi - lo
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best = int(vals[k])
-            best_row = signs[k].astype(np.int8)
-        if best == 1:
-            break
-    return ExactResult(n=n, value=best, optimal_coloring=Coloring(n, best_row),
-                       nodes_explored=nodes, method="exhaustive")
+    inc = progression_incidence(ctx, min_len=2)
+    vals = np.maximum(_split_grid(inc[1:], (1, -1), base=inc[0]), 1)
+    c = int(np.argmin(vals))
+    chi = np.ones(n, dtype=np.int8)
+    chi[1:] -= 2 * ((c >> np.arange(n - 1)) & 1).astype(np.int8)
+    return ExactResult(n=n, value=int(vals.flat[c]), optimal_coloring=Coloring(n, chi),
+                       nodes_explored=1 << (n - 1), method="exhaustive")
 
 
-class _BBState:
-    """Shared progression bookkeeping for one branch-and-bound run."""
+def _search(inc: np.ndarray, bound: int, witness: bool) -> tuple[int, int, np.ndarray | None]:
+    """DFS over colorings with chi(0) = +1 for one below ``bound`` (max |sum|).
 
-    def __init__(self, ctx: ZnContext):
-        self.n = ctx.n
-        self.aps = ap_index_arrays(ctx, min_len=2)
-        self.incident = [[] for _ in range(self.n)]
-        for j, A in enumerate(self.aps):
-            for x in A:
-                self.incident[int(x)].append(j)
-        self.incident = [np.array(ids, dtype=np.int64) for ids in self.incident]
-        self.lengths = np.array([A.size for A in self.aps], dtype=np.int64)
-
-
-def _bb_search(state: _BBState, incumbent: int) -> tuple[int, int]:
-    """Exact minimum below the incumbent over colorings with chi(0) = +1 (the
-    incumbent itself if none is lower), and the number of nodes explored."""
-    n = state.n
-    sums = np.zeros(len(state.aps), dtype=np.int64)
-    unassigned = state.lengths.copy()
-    best = incumbent
+    Optimisation mode returns the least value below the bound (the bound
+    itself if none is lower), the nodes explored and the last leaf reached,
+    each leaf lowering the bound; witness mode stops at the first leaf.
+    """
+    n = inc.shape[0]
+    step = 2 * inc.astype(np.int16)
+    length = inc.sum(axis=0, dtype=np.int16)
+    chi = np.ones(n, dtype=np.int8)
+    leaf = None
     nodes = 0
 
-    def apply(x: int, sg: int) -> None:
-        ids = state.incident[x]
-        sums[ids] += sg
-        unassigned[ids] -= 1
-
-    def undo(x: int, sg: int) -> None:
-        ids = state.incident[x]
-        sums[ids] -= sg
-        unassigned[ids] += 1
-
-    def dfs(x: int) -> None:
-        nonlocal best, nodes
-        if best <= 1:
-            return
+    def dfs(x: int, lo: np.ndarray, hi: np.ndarray, top: int, bottom: int) -> bool:
+        # top = lo.max() and bottom = hi.min(); at a leaf lo = hi = the sums
+        nonlocal bound, leaf, nodes
         if x == n:
-            best = min(best, max(1, int(np.abs(sums).max()) if sums.size else 0))
-            return
-        ids = state.incident[x]
-        vote = int(np.sign(sums[ids]).sum()) if ids.size else 0
-        first = -1 if vote > 0 else 1
+            bound = max(1, top, -bottom)
+            leaf = chi.copy()
+            return witness
+        if bound <= 1:
+            return False
+        first = 1
+        if not witness and int(np.sign(lo + hi)[inc[x]].sum()) > 0:
+            first = -1
         for sg in (first, -first):
             nodes += 1
-            apply(x, sg)
-            if not np.any(np.abs(sums[ids]) - unassigned[ids] >= best):
-                dfs(x + 1)
-            undo(x, sg)
-
-    apply(0, 1)
-    dfs(1)
-    return best, nodes
-
-
-def _first_coloring_at(state: _BBState, value: int) -> np.ndarray:
-    """Lexicographically first full coloring (chi(0)=+1, +1 before -1) with
-    max |progression sum| <= value; used to pin a deterministic witness."""
-    n = state.n
-    sums = np.zeros(len(state.aps), dtype=np.int64)
-    unassigned = state.lengths.copy()
-    chi = np.zeros(n, dtype=np.int8)
-
-    def dfs(x: int) -> bool:
-        if x == n:
-            return not sums.size or int(np.abs(sums).max()) <= value
-        ids = state.incident[x]
-        choices = (1,) if x == 0 else (1, -1)
-        for sg in choices:
-            sums[ids] += sg
-            unassigned[ids] -= 1
             chi[x] = sg
-            if not np.any(np.abs(sums[ids]) - unassigned[ids] > value) and dfs(x + 1):
+            if sg > 0:
+                lo2, hi2 = lo + step[x], hi
+                top2, bottom2 = int(lo2.max()), bottom
+            else:
+                lo2, hi2 = lo, hi - step[x]
+                top2, bottom2 = top, int(hi2.min())
+            if top2 < bound and bottom2 > -bound and dfs(x + 1, lo2, hi2, top2, bottom2):
                 return True
-            sums[ids] -= sg
-            unassigned[ids] += 1
-            chi[x] = 0
         return False
 
-    if not dfs(0):
-        raise AssertionError("witness reconstruction failed")
-    return chi
+    lo = step[0] - length
+    dfs(1, lo, length, int(lo.max()), int(length.min()))
+    return bound, nodes, leaf
 
 
 def _alternating_value(ctx: ZnContext) -> tuple[int, np.ndarray]:
@@ -182,16 +167,12 @@ def _alternating_value(ctx: ZnContext) -> tuple[int, np.ndarray]:
 
 
 def _branch_and_bound(ctx: ZnContext) -> ExactResult:
-    n = ctx.n
-    if n == 1:
-        return ExactResult(1, 1, Coloring(1, np.array([1], dtype=np.int8)), 1,
-                           "branch_and_bound")
-    state = _BBState(ctx)
+    inc = progression_incidence(ctx, min_len=2)
     heuristic, _ = _alternating_value(ctx)
-    best, nodes = _bb_search(state, heuristic + 1)
+    best, nodes, _ = _search(inc, heuristic + 1, witness=False)
     value = min(best, heuristic)
-    witness = _first_coloring_at(state, value)
-    return ExactResult(n=n, value=value, optimal_coloring=Coloring(n, witness),
+    _, _, chi = _search(inc, value + 1, witness=True)
+    return ExactResult(n=ctx.n, value=value, optimal_coloring=Coloring(ctx.n, chi),
                        nodes_explored=nodes, method="branch_and_bound")
 
 
@@ -205,40 +186,29 @@ def exact_disc(ctx: ZnContext, method: str = "branch_and_bound",
     )
     if ctx.n > cap:
         raise LimitExceeded(f"n={ctx.n} exceeds limit {cap} for {method}")
+    if ctx.n == 1:  # no progression of size >= 2; the singleton pins 1
+        return ExactResult(1, 1, Coloring(1, np.ones(1, dtype=np.int8)), 1, method)
     if method == "exhaustive":
         return _exhaustive(ctx)
     return _branch_and_bound(ctx)
 
 
 def exact_herdisc(ctx: ZnContext, limit: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """Exact hereditary discrepancy: max over subsets X of the restricted disc."""
+    """Exact hereditary discrepancy: max over subsets X of the restricted disc,
+    with the first X (as a bit mask) that attains it."""
     n = ctx.n
     cap = limit if limit is not None else HERDISC_LIMIT
     if n > cap:
         raise LimitExceeded(f"n={n} exceeds limit {cap} for herdisc")
-    masks = set()
-    for t in enumerate_aps(ctx):
-        masks.add(sum(1 << x for x in t))
-    ap_masks = np.array(sorted(masks), dtype=np.int64)
-    sign_cache: dict[int, np.ndarray] = {}
-    best, best_x = 0, ()
-    for X in range(1, 1 << n):
-        elems = np.array([i for i in range(n) if X >> i & 1], dtype=np.int64)
-        mx = elems.size
-        restricted = np.unique(ap_masks & X)
-        restricted = restricted[restricted != 0]
-        inc = ((restricted[:, None] >> elems[None, :]) & 1).astype(np.float32).T
-        if mx not in sign_cache:
-            sign_cache[mx] = np.hstack([
-                np.ones((1 << (mx - 1), 1), dtype=np.float32),
-                _sign_matrix(mx - 1, 0, 1 << (mx - 1)),
-            ])
-        sums = sign_cache[mx] @ inc
-        disc_x = int(np.abs(sums).max(axis=1).min())
-        if disc_x > best:
-            best = disc_x
-            best_x = tuple(int(e) for e in elems)
-    return best, best_x
+    # every {-1, 0, +1} vector of Z_n; its support is the subset X it signs
+    grid = _split_grid(progression_incidence(ctx), (0, 1, -1))
+    support = np.zeros(1, dtype=np.int32)
+    for i in range(n):
+        support = np.concatenate([support, support | 1 << i, support | 1 << i])
+    disc = np.full(1 << n, n + 1, dtype=np.int8)
+    np.minimum.at(disc, support, grid.ravel())
+    X = int(np.argmax(disc))
+    return int(disc[X]), tuple(int(e) for e in np.flatnonzero((X >> np.arange(n)) & 1))
 
 
 def measure(chi: Coloring, ctx: ZnContext | None = None, *,

@@ -16,6 +16,7 @@ from zndisc.ap_system import (
     max_ap_discrepancy_batch,
     max_ap_sum_complex,
     max_congruence_discrepancy,
+    progression_incidence,
 )
 from zndisc.number_theory import make_context, totient
 
@@ -82,6 +83,23 @@ def test_enumerate_matches_oracle_range():
     for n in range(1, 21):
         got = {frozenset(t) for t in enumerate_aps(make_context(n))}
         assert got == naive_ap_sets(n)
+
+
+def test_progression_incidence_matches_enumeration():
+    # n = 65 needs more than 64 bits per set
+    for n in list(range(1, 41)) + [65]:
+        ctx = make_context(n)
+        sets = list(enumerate_aps(ctx))
+        rows = np.zeros((len(sets), n), dtype=bool)
+        owner = np.repeat(np.arange(len(sets)), [len(t) for t in sets])
+        rows[owner, np.concatenate(sets)] = True
+        for min_len in (1, 2):
+            inc = progression_incidence(ctx, min_len=min_len)
+            assert inc.shape[0] == n and inc.dtype == bool
+            got = [col.tobytes() for col in np.packbits(inc.T, axis=1)]
+            kept = rows[rows.sum(axis=1) >= min_len]
+            want = {row.tobytes() for row in np.packbits(kept, axis=1)}
+            assert len(got) == len(set(got)) and set(got) == want, (n, min_len)
 
 
 # ------------------------------------------------------------ discrepancy
@@ -310,6 +328,9 @@ def test_dyadic_block_counts_match_step_loop():
             for s in expect:
                 expect[s] += int((cnt >> s).sum())
         assert dyadic_block_counts(n, xs) == (expect if n > 1 else {})
+    # a repeated scale is counted once
+    once = dyadic_block_counts(12, range(12), [1, 0])
+    assert dyadic_block_counts(12, range(12), [1, 1, 0]) == once == {1: 62, 0: 132}
 
 
 def test_orbit_ordering_is_by_k():

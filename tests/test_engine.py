@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zndisc import engine
+from zndisc import ap_system, engine
 from zndisc.ap_system import dyadic_block_counts
 from zndisc.engine import (
     TABLE_BYTES_LIMIT,
@@ -490,3 +490,12 @@ def test_certificate_agrees_with_orbit_definition(n, density, seed, kappa):
             n, xs, values, sched, kappa
         )
     assert certify_partial_coloring(req, chi)
+
+
+def test_build_request_counts_blocks_once():
+    # the request's own count check reuses the count build_c2_request made
+    ap_system._block_counts.cache_clear()
+    req = build_c2_request(1061, range(1, 531), DeltaSchedule.main(1061))
+    info = ap_system._block_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert req.blocks

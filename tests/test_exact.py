@@ -50,6 +50,104 @@ def test_methods_agree_and_witnesses_attain():
             assert res.optimal_coloring.values[0] == 1
 
 
+# Value and witness of each method, pinned from the earlier implementation
+# (per-progression index arrays, partial sums with per-node fancy indexing,
+# float32 sign matrices): the incidence kernels must reproduce them exactly.
+BRANCH_AND_BOUND_PINS = {
+    1: (1, "+"),
+    2: (1, "+-"),
+    3: (2, "++-"),
+    4: (2, "++--"),
+    5: (3, "+++--"),
+    6: (2, "++-+--"),
+    7: (3, "+++-+--"),
+    8: (2, "++--++--"),
+    9: (3, "++-++-+--"),
+    10: (3, "+++--++---"),
+    11: (4, "+++-++-+---"),
+    12: (3, "+++-+--++---"),
+    13: (5, "+++++-+-+----"),
+    14: (3, "+++-+---++-+--"),
+    15: (4, "++++--++--+-+--"),
+    16: (4, "++++-+--++-+----"),
+    17: (5, "+++++-+---++---+-"),
+    18: (4, "++++-+-+---++---+-"),
+    19: (5, "++++-+-+----++-++--"),
+    20: (4, "++++-+-+--+-++-+----"),
+    21: (4, "+++-+--+++-+---++-+--"),
+    22: (4, "+++-++-+---+++-+--+---"),
+}
+EXHAUSTIVE_PINS = {
+    1: (1, "+"),
+    2: (1, "+-"),
+    3: (2, "+-+"),
+    4: (2, "+--+"),
+    5: (3, "+--++"),
+    6: (2, "+--+-+"),
+    7: (3, "+--+-++"),
+    8: (2, "+--++--+"),
+    9: (3, "+--+-++-+"),
+    10: (3, "+---++--++"),
+    11: (4, "+---+-++-++"),
+    12: (3, "+---++--+-++"),
+    13: (5, "+----+-+-++++"),
+    14: (3, "+--+-++---+-++"),
+    15: (4, "+--+-+--++--+++"),
+    16: (4, "+----+-++--+-+++"),
+}
+HERDISC_PINS = {
+    1: (1, (0,)),
+    2: (1, (0,)),
+    3: (2, (0, 1, 2)),
+    4: (2, (0, 1, 2)),
+    5: (3, (0, 1, 2, 3, 4)),
+    6: (2, (0, 1, 2)),
+    7: (3, (0, 1, 2, 3, 4)),
+    8: (3, (0, 1, 2, 3, 4)),
+    9: (3, (0, 1, 2, 3, 4)),
+    10: (3, (0, 1, 2, 4, 5)),
+    11: (4, (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+    12: (3, (0, 1, 2, 3, 4)),
+}
+# nodes explored by the earlier branch and bound; the dense prune checks
+# every progression against the current bound, so it may only cut nodes
+EARLIER_BRANCH_AND_BOUND_NODES = {
+    1: 1, 2: 2, 3: 4, 4: 6, 5: 18, 6: 12, 7: 38, 8: 14, 9: 52, 10: 76, 11: 294,
+    12: 72, 13: 2004, 14: 92, 15: 970, 16: 1084, 17: 7656, 18: 1750, 19: 12232,
+    20: 2780, 21: 6142, 22: 3106,
+}
+
+
+def signs(chi):
+    return "".join("+" if v > 0 else "-" for v in chi.values)
+
+
+def test_branch_and_bound_pinned_values_and_witnesses():
+    for n, pin in BRANCH_AND_BOUND_PINS.items():
+        res = exact_disc(make_context(n), "branch_and_bound")
+        assert (res.value, signs(res.optimal_coloring)) == pin, n
+        assert res.nodes_explored <= EARLIER_BRANCH_AND_BOUND_NODES[n], n
+
+
+def test_exhaustive_pinned_values_witnesses_and_nodes():
+    for n, pin in EXHAUSTIVE_PINS.items():
+        res = exact_disc(make_context(n), "exhaustive")
+        assert (res.value, signs(res.optimal_coloring)) == pin, n
+        assert res.nodes_explored == 1 << (n - 1)
+
+
+@pytest.mark.parametrize("method,expected", [
+    ("exhaustive", [(1, "+", 1), (1, "+-", 2), (2, "+-+", 4)]),
+    ("branch_and_bound", [(1, "+", 1), (1, "+-", 2), (2, "++-", 4)]),
+])
+def test_smallest_moduli(method, expected):
+    # n = 1 has no progression of size >= 2, n = 2 only {0, 1}
+    for n, want in enumerate(expected, start=1):
+        res = exact_disc(make_context(n), method)
+        assert (res.value, signs(res.optimal_coloring), res.nodes_explored) == want
+        assert res.method == method
+
+
 def test_limit_exceeded():
     with pytest.raises(LimitExceeded):
         exact_disc(make_context(17), "exhaustive")
@@ -57,8 +155,27 @@ def test_limit_exceeded():
         exact_disc(make_context(23), "branch_and_bound")
     with pytest.raises(LimitExceeded):
         exact_herdisc(make_context(13))
+    with pytest.raises(LimitExceeded):
+        exact_disc(make_context(12), "exhaustive", limit=11)
     # explicit limits override the defaults
-    assert exact_disc(make_context(17), "exhaustive", limit=17).value >= 1
+    ex = exact_disc(make_context(17), "exhaustive", limit=17)
+    assert ex.value == BRANCH_AND_BOUND_PINS[17][0]
+    assert ex.nodes_explored == 1 << 16
+    assert max_ap_discrepancy(ex.optimal_coloring)[0] == ex.value
+    bb = exact_disc(make_context(24), limit=24)
+    assert bb.value == 4
+    assert max_ap_discrepancy(bb.optimal_coloring)[0] == 4
+    # past the split-sum grid's cell limit the search refuses instead of
+    # allocating 2^(n-1) (exhaustive) or 3^n (herdisc) cells
+    with pytest.raises(LimitExceeded, match="grid"):
+        exact_disc(make_context(30), "exhaustive", limit=30)
+    with pytest.raises(LimitExceeded, match="grid"):
+        exact_herdisc(make_context(16), limit=16)
+
+
+def test_herdisc_pinned_values_and_witnesses():
+    for n, pin in HERDISC_PINS.items():
+        assert exact_herdisc(make_context(n)) == pin, n
 
 
 def test_herdisc_small():
