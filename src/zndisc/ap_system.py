@@ -2,24 +2,24 @@
 
 Progressions are handled as element sets; the same set arises from many
 (offset, step, length) triples, and mirrored steps d and n - d trace the same
-arcs, so the discrepancy evaluators only visit steps d in [1, n//2].  Every
-scan goes through one kernel: ``_orbit_prefix`` gathers each step-d orbit,
-reads it twice around and takes prefix sums (any leading batch axes pass
-through), and ``_end_best`` gives, per window end, the largest |window sum|
-over windows of length 1..L from prefix and suffix extremes.  The single,
-batch and witness searches reduce its output; complex sums, which have no
-extremes to sweep, loop over window lengths on the same prefix sums.
+arcs, so the discrepancy evaluators only visit steps d in [1, n//2].
 
-``max_ap_discrepancy(chi, period=r)`` takes a coloring that repeats with
-period r | n (a lift from Z_r) and reads every step's maximum off Z_r:
-  - a step-d orbit of Z_n (L points) runs Q = L/m times round a step-(d mod r)
-    orbit of Z_r (m points);
-  - a window of length q*m + l (1 <= l <= m) sums to q*C + W, C the Z_r row sum;
-  - |q*C + W| is convex in q, so q in {0, Q-1} and each row's extreme W suffice.
-This costs O(r^2 + n) against O(n^2); only the witness step is scanned on Z_n.
-The batch scan and a plain call stay on the full scan, so the lifting
-inequality and the naive-enumeration tests keep an oracle that does not rely
-on this argument.
+Every integer scan (a plain call, ``period=r`` and the batch) is one kernel,
+``_step_maxima``: one-lap int32 prefix sums P[0..L] of the step-e orbits of
+Z_r (r = n unless a period is given), steps of one gcd per chunked numpy call.
+  - With S = P[L] and maxD, minD the extreme windows P[j] - P[i], i < j, the
+    largest cyclic window sum is max(maxD, S - minD) and the least is
+    min(minD, S - maxD): a window that wraps is the complement of one that
+    does not.
+  - A step-d orbit of Z_n (L points) runs Q = L/m times round a step-(d mod r)
+    orbit of Z_r (m points); a window of length q*m + l (1 <= l <= m) sums to
+    q*C + W, C the Z_r row sum, and |q*C + W| is convex in q, so q in
+    {0, Q-1} and each row's extreme W suffice.  Q = 1 when r = n.
+A coloring lifted from Z_r costs O(r^2 + n) against O(n^2).  The witness step
+is scanned on Z_n by its own route, per-end extremes of the doubled prefix
+(``_end_best``), and the witness is re-summed; complex sums, which have no
+extremes to sweep, difference the doubled prefix over every window.  The
+tests' oracles sum every window directly.
 
 ``dyadic_block_counts`` counts the dyadic blocks of X along every step-d orbit
 in closed form; the engine's entropy budget takes its block counts from it.
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-_PERIODIC_CELLS = 1 << 14  # prefix cells per numpy call in the periodic scan
+_SCAN_CELLS = 1 << 14  # prefix cells per numpy call in the window scans
 
 
 @dataclass(frozen=True)
@@ -185,31 +185,30 @@ def progression_incidence(ctx: ZnContext, min_len: int = 1) -> np.ndarray:
     return np.ascontiguousarray(sets[sets.sum(axis=1) >= min_len].T)
 
 
-def _orbit_prefix(values: np.ndarray, n: int, d) -> np.ndarray:
-    """Prefix sums of every step-d orbit read twice around, shape (..., g, 2L+1).
+def _orbit_prefix(values: np.ndarray, n: int, d, laps: int = 2) -> np.ndarray:
+    """Prefix sums of every step-d orbit read ``laps`` times around, shape
+    (..., g, laps*L + 1).
 
     Row a of the orbit axis follows a, a+d, a+2d, ... (L = n/g points, with
-    g = gcd(d, n)) twice, so P[..., a, j] - P[..., a, i] is the sum over the
+    g = gcd(d, n)), so P[..., a, j] - P[..., a, i] is the sum over the
     cyclic window of positions i..j-1.  Leading batch axes pass through.  An
     array of steps sharing one gcd adds its shape in front of the orbit axis.
+    Integer values are summed in int32 or wider.
     """
     d = np.asarray(d, dtype=np.int64)
     g = math.gcd(int(d.flat[0]), n)
     L = n // g
-    idx = (
-        np.arange(g, dtype=np.int64)[:, None]
-        + np.arange(L, dtype=np.int64)[None, :] * d[..., None, None]
-    ) % n
-    vals = values[..., idx]
-    P = np.zeros(vals.shape[:-1] + (2 * L + 1,), dtype=vals.dtype)
-    np.cumsum(np.concatenate([vals, vals], axis=-1), axis=-1, out=P[..., 1:])
+    idx = np.arange(L, dtype=np.int64) * d[..., None, None] + np.arange(g)[:, None]
+    idx -= idx // n * n  # as % n; floor division by a scalar is the faster numpy path
+    vals = np.concatenate([np.take(values, idx, axis=-1)] * laps, axis=-1)
+    P = np.zeros(vals.shape[:-1] + (laps * L + 1,), dtype=np.result_type(vals, np.int32))
+    np.cumsum(vals, axis=-1, dtype=P.dtype, out=P[..., 1:])
     return P
 
 
-def _end_extremes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest P[j] - P[i] and largest P[i] - P[j] over the starts allowed for
-    each end j in [1, 2L-1]: the largest window sum ending at j and the largest
-    negated one.
+def _end_best(P: np.ndarray) -> np.ndarray:
+    """Largest |P[j] - P[i]| over the starts allowed for each end j in [1, 2L-1]
+    of a doubled prefix: the largest |window sum| ending at j.
 
     End j admits starts i in [max(0, j-L), min(j-1, L-1)], i.e. every window of
     length 1..L: prefix extremes of P[:L] cover the ends j <= L and suffix
@@ -224,66 +223,62 @@ def _end_extremes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         acc(tail, axis=-1, out=out[..., : L - 1 : -1])
     np.subtract(ends, lo, out=lo)
     np.subtract(hi, ends, out=hi)
-    return lo, hi
+    return np.maximum(lo, hi, out=lo)
 
 
-def _end_best(P: np.ndarray) -> np.ndarray:
-    """Largest |P[j] - P[i]| over the starts allowed for each end j in [1, 2L-1]."""
-    up, down = _end_extremes(P)
-    return np.maximum(up, down, out=up)
+def _row_extremes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest window sum hi, largest negated window sum -lo and row sum S of
+    each one-lap prefix row P[0..L], over its cyclic windows of length 1..L."""
+    S, starts, ends = P[..., -1], P[..., :-1], P[..., 1:]
+    max_d = (ends - np.minimum.accumulate(starts, axis=-1)).max(axis=-1)
+    min_d = (ends - np.maximum.accumulate(starts, axis=-1)).min(axis=-1)
+    return np.maximum(max_d, S - min_d), np.maximum(-min_d, max_d - S), S
 
 
-def _periodic_step_maxima(base: np.ndarray, n: int) -> np.ndarray:
+def _step_maxima(values: np.ndarray, n: int, r: int) -> np.ndarray:
     """Largest |window sum| of every step d in [1, n//2] of the coloring of Z_n
-    that repeats ``base`` (length r, r | n), computed on Z_r.
-
-    A step-d orbit of Z_n read mod r is a step-e orbit of Z_r, e = d mod r,
-    with m = r / gcd(e, r) points, repeated Q = L/m times; a window of length
-    q*m + l (1 <= l <= m) sums to q*C + W, with C the Z_r row sum and W a Z_r
-    window sum.  |q*C + W| is convex in q, so q in {0, Q-1} suffices, and the
-    step's maximum needs only each row's C and its extreme window sums.
-    """
-    r = base.shape[0]
+    that repeats ``values`` (length r, r | n), read off Z_r; leading batch
+    axes pass through.  A chunk holds up to _SCAN_CELLS prefix cells, batch
+    rows counted."""
     d = np.arange(1, n // 2 + 1, dtype=np.int64)
     e = np.minimum(d % r, -d % r)  # steps e and r - e trace the same rows reversed
     h = np.gcd(e, r)  # step e has h rows of r/h points; gcd(0, r) = r
-    q = n // np.gcd(d, n) // (r // h) - 1
-    # steps sorted by (h, e), so the steps of one chunk of e's form one run
-    key = h * r + e
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    all_e = np.arange(r // 2 + 1, dtype=np.int64)
-    all_h = np.gcd(all_e, r)
-    out = np.empty(d.size, dtype=np.int64)
-    for g in np.flatnonzero(np.bincount(all_h)):
-        steps = all_e[all_h == g]
-        m = r // g
-        chunk = max(1, _PERIODIC_CELLS // (g * (2 * m + 1)))
-        for lo in range(0, steps.size, chunk):
-            es = steps[lo : lo + chunk]
-            P = _orbit_prefix(base, r, es)
-            up, down = _end_extremes(P)
-            hi, neg_lo, row_sum = up.max(axis=-1), down.max(axis=-1), P[..., m]
-            first, stop = np.searchsorted(key, [g * r + es[0], g * r + es[-1] + 1])
+    q = n // np.gcd(d, n) // (r // h) - 1  # Q - 1: the whole laps a window adds
+    order = np.argsort(h * r + e, kind="stable")  # by (h, e): a chunk of e's is a run
+    key = (h * r + e)[order]
+    steps = np.flatnonzero(np.bincount(e))
+    out = np.empty(values.shape[:-1] + d.shape, dtype=np.int64)
+    for g in np.flatnonzero(np.bincount(h)):
+        es = steps[np.gcd(steps, r) == g]
+        chunk = max(1, _SCAN_CELLS // (values.size // r * (r + g)))
+        for lo in range(0, es.size, chunk):
+            part = es[lo : lo + chunk]
+            first, stop = np.searchsorted(key, [g * r + part[0], g * r + part[-1] + 1])
             sel = order[first:stop]
-            k = np.searchsorted(es, e[sel])
-            lap = q[sel, None] * row_sum[k]
-            out[sel] = np.maximum(
-                np.maximum(hi[k], neg_lo[k]), np.maximum(hi[k] + lap, neg_lo[k] - lap)
+            k = np.searchsorted(part, e[sel])
+            P = _orbit_prefix(values, r, part, laps=1)
+            hi, neg_lo, row_sum = (x[..., k, :] for x in _row_extremes(P))
+            lap = q[sel, None] * row_sum
+            out[..., sel] = np.maximum(
+                hi + np.maximum(lap, 0), neg_lo - np.minimum(lap, 0)
             ).max(axis=-1)
     return out
 
 
 def _witness(v: np.ndarray, n: int, d: int, best: int) -> ModAP:
     """First window of step d attaining ``best``, over orbit rows, then window
-    ends, then window starts."""
+    ends, then window starts.  RuntimeError if its elements do not sum to
+    +-best, as when step d has no such window."""
     P = _orbit_prefix(v, n, d)
     L = P.shape[-1] // 2
     row, k = divmod(int(np.argmax(_end_best(P) == best)), 2 * L - 1)
     j = k + 1  # column k of _end_best holds window end j = k + 1
     lo = max(0, j - L)
     i = lo + int(np.argmax(np.abs(P[row, lo : min(j, L)] - P[row, j]) == best))
-    return full_ap(n, (row + i * d) % n, d, j - i)
+    witness = full_ap(n, (row + i * d) % n, d, j - i)
+    if abs(int(v[witness.elements()].sum())) != best:
+        raise RuntimeError(f"step {d} has no window of |sum| {best}")
+    return witness
 
 
 def max_ap_discrepancy(chi: Coloring, period: int | None = None) -> tuple[int, ModAP]:
@@ -296,7 +291,7 @@ def max_ap_discrepancy(chi: Coloring, period: int | None = None) -> tuple[int, M
     chi does not have, raises ValueError.
     """
     n = chi.n
-    v = chi.values.astype(np.int64)
+    v = chi.values
     r = n if period is None else operator.index(period)
     if r < 1 or n % r:
         raise ValueError(f"period must be a positive divisor of n={n}, got {r}")
@@ -306,18 +301,9 @@ def max_ap_discrepancy(chi: Coloring, period: int | None = None) -> tuple[int, M
         t = abs(int(v[0]))
         witness = ModAP(1, 0, 0, 0, 0) if t else ModAP(1, 0, 1, 0, -1)
         return t, witness
-    best = 0
-    best_d = None
-    if r == n:
-        for d in range(1, n // 2 + 1):
-            cand = int(_end_best(_orbit_prefix(v, n, d)).max())
-            if cand > best:
-                best = cand
-                best_d = d
-    else:
-        t = _periodic_step_maxima(v[:r], n)
-        best_d = int(np.argmax(t)) + 1  # the first maximum, as the strict > above
-        best = int(t[best_d - 1])
+    t = _step_maxima(v[:r], n, r)
+    best_d = int(np.argmax(t)) + 1  # the first step attaining the maximum
+    best = int(t[best_d - 1])
     if best == 0:
         return 0, ModAP(n, 0, 1, 0, -1)
     return best, _witness(v, n, best_d, best)
@@ -325,22 +311,24 @@ def max_ap_discrepancy(chi: Coloring, period: int | None = None) -> tuple[int, M
 
 def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
     """Per-row max |progression sum| for a (B, n) matrix of colorings."""
-    values = np.asarray(values, dtype=np.int64)
+    values = np.asarray(values)
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError("expected a (B, n) matrix")
-    if n == 1:
-        return np.abs(values[:, 0])
-    out = np.zeros(values.shape[0], dtype=np.int64)
-    for d in range(1, n // 2 + 1):
-        np.maximum(out, _end_best(_orbit_prefix(values, n, d)).max(axis=(1, 2)), out=out)
-    return out
+    if np.iscomplexobj(values) or not np.isin(values, (-1, 0, 1)).all():
+        raise ValueError("coloring values must lie in {-1, 0, +1}")
+    values = values.astype(np.int8)
+    if n == 1 or not values.size:
+        return np.abs(values[:, 0]).astype(np.int64)
+    return _step_maxima(values, n, n).max(axis=-1)
 
 
 def max_ap_sum_complex(f) -> float:
     """Max |sum of f over a progression| for complex-valued f.
 
-    Complex sums have no min/max extremes to sweep, so every window length l
-    is read off the orbit prefix sums in turn (quadratic scan).
+    Complex sums have no min/max extremes to sweep, so each step's window sums
+    P[i + l] - P[i] (start i < L, length l = 1..L) are read off a sliding view
+    of the doubled orbit prefix, a chunk of starts per numpy call (quadratic
+    scan).
     """
     f = np.asarray(f, dtype=np.complex128)
     n = f.shape[0]
@@ -349,11 +337,12 @@ def max_ap_sum_complex(f) -> float:
     best = 0.0
     for d in range(1, n // 2 + 1):
         P = _orbit_prefix(f, n, d)
-        L = P.shape[-1] // 2
-        for l in range(1, L + 1):
-            cand = np.abs(P[:, l : l + L] - P[:, :L]).max()
-            if cand > best:
-                best = float(cand)
+        g, L = P.shape[0], P.shape[-1] // 2
+        ends = np.lib.stride_tricks.sliding_window_view(P[:, 1:], L, axis=-1)
+        chunk = max(1, _SCAN_CELLS // (g * L))
+        for i in range(0, L, chunk):
+            starts = slice(i, min(i + chunk, L))
+            best = max(best, float(np.abs(ends[:, starts] - P[:, starts, None]).max()))
     return best
 
 

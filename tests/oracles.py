@@ -1,8 +1,8 @@
 """Reference implementations kept for the tests only.
 
 The library enforces the orbit reduction through ``OrbitBlocks`` and an
-orbit-rank table; these materialise the same objects directly, so the tests
-can compare the two.
+orbit-rank table, and reads window maxima off prefix extremes; these
+materialise the same objects directly, so the tests can compare the two.
 """
 
 import math
@@ -44,3 +44,19 @@ def explicit_walk_table(xs, blocks, deltas):
         fill[elems] += 1
     zero = np.zeros((1, 1), dtype=np.int32)
     return _WalkTable(positions, zero, zero, np.array(caps + [m], dtype=np.int32), exempt)
+
+
+def step_maxima_naive(values, n):
+    """Largest |window sum| of each step d in [1, n//2], shape (..., n//2).
+
+    Every cyclic window of every (start a, step d) is summed directly: row a
+    holds the partial sums v[a], v[a] + v[a + d], ... over one orbit.  No
+    prefix extremes and no period argument.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    a = np.arange(n)[:, None]
+    out = np.zeros(v.shape[:-1] + (n // 2,), dtype=np.int64)
+    for d in range(1, n // 2 + 1):
+        rows = v[..., (a + np.arange(n // math.gcd(d, n)) * d) % n]
+        out[..., d - 1] = np.abs(np.cumsum(rows, axis=-1)).max(axis=(-2, -1))
+    return out

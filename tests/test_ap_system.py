@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from zndisc.ap_system import (
     Coloring,
     ModAP,
+    _step_maxima,
+    _witness,
     congruence_sum,
     dyadic_block_counts,
     enumerate_aps,
@@ -20,7 +22,7 @@ from zndisc.ap_system import (
 )
 from zndisc.number_theory import make_context, totient
 
-from .oracles import orbit_intersection
+from .oracles import orbit_intersection, step_maxima_naive
 
 
 # ---------------------------------------------------------------- oracles
@@ -191,13 +193,55 @@ def test_periodic_scan_edge_cases():
     assert max_ap_discrepancy(Coloring(1, [0]), period=1) == (0, ModAP(1, 0, 1, 0, -1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(periodic_colorings())
+def test_step_maxima_match_naive_windows(case):
+    # every cyclic window summed directly, for the period's kernel, the plain
+    # scan (r = n) and the batch rows
+    chi, r = case
+    n = chi.n
+    want = step_maxima_naive(chi.values, n)
+    assert np.array_equal(_step_maxima(chi.values[:r], n, r), want)
+    assert np.array_equal(_step_maxima(chi.values, n, n), want)
+    rows = np.stack([chi.values, -chi.values, np.roll(chi.values, 1)])
+    naive = step_maxima_naive(rows, n).max(axis=-1) if n > 1 else np.abs(rows[:, 0])
+    assert np.array_equal(max_ap_discrepancy_batch(n, rows), naive)
+
+
 def test_periodic_scan_small_chunks(monkeypatch):
-    # one step e per numpy call exercises the chunk boundaries
-    monkeypatch.setattr("zndisc.ap_system._PERIODIC_CELLS", 1)
+    # one step e per numpy call exercises the chunk boundaries, for a period,
+    # the plain scan and the batch
     rng = np.random.default_rng(17)
-    for n, r in ((96, 12), (100, 20), (81, 27), (64, 32), (90, 45)):
-        chi = Coloring(n, np.tile(rng.integers(-1, 2, r), n // r))
-        assert max_ap_discrepancy(chi, period=r) == max_ap_discrepancy(chi)
+    cases = [(96, 12), (100, 20), (81, 27), (64, 32), (90, 45), (97, 97), (64, 64)]
+    colorings = [Coloring(n, np.tile(rng.integers(-1, 2, r), n // r)) for n, r in cases]
+    want = [max_ap_discrepancy(chi) for chi in colorings]
+    rows = [rng.integers(-1, 2, (3, n)) for n, _ in cases]
+    batch = [max_ap_discrepancy_batch(n, b) for (n, _), b in zip(cases, rows)]
+    monkeypatch.setattr("zndisc.ap_system._SCAN_CELLS", 1)
+    for (n, r), chi, t, b, t_b in zip(cases, colorings, want, rows, batch):
+        assert max_ap_discrepancy(chi, period=r) == max_ap_discrepancy(chi) == t
+        assert t[0] == step_maxima_naive(chi.values, n).max()
+        assert np.array_equal(max_ap_discrepancy_batch(n, b), t_b)
+        assert np.array_equal(t_b, step_maxima_naive(b, n).max(axis=-1))
+
+
+def test_witness_rejects_a_missed_maximum():
+    chi = Coloring(12, np.tile([1, 1, -1], 4))
+    t, wit = max_ap_discrepancy(chi)
+    assert _witness(chi.values, 12, wit.d, t) == wit
+    with pytest.raises(RuntimeError, match="no window"):
+        _witness(chi.values, 12, wit.d, t + 1)
+
+
+def test_batch_of_no_rows():
+    got = max_ap_discrepancy_batch(5, np.zeros((0, 5), dtype=np.int8))
+    assert got.shape == (0,) and got.dtype == np.int64
+
+
+def test_batch_rejects_non_colorings():
+    for bad in ([[1, 2, -1]], [[1, 0.5, -1]], [[257, 1, 1]], np.array([[1, -1, 1j]])):
+        with pytest.raises(ValueError, match="must lie in"):
+            max_ap_discrepancy_batch(3, bad)
 
 
 @pytest.mark.parametrize("values,period,message", [
