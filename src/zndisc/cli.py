@@ -115,7 +115,7 @@ def cmd_bounds(args) -> int:
     rows = []
     for n in ns:
         if n < 1:
-            print(f"skipping invalid n={n}", file=sys.stderr)
+            print(f"n must be positive, got n={n}", file=sys.stderr)
             return EXIT_USAGE
         ctx = make_context(n)
         upper = upper_bound_main(ctx, args.c_hat)

@@ -19,6 +19,17 @@ certificate never reads that table: it re-sums each binding block from its
 definition, by sorting every step-d orbit row of X and differencing prefix
 sums (``certify_partial_coloring``).
 
+The walk visits the points in a random order, but signs whole runs of that
+order at once whenever no binding block can reach its cap within the run: a
+block that stays inside its cap even if every point of the run takes its
+preferred sign stays inside after each prefix too, so the point-by-point
+walk would have signed the run the same way.  A run's per-block counts are
+one histogram at the finest binding scale, summed upward for the coarser
+ones.  Ids whose cap is at least m can never bind and are never checked;
+the exempt id, which repeats across a point's columns, is among them.  Where
+a run could reach a cap, the walk steps point by point, so the coloring is
+the point-by-point walk's, bit for bit.
+
 Blocks whose allowance Delta is at least their size cannot be violated by any
 signing (|chi(S)| <= |S| <= Delta), so they are exempt from the walk, the
 entropy-budget precondition, and the numeric recheck; that exemption is an
@@ -62,6 +73,9 @@ TABLE_BYTES_LIMIT = 1 << 30
 # Orbit grids (step x Z_n) and sorted orbits (step x X) are built for at most
 # this many cells at a time, so no (steps x n) tensor is held at once.
 _CHUNK_CELLS = 1 << 15
+# One run of the sign walk copies at most this many table positions (int32),
+# so its scratch stays at 512 KB whatever the table's size.
+_RUN_CELLS = 1 << 17
 
 
 class BudgetExceeded(ValueError):
@@ -234,10 +248,14 @@ class _WalkTable:
     """Point-major constraint table the sign walk reads.
 
     Point t (an index into X) belongs to the blocks
-    ``(positions[t] >> shifts) + offsets``, one row per scale; ``caps`` is the
-    largest |sum| each block may reach.  A position equal to ``exempt`` falls
-    in no binding block, and neither does any id whose cap is m: each point
-    moves a block sum by at most one, so such a cap never binds.
+    ``(positions[t] >> shifts) + offsets``, one row per scale, with shifts
+    ascending; ``caps`` is the largest |sum| each block may reach.  A
+    position equal to ``exempt`` falls in no binding block, and neither does
+    any id whose cap is m: each point moves a block sum by at most one, so
+    such a cap never binds.  The exempt id may repeat in a point's row; a
+    binding id never does.  ``_sign_walk`` signs runs of its order at once
+    whenever no binding block can reach its cap, and never checks ids whose
+    cap is m.
     """
 
     positions: np.ndarray
@@ -291,7 +309,9 @@ def orbit_table_bytes(n: int, xs, scales) -> int:
 
     ``scales`` are the exponents s of the binding block sizes 2^s.  Counts the
     int32 positions (|X| per step column) and an int32 cap and sum per block
-    id.
+    id.  The walk's scratch is not part of the table: a run reads at most
+    ``_RUN_CELLS`` positions whatever the table's size, besides a few words
+    per block id.
     """
     xs = _as_subset(n, xs)
     scales = sorted(scales)
@@ -364,22 +384,85 @@ def _binding_budget(req: PartialColorRequest) -> float:
 
 
 def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
-    m = table.positions.shape[0]
+    """Sign the table's points in a random order: each takes its random
+    preferred sign, else the other, else none, whichever first keeps every
+    block of its row within its cap.
+
+    Runs of consecutive points of the order are signed at once.  If sum + (the
+    run's points preferring +1 in a block) <= cap and sum - (those preferring
+    -1) >= -cap for every block, no prefix of the run can take a block past
+    its cap, so point by point every point of the run would get its preferred
+    sign.  The counts are one histogram of the run's positions >> s0 at the
+    finest scale s0; a coarser scale s adds 2^(s - s0) adjacent counts, since
+    slot >> s == (slot >> s0) >> (s - s0).  Ids with cap >= m are never
+    checked and runs leave their sums alone: they cannot bind, and the exempt
+    id repeats across a point's columns, where the histogram counts it once
+    per column.  A failed test halves the run down to a floor; at the floor
+    the walk steps point by point, over twice as many points after each
+    consecutive failure, and a passed test doubles the run.  The result is
+    the point-by-point walk's, bit for bit, for the same rng draws.
+    """
+    positions, caps = table.positions, table.caps
+    m, width = positions.shape
     chi = np.zeros(m, dtype=np.int8)
-    sums = np.zeros(table.caps.size, dtype=np.int32)
+    sums = np.zeros(caps.size, dtype=np.int32)
     order = rng.permutation(m)
     pref = rng.integers(0, 2, size=m, dtype=np.int64) * 2 - 1
-    for t in order:
-        bl = (table.positions[t] >> table.shifts) + table.offsets
-        s = sums[bl]
-        cap = table.caps[bl]
-        sg = int(pref[t])
-        if np.all(np.abs(s + sg) <= cap):
-            chi[t] = sg
-            sums[bl] = s + sg
-        elif np.all(np.abs(s - sg) <= cap):
-            chi[t] = -sg
-            sums[bl] = s - sg
+    shifts = [int(s) for s in table.shifts[:, 0]]
+    finest = table.exempt >> shifts[0]
+    binds = caps < m
+    limit = np.where(binds, caps, np.iinfo(np.int32).max)
+    # per scale: views of the sums, limits and bind flags of the ids below its exempt id
+    views = []
+    for off, s in zip(table.offsets[:, 0], shifts):
+        ids = slice(int(off), int(off) + (table.exempt >> s))
+        views.append((sums[ids], limit[ids], binds[ids]))
+
+    def hits(points):
+        # per scale, how many of the points each block holds
+        cells = positions[points]
+        cells >>= shifts[0]
+        c = np.zeros(finest + 1, dtype=np.int64)
+        np.add.at(c, cells.ravel(), 1)  # bincount would copy the cells to intp first
+        c, out = c[:finest], []
+        for prev, s in zip(shifts[:1] + shifts, shifts):
+            for _ in range(s - prev):
+                c = c[0::2] + c[1::2]
+            out.append(c)
+        return out
+
+    # a run at the floor reads about four cells per finest-scale id, so a
+    # failed test costs little next to the steps that follow it
+    top = max(1, _RUN_CELLS // max(width, 1))
+    floor = min(top, max(1, 4 * finest // max(width, 1)))
+    run, wait, i = top, floor, 0
+    while i < m:
+        points = order[i : i + run]
+        sg = pref[points]
+        plus, minus = hits(points[sg > 0]), hits(points[sg < 0])
+        if all(np.all(v + p <= cap) and np.all(q - v <= cap)
+               for (v, cap, _), p, q in zip(views, plus, minus)):
+            chi[points] = sg
+            for (v, _, bind), p, q in zip(views, plus, minus):
+                v += (p - q) * bind
+            run, wait = min(2 * run, top), floor
+            i += points.size
+        elif run > floor:
+            run = max(run // 2, floor)
+        else:
+            for t in order[i : i + wait]:
+                bl = (positions[t] >> table.shifts) + table.offsets
+                s = sums[bl]
+                cap = caps[bl]
+                sg = int(pref[t])
+                if np.all(np.abs(s + sg) <= cap):
+                    chi[t] = sg
+                    sums[bl] = s + sg
+                elif np.all(np.abs(s - sg) <= cap):
+                    chi[t] = -sg
+                    sums[bl] = s - sg
+            i += wait
+            wait *= 2
     return chi
 
 

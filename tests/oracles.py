@@ -1,8 +1,9 @@
 """Reference implementations kept for the tests only.
 
 The library enforces the orbit reduction through ``OrbitBlocks`` and an
-orbit-rank table, and reads window maxima off prefix extremes; these
-materialise the same objects directly, so the tests can compare the two.
+orbit-rank table, reads window maxima off prefix extremes and signs whole
+runs of the walk order at once; these materialise the same objects directly
+and walk one point at a time, so the tests can compare the two.
 """
 
 import math
@@ -44,6 +45,29 @@ def explicit_walk_table(xs, blocks, deltas):
         fill[elems] += 1
     zero = np.zeros((1, 1), dtype=np.int32)
     return _WalkTable(positions, zero, zero, np.array(caps + [m], dtype=np.int32), exempt)
+
+
+def sign_walk_sequential(table, rng):
+    """The sign walk one point at a time: each point of a random order takes its
+    random preferred sign, else the other, else none, whichever first keeps
+    every block of its table row within its cap."""
+    m = table.positions.shape[0]
+    chi = np.zeros(m, dtype=np.int8)
+    sums = np.zeros(table.caps.size, dtype=np.int32)
+    order = rng.permutation(m)
+    pref = rng.integers(0, 2, size=m, dtype=np.int64) * 2 - 1
+    for t in order:
+        bl = (table.positions[t] >> table.shifts) + table.offsets
+        s = sums[bl]
+        cap = table.caps[bl]
+        sg = int(pref[t])
+        if np.all(np.abs(s + sg) <= cap):
+            chi[t] = sg
+            sums[bl] = s + sg
+        elif np.all(np.abs(s - sg) <= cap):
+            chi[t] = -sg
+            sums[bl] = s - sg
+    return chi
 
 
 def step_maxima_naive(values, n):

@@ -314,6 +314,7 @@ def _certify_blocks(n, xs, values, schedule, kappa):
     """Full-family block check, written against the orbit definition."""
     xs = np.asarray(xs)
     m = xs.size
+    limits = [kappa * schedule.b(1 << scale) + 1e-9 for scale in range(m.bit_length())]
     for d in range(1, n):
         g = math.gcd(d, n)
         L = n // g
@@ -331,7 +332,7 @@ def _certify_blocks(n, xs, values, schedule, kappa):
                 size = 1 << scale
                 nb = l >> scale
                 sums = P[size : size * nb + 1 : size] - P[0 : size * nb : size]
-                if np.any(np.abs(sums) > kappa * schedule.b(size) + 1e-9):
+                if np.any(np.abs(sums) > limits[scale]):
                     return False
                 scale += 1
     return True

@@ -49,6 +49,11 @@ def test_bounds_table_json(tmp_path):
     assert rows[10]["lower_prime_power"] is None
 
 
+def test_bounds_rejects_nonpositive_n(capsys):
+    assert run(["bounds", "--range", "0..3"]) == EXIT_USAGE
+    assert "n must be positive, got n=0" in capsys.readouterr().err
+
+
 def test_bounds_empty_range(tmp_path):
     out = tmp_path / "empty.csv"
     assert run(["bounds", "--range", "5..4", "--format", "csv",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -25,7 +26,7 @@ from zndisc.engine import (
 )
 from zndisc.number_theory import LimitExceeded, make_context
 
-from .oracles import explicit_walk_table, orbit_intersection
+from .oracles import explicit_walk_table, orbit_intersection, sign_walk_sequential
 from .test_acceptance import _certify_blocks
 
 
@@ -375,6 +376,77 @@ def test_orbit_table_matches_explicit_blocks():
                 ]
                 assert np.array_equal(*chis)
     assert binding_seen > 0
+
+
+def with_caps_scaled(table, factor, coarse_only=False):
+    """The table with its binding caps (cap < m) scaled down by ``factor``;
+    with ``coarse_only``, only the caps above the finest scale."""
+    caps = table.caps.copy()
+    binding = caps < table.positions.shape[0]
+    if coarse_only:
+        binding[: (table.exempt >> int(table.shifts[0, 0])) + 1] = False
+    caps[binding] = np.floor(caps[binding] * factor)
+    return dataclasses.replace(table, caps=caps)
+
+
+def assert_walks_agree(table, seed, restarts=2):
+    for restart in range(restarts):
+        draws = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
+                 for _ in range(2)]
+        batched = engine._sign_walk(table, draws[0])
+        assert np.array_equal(batched, sign_walk_sequential(table, draws[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from((127, 131, 251, 257)), st.integers(2, 300)),
+    density=st.floats(0.1, 1.0),
+    hereditary=st.booleans(),
+    factor=st.sampled_from((1.0, 0.5, 0.2, 0.05)),
+    coarse_only=st.booleans(),
+    run_cells=st.sampled_from((None, 1 << 8)),
+    seed=st.integers(0, 2**30),
+)
+def test_batched_walk_matches_sequential(n, density, hereditary, factor, coarse_only,
+                                         run_cells, seed):
+    # runs signed at once must give the point-by-point walk's coloring, over
+    # orbit tables and their explicit twins, with caps loose or tight enough
+    # that points take the other sign or none (tight coarse caps alone check
+    # the counts summed up from the finest scale); small runs force many run tests
+    rng = np.random.default_rng(seed)
+    xs = np.flatnonzero(rng.random(n) < density)
+    if xs.size == 0:
+        xs = np.array([seed % n])
+    sched = DeltaSchedule.hereditary(make_context(n)) if hereditary else DeltaSchedule.main(n)
+    req = build_c2_request(n, xs, sched, seed=seed)
+    tables = [engine._walk_table(req)]
+    if n <= 100:
+        explicit = {size: orbit_blocks_by_definition(n, xs, size) for size in req.blocks}
+        tables.append(explicit_walk_table(req.x, explicit, req.deltas))
+    with pytest.MonkeyPatch.context() as mp:
+        if run_cells is not None:
+            mp.setattr(engine, "_RUN_CELLS", run_cells)
+        for table in tables:
+            assert_walks_agree(with_caps_scaled(table, factor, coarse_only), seed)
+
+
+@pytest.mark.parametrize("run_cells", [None, 1 << 9])
+@pytest.mark.parametrize("n", [254, 526])
+def test_batched_walk_repeated_exempt_ids(n, run_cells, monkeypatch):
+    # n = 2p with X a random half of Z_n: many rows are too short for a block,
+    # so a point carries the exempt id in many of its columns; one-point runs
+    # would sign while a count of those repeats still fits under cap m.  Tight
+    # coarse caps alone catch coarse counts not summed from the finest scale.
+    xs = np.flatnonzero(np.random.default_rng(n).random(n) < 0.5)
+    req = build_c2_request(n, xs, DeltaSchedule.main(n), seed=n)
+    table = engine._walk_table(req)
+    repeats = (table.positions == table.exempt).sum(axis=1)
+    assert repeats.max() > table.positions.shape[1] // 4
+    if run_cells is not None:
+        monkeypatch.setattr(engine, "_RUN_CELLS", run_cells)
+    for factor in (1.0, 0.5, 0.2):
+        for coarse_only in (False, True):
+            assert_walks_agree(with_caps_scaled(table, factor, coarse_only), n, restarts=4)
 
 
 def test_orbit_table_bytes_closed_form():
