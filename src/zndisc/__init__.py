@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .number_theory import ZnContext, make_context, crt_combine, crt_split
+from .number_theory import ZnContext, make_context
 from .ap_system import (
     Coloring,
     ModAP,
-    enumerate_aps,
     full_ap,
     max_ap_discrepancy,
     max_congruence_discrepancy,
@@ -23,14 +22,11 @@ from .engine import (
 from .constructions import (
     ConstructionReport,
     CrtBox,
-    SignPattern,
     congruence_balanced_coloring,
     construct_best_coloring,
     crt_box_coloring,
     hereditary_coloring,
-    interval_doubling_coloring,
     lift_coloring,
-    prime_power_coloring,
 )
 from .analysis import (
     BoundReport,
@@ -46,11 +42,8 @@ __all__ = [
     "__version__",
     "ZnContext",
     "make_context",
-    "crt_combine",
-    "crt_split",
     "Coloring",
     "ModAP",
-    "enumerate_aps",
     "full_ap",
     "max_ap_discrepancy",
     "max_congruence_discrepancy",
@@ -63,14 +56,11 @@ __all__ = [
     "schedule_entropy_budget",
     "ConstructionReport",
     "CrtBox",
-    "SignPattern",
     "congruence_balanced_coloring",
     "construct_best_coloring",
     "crt_box_coloring",
     "hereditary_coloring",
-    "interval_doubling_coloring",
     "lift_coloring",
-    "prime_power_coloring",
     "BoundReport",
     "hereditary_upper_bound",
     "lower_bound_main",

@@ -1,20 +1,19 @@
 """Fourier analysis on Z_n and the closed-form discrepancy bound evaluators.
 
 The transform convention is fhat(r) = sum_x f(x) exp(-2*pi*i*x*r/n), which is
-exactly numpy's forward FFT; a direct O(n^2) evaluator is kept alongside as a
-cross-check.  The identity and inequality checks below all revolve around
-the weighted double sum sum_{a,b} |f(a + b*M)|^2 for the initial segment
-M = {0, ..., m-1}: it is bounded below by a gcd-weighted spectral sum and
-above by progression discrepancy plus congruence-class power, and comparing
-the two yields lower bounds on the discrepancy that depend only on the
-divisor structure of n.
+exactly numpy's forward FFT.  The identity and inequality checks below all
+revolve around the weighted double sum sum_{a,b} |f(a + b*M)|^2 for the
+initial segment M = {0, ..., m-1}: it is bounded below by a gcd-weighted
+spectral sum and above by progression discrepancy plus congruence-class power,
+and comparing the two yields lower bounds on the discrepancy that depend only
+on the divisor structure of n.
 
 The five m-indexed checks have one implementation, ``fourier_checks``: one
 call evaluates them for every m (and every (m, l) for the truncated divisor
 bound) with numpy arrays, computing the class powers once and the double sum
 from one chunked gather of f(a + b*k); a one-m check is the call with
-``ms=[m]``.  ``weighted_lhs_all_m`` and ``weighted_lhs_spectral`` are
-independent routes to the double sum, kept as cross-checks.
+``ms=[m]``.  The tests compare it against independent routes to the double
+sum in ``tests/oracles.py``.
 
 Equalities are checked to relative 1e-8; inequalities get an absolute floor
 of 1e-6 at the n^2 m^2 scale on top.  Class-sum tables for integer colorings
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import Coloring, max_ap_discrepancy, max_ap_sum_complex
+from .ap_system import Coloring, congruence_class_sums, max_ap_discrepancy, max_ap_sum_complex
 from .number_theory import ZnContext, make_context
 
 __all__ = [
@@ -36,12 +35,8 @@ __all__ = [
     "CheckGrid",
     "BoundReport",
     "REL_TOL",
-    "dft_direct",
-    "class_sums",
     "class_power",
     "check_subgroup_plancherel",
-    "weighted_lhs_all_m",
-    "weighted_lhs_spectral",
     "FOURIER_CHECKS",
     "fourier_checks",
     "max_progression_sum",
@@ -54,7 +49,6 @@ __all__ = [
 
 REL_TOL = 1e-8
 _ABS_COEFF = 1e-6
-_DIRECT_DFT_LIMIT = 4096
 _GATHER_CELLS = 1 << 14  # cells per gather of f(a + b*k) in the double sum
 
 FOURIER_CHECKS = ("rhs_lower", "lhs_upper", "mobius_identity", "mobius_inequality",
@@ -97,31 +91,9 @@ def _as_complex(f) -> np.ndarray:
     return arr
 
 
-def dft_direct(f) -> np.ndarray:
-    """Definition-level O(n^2) transform, the cross-check for np.fft.fft."""
-    arr = _as_complex(f)
-    n = arr.size
-    if n > _DIRECT_DFT_LIMIT:
-        raise ValueError(f"direct transform capped at n = {_DIRECT_DFT_LIMIT}")
-    x = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(x, x) / n)
-    return w @ arr
-
-
-def class_sums(f, r: int) -> np.ndarray:
-    """g_f(w, r) for all residues w, for a divisor r of n."""
-    arr = f.values if isinstance(f, Coloring) else np.asarray(f)
-    n = arr.shape[0]
-    if r < 1 or n % r != 0:
-        raise ValueError("r must divide n")
-    if np.issubdtype(arr.dtype, np.integer):
-        arr = arr.astype(np.int64)
-    return arr.reshape(n // r, r).sum(axis=0)
-
-
 def class_power(f, r: int):
     """G_f(r) = sum_w |g_f(w, r)|^2; exact integer for integer input."""
-    g = class_sums(f, r)
+    g = congruence_class_sums(f.values if isinstance(f, Coloring) else f, r)
     if np.issubdtype(g.dtype, np.integer):
         return int((g * g).sum())
     return float((np.abs(g) ** 2).sum())
@@ -141,38 +113,6 @@ def check_subgroup_plancherel(f, r: int, fhat: np.ndarray | None = None) -> Chec
     scale = max(1.0, abs(lhs), abs(rhs))
     err = abs(lhs - rhs) / scale
     return CheckResult("subgroup_plancherel", lhs, rhs, err <= REL_TOL, err)
-
-
-def weighted_lhs_all_m(f) -> np.ndarray:
-    """The double sum for every m = 1..n at once (cumulative inner sums per b)."""
-    arr = _as_complex(f)
-    n = arr.size
-    a = np.arange(n, dtype=np.int64)[:, None]
-    k = np.arange(n, dtype=np.int64)[None, :]
-    out = np.zeros(n, dtype=np.float64)
-    for b in range(n):
-        partial = np.cumsum(arr[(a + b * k) % n], axis=1)
-        out += (np.abs(partial) ** 2).sum(axis=0)
-    return out
-
-
-def weighted_lhs_spectral(f, m: int, fhat: np.ndarray | None = None) -> float:
-    """Independent spectral route: convolve with the segment indicator per b
-    and add the spectral energies."""
-    arr = _as_complex(f)
-    n = arr.size
-    if not 1 <= m <= n:
-        raise ValueError("m must lie in [1, n]")
-    if fhat is None:
-        fhat = np.fft.fft(arr)
-    indicator = np.zeros(n, dtype=np.complex128)
-    indicator[(-np.arange(m)) % n] += 1.0
-    w = np.abs(np.fft.fft(indicator)) ** 2
-    power = np.abs(fhat) ** 2
-    total = 0.0
-    for b in range(n):
-        total += float((power * w[(b * np.arange(n)) % n]).sum())
-    return total / n
 
 
 def _gcd_weights(n: int) -> np.ndarray:

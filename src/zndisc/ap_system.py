@@ -31,7 +31,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -41,12 +40,10 @@ __all__ = [
     "ModAP",
     "Coloring",
     "full_ap",
-    "enumerate_aps",
     "progression_incidence",
     "max_ap_discrepancy",
     "max_ap_discrepancy_batch",
     "max_ap_sum_complex",
-    "congruence_sum",
     "congruence_class_sums",
     "max_congruence_discrepancy",
     "dyadic_block_counts",
@@ -80,9 +77,6 @@ class ModAP:
         k = np.arange(self.i, self.j + 1, dtype=np.int64)
         return (self.a + k * self.d) % self.n
 
-    def element_set(self) -> frozenset[int]:
-        return frozenset(int(x) for x in self.elements())
-
 
 class Coloring:
     """A map Z_n -> {-1, 0, +1}; zero entries mark uncolored points."""
@@ -102,10 +96,6 @@ class Coloring:
         self.values = np.asarray(v, dtype=np.int8)
 
     @classmethod
-    def zeros(cls, n: int) -> "Coloring":
-        return cls(n, np.zeros(n, dtype=np.int8))
-
-    @classmethod
     def full(cls, values) -> "Coloring":
         out = cls(len(values), values)
         if not out.is_full():
@@ -117,12 +107,6 @@ class Coloring:
 
     def is_full(self) -> bool:
         return bool(np.all(self.values != 0))
-
-    def sum_over(self, indices) -> int:
-        return int(self.values[np.asarray(indices, dtype=np.int64)].sum())
-
-    def copy(self) -> "Coloring":
-        return Coloring(self.n, self.values.copy())
 
     def __repr__(self) -> str:
         return f"Coloring(n={self.n}, colored={int(np.count_nonzero(self.values))})"
@@ -140,24 +124,6 @@ def full_ap(n: int, a: int, d: int, length: int) -> ModAP:
     return ModAP(n, a, d, 0, length - 1)
 
 
-def enumerate_aps(ctx: ZnContext) -> Iterator[tuple[int, ...]]:
-    """Yield each distinct nonempty progression element set exactly once.
-
-    Deduplication is by sorted element tuple; iteration order is by
-    (step, offset, length), first appearance wins.
-    """
-    n = ctx.n
-    seen: set[tuple[int, ...]] = set()
-    for d in range(n):
-        orbit = n // math.gcd(d, n)
-        for a in range(n):
-            for l in range(1, orbit + 1):
-                t = tuple(sorted((a + k * d) % n for k in range(l)))
-                if t not in seen:
-                    seen.add(t)
-                    yield t
-
-
 def progression_incidence(ctx: ZnContext, min_len: int = 1) -> np.ndarray:
     """Distinct progression sets of size >= min_len as an n x A boolean incidence.
 
@@ -165,7 +131,7 @@ def progression_incidence(ctx: ZnContext, min_len: int = 1) -> np.ndarray:
     the same windows, so the windows of steps d in [0, n//2] (d = 0 gives the
     singletons) are built at once per step, packed to bytes and deduplicated
     by ``np.unique``.  Columns follow the packed bytes' order; the column sets
-    are ``enumerate_aps``' sets, for any n.
+    are those of ``enumerate_aps`` in ``tests/oracles.py``, for any n.
     """
     n = ctx.n
     packed = []
@@ -346,21 +312,15 @@ def max_ap_sum_complex(f) -> float:
     return best
 
 
-def congruence_sum(chi: Coloring, r: int, w: int) -> int:
-    """Class sum g_chi(w, r) = sum of chi over {x : x = w mod r}."""
-    if r < 1 or chi.n % r != 0:
-        raise ValueError("r must divide n")
-    if not 0 <= w < r:
-        raise ValueError("residue out of range")
-    return int(chi.values[w::r].astype(np.int64).sum())
-
-
 def congruence_class_sums(values: np.ndarray, r: int) -> np.ndarray:
-    """All class sums mod r (index w) for an array of length n with r | n."""
+    """All class sums g(w, r), w < r, for an array of length n with r | n;
+    integer input is summed in int64."""
     values = np.asarray(values)
     n = values.shape[0]
     if r < 1 or n % r != 0:
         raise ValueError("r must divide n")
+    if np.issubdtype(values.dtype, np.integer):
+        values = values.astype(np.int64, copy=False)
     return values.reshape(n // r, r).sum(axis=0)
 
 

@@ -33,11 +33,8 @@ from .number_theory import ZnContext, make_context
 
 __all__ = [
     "CrtBox",
-    "SignPattern",
     "ConstructionReport",
     "lift_coloring",
-    "interval_doubling_coloring",
-    "prime_power_coloring",
     "crt_box_coloring",
     "congruence_balanced_coloring",
     "construct_best_coloring",
@@ -90,9 +87,6 @@ class CrtBox:
             t // 2 if i in self.doubled else t for i, t in enumerate(self.extents)
         )
 
-    def elements(self) -> np.ndarray:
-        return _box_elements(self.ctx, self.extents)
-
     def cancellation_moduli(self) -> tuple[int, ...]:
         """Class moduli r_i = n / p_i^{alpha_i - beta_i} whose sums vanish on X."""
         out = []
@@ -100,33 +94,6 @@ class CrtBox:
             p, e = self.ctx.factors[i]
             out.append(self.ctx.n // p ** (e - b))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Sign and translate for each corner v of the doubling hypercube.
-
-    sgn(v) = (-1)^(sum v_i); the translate u_v is = v_i * S_i mod p_i^{alpha_i}
-    on doubled coordinates and = 0 mod the rest, where S_i is the halved
-    extent.
-    """
-
-    ctx: ZnContext
-    doubled: tuple[int, ...]
-    shifts: tuple[int, ...]
-
-    def sign(self, v: tuple[int, ...]) -> int:
-        return -1 if sum(v) % 2 else 1
-
-    def translate(self, v: tuple[int, ...]) -> int:
-        u = 0
-        for vi, i, s in zip(v, self.doubled, self.shifts):
-            u += vi * s * self.ctx.crt_basis[i]
-        return u % self.ctx.n
-
-    def corners(self):
-        for v in itertools.product((0, 1), repeat=len(self.doubled)):
-            yield v, self.sign(v), self.translate(v)
 
 
 @dataclass(frozen=True)
@@ -182,37 +149,14 @@ def lift_coloring(base: Coloring, n: int) -> Coloring:
     return Coloring(n, np.tile(base.values, n // r))
 
 
-def interval_doubling_coloring(ctx: ZnContext, start: int, length: int, seed: int = 0,
-                               *, kappa: float = 1.0,
-                               retries: int = DEFAULT_RETRIES) -> Coloring:
-    """Color an interval of even length so classes mod any r | length/2 cancel.
-
-    The engine colors the first half S; the second half S + length/2 receives
-    the flipped signs.  C(r, w) - length/2 = C(r, w) whenever r divides
-    length/2, so those class sums vanish exactly.
-    """
-    n = ctx.n
-    if length < 2 or length % 2 != 0:
-        raise ValueError("interval length must be even and positive")
-    if length > n:
-        raise ValueError("interval cannot exceed Z_n")
-    half = length // 2
-    first = (start + np.arange(half, dtype=np.int64)) % n
-    chi0 = full_color_iterate(ctx, first, kind="main", seed=seed,
-                              kappa=kappa, retries=retries)
-    values = np.zeros(n, dtype=np.int8)
-    second = (first + half) % n
-    values[first] = chi0.values[first]
-    values[second] = -chi0.values[first]
-    return _normalized(n, values)
-
-
 def crt_box_coloring(box: CrtBox, seed: int = 0, *, kappa: float = 1.0,
                      retries: int = DEFAULT_RETRIES) -> Coloring:
     """Color a residue box by sign-flipped doubling across the chosen coordinates.
 
-    The half box X_0 is engine-colored; each corner copy u_v + X_0 carries
-    sgn(v) times those colors.  For every doubled index i and every w, the
+    The half box X_0 is engine-colored; for each corner v in {0, 1}^doubled
+    the copy u_v + X_0 carries (-1)^(sum v) times those colors, where
+    u_v = sum v_i S_i e_i mod n (S_i the halved extent, e_i the CRT basis
+    element of factor i).  For every doubled index i and every w, the
     class sum over C(n / p_i^{alpha_i - beta_i}, w) ∩ X is exactly 0.
     """
     ctx = box.ctx
@@ -221,11 +165,10 @@ def crt_box_coloring(box: CrtBox, seed: int = 0, *, kappa: float = 1.0,
     x0 = _box_elements(ctx, half)
     chi0 = full_color_iterate(ctx, x0, kind="main", seed=seed,
                               kappa=kappa, retries=retries)
-    shifts = tuple(half[i] for i in box.doubled)
-    pattern = SignPattern(ctx=ctx, doubled=box.doubled, shifts=shifts)
     values = np.zeros(n, dtype=np.int8)
-    for _, sg, u in pattern.corners():
-        values[(x0 + u) % n] = sg * chi0.values[x0]
+    for v in itertools.product((0, 1), repeat=len(box.doubled)):
+        u = sum(vi * half[i] * ctx.crt_basis[i] for vi, i in zip(v, box.doubled)) % n
+        values[(x0 + u) % n] = (-1) ** sum(v) * chi0.values[x0]
     return _normalized(n, values)
 
 
@@ -301,38 +244,6 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
         values[(sup + shift) % n] = cell.values[sup]
     if np.any(values == 0):
         raise AssertionError("divisor cells failed to partition Z_n")
-    return _normalized(n, values)
-
-
-def prime_power_coloring(p: int, alpha: int, seed: int = 0, *, kappa: float = 1.0,
-                         retries: int = DEFAULT_RETRIES) -> Coloring:
-    """Full coloring of Z_{p^alpha} with every class sum in {-1, 0, +1}.
-
-    p = 2 doubles the whole range at once; odd p partitions Z_n into {0} and
-    the intervals [p^(i-1), p^i), each an even-length interval that doubling
-    handles.
-    """
-    from .number_theory import factorize
-
-    if alpha < 1:
-        raise ValueError("exponent must be positive")
-    if factorize(p) != ((p, 1),):
-        raise ValueError(f"{p} is not prime")
-    n = p**alpha
-    ctx = make_context(n)
-    if p == 2:
-        return interval_doubling_coloring(ctx, 0, n, seed=seed,
-                                          kappa=kappa, retries=retries)
-    values = np.zeros(n, dtype=np.int8)
-    values[0] = 1
-    for i in range(1, alpha + 1):
-        start = p ** (i - 1)
-        length = (p - 1) * p ** (i - 1)
-        cell = interval_doubling_coloring(ctx, start, length,
-                                          seed=_derived_seed(seed, i),
-                                          kappa=kappa, retries=retries)
-        sup = cell.support()
-        values[sup] = cell.values[sup]
     return _normalized(n, values)
 
 

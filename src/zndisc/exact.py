@@ -159,16 +159,16 @@ def _search(inc: np.ndarray, bound: int, witness: bool) -> tuple[int, int, np.nd
     return bound, nodes, leaf
 
 
-def _alternating_value(ctx: ZnContext) -> tuple[int, np.ndarray]:
+def _alternating_value(ctx: ZnContext) -> int:
     n = ctx.n
     alt = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8)
     t, _ = max_ap_discrepancy(Coloring(n, alt))
-    return max(1, t), alt
+    return max(1, t)
 
 
 def _branch_and_bound(ctx: ZnContext) -> ExactResult:
     inc = progression_incidence(ctx, min_len=2)
-    heuristic, _ = _alternating_value(ctx)
+    heuristic = _alternating_value(ctx)
     best, nodes, _ = _search(inc, heuristic + 1, witness=False)
     value = min(best, heuristic)
     _, _, chi = _search(inc, value + 1, witness=True)

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic over Z_n: factorization, divisors, totient, CRT.
+"""Exact integer arithmetic over Z_n: factorization, divisors, totient, CRT basis.
 
 Everything here is deterministic pure-integer math on desk-scale moduli.
 Throughout the package gcd(0, n) = n, which is already ``math.gcd``'s
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "N_LIMIT",
     "LimitExceeded",
@@ -19,8 +17,6 @@ __all__ = [
     "divisors_from_factors",
     "totient",
     "make_context",
-    "crt_combine",
-    "crt_split",
 ]
 
 # Trial division up to sqrt(n) stays fast well past this.
@@ -125,25 +121,3 @@ def make_context(n: int) -> ZnContext:
         prime_powers=prime_powers,
         crt_basis=tuple(basis),
     )
-
-
-def crt_combine(ctx: ZnContext, residues):
-    """Element of Z_n matching residue t_i mod p_i^{a_i} for each factor.
-
-    Accepts ints or equally-shaped integer arrays (one per factor).
-    """
-    if len(residues) != len(ctx.prime_powers):
-        raise ValueError("one residue per prime-power factor required")
-    x = 0
-    for t, q, b in zip(residues, ctx.prime_powers, ctx.crt_basis):
-        if np.any((np.asarray(t) < 0) | (np.asarray(t) >= q)):
-            raise ValueError(f"residue out of range for modulus {q}")
-        x = x + t * b
-    return x % ctx.n
-
-
-def crt_split(ctx: ZnContext, x):
-    """Residue tuple (x mod p_i^{a_i} per factor); inverse of crt_combine."""
-    if np.any((np.asarray(x) < 0) | (np.asarray(x) >= ctx.n)):
-        raise ValueError(f"element out of range for Z_{ctx.n}")
-    return tuple(x % q for q in ctx.prime_powers)

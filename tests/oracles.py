@@ -1,9 +1,12 @@
 """Reference implementations kept for the tests only.
 
 The library enforces the orbit reduction through ``OrbitBlocks`` and an
-orbit-rank table, reads window maxima off prefix extremes and signs whole
-runs of the walk order at once; these materialise the same objects directly
-and walk one point at a time, so the tests can compare the two.
+orbit-rank table, reads window maxima off prefix extremes, signs whole runs
+of the walk order at once, builds the progression sets as one packed
+incidence and evaluates the Fourier double sum from one chunked gather.
+These materialise the same objects directly (a definition-level transform,
+two independent double-sum routes, a generate-and-dedupe progression
+enumeration) and walk one point at a time, so the tests can compare the two.
 """
 
 import math
@@ -11,6 +14,8 @@ import math
 import numpy as np
 
 from zndisc.engine import _WalkTable
+
+_DIRECT_DFT_LIMIT = 4096
 
 
 def orbit_intersection(n, d, a, xs):
@@ -84,3 +89,61 @@ def step_maxima_naive(values, n):
         rows = v[..., (a + np.arange(n // math.gcd(d, n)) * d) % n]
         out[..., d - 1] = np.abs(np.cumsum(rows, axis=-1)).max(axis=(-2, -1))
     return out
+
+
+def enumerate_aps(ctx):
+    """Yield each distinct nonempty progression element set exactly once.
+
+    Deduplication is by sorted element tuple; iteration order is by
+    (step, offset, length), first appearance wins.
+    """
+    n = ctx.n
+    seen = set()
+    for d in range(n):
+        orbit = n // math.gcd(d, n)
+        for a in range(n):
+            for l in range(1, orbit + 1):
+                t = tuple(sorted((a + k * d) % n for k in range(l)))
+                if t not in seen:
+                    seen.add(t)
+                    yield t
+
+
+def dft_direct(f):
+    """Definition-level O(n^2) transform, the cross-check for np.fft.fft."""
+    arr = np.asarray(f, dtype=np.complex128)
+    n = arr.size
+    if n > _DIRECT_DFT_LIMIT:
+        raise ValueError(f"direct transform capped at n = {_DIRECT_DFT_LIMIT}")
+    x = np.arange(n)
+    w = np.exp(-2j * np.pi * np.outer(x, x) / n)
+    return w @ arr
+
+
+def weighted_lhs_all_m(f):
+    """The double sum sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for every m = 1..n at
+    once (cumulative inner sums per b)."""
+    arr = np.asarray(f, dtype=np.complex128)
+    n = arr.size
+    a = np.arange(n, dtype=np.int64)[:, None]
+    k = np.arange(n, dtype=np.int64)[None, :]
+    out = np.zeros(n, dtype=np.float64)
+    for b in range(n):
+        partial = np.cumsum(arr[(a + b * k) % n], axis=1)
+        out += (np.abs(partial) ** 2).sum(axis=0)
+    return out
+
+
+def weighted_lhs_spectral(f, m):
+    """The double sum at one m by a spectral route: convolve with the segment
+    indicator per b and add the spectral energies."""
+    arr = np.asarray(f, dtype=np.complex128)
+    n = arr.size
+    indicator = np.zeros(n, dtype=np.complex128)
+    indicator[(-np.arange(m)) % n] += 1.0
+    w = np.abs(np.fft.fft(indicator)) ** 2
+    power = np.abs(np.fft.fft(arr)) ** 2
+    total = 0.0
+    for b in range(n):
+        total += float((power * w[(b * np.arange(n)) % n]).sum())
+    return total / n

@@ -18,7 +18,6 @@ from zndisc.analysis import (
     lower_bound_main,
     lower_bound_prime_power,
     lower_bound_prop,
-    weighted_lhs_all_m,
 )
 from zndisc.ap_system import (
     Coloring,
@@ -44,6 +43,8 @@ from zndisc.engine import (
 )
 from zndisc.exact import exact_disc, exact_herdisc
 from zndisc.number_theory import make_context
+
+from .oracles import weighted_lhs_all_m
 
 ENGINE_KAPPA = 1.0  # allowance multiplier the construction runs use (cap 4)
 POWER_RATIO_CAP = 16.0  # spec cap for measured T / predicted at n = 2^k

@@ -10,9 +10,8 @@ from zndisc.ap_system import (
     ModAP,
     _step_maxima,
     _witness,
-    congruence_sum,
+    congruence_class_sums,
     dyadic_block_counts,
-    enumerate_aps,
     full_ap,
     max_ap_discrepancy,
     max_ap_discrepancy_batch,
@@ -22,7 +21,7 @@ from zndisc.ap_system import (
 )
 from zndisc.number_theory import make_context, totient
 
-from .oracles import orbit_intersection, step_maxima_naive
+from .oracles import enumerate_aps, orbit_intersection, step_maxima_naive
 
 
 # ---------------------------------------------------------------- oracles
@@ -111,10 +110,10 @@ def test_max_ap_examples():
         chi = Coloring.full([1] * n)
         t, wit = max_ap_discrepancy(chi)
         assert t == n
-        assert wit.element_set() == frozenset(range(n))
+        assert set(wit.elements().tolist()) == set(range(n))
     t, wit = max_ap_discrepancy(Coloring(4, [1, -1, 1, -1]))
     assert t == 2
-    assert wit.element_set() == {0, 2}
+    assert set(wit.elements().tolist()) == {0, 2}
     t, _ = max_ap_discrepancy(Coloring(2, [1, -1]))
     assert t == 1
 
@@ -125,7 +124,7 @@ def test_max_ap_witness_attains_value():
         n = int(rng.integers(1, 40))
         chi = Coloring(n, rng.integers(0, 2, n) * 2 - 1)
         t, wit = max_ap_discrepancy(chi)
-        assert abs(chi.sum_over(wit.elements())) == t
+        assert abs(int(chi.values[wit.elements()].sum())) == t
 
 
 def test_max_ap_matches_naive_all_n():
@@ -164,7 +163,7 @@ def test_max_ap_property_against_naive(vals):
     chi = Coloring(n, vals)
     t, wit = max_ap_discrepancy(chi)
     assert t == naive_max_ap(vals, naive_ap_sets(n))
-    assert abs(chi.sum_over(wit.elements())) == t
+    assert abs(int(chi.values[wit.elements()].sum())) == t
 
 
 @st.composite
@@ -186,7 +185,7 @@ def test_periodic_scan_matches_full_scan(case):
 
 
 def test_periodic_scan_edge_cases():
-    zero = Coloring.zeros(12)
+    zero = Coloring(12, np.zeros(12))
     for r in (1, 3, 12):
         assert max_ap_discrepancy(zero, period=r) == (0, ModAP(12, 0, 1, 0, -1))
     assert max_ap_discrepancy(Coloring(1, [-1]), period=1) == (1, ModAP(1, 0, 0, 0, 0))
@@ -306,12 +305,12 @@ def test_congruence_sum_examples():
     chi = Coloring.full([1] * 6)
     for r in (1, 2, 3, 6):
         for w in range(r):
-            assert congruence_sum(chi, r, w) == 6 // r
+            assert congruence_class_sums(chi.values, r)[w] == 6 // r
     chi = Coloring(6, [1, 1, 1, -1, -1, -1])
-    assert congruence_sum(chi, 2, 0) == 1
-    assert congruence_sum(chi, 6, 3) == -1
+    assert congruence_class_sums(chi.values, 2)[0] == 1
+    assert congruence_class_sums(chi.values, 6)[3] == -1
     with pytest.raises(ValueError):
-        congruence_sum(chi, 4, 0)
+        congruence_class_sums(chi.values, 4)
 
 
 def test_max_congruence_examples():

@@ -13,14 +13,11 @@ from zndisc.ap_system import (
 )
 from zndisc.constructions import (
     CrtBox,
-    SignPattern,
     congruence_balanced_coloring,
     construct_best_coloring,
     crt_box_coloring,
     hereditary_coloring,
-    interval_doubling_coloring,
     lift_coloring,
-    prime_power_coloring,
     _balanced_cells,
 )
 from zndisc.number_theory import make_context
@@ -70,18 +67,20 @@ def test_lift_inequality_property(n, data):
 
 
 # ------------------------------------------------------- interval doubling
+# a one-factor box starting at 0 doubles the interval [0, extent)
 
 def test_interval_doubling_tiny():
-    ctx = make_context(8)
-    chi = interval_doubling_coloring(ctx, 0, 2, seed=0)
+    box = CrtBox(ctx=make_context(8), extents=(2,), doubled=(0,), beta=(0,))
+    chi = crt_box_coloring(box, seed=0)
     assert int(chi.values[:2].sum()) == 0
     assert np.count_nonzero(chi.values) == 2
 
 
 def test_interval_doubling_class_cancellation():
     # p = 3, m = 6: classes mod 1 and mod 3 vanish on the interval
-    ctx = make_context(9)
-    chi = interval_doubling_coloring(ctx, 0, 6, seed=2)
+    box = CrtBox(ctx=make_context(9), extents=(6,), doubled=(0,), beta=(1,))
+    assert box.cancellation_moduli() == (3,)
+    chi = crt_box_coloring(box, seed=2)
     sup = chi.support()
     assert list(sup) == [0, 1, 2, 3, 4, 5]
     for r in (1, 3):
@@ -90,24 +89,15 @@ def test_interval_doubling_class_cancellation():
     assert int(chi.values.sum()) == 0
 
 
-def test_interval_doubling_translated_and_wrapped():
-    ctx = make_context(10)
-    chi = interval_doubling_coloring(ctx, 7, 6, seed=5)  # wraps past n
-    assert np.count_nonzero(chi.values) == 6
-    assert int(chi.values.sum()) == 0
-    with pytest.raises(ValueError):
-        interval_doubling_coloring(ctx, 0, 5, seed=0)
-
-
 # ------------------------------------------------------------ prime powers
 
 def test_prime_power_p2():
-    chi = prime_power_coloring(2, 1, seed=0)
+    chi = congruence_balanced_coloring(make_context(2), seed=0)
     assert sorted(chi.values.tolist()) == [-1, 1]
     assert max_congruence_discrepancy(chi) == 1
 
-    chi = prime_power_coloring(2, 3, seed=1)
     ctx = make_context(8)
+    chi = congruence_balanced_coloring(ctx, seed=1)
     for gamma in range(3):
         for w in range(2**gamma):
             assert class_sum_naive(chi.values, 2**gamma, w) == 0
@@ -115,15 +105,13 @@ def test_prime_power_p2():
 
 
 def test_prime_power_odd():
-    chi = prime_power_coloring(3, 1, seed=0)
+    chi = congruence_balanced_coloring(make_context(3), seed=0)
     assert abs(class_sum_naive(chi.values, 1, 0)) == 1
     assert max_congruence_discrepancy(chi) == 1
     for p, a in [(3, 3), (5, 2), (7, 1), (11, 1)]:
-        chi = prime_power_coloring(p, a, seed=p + a)
+        chi = congruence_balanced_coloring(make_context(p**a), seed=p + a)
         assert chi.is_full()
         assert max_congruence_discrepancy(chi) <= 1
-    with pytest.raises(ValueError):
-        prime_power_coloring(6, 1)
 
 
 # --------------------------------------------------------------- CRT boxes
@@ -144,15 +132,6 @@ def test_crt_box_no_doubling_is_plain_engine():
     box = CrtBox(ctx=ctx, extents=(3, 5), doubled=(), beta=())
     chi = crt_box_coloring(box, seed=1)
     assert np.count_nonzero(chi.values) == 15
-
-
-def test_crt_box_single_factor_matches_interval_doubling():
-    # a one-factor box starting at 0 is the interval construction
-    ctx = make_context(27)
-    box = CrtBox(ctx=ctx, extents=(18,), doubled=(0,), beta=(1,))
-    a = crt_box_coloring(box, seed=12)
-    b = interval_doubling_coloring(ctx, 0, 18, seed=12)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_crt_box_validation():
@@ -193,21 +172,6 @@ def test_crt_box_random_cancellation_exact():
         for r in box.cancellation_moduli():
             sums = congruence_class_sums(chi.values.astype(np.int64), r)
             assert np.all(sums == 0)
-
-
-def test_sign_pattern_translate_property():
-    # translates of corners differing at one doubled index differ by a
-    # multiple of the cancellation modulus
-    ctx = make_context(360)
-    box = CrtBox(ctx=ctx, extents=(8, 9, 5), doubled=(0,), beta=(1,))
-    half = box.half_extents()
-    pat = SignPattern(ctx=ctx, doubled=box.doubled,
-                      shifts=tuple(half[i] for i in box.doubled))
-    (r1,) = box.cancellation_moduli()
-    u0 = pat.translate((0,))
-    u1 = pat.translate((1,))
-    assert (u1 - u0) % r1 == 0
-    assert pat.sign((0,)) == 1 and pat.sign((1,)) == -1
 
 
 # ------------------------------------------------- balanced full colorings
