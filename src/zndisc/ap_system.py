@@ -347,8 +347,19 @@ def _as_subset(n: int, xs) -> np.ndarray:
 
     A strictly increasing 1-d int64 array is already normal and comes back
     as is after the range check, so normalising the same X again is O(|X|).
+    Non-integral or complex elements raise ValueError rather than truncate.
     """
-    xs = np.asarray(xs, dtype=np.int64)
+    raw = np.asarray(xs)
+    if raw.dtype.kind in "biu":
+        xs = raw.astype(np.int64, copy=False)
+    else:
+        # checked before the cast, which would truncate 0.7 or drop an imaginary part
+        if np.iscomplexobj(raw):
+            raise ValueError("subset elements must be real integers")
+        with np.errstate(invalid="ignore"):  # nan and inf cast to junk, caught below
+            xs = raw.astype(np.int64)
+        if not np.array_equal(xs, raw):
+            raise ValueError("subset elements must be integers")
     if xs.ndim != 1 or not (xs[1:] > xs[:-1]).all():
         xs = np.unique(xs)
     if xs.size and (xs[0] < 0 or xs[-1] >= n):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -371,6 +372,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="branch_and_bound")
 
 
+@functools.cache  # built once per process: parsing never changes the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zndisc",

@@ -9,15 +9,18 @@ constraints before being handed back; the certificate is what callers rely
 on, not the search heuristic.
 
 A request's constraints are the dyadic blocks of X along every step-d orbit,
-one ``OrbitBlocks`` count per size.  The walk reads one point-major table: per
-X-point and step d, a slot built from the point's rank in its step-d orbit
-row (a cumulative count of X along the orbit, no sort); the point's block at
+one ``OrbitBlocks`` count per size.  The walk table and the certificate both
+put X in orbit order the same way: per chunk of steps, one in-place sort of
+packed keys ((a*L + k) << bits) | index, whose low bits are then the
+points' indices by (row a, position k).  Row a fills the same sorted places
+in every step, so the walk reads one point-major table: per X-point and step
+d, a slot at the point's rank in its step-d orbit row; the point's block at
 scale 2^s is slot >> s, and slots of points outside every full block fall in
 exempt ids.  The entropy budget uses closed-form block counts, and the
 table's size is known in closed form before it is allocated.  The
 certificate never reads that table: it re-sums each binding block from its
-definition, by sorting every step-d orbit row of X and differencing prefix
-sums (``certify_partial_coloring``).
+definition, by differencing prefix sums of the values in orbit order
+(``certify_partial_coloring``).
 
 The walk visits the points in a random order, but signs whole runs of that
 order at once whenever no binding block can reach its cap within the run: a
@@ -70,8 +73,8 @@ COLOR_FRACTION_DENOM = 10  # at least ceil(m/10) points must receive a sign
 # build_c2_request refuses a request whose walk table would pass this many
 # bytes (a prime cell near n = 23000); it also keeps every slot id in int32.
 TABLE_BYTES_LIMIT = 1 << 30
-# Orbit grids (step x Z_n) and sorted orbits (step x X) are built for at most
-# this many cells at a time, so no (steps x n) tensor is held at once.
+# Orbit-order keys (step x X) are built and sorted for at most this many
+# cells at a time, so their scratch stays small whatever the number of steps.
 _CHUNK_CELLS = 1 << 15
 # One run of the sign walk copies at most this many table positions (int32),
 # so its scratch stays at 512 KB whatever the table's size.
@@ -291,17 +294,36 @@ def _orbit_layout(n: int, xs: np.ndarray, shifts: list[int]):
             yield g, steps, rowoff, cnt, -(-end // top) * top
 
 
-def _orbit_coordinates(n: int, xs: np.ndarray, g: int, chunk: int):
-    """For the steps d = g*u with gcd(u, n/g) = 1, ascending, the k with
-    x = a + k*d (a = x mod g) of every X-point: yields (index of the chunk's
-    first step, k of shape (steps in chunk, |X|)), at most ``chunk`` steps at
-    a time."""
+def _orbit_orders(n: int, xs: np.ndarray, g: int, chunk: int):
+    """X's points in orbit order for the steps d = g*u with gcd(u, n/g) = 1,
+    ascending: yields (index of the chunk's first step, order of shape (steps
+    in chunk, |X|)), at most ``chunk`` steps at a time.
+
+    Row ``order[i]`` lists the indices into X by (a, k), where x = a + k*d
+    and a = x mod g; row a fills the same places in every step.  k is
+    q*u^-1 mod L (q = x // g, L = n/g), one multiply and a floor-subtract,
+    exact while the product stays below 2^53.  Each key packs
+    ((a*L + k) << bits) | index, bits wide enough for every index, so the keys
+    are unique and one in-place sort of them orders X stably by (a, k).
+    """
     L = n // g
+    m = int(xs.size)
+    bits = (m - 1).bit_length()
+    # both the keys (< n << bits) and the products q*u^-1 (< L^2) must fit
+    small = n << bits < 1 << 31 and (L - 1) ** 2 < 1 << 31
+    dtype = np.int32 if small else np.int64
     units = np.flatnonzero(np.gcd(np.arange(L), L) == 1)
-    q = xs // g
+    q = (xs // g).astype(dtype)
+    base = ((xs % g * L) << bits | np.arange(m)).astype(dtype)
     for lo in range(0, units.size, chunk):
-        inv = np.array([pow(int(u), -1, L) for u in units[lo : lo + chunk]])
-        yield lo, q[None, :] * inv[:, None] % L
+        inv = np.array([pow(int(u), -1, L) for u in units[lo : lo + chunk]], dtype=dtype)
+        key = q[None, :] * inv[:, None]
+        key -= (key / L).astype(dtype) * L
+        key <<= bits
+        key += base
+        key.sort(axis=1)
+        key &= (1 << bits) - 1
+        yield lo, key
 
 
 def orbit_table_bytes(n: int, xs, scales) -> int:
@@ -327,9 +349,10 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
     """The walk's table: each X-point's slot per step column, from its rank in
     its orbit row.
 
-    The rank comes from a cumulative count of X along the orbit grid
-    (row a, position k), never from a sort.  Block ids at scale 2^s are
-    slot >> s plus that scale's offset.
+    ``_orbit_orders`` lists X by (a, k); sorted place j of row a holds rank
+    j - start[a], so one scatter of rowoff[a] + j - start[a] plus the column's
+    base fills a chunk of columns.  Block ids at scale 2^s are slot >> s plus
+    that scale's offset.
     """
     n, xs = req.n, req.x
     m = int(xs.size)
@@ -344,11 +367,9 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
     exempt = sum(steps * span for _, steps, _, _, span in layout)
     positions = np.empty((m, columns), dtype=np.int32)
     caps = [np.full((exempt >> s) + 1, m, dtype=np.int32) for s in shifts]
+    chunk = max(1, _CHUNK_CELLS // m)
     col = base = 0
     for g, steps, rowoff, cnt, span in layout:
-        L = n // g
-        a = xs % g
-        off = rowoff[a]
         colbase = base + span * np.arange(steps, dtype=np.int64)
         for j, (size, s) in enumerate(zip(binding, shifts)):
             per_row = cnt >> s
@@ -356,16 +377,16 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
             t = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
             ids = (colbase[:, None] >> s) + ((rowoff[rows] >> s) + t)[None, :]
             caps[j][ids] = math.floor(float(req.deltas[size]))
-        for lo, k in _orbit_coordinates(n, xs, g, max(1, _CHUNK_CELLS // n)):
-            c = k.shape[0]
-            # flat index of (row a, position k) in the step-d orbit grid
-            cell = a * L + k
-            grid = np.zeros((c, n), dtype=np.int32)
-            np.put_along_axis(grid, cell, 1, axis=1)
-            np.cumsum(grid.reshape(c, g, L), axis=2, out=grid.reshape(c, g, L))
-            rank = np.take_along_axis(grid, cell, axis=1) - 1
-            slot = colbase[lo : lo + c, None] + off[None, :] + rank
-            positions[:, col + lo : col + lo + c] = np.where(off >= 0, slot, exempt).T
+        # sorted place j of row a (rows fill cnt[a] places each) has rank j - start[a]
+        row = np.repeat(np.arange(g), cnt)
+        place = rowoff[row] + np.arange(m) - (np.cumsum(cnt) - cnt)[row]
+        for lo, order in _orbit_orders(n, xs, g, chunk):
+            c = order.shape[0]
+            cols = np.arange(col + lo, col + lo + c)[:, None]
+            positions[order, cols] = colbase[lo : lo + c, None] + place
+        # a row without slots (rowoff -1) got junk slots above; it holds the
+        # same points in every step, so one fill marks them exempt
+        positions[rowoff[xs % g] < 0, col : col + steps] = exempt
         col += steps
         base += span * steps
     offsets = np.cumsum([0] + [scale_caps.size for scale_caps in caps[:-1]])
@@ -468,16 +489,16 @@ def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
 
 def _orbit_blocks_hold(n: int, xs: np.ndarray, values: np.ndarray, limits) -> bool:
     """Every orbit block sum within its delta, re-summed from the definition:
-    sort each step-d row of X by k, take prefix sums, difference them at
-    multiples of the block size.  ``limits`` holds (size, delta) pairs."""
+    take prefix sums of the values in each step's orbit order (X by row a,
+    then k), difference them at multiples of the block size within each row.
+    Reads only n, X and the values, never the walk table.  ``limits`` holds
+    (size, delta) pairs."""
     m = int(xs.size)
     v = values[xs].astype(np.int64)
     ctx = make_context(n)
     smallest = min(size for size, _ in limits)
     for g in ctx.divisors[:-1]:
-        L = n // g
-        a = xs % g
-        cnt = np.bincount(a, minlength=g)
+        cnt = np.bincount(xs % g, minlength=g)
         if cnt.max() < smallest:
             continue
         # in (a, k) order row a fills cnt[a] consecutive places; `within` is the rank
@@ -487,9 +508,8 @@ def _orbit_blocks_hold(n: int, xs: np.ndarray, values: np.ndarray, limits) -> bo
         for size, delta in limits:
             ends = np.flatnonzero((within + 1) % size == 0) + 1
             bounds.append((ends - size, ends, delta))
-        for _, k in _orbit_coordinates(n, xs, g, max(1, _CHUNK_CELLS // m)):
-            order = np.argsort(a * L + k, axis=1)
-            P = np.zeros((k.shape[0], m + 1), dtype=np.int64)
+        for _, order in _orbit_orders(n, xs, g, max(1, _CHUNK_CELLS // m)):
+            P = np.zeros((order.shape[0], m + 1), dtype=np.int64)
             np.cumsum(v[order], axis=1, out=P[:, 1:])
             for lo, hi, delta in bounds:
                 if np.any(np.abs(P[:, hi] - P[:, lo]) > delta):

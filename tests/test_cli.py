@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zndisc import __version__
 from zndisc.cli import (
     EXIT_INVARIANT,
     EXIT_LIMIT,
@@ -102,6 +103,45 @@ def test_byte_identical_reruns(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
         assert b"\r" not in p1.read_bytes()
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    # one parser serves every call in a process; a run of subcommands, a usage
+    # error and --version among them, gives the exit codes, output and
+    # artifacts that a fresh parser per call gives
+    import zndisc.cli as cli
+
+    calls = [  # (argv, exit code, writes --out)
+        (["construct", "--n", "36", "--seed", "7"], EXIT_OK, True),
+        (["exact", "--n", "40"], EXIT_LIMIT, True),
+        (["bounds", "--range", "2..9", "--format", "csv"], EXIT_OK, True),
+        (["nonsense"], EXIT_USAGE, False),
+        (["--version"], EXIT_OK, False),
+        (["construct", "--n", "20", "--format", "text"], EXIT_OK, True),
+        (["exact"], EXIT_USAGE, False),
+        (["fourier-check", "--n", "8", "--trials", "2", "--seed", "3"], EXIT_OK, True),
+        (["herdisc", "--n", "5", "--format", "text"], EXIT_OK, True),
+    ]
+
+    def session(tag, fresh):
+        cli.build_parser.cache_clear()
+        got = []
+        for i, (args, expect, writes) in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{tag}{i}"
+            assert main(args + ["--out", str(out)] if writes else args) == expect
+            streams = capsys.readouterr()
+            got.append((streams.out, streams.err, out.read_bytes() if out.exists() else None))
+        return got
+
+    fresh = session("fresh", True)
+    reused = session("reused", False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert fresh[4][0].strip() == __version__
+    assert all(art for (_, expect, writes), (_, _, art) in zip(calls, fresh)
+               if writes and expect == EXIT_OK)
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

@@ -201,6 +201,34 @@ def test_build_request_rejects_bad_kappa(kappa):
         build_c2_request(1061, range(1, 531), DeltaSchedule.main(1061), kappa=kappa)
 
 
+@pytest.mark.parametrize("xs", [
+    [0.7, 2.5, 3.9],  # the int64 cast made it [0, 2, 3]
+    [0.5, 1.5, 2.5],  # full_color_iterate colored points 0, 1 and 2
+    np.array([1, 2], dtype=np.complex128),
+    [1, 2 + 1j],
+    [np.nan, 3],
+    [np.inf],
+])
+def test_non_integral_subsets_rejected(xs):
+    n = 10
+    with pytest.raises(ValueError, match="integers"):
+        build_c2_request(n, xs, DeltaSchedule.main(n))
+    with pytest.raises(ValueError, match="integers"):
+        PartialColorRequest(n=n, x=xs, blocks={}, deltas={})
+    with pytest.raises(ValueError, match="integers"):
+        full_color_iterate_traced(make_context(n), xs)
+    with pytest.raises(ValueError, match="integers"):
+        dyadic_block_counts(n, xs, [1])
+
+
+def test_integral_subsets_of_any_dtype_accepted():
+    n = 10
+    want = build_c2_request(n, [0, 2, 3], DeltaSchedule.main(n)).x
+    for xs in ([0.0, 2.0, 3.0], np.array([3, 0, 2], dtype=np.uint8),
+               np.array([0, 2, 3], dtype=object)):
+        assert np.array_equal(build_c2_request(n, xs, DeltaSchedule.main(n)).x, want)
+
+
 def test_partial_color_full_z16():
     n = 16
     xs = np.arange(n)
@@ -447,6 +475,67 @@ def test_batched_walk_repeated_exempt_ids(n, run_cells, monkeypatch):
     for factor in (1.0, 0.5, 0.2):
         for coarse_only in (False, True):
             assert_walks_agree(with_caps_scaled(table, factor, coarse_only), n, restarts=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from((210, 240, 256, 288, 300)), st.integers(2, 300)),
+    density=st.floats(0.05, 1.0),
+    low=st.integers(0, 6),
+    chunk=st.sampled_from((1, 3, 1 << 15)),
+    seed=st.integers(0, 2**30),
+)
+def test_orbit_orders_match_orbit_intersection(n, density, low, chunk, seed):
+    # every step's order lists X row by row (a = x mod g), each row in the
+    # oracle's ascending k; the points 0 .. low - 1 have k = 0 in every row
+    # of a step with g > x
+    rng = np.random.default_rng(seed)
+    xs = np.union1d(np.flatnonzero(rng.random(n) < density), np.arange(min(low, n)))
+    if xs.size == 0:
+        xs = np.array([seed % n])
+    for g in make_context(n).divisors[:-1]:
+        L = n // g
+        units = [u for u in range(1, L) if math.gcd(u, L) == 1]
+        done = 0
+        for lo, order in engine._orbit_orders(n, xs, g, chunk):
+            assert lo == done and order.shape == (min(chunk, len(units) - lo), xs.size)
+            for u, row in zip(units[lo:], order):
+                want = [orbit_intersection(n, g * u, a, xs) for a in range(g)]
+                assert np.array_equal(xs[row], np.concatenate(want))
+            done += order.shape[0]
+        assert done == len(units)
+
+
+def test_orbit_orders_past_int32_products():
+    # n = 65537 with |X| = 40: the keys fit int32 (n << 6 < 2^31), but the
+    # products q * u^-1 reach (n - 1)^2 ~ 4.3e9, so the order must use int64
+    n, size, delta = 65537, 4, 3.5
+    rng = np.random.default_rng(65537)
+    xs = np.union1d(rng.choice(n, 38, replace=False), [0, n - 1])
+    m = xs.size
+    count = dyadic_block_counts(n, xs, [2])[2]
+    assert count == (n - 1) * (m // size)
+    req = PartialColorRequest(n=n, x=xs, blocks={size: OrbitBlocks(count)},
+                              deltas={size: delta}, seed=5)
+    table = engine._walk_table(req)
+    assert table.positions.shape == (m, n - 1) and table.exempt == (n - 1) * m
+    # one row (g = 1) per column d = col + 1: slot col * m + rank, block rank // 4
+    for col in list(range(0, n - 1, 257)) + [n - 2]:
+        orb = orbit_intersection(n, col + 1, 0, xs)
+        slots = table.positions[np.searchsorted(xs, orb), col]
+        assert np.array_equal(slots, col * m + np.arange(m))
+        ids = (slots >> 2) + table.offsets[0, 0]
+        assert np.array_equal(ids, col * m // size + np.arange(m) // size)
+        assert np.all(table.caps[ids] == math.floor(delta))
+    chi = engine._sign_walk(table, np.random.default_rng(5))
+    values = np.zeros(n, dtype=np.int8)
+    values[xs] = chi
+    assert np.count_nonzero(values) >= size
+    assert certify_partial_coloring(req, values)
+    # the first block of the step-(n - 1) orbit, all +1
+    planted = values.copy()
+    planted[orbit_intersection(n, n - 1, 0, xs)[:size]] = 1
+    assert not certify_partial_coloring(req, planted)
 
 
 def test_orbit_table_bytes_closed_form():
