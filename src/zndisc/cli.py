@@ -358,9 +358,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--range", type=_parse_range, default=None, metavar="A..B")
+def _add_common(p: argparse.ArgumentParser, ranged: bool = False) -> None:
+    """The flags every subcommand takes; with ``ranged``, --range too, and
+    --n together with --range is a usage error."""
+    if ranged:
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--n", type=int, default=None)
+        which.add_argument("--range", type=_parse_range, default=None, metavar="A..B")
+    else:
+        p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
     p.add_argument("--c-hat", type=float, default=1.0, dest="c_hat")
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="tabulate upper/lower bound formulas")
-    _add_common(p)
+    _add_common(p, ranged=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("construct", help="build and measure a coloring of Z_n")
@@ -403,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fourier_check)
 
     p = sub.add_parser("sweep", help="construct over a range and fit the growth")
-    _add_common(p)
+    _add_common(p, ranged=True)
     p.add_argument("--primes-only", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

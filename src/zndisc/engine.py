@@ -12,15 +12,18 @@ A request's constraints are the dyadic blocks of X along every step-d orbit,
 one ``OrbitBlocks`` count per size.  The walk table and the certificate both
 put X in orbit order the same way: per chunk of steps, one in-place sort of
 packed keys ((a*L + k) << bits) | index, whose low bits are then the
-points' indices by (row a, position k).  Row a fills the same sorted places
-in every step, so the walk reads one point-major table: per X-point and step
-d, a slot at the point's rank in its step-d orbit row; the point's block at
-scale 2^s is slot >> s, and slots of points outside every full block fall in
-exempt ids.  The entropy budget uses closed-form block counts, and the
-table's size is known in closed form before it is allocated.  The
-certificate never reads that table: it re-sums each binding block from its
-definition, by differencing prefix sums of the values in orbit order
-(``certify_partial_coloring``).
+points' indices by (row a, position k).  Only the steps d = g*u with u <=
+L/2 (L = n/g) are sorted.  Step g*(L - u) reads each row of step g*u
+backwards (k -> -k mod L), except that the row's k = 0 point, x = a when a <
+g lies in X, stays first; both derive it from its partner without a sort.
+Row a fills the same sorted places in every step, so the walk reads one
+point-major table: per X-point and step d, a slot at the point's rank in its
+step-d orbit row; the point's block at scale 2^s is slot >> s, and slots of
+points outside every full block fall in exempt ids.  The entropy budget uses
+closed-form block counts, and the table's size is known in closed form
+before it is allocated.  The certificate never reads that table: it re-sums
+each binding block from its definition, by differencing prefix sums of the
+values in orbit order (``certify_partial_coloring``).
 
 The walk visits the points in a random order, but signs whole runs of that
 order at once whenever no binding block can reach its cap within the run: a
@@ -74,7 +77,8 @@ COLOR_FRACTION_DENOM = 10  # at least ceil(m/10) points must receive a sign
 # bytes (a prime cell near n = 23000); it also keeps every slot id in int32.
 TABLE_BYTES_LIMIT = 1 << 30
 # Orbit-order keys (step x X) are built and sorted for at most this many
-# cells at a time, so their scratch stays small whatever the number of steps.
+# cells at a time, and the paired steps derived from each such chunk, so their
+# scratch stays small whatever the number of steps.
 _CHUNK_CELLS = 1 << 15
 # One run of the sign walk copies at most this many table positions (int32),
 # so its scratch stays at 512 KB whatever the table's size.
@@ -295,9 +299,10 @@ def _orbit_layout(n: int, xs: np.ndarray, shifts: list[int]):
 
 
 def _orbit_orders(n: int, xs: np.ndarray, g: int, chunk: int):
-    """X's points in orbit order for the steps d = g*u with gcd(u, n/g) = 1,
-    ascending: yields (index of the chunk's first step, order of shape (steps
-    in chunk, |X|)), at most ``chunk`` steps at a time.
+    """X's points in orbit order for the first half of the steps d = g*u with
+    gcd(u, n/g) = 1, the units u <= L/2 (L = n/g), ascending: yields (index
+    of the chunk's first step, order of shape (steps in chunk, |X|)), at most
+    ``chunk`` steps at a time.
 
     Row ``order[i]`` lists the indices into X by (a, k), where x = a + k*d
     and a = x mod g; row a fills the same places in every step.  k is
@@ -305,6 +310,14 @@ def _orbit_orders(n: int, xs: np.ndarray, g: int, chunk: int):
     exact while the product stays below 2^53.  Each key packs
     ((a*L + k) << bits) | index, bits wide enough for every index, so the keys
     are unique and one in-place sort of them orders X stably by (a, k).
+
+    The other half needs no sort: step L - u is step u read backwards, since
+    k -> -k mod L.  Its row a keeps the point with k = 0 (x = a, in X only
+    when a < g) at rank 0 and puts every other point of rank j at l_a - 1 +
+    z_a - j, where l_a is the row length and z_a = 1 when a is in X.  The map
+    depends on the row alone, so ``_walk_table`` and ``_orbit_blocks_hold``
+    derive step L - u from step u.  L = 2 has the one unit u = 1, its own
+    partner, listed once.
     """
     L = n // g
     m = int(xs.size)
@@ -313,6 +326,7 @@ def _orbit_orders(n: int, xs: np.ndarray, g: int, chunk: int):
     small = n << bits < 1 << 31 and (L - 1) ** 2 < 1 << 31
     dtype = np.int32 if small else np.int64
     units = np.flatnonzero(np.gcd(np.arange(L), L) == 1)
+    units = units[: (units.size + 1) // 2]
     q = (xs // g).astype(dtype)
     base = ((xs % g * L) << bits | np.arange(m)).astype(dtype)
     for lo in range(0, units.size, chunk):
@@ -351,8 +365,12 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
 
     ``_orbit_orders`` lists X by (a, k); sorted place j of row a holds rank
     j - start[a], so one scatter of rowoff[a] + j - start[a] plus the column's
-    base fills a chunk of columns.  Block ids at scale 2^s are slot >> s plus
-    that scale's offset.
+    base fills a chunk of columns.  Step L - u sits in the column mirrored
+    about the group's middle, and each of its slots comes from the partner
+    column's by one subtraction: rank j -> l_a - 1 + z_a - j gives slot' =
+    2*rowoff[a] + l_a - 1 + z_a + base_u + base_-u - slot, except that the
+    k = 0 point (X's points below g) keeps its rank, slot' = slot - base_u +
+    base_-u.  Block ids at scale 2^s are slot >> s plus that scale's offset.
     """
     n, xs = req.n, req.x
     m = int(xs.size)
@@ -368,6 +386,9 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
     positions = np.empty((m, columns), dtype=np.int32)
     caps = [np.full((exempt >> s) + 1, m, dtype=np.int32) for s in shifts]
     chunk = max(1, _CHUNK_CELLS // m)
+    # a paired chunk is computed here, then copied into place: a ufunc whose
+    # output shares `positions` with its input would copy that input first
+    paired = np.empty((m, chunk), dtype=np.int32)
     col = base = 0
     for g, steps, rowoff, cnt, span in layout:
         colbase = base + span * np.arange(steps, dtype=np.int64)
@@ -380,13 +401,26 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
         # sorted place j of row a (rows fill cnt[a] places each) has rank j - start[a]
         row = np.repeat(np.arange(g), cnt)
         place = rowoff[row] + np.arange(m) - (np.cumsum(cnt) - cnt)[row]
+        # step L - u's column is steps - 1 - i for step u's i, and the bases
+        # of each such pair sum to colbase[0] + colbase[-1]; X is ascending,
+        # so its k = 0 points (x < g) are its first `low` ones
+        low = int(np.searchsorted(xs, g))
+        a = xs % g
+        z = np.zeros(g, dtype=np.int64)
+        z[xs[:low]] = 1
+        mirror = (2 * rowoff[a] + cnt[a] - 1 + z[a] + colbase[0] + colbase[-1]).astype(np.int32)
         for lo, order in _orbit_orders(n, xs, g, chunk):
             c = order.shape[0]
             cols = np.arange(col + lo, col + lo + c)[:, None]
             positions[order, cols] = colbase[lo : lo + c, None] + place
+            if steps > 1:  # L = 2: the one step is its own partner
+                src, pair = positions[:, col + lo : col + lo + c], paired[:, :c]
+                np.subtract(mirror[:, None], src, out=pair)
+                pair[:low] = src[:low] + (colbase[::-1] - colbase)[lo : lo + c]
+                positions[:, col + steps - lo - c : col + steps - lo] = pair[:, ::-1]
         # a row without slots (rowoff -1) got junk slots above; it holds the
         # same points in every step, so one fill marks them exempt
-        positions[rowoff[xs % g] < 0, col : col + steps] = exempt
+        positions[rowoff[a] < 0, col : col + steps] = exempt
         col += steps
         base += span * steps
     offsets = np.cumsum([0] + [scale_caps.size for scale_caps in caps[:-1]])
@@ -489,12 +523,16 @@ def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
 
 def _orbit_blocks_hold(n: int, xs: np.ndarray, values: np.ndarray, limits) -> bool:
     """Every orbit block sum within its delta, re-summed from the definition:
-    take prefix sums of the values in each step's orbit order (X by row a,
+    take prefix sums P of the values in each step's orbit order (X by row a,
     then k), difference them at multiples of the block size within each row.
-    Reads only n, X and the values, never the walk table.  ``limits`` holds
-    (size, delta) pairs."""
+    Step L - u reads the same P as its partner step u: a block of ranks
+    [A, B) in its row a (start s, length l) is the forward range
+    [s + l + z - B, s + l + z - A), except the first block when the k = 0
+    point a is in X (z = 1), which wraps: (P[s+1] - P[s]) + (P[s+l] -
+    P[s+l+1-B]).  Reads only n, X and the values, never the walk table.
+    ``limits`` holds (size, delta) pairs."""
     m = int(xs.size)
-    v = values[xs].astype(np.int64)
+    v = values[xs].astype(np.int32)  # |prefix sums| <= |X| < 2^31
     ctx = make_context(n)
     smallest = min(size for size, _ in limits)
     for g in ctx.divisors[:-1]:
@@ -503,16 +541,33 @@ def _orbit_blocks_hold(n: int, xs: np.ndarray, values: np.ndarray, limits) -> bo
             continue
         # in (a, k) order row a fills cnt[a] consecutive places; `within` is the rank
         row = np.repeat(np.arange(g), cnt)
-        within = np.arange(m) - (np.cumsum(cnt) - cnt)[row]
-        bounds = []
+        start = np.cumsum(cnt) - cnt
+        within = np.arange(m) - start[row]
+        z = np.zeros(g, dtype=np.int64)
+        z[xs[xs < g]] = 1
+        checks = []
         for size, delta in limits:
-            ends = np.flatnonzero((within + 1) % size == 0) + 1
-            bounds.append((ends - size, ends, delta))
+            hi = np.flatnonzero((within + 1) % size == 0) + 1
+            lo = hi - size
+            wrap = first = np.empty(0, dtype=np.int64)
+            if n // g > 2:  # L = 2: the one step is its own partner
+                r = row[lo]
+                turn = 2 * start[r] + cnt[r] + z[r]
+                wrap = np.flatnonzero((lo == start[r]) & (z[r] == 1))
+                first = lo[wrap]
+                mhi = turn - lo
+                mhi[wrap] -= 1
+                lo, hi, wrap = (np.concatenate([lo, turn - hi]), np.concatenate([hi, mhi]),
+                                wrap + lo.size)
+            checks.append((lo, hi, wrap, first, delta))
         for _, order in _orbit_orders(n, xs, g, max(1, _CHUNK_CELLS // m)):
-            P = np.zeros((order.shape[0], m + 1), dtype=np.int64)
-            np.cumsum(v[order], axis=1, out=P[:, 1:])
-            for lo, hi, delta in bounds:
-                if np.any(np.abs(P[:, hi] - P[:, lo]) > delta):
+            P = np.zeros((order.shape[0], m + 1), dtype=np.int32)
+            np.cumsum(v[order], axis=1, dtype=np.int32, out=P[:, 1:])
+            for lo, hi, wrap, first, delta in checks:
+                sums = P[:, hi] - P[:, lo]
+                if wrap.size:
+                    sums[:, wrap] += P[:, first + 1] - P[:, first]
+                if np.any(np.abs(sums) > delta):
                     return False
     return True
 
@@ -520,15 +575,19 @@ def _orbit_blocks_hold(n: int, xs: np.ndarray, values: np.ndarray, limits) -> bo
 def certify_partial_coloring(req: PartialColorRequest, values) -> bool:
     """True when every binding block of the request has |chi(block)| <= delta.
 
-    ``values`` is the coloring over Z_n.  Each block sum is recomputed from the
-    block's definition, the sorted step-d orbits of X.  Nothing the search
-    built is used.
+    ``values`` is the coloring over Z_n, entries in {-1, 0, +1}; anything
+    else raises ValueError.  Each block sum is recomputed from the block's
+    definition, the sorted step-d orbits of X.  Nothing the search built is
+    used.
     """
+    values = np.asarray(values)
+    if values.shape != (req.n,) or not np.isin(values, (-1, 0, 1)).all():
+        raise ValueError(f"values must be a coloring of Z_{req.n}: n entries in {{-1, 0, +1}}")
     binding = req.binding()
     if not binding:
         return True
     limits = [(size, float(req.deltas[size])) for size in binding]
-    return _orbit_blocks_hold(req.n, req.x, np.asarray(values), limits)
+    return _orbit_blocks_hold(req.n, req.x, values, limits)
 
 
 def partial_color(req: PartialColorRequest) -> Coloring:

@@ -1,11 +1,12 @@
 """Reference implementations kept for the tests only.
 
 The library enforces the orbit reduction through ``OrbitBlocks`` and an
-orbit-rank table, reads window maxima off prefix extremes, signs whole runs
-of the walk order at once, builds the progression sets as one packed
-incidence and evaluates the Fourier double sum from one chunked gather.
-These materialise the same objects directly (a definition-level transform,
-two independent double-sum routes, a generate-and-dedupe progression
+orbit-rank table, sorts only half the steps and mirrors the rest, reads
+window maxima off prefix extremes, signs whole runs of the walk order at
+once, builds the progression sets as one packed incidence and evaluates the
+Fourier double sum from one chunked gather.  These materialise the same
+objects directly (one sort per step, a definition-level transform, two
+independent double-sum routes, a generate-and-dedupe progression
 enumeration) and walk one point at a time, so the tests can compare the two.
 """
 
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from zndisc.engine import _WalkTable
+from zndisc.engine import _orbit_layout, _WalkTable
 
 _DIRECT_DFT_LIMIT = 4096
 
@@ -28,6 +29,49 @@ def orbit_intersection(n, d, a, xs):
     sel = xs[xs % g == a]
     k = (sel - a) // g * pow(d // g, -1, L) % L
     return sel[np.argsort(k, kind="stable")]
+
+
+def orbit_orders_all_steps(n, xs, g):
+    """X's indices in orbit order (a, k) for every step d = g*u with
+    gcd(u, n/g) = 1, ascending u, one sort per step: row i is the i-th step."""
+    xs = np.asarray(xs, dtype=np.int64)
+    L = n // g
+    a = xs % g
+    rows = []
+    for u in range(1, L):
+        if math.gcd(u, L) == 1:
+            k = (xs // g) * pow(u, -1, L) % L
+            rows.append(np.lexsort((k, a)))
+    return np.array(rows).reshape(len(rows), xs.size)
+
+
+def walk_table_all_steps(req):
+    """The walk table on the engine's slot layout, each step's column filled
+    from its own sort (``orbit_orders_all_steps``) and each binding block's
+    cap set one row at a time."""
+    n, xs = req.n, req.x
+    m = int(xs.size)
+    binding = req.binding()
+    shifts = [size.bit_length() - 1 for size in binding]
+    layout = list(_orbit_layout(n, xs, shifts))
+    exempt = sum(steps * span for _, steps, _, _, span in layout)
+    positions = np.full((m, sum(steps for _, steps, _, _, _ in layout)), exempt, dtype=np.int32)
+    caps = [np.full((exempt >> s) + 1, m, dtype=np.int32) for s in shifts]
+    col = base = 0
+    for g, steps, rowoff, cnt, span in layout:
+        for i, order in enumerate(orbit_orders_all_steps(n, xs, g)):
+            rows = xs[order] % g
+            for a in np.flatnonzero(rowoff >= 0):
+                first = base + i * span + rowoff[a]
+                positions[order[rows == a], col + i] = first + np.arange(cnt[a])
+                for scale_caps, size, s in zip(caps, binding, shifts):
+                    scale_caps[first >> s : (first >> s) + (cnt[a] >> s)] = math.floor(
+                        float(req.deltas[size]))
+        col += steps
+        base += steps * span
+    offsets = np.cumsum([0] + [scale_caps.size for scale_caps in caps[:-1]])
+    return _WalkTable(positions, np.array(shifts, dtype=np.int32)[:, None],
+                      offsets.astype(np.int32)[:, None], np.concatenate(caps), exempt)
 
 
 def explicit_walk_table(xs, blocks, deltas):

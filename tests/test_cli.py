@@ -55,6 +55,27 @@ def test_bounds_rejects_nonpositive_n(capsys):
     assert "n must be positive, got n=0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_n_with_range_rejected(command, tmp_path, capsys):
+    # both flags given: the range used to win and --n was dropped silently
+    out = tmp_path / "out.json"
+    assert run([command, "--n", "7", "--range", "2..9", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--n" in err and "--range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "exact", "herdisc", "fourier-check"])
+@pytest.mark.parametrize("n", [None, "7"])
+def test_single_n_commands_reject_range(command, n, tmp_path, capsys):
+    # these take one n; `construct --n 7 --range 1..9` used to exit 0 and ignore the range
+    out = tmp_path / "out.json"
+    args = [command] + ([] if n is None else ["--n", n]) + ["--range", "1..9", "--out", str(out)]
+    assert run(args) == EXIT_USAGE
+    assert "--range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_empty_range(tmp_path):
     out = tmp_path / "empty.csv"
     assert run(["bounds", "--range", "5..4", "--format", "csv",

@@ -26,7 +26,12 @@ from zndisc.engine import (
 )
 from zndisc.number_theory import LimitExceeded, make_context
 
-from .oracles import explicit_walk_table, orbit_intersection, sign_walk_sequential
+from .oracles import (
+    explicit_walk_table,
+    orbit_intersection,
+    sign_walk_sequential,
+    walk_table_all_steps,
+)
 from .test_acceptance import _certify_blocks
 
 
@@ -477,6 +482,18 @@ def test_batched_walk_repeated_exempt_ids(n, run_cells, monkeypatch):
             assert_walks_agree(with_caps_scaled(table, factor, coarse_only), n, restarts=4)
 
 
+def mirrored_order(order, xs, g):
+    """Step L - u's orbit order from step u's: each row reversed, except that
+    its k = 0 point (x = a < g) stays first."""
+    cnt = np.bincount(xs % g, minlength=g)
+    out = order.copy()
+    for a, start in zip(range(g), np.cumsum(cnt) - cnt):
+        row = order[start : start + cnt[a]]
+        keep = int(row.size > 0 and xs[row[0]] < g)
+        out[start + keep : start + cnt[a]] = row[keep:][::-1]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.one_of(st.sampled_from((210, 240, 256, 288, 300)), st.integers(2, 300)),
@@ -486,9 +503,10 @@ def test_batched_walk_repeated_exempt_ids(n, run_cells, monkeypatch):
     seed=st.integers(0, 2**30),
 )
 def test_orbit_orders_match_orbit_intersection(n, density, low, chunk, seed):
-    # every step's order lists X row by row (a = x mod g), each row in the
-    # oracle's ascending k; the points 0 .. low - 1 have k = 0 in every row
-    # of a step with g > x
+    # the sorted half (units u <= L/2) lists X row by row (a = x mod g), each
+    # row in the oracle's ascending k, and the mirror map gives step L - u's
+    # rows, so every unit is covered; the points 0 .. low - 1 have k = 0 in
+    # every row of a step with g > x
     rng = np.random.default_rng(seed)
     xs = np.union1d(np.flatnonzero(rng.random(n) < density), np.arange(min(low, n)))
     if xs.size == 0:
@@ -496,14 +514,52 @@ def test_orbit_orders_match_orbit_intersection(n, density, low, chunk, seed):
     for g in make_context(n).divisors[:-1]:
         L = n // g
         units = [u for u in range(1, L) if math.gcd(u, L) == 1]
-        done = 0
+        half = [u for u in units if 2 * u <= L]
+        covered = []
         for lo, order in engine._orbit_orders(n, xs, g, chunk):
-            assert lo == done and order.shape == (min(chunk, len(units) - lo), xs.size)
-            for u, row in zip(units[lo:], order):
-                want = [orbit_intersection(n, g * u, a, xs) for a in range(g)]
-                assert np.array_equal(xs[row], np.concatenate(want))
-            done += order.shape[0]
-        assert done == len(units)
+            assert lo == len(covered) and order.shape == (min(chunk, len(half) - lo), xs.size)
+            for u, row in zip(half[lo:], order):
+                covered.append(u)
+                for step, got in ((u, row), (L - u, mirrored_order(row, xs, g))):
+                    want = [orbit_intersection(n, g * step, a, xs) for a in range(g)]
+                    assert np.array_equal(xs[got], np.concatenate(want))
+        assert covered == half
+        assert sorted(set(half) | {L - u for u in half}) == units
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from((30, 60, 210, 240, 256, 288, 300)), st.integers(2, 300)),
+    density=st.floats(0.05, 1.0),
+    low=st.integers(0, 6),
+    scales=st.sets(st.integers(0, 6), min_size=1, max_size=3),
+    slack=st.floats(0.3, 0.99),
+    chunk=st.sampled_from((1, 3, 1 << 15)),
+    seed=st.integers(0, 2**30),
+)
+def test_walk_table_matches_all_steps_reference(n, density, low, scales, slack, chunk, seed):
+    # the mirrored columns must equal a table that sorts every step; every
+    # chosen size binds, so size 1 or 2 gives the g = n/2 rows (L = 2, one
+    # self-paired step) slots, larger sizes leave short rows without slots,
+    # and X holds the k = 0 points 0 .. low - 1
+    rng = np.random.default_rng(seed)
+    xs = np.union1d(np.flatnonzero(rng.random(n) < density), np.arange(min(low, n)))
+    if xs.size == 0:
+        xs = np.array([seed % n])
+    scales = [s for s in scales if 1 << s <= xs.size] or [0]
+    counts = dyadic_block_counts(n, xs, scales)
+    req = PartialColorRequest(
+        n=n, x=xs, blocks={1 << s: OrbitBlocks(counts.get(s, 0)) for s in scales},
+        deltas={1 << s: slack * (1 << s) for s in scales}, seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK_CELLS", chunk * xs.size)
+        table = engine._walk_table(req)
+    ref = walk_table_all_steps(req)
+    for field in ("positions", "shifts", "offsets", "caps"):
+        got, want = getattr(table, field), getattr(ref, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert table.exempt == ref.exempt
 
 
 def test_orbit_orders_past_int32_products():
@@ -651,6 +707,99 @@ def test_certificate_agrees_with_orbit_definition(n, density, seed, kappa):
             n, xs, values, sched, kappa
         )
     assert certify_partial_coloring(req, chi)
+
+
+def test_certificate_refuses_wrapped_mirror_block():
+    # n = 45, X = Z_45: under step 42 = 3*14 (g = 3, L = 15, the partner of
+    # step 3) row a = 1 runs 1, 43, 40, 37, ...  Its first block holds the
+    # k = 0 point 1 and the step-3 row's last three points, so it wraps past
+    # the forward row's end; no block of a sorted step (u <= L/2) is that set
+    n, size = 45, 4
+    xs = np.arange(n)
+    planted = orbit_intersection(n, 42, 1, xs)[:size]
+    assert list(planted) == [1, 43, 40, 37]
+    for d in range(1, n):
+        g = math.gcd(d, n)
+        for a in range(g):
+            row = orbit_intersection(n, d, a, xs)
+            blocks = [set(row[t : t + size]) for t in range(0, row.size - size + 1, size)]
+            if set(planted) in blocks:
+                assert 2 * (d // g) > n // g and a == planted[0] and row[0] == a
+    count = dyadic_block_counts(n, xs, [2])[2]
+    req = PartialColorRequest(n=n, x=xs, blocks={size: OrbitBlocks(count)},
+                              deltas={size: size - 0.5})
+    values = np.zeros(n, dtype=np.int8)
+    assert certify_partial_coloring(req, values)
+    values[planted] = 1
+    assert not certify_partial_coloring(req, values)
+    # one point short of the block stays within delta = size - 1/2
+    values[planted[-1]] = 0
+    assert certify_partial_coloring(req, values)
+
+
+@pytest.mark.parametrize("values", [
+    np.full(12, 2, dtype=np.int64),  # prefix sums are int32: a coloring's, bounded by |X|
+    np.full(12, 0.5),
+    np.zeros(11, dtype=np.int8),
+    np.zeros((12, 1), dtype=np.int8),
+])
+def test_certificate_rejects_non_colorings(values):
+    count = dyadic_block_counts(12, range(12), [0])[0]
+    req = PartialColorRequest(n=12, x=range(12), blocks={1: OrbitBlocks(count)}, deltas={1: 0.5})
+    with pytest.raises(ValueError, match="coloring"):
+        certify_partial_coloring(req, values)
+    assert certify_partial_coloring(req, np.zeros(12, dtype=np.int8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from((30, 45, 60, 90, 120, 144, 180, 200)), st.integers(1, 200)),
+    density=st.floats(0.05, 1.0),
+    low=st.integers(0, 6),
+    bias=st.floats(0.5, 1.0),
+    seed=st.integers(0, 2**30),
+)
+def test_certificate_agrees_with_orbit_definition_scaled(n, density, low, bias, seed):
+    # deltas kappa * b(size) for kappa 1.0, 0.8 and 0.5 (below build_c2_request's
+    # kappa >= 1, so the request is written out), on skewed random signs and on
+    # plants in the first block of a mirrored row (step L - u with u < L/2),
+    # which wraps when the row's k = 0 point is in X: all +1 over the random
+    # signs, and alone floor(delta) + 1 points of +1 from the row's start, over
+    # delta only if that first point counts
+    rng = np.random.default_rng(seed)
+    xs = np.union1d(np.flatnonzero(rng.random(n) < density), np.arange(min(low, n)))
+    if xs.size == 0:
+        xs = np.array([seed % n])
+    m = xs.size
+    sched = DeltaSchedule.main(n)
+    values = np.zeros(n, dtype=np.int8)
+    values[xs] = np.where(rng.random(m) < bias, 1, -1)
+    ctx = make_context(n)
+    g = int(ctx.divisors[seed % max(1, len(ctx.divisors) - 1)])
+    L = n // g
+    row = np.empty(0, dtype=np.int64)
+    if L > 2:
+        mirrored = [u for u in range(L // 2 + 1, L) if math.gcd(u, L) == 1]
+        # with low >= 1, xs[0] = 0 is the k = 0 point of row 0
+        a = int(xs[0 if seed % 2 else seed % m]) % g
+        row = orbit_intersection(n, g * mirrored[seed % len(mirrored)], a, xs)
+    planted = values.copy()
+    planted[row[: 1 << max(row.size.bit_length() - 1, 0)]] = 1
+    for kappa in (1.0, 0.8, 0.5):
+        deltas = {1 << i: kappa * sched.b(1 << i) for i in range(m.bit_length())}
+        scales = [i for i in range(m.bit_length()) if deltas[1 << i] < 1 << i]
+        counts = dyadic_block_counts(n, xs, scales)
+        req = PartialColorRequest(
+            n=n, x=xs, blocks={1 << i: OrbitBlocks(counts.get(i, 0)) for i in scales},
+            deltas=deltas,
+        )
+        cases = [values, planted]
+        if scales and row.size >= 1 << scales[0]:
+            edge = np.zeros(n, dtype=np.int8)
+            edge[row[: math.floor(deltas[1 << scales[0]]) + 1]] = 1
+            cases.append(edge)
+        for v in cases:
+            assert certify_partial_coloring(req, v) == _certify_blocks(n, xs, v, sched, kappa)
 
 
 def test_build_request_counts_blocks_once():
