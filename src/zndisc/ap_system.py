@@ -78,6 +78,25 @@ class ModAP:
         return (self.a + k * self.d) % self.n
 
 
+def _check_signs(v: np.ndarray) -> None:
+    """Raise ValueError unless every entry of ``v`` is -1, 0 or +1.
+
+    Run before any int8 cast, which would truncate 0.7 or wrap 257.  Integer
+    and bool arrays take one min/max range check; float entries must also be
+    integral (NaN and infinities fail the range check).  Complex and
+    non-numeric arrays are refused whatever their entries; an empty array
+    passes.
+    """
+    kind = v.dtype.kind
+    if kind not in "biuf":
+        raise ValueError(f"coloring values must lie in {{-1, 0, +1}}, not dtype {v.dtype}")
+    if not v.size:
+        return
+    in_range = v.min().item() >= -1 and v.max().item() <= 1  # False on NaN
+    if not in_range or (kind == "f" and not (v == np.trunc(v)).all()):
+        raise ValueError("coloring values must lie in {-1, 0, +1}")
+
+
 class Coloring:
     """A map Z_n -> {-1, 0, +1}; zero entries mark uncolored points."""
 
@@ -87,11 +106,7 @@ class Coloring:
         v = np.asarray(values)
         if v.shape != (n,):
             raise ValueError(f"expected {n} values, got shape {v.shape}")
-        # checked before the int8 cast, which would truncate 0.7 or wrap 257
-        if np.iscomplexobj(v):
-            raise ValueError("coloring values must be real")
-        if not np.isin(v, (-1, 0, 1)).all():
-            raise ValueError("coloring values must lie in {-1, 0, +1}")
+        _check_signs(v)
         self.n = int(n)
         self.values = np.asarray(v, dtype=np.int8)
 
@@ -280,8 +295,7 @@ def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError("expected a (B, n) matrix")
-    if np.iscomplexobj(values) or not np.isin(values, (-1, 0, 1)).all():
-        raise ValueError("coloring values must lie in {-1, 0, +1}")
+    _check_signs(values)
     values = values.astype(np.int8)
     if n == 1 or not values.size:
         return np.abs(values[:, 0]).astype(np.int64)

@@ -3,8 +3,10 @@ solvers, and batch-verify the Fourier identities.
 
 Every artifact embeds the full run configuration (version, command, seed,
 c-hat, kappa, budget), so identical invocations produce byte-identical
-output.  Exit codes: 0 ok, 1 usage or I/O, 2 invariant breach, 3 search
-failure, 4 solver or engine-table size limit exceeded.
+output.  A JSON artifact is exactly ``json.dumps(payload, sort_keys=True,
+indent=2)`` plus LF, written by ``_json_text``, which renders a coloring
+straight from its int8 array.  Exit codes: 0 ok, 1 usage or I/O, 2 invariant
+breach, 3 search failure, 4 solver or engine-table size limit exceeded.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ EXIT_SEARCH = 3
 EXIT_LIMIT = 4
 
 SEED_ENV = "ZNDISC_SEED"
+
+# the text format's sign line: int8 byte 1 -> "+", 0 and -1 (0xff) -> "-"
+_SIGN_CHARS = b"-+" + b"-" * 254
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -85,8 +90,38 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where a 1-d
+    integer ndarray stands for the list of its ints.
+
+    The stdlib drops to its pure-Python encoder whenever ``indent`` is set; here
+    every leaf is one ``json.dumps`` call and an array is one join.  Other
+    arrays and non-str keys raise TypeError.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        body = sep.join(f"{json.dumps(key)}: {_json_text(value, inner)}"
+                        for key, value in sorted(obj.items()))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 1 or obj.dtype.kind not in "iu":
+            raise TypeError(f"cannot write a {obj.ndim}-d {obj.dtype} array as JSON")
+        items = map(str, obj.tolist())
+    elif isinstance(obj, (list, tuple)):
+        items = (_json_text(value, inner) for value in obj)
+    else:
+        return json.dumps(obj)
+    body = sep.join(items)
+    return f"[\n{inner}{body}\n{pad}]" if body else "[]"
+
+
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, _json_text(payload) + "\n")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -182,19 +217,19 @@ def cmd_construct(args) -> int:
     report = dataclasses.replace(report, measured_t=measured["T"])
     report_dict = {**report.as_dict(), "measure": measured}
     if args.format == "csv":
-        _emit(args, "\n".join(str(int(v)) for v in chi.values) + "\n")
+        _emit(args, "\n".join(map(str, chi.values.tolist())) + "\n")
         print(json.dumps(report_dict, sort_keys=True), file=sys.stderr)
     elif args.format == "text":
         _emit(args, f"n={args.n} r*={report.r_star} predicted={report.predicted:.4f} "
                     f"T={report.measured_t} base_congruence_max="
                     f"{report.base_congruence_max}\n"
-                    + "".join("+" if v > 0 else "-" for v in chi.values) + "\n")
+                    + chi.values.tobytes().translate(_SIGN_CHARS).decode("ascii") + "\n")
     else:
         payload = {
             "meta": _meta(args, "construct", seed),
             "inputs": {"n": args.n},
             "results": [{
-                "coloring": [int(v) for v in chi.values],
+                "coloring": chi.values,
                 **report_dict,
             }],
         }
@@ -235,7 +270,7 @@ def cmd_exact(args) -> int:
             "value": res.value,
             "method": res.method,
             "nodes_explored": res.nodes_explored,
-            "coloring": [int(v) for v in res.optimal_coloring.values],
+            "coloring": res.optimal_coloring.values,
         }
 
     return _run_exact_oracle(args, "exact", solve)

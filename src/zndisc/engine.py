@@ -50,7 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ap_system import Coloring, _as_subset, dyadic_block_counts
+from .ap_system import Coloring, _as_subset, _check_signs, dyadic_block_counts
 from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
@@ -581,8 +581,9 @@ def certify_partial_coloring(req: PartialColorRequest, values) -> bool:
     used.
     """
     values = np.asarray(values)
-    if values.shape != (req.n,) or not np.isin(values, (-1, 0, 1)).all():
+    if values.shape != (req.n,):
         raise ValueError(f"values must be a coloring of Z_{req.n}: n entries in {{-1, 0, +1}}")
+    _check_signs(values)
     binding = req.binding()
     if not binding:
         return True

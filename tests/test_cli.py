@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zndisc import __version__
 from zndisc.cli import (
@@ -14,6 +17,7 @@ from zndisc.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_USAGE,
+    _json_text,
     main,
 )
 
@@ -305,6 +309,96 @@ def test_golden_results(tmp_path, args, digest):
     results = json.loads(out.read_text())["results"]
     got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert got == digest
+
+
+# the whole artifact, not its parsed results: each JSON artifact is the stdlib's
+# sorted, two-space dump of its own payload plus LF, so a change to indent,
+# separators, key order or number text fails here even when GOLDEN_RESULTS passes
+@pytest.mark.parametrize("args", [
+    ["construct", "--n", "360", "--seed", "7"],
+    ["construct", "--n", "16384", "--seed", "1"],
+    ["exact", "--n", "12"],  # carries the optimal coloring
+    ["herdisc", "--n", "7"],
+    ["bounds", "--range", "1..30"],  # None entries and floats
+    ["sweep", "--range", "60..90", "--seed", "1"],
+    ["fourier-check", "--n", "24", "--trials", "2", "--seed", "1"],
+], ids=["construct", "construct-lifted", "exact", "herdisc", "bounds", "sweep",
+        "fourier-check"])
+def test_json_artifact_byte_layout(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == EXIT_OK
+    data = out.read_bytes()
+    assert data == (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
+    capsys.readouterr()
+    assert run(args + ["--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == data
+
+
+# sha256 of the full artifact of `construct --n 360 --seed 7` in each format
+# that writes the coloring without JSON
+CONSTRUCT_360_DIGESTS = {
+    "text": "a3838d868ee2ec9f5017f5103a7d0236d6dd5097a6a7f65cf0e2ca14ed62571f",
+    "csv": "7c784e5b55b7d2c719e57a8b3b20adc3e88f18d063bdb3d7d095a4b498a18f56",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CONSTRUCT_360_DIGESTS))
+def test_construct_text_and_csv_digests(tmp_path, capsys, fmt):
+    args = ["construct", "--n", "360", "--seed", "7", "--format", fmt]
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_360_DIGESTS[fmt]
+    capsys.readouterr()
+    assert run(args) == EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+_json_strings = st.text(alphabet=st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é☃'),
+                                           st.characters()), max_size=6)
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2**70, 2**70),  # past int64 both ways
+    st.floats(),  # NaN and infinities included
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324]),
+    _json_strings,
+)
+_json_values = st.recursive(_json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_json_strings, kids, max_size=4),
+), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_values)
+def test_json_text_matches_stdlib(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=arrays(st.sampled_from([np.int8, np.int64]), st.integers(0, 40)))
+def test_json_text_integer_arrays(values):
+    plain = values.tolist()
+    assert _json_text(values) == json.dumps(plain, sort_keys=True, indent=2)
+    nested = {"coloring": values, "rows": [{"x": values}, []]}
+    assert _json_text(nested) == json.dumps(
+        {"coloring": plain, "rows": [{"x": plain}, []]}, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    np.array([True, False]),
+    np.array([1.0, -1.0]),
+    np.zeros((2, 2), dtype=np.int8),
+    np.array(3),  # 0-d
+    {"a": [np.array([0.5])]},
+    {1: "x"},
+    {"a": {2: 3}},
+], ids=["bool-array", "float-array", "2d-array", "0d-array", "nested-float-array",
+        "int-key", "nested-int-key"])
+def test_json_text_rejects_what_no_artifact_holds(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
 
 
 @pytest.mark.parametrize("module", [None, "number_theory", "ap_system", "engine",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zndisc import ap_system, engine
-from zndisc.ap_system import dyadic_block_counts
+from zndisc.ap_system import Coloring, dyadic_block_counts, max_ap_discrepancy_batch
 from zndisc.engine import (
     TABLE_BYTES_LIMIT,
     BudgetExceeded,
@@ -749,6 +749,43 @@ def test_certificate_rejects_non_colorings(values):
     with pytest.raises(ValueError, match="coloring"):
         certify_partial_coloring(req, values)
     assert certify_partial_coloring(req, np.zeros(12, dtype=np.int8))
+
+
+_SIGNS_12 = np.array([1, -1, 0] * 4)
+
+
+def _certify_12(values):
+    count = dyadic_block_counts(12, range(12), [0])[0]
+    req = PartialColorRequest(n=12, x=range(12), blocks={1: OrbitBlocks(count)}, deltas={1: 1.5})
+    return certify_partial_coloring(req, values)
+
+
+# every call site that takes a coloring runs the same sign check
+@pytest.mark.parametrize("call", [
+    lambda v: Coloring(12, v),
+    lambda v: max_ap_discrepancy_batch(12, v[None, :]),
+    _certify_12,
+], ids=["Coloring", "batch", "certificate"])
+@pytest.mark.parametrize("values,ok", [
+    (_SIGNS_12.astype(np.int8), True),
+    (_SIGNS_12.astype(np.int64), True),
+    (_SIGNS_12 != 0, True),  # bool
+    (_SIGNS_12.astype(np.float64), True),
+    (np.zeros(12), True),
+    (np.where(_SIGNS_12 == 0, 0.7, _SIGNS_12), False),  # the int8 cast would truncate it
+    (np.where(_SIGNS_12 == 0, 257, _SIGNS_12), False),  # the int8 cast would wrap it to 1
+    (np.where(_SIGNS_12 == 0, np.nan, _SIGNS_12), False),
+    (np.where(_SIGNS_12 == 0, np.inf, _SIGNS_12), False),
+    (_SIGNS_12 + 0j, False),  # imaginary part 0: the certificate used to accept it
+    (_SIGNS_12.astype(str), False),  # '1', '-1', '0'
+], ids=["int8", "int64", "bool", "float", "zeros", "0.7", "257", "nan", "inf",
+        "complex", "str"])
+def test_sign_check_at_every_call_site(call, values, ok):
+    if ok:
+        call(values)
+    else:
+        with pytest.raises(ValueError, match="coloring"):
+            call(values)
 
 
 @settings(max_examples=40, deadline=None)
