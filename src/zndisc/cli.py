@@ -4,9 +4,10 @@ solvers, and batch-verify the Fourier identities.
 Every artifact embeds the full run configuration (version, command, seed,
 c-hat, kappa, budget), so identical invocations produce byte-identical
 output.  A JSON artifact is exactly ``json.dumps(payload, sort_keys=True,
-indent=2)`` plus LF, written by ``_json_text``, which renders a coloring
-straight from its int8 array.  Exit codes: 0 ok, 1 usage or I/O, 2 invariant
-breach, 3 search failure, 4 solver or engine-table size limit exceeded.
+indent=2)`` plus LF, written by ``_json_text``; a coloring's entries, in JSON
+and csv alike, come from its int8 bytes through a table.  Exit codes: 0 ok,
+1 usage or I/O, 2 invariant breach, 3 search failure, 4 solver or
+engine-table size limit exceeded.
 """
 
 from __future__ import annotations
@@ -90,12 +91,30 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.lru_cache(maxsize=8)
+def _int8_table(sep: str) -> np.ndarray:
+    """Row b: the decimal text of the int8 value with byte b, then ``sep``,
+    NUL-padded to a common width."""
+    rows = [f"{b - 256 * (b > 127)}{sep}".encode() for b in range(256)]
+    width = max(map(len, rows))
+    return np.array([list(row.ljust(width, b"\0")) for row in rows], dtype=np.uint8)
+
+
+def _int8_text(values: np.ndarray, sep: str) -> str:
+    """``sep.join(map(str, values.tolist()))`` for an int8 array, one table
+    row per entry: no Python object per entry."""
+    text = np.take(_int8_table(sep), values.view(np.uint8), axis=0).tobytes()
+    text = text.translate(None, b"\0")
+    return text[: len(text) - len(sep)].decode("ascii")
+
+
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where a 1-d
     integer ndarray stands for the list of its ints.
 
     The stdlib drops to its pure-Python encoder whenever ``indent`` is set; here
-    every leaf is one ``json.dumps`` call and an array is one join.  Other
+    every leaf is one ``json.dumps`` call, an int8 array (a coloring) goes
+    through ``_int8_text`` and any other integer array is one join.  Other
     arrays and non-str keys raise TypeError.
     """
     inner = pad + "  "
@@ -111,12 +130,14 @@ def _json_text(obj, pad: str = "") -> str:
     if isinstance(obj, np.ndarray):
         if obj.ndim != 1 or obj.dtype.kind not in "iu":
             raise TypeError(f"cannot write a {obj.ndim}-d {obj.dtype} array as JSON")
-        items = map(str, obj.tolist())
+        if obj.dtype == np.int8:
+            body = _int8_text(obj, sep)
+        else:
+            body = sep.join(map(str, obj.tolist()))
     elif isinstance(obj, (list, tuple)):
-        items = (_json_text(value, inner) for value in obj)
+        body = sep.join(_json_text(value, inner) for value in obj)
     else:
         return json.dumps(obj)
-    body = sep.join(items)
     return f"[\n{inner}{body}\n{pad}]" if body else "[]"
 
 
@@ -217,7 +238,7 @@ def cmd_construct(args) -> int:
     report = dataclasses.replace(report, measured_t=measured["T"])
     report_dict = {**report.as_dict(), "measure": measured}
     if args.format == "csv":
-        _emit(args, "\n".join(map(str, chi.values.tolist())) + "\n")
+        _emit(args, _int8_text(chi.values, "\n") + "\n")
         print(json.dumps(report_dict, sort_keys=True), file=sys.stderr)
     elif args.format == "text":
         _emit(args, f"n={args.n} r*={report.r_star} predicted={report.predicted:.4f} "

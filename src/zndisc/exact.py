@@ -34,12 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import (
-    Coloring,
-    congruence_class_sums,
-    max_ap_discrepancy,
-    progression_incidence,
-)
+from .ap_system import Coloring, _class_maxima, max_ap_discrepancy, progression_incidence
 from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
@@ -220,15 +215,12 @@ def measure(chi: Coloring, ctx: ZnContext | None = None, *,
     if ctx.n != chi.n:
         raise ValueError(f"context is for n={ctx.n}, coloring for n={chi.n}")
     t, witness = max_ap_discrepancy(chi, period=period)
-    v = chi.values.astype(np.int64)
-    per_divisor = {
-        str(r): int(np.abs(congruence_class_sums(v, r)).max()) for r in ctx.divisors
-    }
+    per_divisor = {str(r): m for r, m in _class_maxima(chi.values, ctx).items()}
     return {
         "n": chi.n,
         "T": int(t),
         "witness": {"a": witness.a, "d": witness.d, "length": witness.length},
         "congruence_max": max(per_divisor.values()),
         "congruence_by_divisor": per_divisor,
-        "total_sum": int(v.sum()),
+        "total_sum": int(chi.values.sum(dtype=np.int64)),
     }

@@ -9,6 +9,7 @@ from zndisc.ap_system import (
     Coloring,
     ModAP,
     _step_maxima,
+    _step_ranges,
     _witness,
     congruence_class_sums,
     dyadic_block_counts,
@@ -222,6 +223,49 @@ def test_periodic_scan_small_chunks(monkeypatch):
         assert t[0] == step_maxima_naive(chi.values, n).max()
         assert np.array_equal(max_ap_discrepancy_batch(n, b), t_b)
         assert np.array_equal(t_b, step_maxima_naive(b, n).max(axis=-1))
+
+
+@st.composite
+def signed_rows(draw):
+    """(n, rows): rows of shape (*batch, n), balanced, partial or skewed so
+    that row sums S reach well past 1."""
+    n = draw(st.integers(1, 60))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    signs = draw(st.sampled_from(((-1, 1), (-1, 0, 1), (0, 0, 1), (-1, 1, 1, 1))))
+    size = n * math.prod(batch)
+    flat = draw(st.lists(st.sampled_from(signs), min_size=size, max_size=size))
+    return n, np.array(flat, dtype=np.int8).reshape(batch + (n,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_rows())
+def test_step_ranges_bracket_step_maxima(case):
+    # per step, max P - min P <= largest |window| <= max P - min P + |S|
+    n, rows = case
+    lower, upper = _step_ranges(rows, n)
+    exact = step_maxima_naive(rows, n)
+    assert lower.shape == upper.shape == exact.shape
+    assert (lower <= exact).all() and (exact <= upper).all()
+    flat = rows.reshape(-1, n)
+    naive = exact.reshape(flat.shape[0], -1).max(axis=-1) if n > 1 else np.abs(flat[:, 0])
+    assert np.array_equal(max_ap_discrepancy_batch(n, flat), naive)
+
+
+def test_full_scan_keeps_a_step_reaching_t_by_a_wrapped_window():
+    # step 1 has the widest prefix range (4) but no window past 4; step 3
+    # reaches T = 5 only by a window that wraps, its range 3 plus |S| = 2
+    a = [1, 1, -1, 1, 1, 1, -1, 1, -1, -1]
+    lower, upper = _step_ranges(np.array(a, dtype=np.int8), 10)
+    assert lower.tolist() == [4, 4, 3, 3, 2] and upper.tolist() == [6, 7, 5, 6, 4]
+    assert step_maxima_naive(a, 10).tolist() == [4, 4, 5, 4, 2]
+    chi = Coloring(10, a)
+    t, wit = max_ap_discrepancy(chi)
+    assert (t, wit.d) == (5, 3) and abs(int(chi.values[wit.elements()].sum())) == 5
+    # row b's largest lower bound (6, step 1) tops both rows' step-3 upper
+    # bound, so a bound shared across rows would drop the step row a needs
+    b = [-1, -1, 1, 1, 1, 1, 1, 1, -1, -1]
+    assert max_ap_discrepancy_batch(10, np.array([a, b])).tolist() == [5, 6]
+    assert max_ap_discrepancy_batch(10, np.array([b, a])).tolist() == [6, 5]
 
 
 def test_witness_rejects_a_missed_maximum():
