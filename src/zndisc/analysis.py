@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ap_system import Coloring, congruence_class_sums, max_ap_discrepancy, max_ap_sum_complex
-from .number_theory import ZnContext, make_context
+from .number_theory import ZnContext, factorize, make_context
 
 __all__ = [
     "CheckResult",
@@ -298,17 +298,17 @@ def lower_bound_prop(ctx: ZnContext, l: int) -> BoundReport:
 def lower_bound_main(ctx: ZnContext) -> BoundReport:
     """General lower bound: min_{r|n}(n/r + sqrt(r)) / (8 sqrt(d(n)))."""
     n = ctx.n
-    best_r, best_val = None, None
-    for r in ctx.divisors:
-        val = n / r + math.sqrt(r)
-        if best_val is None or val < best_val:
-            best_r, best_val = r, val
+
+    def val(r):
+        return n / r + math.sqrt(r)
+
+    best_r = min(ctx.divisors, key=val)
     # threshold split at n^(2/3), compared exactly via r^3 vs n^2
     t1 = min(r for r in ctx.divisors if r**3 >= n**2)
     below = [r for r in ctx.divisors if r**3 < n**2]
     t2 = max(below) if below else None
     return BoundReport(
-        n=n, kind="lower_main", value=best_val / (8.0 * math.sqrt(ctx.d)),
+        n=n, kind="lower_main", value=val(best_r) / (8.0 * math.sqrt(ctx.d)),
         witness={"r": best_r, "t1": t1, "t2": t2},
         constants={},
     )
@@ -316,8 +316,6 @@ def lower_bound_main(ctx: ZnContext) -> BoundReport:
 
 def lower_bound_prime_power(p: int, k: int) -> BoundReport:
     """Prime-power lower bound: disc(Z_{p^k}) >= p^{(k - floor(k/3))/2} / 4."""
-    from .number_theory import factorize
-
     if factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if k < 1:
@@ -335,13 +333,13 @@ def upper_bound_main(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
     if not 0 < c_hat < math.inf:
         raise ValueError(f"c_hat must be positive and finite, got {c_hat}")
     n = ctx.n
-    best_r, best_val = None, None
-    for r in ctx.divisors:
-        val = n / r + c_hat * math.sqrt(r) * 2 ** ctx.omega_of_divisor(r)
-        if best_val is None or val < best_val:
-            best_r, best_val = r, val
+
+    def val(r):
+        return n / r + c_hat * math.sqrt(r) * 2 ** ctx.omega_of_divisor(r)
+
+    best_r = min(ctx.divisors, key=val)
     return BoundReport(
-        n=n, kind="upper_main", value=best_val,
+        n=n, kind="upper_main", value=val(best_r),
         witness={"r": best_r},
         constants={"c_hat": c_hat},
     )

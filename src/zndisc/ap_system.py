@@ -37,7 +37,6 @@ in closed form; the engine's entropy budget takes its block counts from it.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -446,8 +445,7 @@ def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:
     """Number of dyadic blocks per scale over all (d, a) orbits of X.
 
     The phi(n/g) steps d with gcd(d, n) = g share one row count per residue
-    a mod g, so the count is a sum over the proper divisors g of n.  The last
-    few counts are kept, so an engine request and its own check count once.
+    a mod g, so the count is a sum over the proper divisors g of n.
     """
     xs = _as_subset(n, xs)
     m = int(xs.size)
@@ -455,18 +453,11 @@ def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:
         return {}
     if scales is None:
         scales = range(m.bit_length())
-    scales = tuple(dict.fromkeys(s for s in scales if (1 << s) <= m))  # a repeat counts once
-    return dict(_block_counts(n, xs.tobytes(), scales))
-
-
-@functools.lru_cache(maxsize=4)
-def _block_counts(n: int, xs_bytes: bytes, scales: tuple[int, ...]) -> dict[int, int]:
-    xs = np.frombuffer(xs_bytes, dtype=np.int64)
-    counts = {s: 0 for s in scales}
+    counts = {s: 0 for s in scales if (1 << s) <= m}  # a repeat counts once
     ctx = make_context(n)
     # divisors ascend, so phi(n/g) for g = divisors[i] is divisor_phi[-1-i]
     for g, steps in zip(ctx.divisors[:-1], ctx.divisor_phi[:0:-1]):
         cnt = np.bincount(xs % g)
-        for s in scales:
+        for s in counts:
             counts[s] += steps * int((cnt >> s).sum())
     return counts

@@ -236,7 +236,7 @@ def cmd_construct(args) -> int:
         return EXIT_LIMIT
     measured = measure(chi, ctx, period=report.r_star)
     report = dataclasses.replace(report, measured_t=measured["T"])
-    report_dict = {**report.as_dict(), "measure": measured}
+    report_dict = {**dataclasses.asdict(report), "measure": measured}
     if args.format == "csv":
         _emit(args, _int8_text(chi.values, "\n") + "\n")
         print(json.dumps(report_dict, sort_keys=True), file=sys.stderr)

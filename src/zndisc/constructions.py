@@ -109,18 +109,6 @@ class ConstructionReport:
     kappa: float
     seed: int
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r_star": self.r_star,
-            "predicted": self.predicted,
-            "measured_t": self.measured_t,
-            "base_congruence_max": self.base_congruence_max,
-            "c_hat": self.c_hat,
-            "kappa": self.kappa,
-            "seed": self.seed,
-        }
-
 
 def _box_elements(ctx: ZnContext, extents) -> np.ndarray:
     """Sorted elements psi(t_1, ..., t_k), 0 <= t_i < extent_i."""

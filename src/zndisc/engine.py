@@ -8,22 +8,25 @@ points get colored.  Every returned coloring is re-verified against its block
 constraints before being handed back; the certificate is what callers rely
 on, not the search heuristic.
 
-A request's constraints are the dyadic blocks of X along every step-d orbit,
-one ``OrbitBlocks`` count per size.  The walk table and the certificate both
-put X in orbit order the same way: per chunk of steps, one in-place sort of
-packed keys ((a*L + k) << bits) | index, whose low bits are then the
-points' indices by (row a, position k).  Only the steps d = g*u with u <=
-L/2 (L = n/g) are sorted.  Step g*(L - u) reads each row of step g*u
-backwards (k -> -k mod L), except that the row's k = 0 point, x = a when a <
-g lies in X, stays first; both derive it from its partner without a sort.
-Row a fills the same sorted places in every step, so the walk reads one
-point-major table: per X-point and step d, a slot at the point's rank in its
-step-d orbit row; the point's block at scale 2^s is slot >> s, and slots of
-points outside every full block fall in exempt ids.  The entropy budget uses
-closed-form block counts, and the table's size is known in closed form
-before it is allocated.  The certificate never reads that table: it re-sums
-each binding block from its definition, by differencing prefix sums of the
-values in orbit order (``certify_partial_coloring``).
+A request is its inputs: n, X and an allowance Delta per dyadic block size.
+Everything else it derives in one place: its constraints, the dyadic blocks
+of X along every step-d orbit at each binding size (one closed-form
+``OrbitBlocks`` count per size, which the entropy budget reads), and the
+walk table's size, known in closed form, so a request whose table would be
+too large is refused before anything is allocated.  The walk table and the
+certificate both put X in orbit order the same way: per chunk of steps, one
+in-place sort of packed keys ((a*L + k) << bits) | index, whose low bits
+are then the points' indices by (row a, position k).  Only the steps d =
+g*u with u <= L/2 (L = n/g) are sorted.  Step g*(L - u) reads each row of
+step g*u backwards (k -> -k mod L), except that the row's k = 0 point, x =
+a when a < g lies in X, stays first; both derive it from its partner
+without a sort.  Row a fills the same sorted places in every step, so the
+walk reads one point-major table: per X-point and step d, a slot at the
+point's rank in its step-d orbit row; the point's block at scale 2^s is
+slot >> s, and slots of points outside every full block fall in exempt
+ids.  The certificate never reads that table: it re-sums each binding block
+from its definition, by differencing prefix sums of the values in orbit
+order (``certify_partial_coloring``).
 
 The walk visits the points in a random order, but signs whole runs of that
 order at once whenever no binding block can reach its cap within the run: a
@@ -45,7 +48,7 @@ arithmetic fact, not a relaxation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -73,8 +76,9 @@ __all__ = [
 DEFAULT_RETRIES = 64
 DEFAULT_HEREDITARY_C1 = 5.0
 COLOR_FRACTION_DENOM = 10  # at least ceil(m/10) points must receive a sign
-# build_c2_request refuses a request whose walk table would pass this many
-# bytes (a prime cell near n = 23000); it also keeps every slot id in int32.
+# A request whose walk table would pass this many bytes (a prime cell near
+# n = 23000) is refused when it is built; the limit also keeps every slot id
+# in int32.
 TABLE_BYTES_LIMIT = 1 << 30
 # Orbit-order keys (step x X) are built and sorted for at most this many
 # cells at a time, and the paired steps derived from each such chunk, so their
@@ -202,52 +206,51 @@ class OrbitBlocks:
 
 @dataclass
 class PartialColorRequest:
-    """One partial-coloring job: a point set, block constraints, and search knobs.
+    """One partial-coloring job: a point set, block allowances, and search knobs.
 
-    ``blocks`` maps a block size to one ``OrbitBlocks``: the dyadic blocks of
-    that size along every step-d orbit of X, as ``build_c2_request`` writes
-    them.  The walk reads them through one point-major table (a slot per
-    point and step d from the point's orbit rank), while
-    ``certify_partial_coloring`` re-sums them from their definition, the
-    sorted step-d orbit rows of X.  Sizes must be powers of two, and each
-    count must be X's true block count (``dyadic_block_counts``).
+    n, X and ``deltas`` (block size -> allowance; sizes powers of two) fix
+    every constraint.  The request derives ``blocks``: one ``OrbitBlocks``
+    per binding size (delta < size), ascending, the dyadic blocks of that
+    size along every step-d orbit of X, counted in closed form.  It raises
+    LimitExceeded, before it counts them or allocates anything large, when
+    the walk table for those sizes would pass TABLE_BYTES_LIMIT.  The walk reads the
+    blocks through one point-major table (a slot per point and step d from
+    the point's orbit rank), while ``certify_partial_coloring`` re-sums them
+    from their definition, the sorted step-d orbit rows of X.
     """
 
     n: int
     x: np.ndarray
-    blocks: Mapping[int, OrbitBlocks]
     deltas: Mapping[int, float]
     kind: str = "main"
     retries: int = DEFAULT_RETRIES
     seed: int = 0
+    blocks: dict[int, OrbitBlocks] = field(init=False)
 
     def __post_init__(self):
         self.x = _as_subset(self.n, self.x)
+        m = int(self.x.size)
+        if m == 0:
+            raise ValueError("X must be nonempty")
         if self.retries < 1:
             raise ValueError(f"retries (the restart budget) must be at least 1, "
                              f"got {self.retries}")
-        for size, group in self.blocks.items():
-            if not isinstance(group, OrbitBlocks):
-                raise ValueError(f"blocks of size {size} must be one OrbitBlocks, "
-                                 f"got {type(group).__name__}")
-            if not float(self.deltas[size]) > 0:
+        for size, delta in self.deltas.items():
+            if not float(delta) > 0:
                 raise ValueError("deltas must be strictly positive")
             if size < 1 or size & (size - 1):
                 raise ValueError(f"block sizes must be powers of two, got {size}")
-        # the entropy budget reads the counts; the walk and certificate use n and X
-        counts = dyadic_block_counts(self.n, self.x, [s.bit_length() - 1 for s in self.blocks])
-        for size, group in self.blocks.items():
-            true = counts.get(size.bit_length() - 1, 0)
-            if group.count != true:
-                raise ValueError(f"blocks of size {size}: count {group.count}, but X has {true}")
-
-    def binding(self) -> dict:
-        """The block groups a signing can violate (delta < size), by ascending size."""
-        return {
-            size: self.blocks[size]
-            for size in sorted(self.blocks)
-            if float(self.deltas[size]) < size
-        }
+        scales = [size.bit_length() - 1 for size in sorted(self.deltas)
+                  if float(self.deltas[size]) < size]
+        if scales:
+            table_bytes = orbit_table_bytes(self.n, self.x, scales)
+            if table_bytes > TABLE_BYTES_LIMIT:
+                raise LimitExceeded(
+                    f"n={self.n}, m={m}: the constraint table needs {table_bytes} bytes, "
+                    f"past the limit of {TABLE_BYTES_LIMIT}"
+                )
+        counts = dyadic_block_counts(self.n, self.x, scales)
+        self.blocks = {1 << s: OrbitBlocks(counts.get(s, 0)) for s in scales}
 
 
 @dataclass(frozen=True)
@@ -374,12 +377,11 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
     """
     n, xs = req.n, req.x
     m = int(xs.size)
-    binding = req.binding()
-    if not binding:  # no columns: every sign is free
+    if not req.blocks:  # no columns: every sign is free
         zero = np.zeros((1, 1), dtype=np.int32)
         return _WalkTable(np.empty((m, 0), dtype=np.int32), zero, zero,
                           np.array([m], dtype=np.int32), 0)
-    shifts = [size.bit_length() - 1 for size in binding]
+    shifts = [size.bit_length() - 1 for size in req.blocks]
     layout = list(_orbit_layout(n, xs, shifts))
     columns = sum(steps for _, steps, _, _, _ in layout)
     exempt = sum(steps * span for _, steps, _, _, span in layout)
@@ -392,7 +394,7 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
     col = base = 0
     for g, steps, rowoff, cnt, span in layout:
         colbase = base + span * np.arange(steps, dtype=np.int64)
-        for j, (size, s) in enumerate(zip(binding, shifts)):
+        for j, (size, s) in enumerate(zip(req.blocks, shifts)):
             per_row = cnt >> s
             rows = np.repeat(np.arange(g), per_row)
             t = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
@@ -431,11 +433,6 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
         np.concatenate(caps),
         exempt,
     )
-
-
-def _binding_budget(req: PartialColorRequest) -> float:
-    counts = {size: len(group) for size, group in req.binding().items()}
-    return schedule_entropy_budget(counts, req.deltas, req.kind)
 
 
 def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
@@ -584,10 +581,9 @@ def certify_partial_coloring(req: PartialColorRequest, values) -> bool:
     if values.shape != (req.n,):
         raise ValueError(f"values must be a coloring of Z_{req.n}: n entries in {{-1, 0, +1}}")
     _check_signs(values)
-    binding = req.binding()
-    if not binding:
+    if not req.blocks:
         return True
-    limits = [(size, float(req.deltas[size])) for size in binding]
+    limits = [(size, float(req.deltas[size])) for size in req.blocks]
     return _orbit_blocks_hold(req.n, req.x, values, limits)
 
 
@@ -599,10 +595,9 @@ def partial_color(req: PartialColorRequest) -> Coloring:
     least ceil(m/10) points and passes ``certify_partial_coloring``.
     """
     m = int(req.x.size)
-    if m == 0:
-        raise ValueError("X must be nonempty")
     threshold = m / 50.0 if req.kind == "main" else m / 5.0
-    budget = _binding_budget(req)
+    counts = {size: len(group) for size, group in req.blocks.items()}
+    budget = schedule_entropy_budget(counts, req.deltas, req.kind)
     if budget > threshold + 1e-12:
         raise BudgetExceeded(
             f"entropy budget {budget:.6g} exceeds {threshold:.6g} for m={m}"
@@ -632,34 +627,17 @@ def _derived_seed(seed: int, *key: int) -> int:
 
 def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
                      retries: int = DEFAULT_RETRIES, seed: int = 0) -> PartialColorRequest:
-    """Dyadic block constraints over X for every step d, at the binding scales.
+    """The request with allowance kappa*b(2^i) at every scale 2^i <= |X|.
 
-    Scales whose allowance kappa*b(2^i) reaches 2^i are left out: no signing
-    can violate them.  The blocks are ``OrbitBlocks`` counted in closed form;
-    raises LimitExceeded when the walk table for them would pass
-    TABLE_BYTES_LIMIT.
+    Scales whose allowance reaches 2^i bind nothing: no signing can violate
+    them, so the request enforces none of their blocks.
     """
     xs = _as_subset(n, xs)
-    m = int(xs.size)
-    if m == 0:
-        raise ValueError("X must be nonempty")
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
-    max_scale = m.bit_length() - 1
-    deltas = {1 << i: kappa * schedule.b(1 << i) for i in range(max_scale + 1)}
-    binding = [i for i in range(max_scale + 1) if deltas[1 << i] < (1 << i)]
-    if binding:
-        table_bytes = orbit_table_bytes(n, xs, binding)
-        if table_bytes > TABLE_BYTES_LIMIT:
-            raise LimitExceeded(
-                f"n={n}, m={m}: the constraint table needs {table_bytes} bytes, "
-                f"past the limit of {TABLE_BYTES_LIMIT}"
-            )
-    counts = dyadic_block_counts(n, xs, binding)
-    blocks = {1 << i: OrbitBlocks(counts.get(i, 0)) for i in binding}
+    deltas = {1 << i: kappa * schedule.b(1 << i) for i in range(int(xs.size).bit_length())}
     return PartialColorRequest(
-        n=n, x=xs, blocks=blocks, deltas=deltas, kind=schedule.kind,
-        retries=retries, seed=seed,
+        n=n, x=xs, deltas=deltas, kind=schedule.kind, retries=retries, seed=seed,
     )
 
 

@@ -1,7 +1,8 @@
 """Reference implementations kept for the tests only.
 
-The library enforces the orbit reduction through ``OrbitBlocks`` and an
-orbit-rank table, sorts only half the steps and mirrors the rest, reads
+A request derives its orbit blocks (``OrbitBlocks``, counted in closed
+form) from n, X and its allowances, and the library enforces them through an
+orbit-rank table; it sorts only half the steps and mirrors the rest, reads
 window maxima off prefix extremes, signs whole runs of the walk order at
 once, builds the progression sets as one packed incidence and evaluates the
 Fourier double sum from one chunked gather.  These materialise the same
@@ -51,8 +52,7 @@ def walk_table_all_steps(req):
     cap set one row at a time."""
     n, xs = req.n, req.x
     m = int(xs.size)
-    binding = req.binding()
-    shifts = [size.bit_length() - 1 for size in binding]
+    shifts = [size.bit_length() - 1 for size in req.blocks]
     layout = list(_orbit_layout(n, xs, shifts))
     exempt = sum(steps * span for _, steps, _, _, span in layout)
     positions = np.full((m, sum(steps for _, steps, _, _, _ in layout)), exempt, dtype=np.int32)
@@ -64,7 +64,7 @@ def walk_table_all_steps(req):
             for a in np.flatnonzero(rowoff >= 0):
                 first = base + i * span + rowoff[a]
                 positions[order[rows == a], col + i] = first + np.arange(cnt[a])
-                for scale_caps, size, s in zip(caps, binding, shifts):
+                for scale_caps, size, s in zip(caps, req.blocks, shifts):
                     scale_caps[first >> s : (first >> s) + (cnt[a] >> s)] = math.floor(
                         float(req.deltas[size]))
         col += steps

@@ -16,7 +16,7 @@ def test_public_api_surface():
     assert missing == []
 
     # the entry points bench/workloads.py calls
-    from zndisc import analysis, cli, exact, number_theory
+    from zndisc import analysis, cli, engine, exact, number_theory
 
     for fn in (cli.main, analysis.upper_bound_main, analysis.max_progression_sum,
                zndisc.make_context, number_theory.make_context, exact.exact_disc,
@@ -24,3 +24,14 @@ def test_public_api_surface():
         assert callable(fn)
     params = inspect.signature(exact.exact_disc).parameters
     assert list(params)[:1] == ["ctx"] and "method" in params and "limit" in params
+
+    # what bench/tracing.py reads off results: constraint pairs from a
+    # request's .blocks and .deltas, signed points from its .x, and nodes
+    # from an ExactResult
+    req = engine.build_c2_request(1061, range(1, 531), engine.DeltaSchedule.main(1061))
+    assert req.blocks and req.x.size == 530
+    for size, group in req.blocks.items():
+        assert isinstance(size, int) and isinstance(len(group), int)
+    assert all(isinstance(size, int) and isinstance(delta, float)
+               for size, delta in req.deltas.items())
+    assert isinstance(exact.exact_disc(zndisc.make_context(6)).nodes_explored, int)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zndisc import ap_system, engine
+from zndisc import engine
 from zndisc.ap_system import Coloring, dyadic_block_counts, max_ap_discrepancy_batch
 from zndisc.engine import (
     TABLE_BYTES_LIMIT,
     BudgetExceeded,
     DeltaSchedule,
-    OrbitBlocks,
     PartialColorRequest,
     SearchFailed,
     build_c2_request,
@@ -123,25 +122,23 @@ def test_budget_examples():
 # ----------------------------------------------------------- partial_color
 
 def test_singleton_no_blocks():
-    req = PartialColorRequest(n=9, x=np.array([4]), blocks={}, deltas={}, seed=1)
+    req = PartialColorRequest(n=9, x=np.array([4]), deltas={}, seed=1)
     chi = partial_color(req)
     assert abs(int(chi.values[4])) == 1
     assert np.count_nonzero(chi.values) == 1
-
-
-def orbit_blocks(n, xs, sizes):
-    """One OrbitBlocks per size, counted in closed form."""
-    counts = dyadic_block_counts(n, xs, [s.bit_length() - 1 for s in sizes])
-    return {s: OrbitBlocks(counts.get(s.bit_length() - 1, 0)) for s in sizes}
+    # one point is the least X a request takes
+    with pytest.raises(ValueError, match="X must be nonempty"):
+        PartialColorRequest(n=9, x=[], deltas={})
+    with pytest.raises(ValueError, match="X must be nonempty"):
+        build_c2_request(9, [], DeltaSchedule.main(9))
 
 
 def test_vacuous_deltas_accepted():
     # deltas equal to block sizes cannot be violated, so any signing works
     xs = np.arange(10)
-    blocks = orbit_blocks(10, xs, (2, 4))
-    assert all(len(group) > 0 for group in blocks.values())
-    req = PartialColorRequest(n=10, x=xs, blocks=blocks, deltas={2: 2.0, 4: 4.0}, seed=3)
-    assert req.binding() == {}
+    assert all(dyadic_block_counts(10, xs, [1, 2]).values())
+    req = PartialColorRequest(n=10, x=xs, deltas={2: 2.0, 4: 4.0}, seed=3)
+    assert req.blocks == {}
     chi = partial_color(req)
     assert np.count_nonzero(chi.values) >= 1
 
@@ -149,34 +146,22 @@ def test_vacuous_deltas_accepted():
 def test_budget_exceeded_raised():
     # every orbit block of size 32 tight, a hopeless entropy budget
     xs = np.arange(50)
-    blocks = orbit_blocks(50, xs, (32,))
-    assert len(blocks[32]) == 20  # one block per step d coprime to 50
-    req = PartialColorRequest(
-        n=50, x=xs, blocks=blocks, deltas={32: 0.5}, kind="main", seed=0
-    )
+    req = PartialColorRequest(n=50, x=xs, deltas={32: 0.5}, kind="main", seed=0)
+    assert len(req.blocks[32]) == 20  # one block per step d coprime to 50
     with pytest.raises(BudgetExceeded):
         partial_color(req)
-
-
-@pytest.mark.parametrize("group", [[np.array([0, 1])], (), 3])
-def test_request_rejects_block_groups_not_orbit_blocks(group):
-    # a list of arrays would otherwise pass as orbit blocks of that size
-    with pytest.raises(ValueError, match="OrbitBlocks"):
-        PartialColorRequest(n=8, x=np.array([0, 1, 2]), blocks={2: group},
-                            deltas={2: 1.0})
 
 
 @pytest.mark.parametrize("retries", [0, -3])
 def test_request_rejects_restart_budget_below_one(retries):
     with pytest.raises(ValueError, match="retries"):
-        PartialColorRequest(n=8, x=np.arange(8), blocks={}, deltas={}, retries=retries)
+        PartialColorRequest(n=8, x=np.arange(8), deltas={}, retries=retries)
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
 def test_request_rejects_nonpositive_delta(delta):
     with pytest.raises(ValueError, match="deltas"):
-        PartialColorRequest(n=8, x=np.arange(8), blocks={2: OrbitBlocks(1)},
-                            deltas={2: delta})
+        PartialColorRequest(n=8, x=np.arange(8), deltas={2: delta})
     with pytest.raises(ValueError, match="deltas"):
         schedule_entropy_budget({2: 1}, {2: delta}, "main")
 
@@ -184,19 +169,7 @@ def test_request_rejects_nonpositive_delta(delta):
 def test_request_rejects_block_size_not_power_of_two():
     # the walk read size 3 as shift 1 (size-2 blocks), the certificate as size 3
     with pytest.raises(ValueError, match="powers of two"):
-        PartialColorRequest(n=30, x=np.arange(30), blocks={3: OrbitBlocks(0)},
-                            deltas={3: 0.5}, retries=3)
-
-
-def test_request_rejects_wrong_block_count():
-    # an understated count skipped the entropy budget and ran every restart
-    with pytest.raises(ValueError, match="count 0, but X has 20"):
-        PartialColorRequest(n=50, x=np.arange(50), blocks={32: OrbitBlocks(0)},
-                            deltas={32: 0.5})
-    req = PartialColorRequest(n=50, x=np.arange(50), blocks={32: OrbitBlocks(20)},
-                              deltas={32: 0.5})
-    with pytest.raises(BudgetExceeded):
-        partial_color(req)
+        PartialColorRequest(n=30, x=np.arange(30), deltas={3: 0.5}, retries=3)
 
 
 @pytest.mark.parametrize("kappa", [0.5, math.nan, math.inf])
@@ -219,7 +192,7 @@ def test_non_integral_subsets_rejected(xs):
     with pytest.raises(ValueError, match="integers"):
         build_c2_request(n, xs, DeltaSchedule.main(n))
     with pytest.raises(ValueError, match="integers"):
-        PartialColorRequest(n=n, x=xs, blocks={}, deltas={})
+        PartialColorRequest(n=n, x=xs, deltas={})
     with pytest.raises(ValueError, match="integers"):
         full_color_iterate_traced(make_context(n), xs)
     with pytest.raises(ValueError, match="integers"):
@@ -547,10 +520,8 @@ def test_walk_table_matches_all_steps_reference(n, density, low, scales, slack, 
     if xs.size == 0:
         xs = np.array([seed % n])
     scales = [s for s in scales if 1 << s <= xs.size] or [0]
-    counts = dyadic_block_counts(n, xs, scales)
     req = PartialColorRequest(
-        n=n, x=xs, blocks={1 << s: OrbitBlocks(counts.get(s, 0)) for s in scales},
-        deltas={1 << s: slack * (1 << s) for s in scales}, seed=seed,
+        n=n, x=xs, deltas={1 << s: slack * (1 << s) for s in scales}, seed=seed,
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK_CELLS", chunk * xs.size)
@@ -569,10 +540,8 @@ def test_orbit_orders_past_int32_products():
     rng = np.random.default_rng(65537)
     xs = np.union1d(rng.choice(n, 38, replace=False), [0, n - 1])
     m = xs.size
-    count = dyadic_block_counts(n, xs, [2])[2]
-    assert count == (n - 1) * (m // size)
-    req = PartialColorRequest(n=n, x=xs, blocks={size: OrbitBlocks(count)},
-                              deltas={size: delta}, seed=5)
+    req = PartialColorRequest(n=n, x=xs, deltas={size: delta}, seed=5)
+    assert len(req.blocks[size]) == (n - 1) * (m // size)
     table = engine._walk_table(req)
     assert table.positions.shape == (m, n - 1) and table.exempt == (n - 1) * m
     # one row (g = 1) per column d = col + 1: slot col * m + rank, block rank // 4
@@ -615,6 +584,20 @@ def test_table_limit_refused_before_allocation():
     assert estimate >= 4 * xs.size * (p - 1) > TABLE_BYTES_LIMIT
     with pytest.raises(LimitExceeded):
         build_c2_request(p, xs, sched)
+
+
+def test_request_refuses_table_past_limit(monkeypatch):
+    # a hand-built request past the limit is refused as build_c2_request's
+    # are, before its blocks are counted: at p = 30011 the table needs 1.8 GB
+    p = 30011
+    xs = np.arange(1, (p - 1) // 2 + 1)
+    sched = DeltaSchedule.main(p)
+    deltas = {1 << i: sched.b(1 << i) for i in range(14) if sched.b(1 << i) < 1 << i}
+    assert list(deltas) == [1 << i for i in range(8, 14)]
+    assert orbit_table_bytes(p, xs, range(8, 14)) > TABLE_BYTES_LIMIT
+    monkeypatch.setattr(engine, "dyadic_block_counts", None)  # calling it would raise
+    with pytest.raises(LimitExceeded, match="constraint table"):
+        PartialColorRequest(n=p, x=xs, deltas=deltas)
 
 
 def _drop_first_block(monkeypatch):
@@ -725,9 +708,7 @@ def test_certificate_refuses_wrapped_mirror_block():
             blocks = [set(row[t : t + size]) for t in range(0, row.size - size + 1, size)]
             if set(planted) in blocks:
                 assert 2 * (d // g) > n // g and a == planted[0] and row[0] == a
-    count = dyadic_block_counts(n, xs, [2])[2]
-    req = PartialColorRequest(n=n, x=xs, blocks={size: OrbitBlocks(count)},
-                              deltas={size: size - 0.5})
+    req = PartialColorRequest(n=n, x=xs, deltas={size: size - 0.5})
     values = np.zeros(n, dtype=np.int8)
     assert certify_partial_coloring(req, values)
     values[planted] = 1
@@ -744,8 +725,7 @@ def test_certificate_refuses_wrapped_mirror_block():
     np.zeros((12, 1), dtype=np.int8),
 ])
 def test_certificate_rejects_non_colorings(values):
-    count = dyadic_block_counts(12, range(12), [0])[0]
-    req = PartialColorRequest(n=12, x=range(12), blocks={1: OrbitBlocks(count)}, deltas={1: 0.5})
+    req = PartialColorRequest(n=12, x=range(12), deltas={1: 0.5})
     with pytest.raises(ValueError, match="coloring"):
         certify_partial_coloring(req, values)
     assert certify_partial_coloring(req, np.zeros(12, dtype=np.int8))
@@ -755,8 +735,7 @@ _SIGNS_12 = np.array([1, -1, 0] * 4)
 
 
 def _certify_12(values):
-    count = dyadic_block_counts(12, range(12), [0])[0]
-    req = PartialColorRequest(n=12, x=range(12), blocks={1: OrbitBlocks(count)}, deltas={1: 1.5})
+    req = PartialColorRequest(n=12, x=range(12), deltas={1: 1.5})
     return certify_partial_coloring(req, values)
 
 
@@ -825,11 +804,7 @@ def test_certificate_agrees_with_orbit_definition_scaled(n, density, low, bias, 
     for kappa in (1.0, 0.8, 0.5):
         deltas = {1 << i: kappa * sched.b(1 << i) for i in range(m.bit_length())}
         scales = [i for i in range(m.bit_length()) if deltas[1 << i] < 1 << i]
-        counts = dyadic_block_counts(n, xs, scales)
-        req = PartialColorRequest(
-            n=n, x=xs, blocks={1 << i: OrbitBlocks(counts.get(i, 0)) for i in scales},
-            deltas=deltas,
-        )
+        req = PartialColorRequest(n=n, x=xs, deltas=deltas)
         cases = [values, planted]
         if scales and row.size >= 1 << scales[0]:
             edge = np.zeros(n, dtype=np.int8)
@@ -839,10 +814,17 @@ def test_certificate_agrees_with_orbit_definition_scaled(n, density, low, bias, 
             assert certify_partial_coloring(req, v) == _certify_blocks(n, xs, v, sched, kappa)
 
 
-def test_build_request_counts_blocks_once():
-    # the request's own count check reuses the count build_c2_request made
-    ap_system._block_counts.cache_clear()
+def test_build_request_counts_blocks_once(monkeypatch):
+    # the request counts its binding blocks once, in closed form: at n = 1061
+    # (prime) every step d has one row of all 530 points
+    calls = []
+    count = engine.dyadic_block_counts
+    monkeypatch.setattr(engine, "dyadic_block_counts",
+                        lambda *args: calls.append(args) or count(*args))
     req = build_c2_request(1061, range(1, 531), DeltaSchedule.main(1061))
-    info = ap_system._block_counts.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert req.blocks
+    assert len(calls) == 1
+    assert sorted(req.deltas) == [1 << i for i in range(10)]
+    binding = [size for size in sorted(req.deltas) if req.deltas[size] < size]
+    assert binding and list(req.blocks) == binding
+    assert {size: len(group) for size, group in req.blocks.items()} == {
+        size: 1060 * (530 // size) for size in binding}
