@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .number_theory import ZnContext, make_context
+from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
     "ModAP",
@@ -60,6 +60,9 @@ __all__ = [
 
 
 _SCAN_CELLS = 1 << 14  # prefix cells per numpy call in the window scans
+# (window, point) cells a progression incidence may span: n = 65 has 6.97e6,
+# n = 67, the first n refused, 9.93e6, and n = 300 1.8e9; 72 is the last n allowed
+_INCIDENCE_CELLS_LIMIT = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -152,27 +155,44 @@ def progression_incidence(ctx: ZnContext, min_len: int = 1) -> np.ndarray:
     """Distinct progression sets of size >= min_len as an n x A boolean incidence.
 
     Every set is a window of some step-d orbit, and steps d and n - d trace
-    the same windows, so the windows of steps d in [0, n//2] (d = 0 gives the
-    singletons) are built at once per step, packed to bytes and deduplicated
-    by ``np.unique``.  Columns follow the packed bytes' order; the column sets
-    are those of ``enumerate_aps`` in ``tests/oracles.py``, for any n.
+    the same windows, so only steps d in [0, n//2] are read (d = 0 gives the
+    singletons).  A set is keyed by bits: point p is bit 63 - p % 64 of word
+    p // 64 of ceil(n/64) uint64 words, and a window's key is the difference
+    of two prefix sums of those words along its doubled orbit (its points are
+    distinct, so the sum is their OR).  The keys are sorted word by word,
+    deduplicated, and unpacked from their big-endian bytes, so column order
+    is that of the sets' ``np.packbits`` rows; the column sets are those of
+    ``enumerate_aps`` in ``tests/oracles.py``, for any n.
+
+    Raises LimitExceeded, before allocating anything, when the windows span
+    more than _INCIDENCE_CELLS_LIMIT (window, point) cells, sum over d of
+    n * n / gcd(d, n) windows times n points: the bound on the incidence
+    and on the search tables that ``zndisc.exact`` builds from it.
     """
     n = ctx.n
-    packed = []
+    cells = n * sum(n * n // math.gcd(d, n) for d in range(n // 2 + 1))
+    if cells > _INCIDENCE_CELLS_LIMIT:
+        raise LimitExceeded(f"the progression incidence of n={n} spans {cells} cells, "
+                            f"past the limit of {_INCIDENCE_CELLS_LIMIT}")
+    words = -(-n // 64)
+    p = np.arange(n)
+    bit = np.zeros((n, words), dtype=np.uint64)
+    bit[p, p // 64] = np.uint64(1) << (63 - p % 64).astype(np.uint64)
+    keys = []
     for d in range(n // 2 + 1):
         g = math.gcd(d, n)
         L = n // g
-        orbit = (np.arange(g)[:, None] + np.arange(L)[None, :] * d) % n
-        # window (start i, length l) holds orbit position k iff (k - i) mod L < l
-        rank = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
-        window = rank[:, None, :] < np.arange(1, L + 1)[None, :, None]
-        member = np.zeros((g, L * L, n), dtype=bool)
-        np.put_along_axis(member, np.broadcast_to(orbit[:, None, :], (g, L * L, L)),
-                          window.reshape(1, L * L, L), axis=2)
-        packed.append(np.packbits(member.reshape(-1, n), axis=1))
-    sets = np.unique(np.concatenate(packed), axis=0)
-    sets = np.unpackbits(sets, axis=1, count=n).astype(bool)
-    return np.ascontiguousarray(sets[sets.sum(axis=1) >= min_len].T)
+        P = np.zeros((g, 2 * L + 1, words), dtype=np.uint64)
+        np.cumsum(bit[(np.arange(g)[:, None] + np.arange(2 * L) * d) % n], axis=1, out=P[:, 1:])
+        # window (start i, length l) of row a is P[a, i + l] - P[a, i]
+        start = np.arange(L)[:, None]
+        keys.append((P[:, start + np.arange(min_len, L + 1)] - P[:, start]).reshape(-1, words))
+    keys = np.concatenate(keys)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    sets = keys[first].astype(">u8").view(np.uint8)
+    return np.ascontiguousarray(np.unpackbits(sets, axis=1, count=n).view(bool).T)
 
 
 def _orbit_prefix(values: np.ndarray, n: int, d, laps: int = 2) -> np.ndarray:

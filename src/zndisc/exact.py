@@ -2,7 +2,9 @@
 
 All three oracles read one dense incidence: ``progression_incidence`` gives
 the distinct progression sets as an n x A boolean array (sets of size >= 2
-for the disc searches, whose singletons only pin the value to >= 1).
+for the disc searches, whose singletons only pin the value to >= 1), and
+refuses with LimitExceeded, before building anything, an n whose windows span
+too many cells.
 
 Exhaustive search evaluates every coloring with the first sign fixed to +1
 (negation flips no absolute sum) by split sums: the progression sums of every
@@ -19,13 +21,16 @@ raises LimitExceeded rather than exhausting memory.
 Branch and bound walks the points in natural order and keeps, per
 progression, the window [lo, hi] = [s - u, s + u] of final sums it can still
 reach (s its partial sum, u its unassigned points): a +1 at x adds 2*inc[x] to
-lo, a -1 subtracts it from hi.  A branch is pruned as soon as some
-progression is forced to reach the bound (lo.max() >= bound or hi.min() <=
--bound), a dense test over every progression.  One DFS kernel serves both
-modes: optimisation tries the sign against the incident partial sums' vote
-first and lowers the bound at each leaf; the witness pin searches +1 first
-with bound value + 1 and stops at the first leaf, the lexicographically first
-coloring that attains the value.
+lo, a -1 subtracts it from hi.  The state is one (2, A) int16 array of lo and
+nh = -hi, so a -1 also adds 2*inc[x], to nh, and one add gives both
+children's states; one max over the two changed rows gives both children's
+new extremes.  A branch is pruned as soon as some progression is forced to
+reach the bound (lo.max() >= bound or nh.max() >= bound), a dense test over
+every progression.  One DFS kernel serves both modes: optimisation tries the
+sign against the incident partial sums' vote first (one integer dot, taken
+only when both children survive the prune) and lowers the bound at each
+leaf; the witness pin searches +1 first with bound value + 1 and stops at
+the first leaf, the lexicographically first coloring that attains the value.
 """
 
 from __future__ import annotations
@@ -110,21 +115,44 @@ def _exhaustive(ctx: ZnContext) -> ExactResult:
                        nodes_explored=1 << (n - 1), method="exhaustive")
 
 
-def _search(inc: np.ndarray, bound: int, witness: bool) -> tuple[int, int, np.ndarray | None]:
+def _search_tables(inc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays ``_search`` reads: the children's steps, the vote weights
+    and the progression lengths.
+
+    steps[x, 0] adds 2*inc[x] to lo (the +1 child), steps[x, 1] to nh (the
+    -1 child).  |lo| and |nh| are at most n, within int16 for any n the
+    incidence's cell limit admits (n <= 72).  The vote weights are int32: a
+    point lies in about A/2 progressions, past int16 from n = 53 on.
+    """
+    n, A = inc.shape
+    steps = np.zeros((n, 2, 2, A), dtype=np.int16)
+    steps[:, 0, 0] = steps[:, 1, 1] = 2 * inc
+    return steps, inc.astype(np.int32), inc.sum(axis=0, dtype=np.int16)
+
+
+def _search(tables: tuple[np.ndarray, np.ndarray, np.ndarray], bound: int,
+            witness: bool) -> tuple[int, int, np.ndarray | None]:
     """DFS over colorings with chi(0) = +1 for one below ``bound`` (max |sum|).
 
     Optimisation mode returns the least value below the bound (the bound
     itself if none is lower), the nodes explored and the last leaf reached,
     each leaf lowering the bound; witness mode stops at the first leaf.
+
+    A node's state is one (2, A) int16 array, lo and nh = -hi.  One add of
+    ``steps[x]`` gives both children's states, and one max over the row each
+    child changed gives the +1 child's top and the -1 child's -bottom.  The
+    vote, the incident progressions' sum signs sign(lo - nh) weighted by
+    inc[x], is one integer dot.  It is only taken when both children survive
+    the prune: the bound only falls, so a child pruned on entry stays pruned,
+    and with one survivor the order changes no node count, bound or leaf.
     """
-    n = inc.shape[0]
-    step = 2 * inc.astype(np.int16)
-    length = inc.sum(axis=0, dtype=np.int16)
+    steps, votes, length = tables
+    n, A = votes.shape
     chi = np.ones(n, dtype=np.int8)
     leaf = None
     nodes = 0
 
-    def dfs(x: int, lo: np.ndarray, hi: np.ndarray, top: int, bottom: int) -> bool:
+    def dfs(x: int, state: np.ndarray, top: int, bottom: int) -> bool:
         # top = lo.max() and bottom = hi.min(); at a leaf lo = hi = the sums
         nonlocal bound, leaf, nodes
         if x == n:
@@ -133,24 +161,25 @@ def _search(inc: np.ndarray, bound: int, witness: bool) -> tuple[int, int, np.nd
             return witness
         if bound <= 1:
             return False
+        kids = state + steps[x]
+        up, down = np.maximum.reduce(kids.reshape(4, A)[::3], axis=1).tolist()
         first = 1
-        if not witness and int(np.sign(lo + hi)[inc[x]].sum()) > 0:
+        if (not witness and up < bound and down < bound
+                and np.dot(votes[x], np.sign(state[0] - state[1])) > 0):
             first = -1
         for sg in (first, -first):
             nodes += 1
             chi[x] = sg
             if sg > 0:
-                lo2, hi2 = lo + step[x], hi
-                top2, bottom2 = int(lo2.max()), bottom
+                kid, top2, bottom2 = 0, up, bottom
             else:
-                lo2, hi2 = lo, hi - step[x]
-                top2, bottom2 = top, int(hi2.min())
-            if top2 < bound and bottom2 > -bound and dfs(x + 1, lo2, hi2, top2, bottom2):
+                kid, top2, bottom2 = 1, top, -down
+            if top2 < bound and bottom2 > -bound and dfs(x + 1, kids[kid], top2, bottom2):
                 return True
         return False
 
-    lo = step[0] - length
-    dfs(1, lo, length, int(lo.max()), int(length.min()))
+    state = np.stack([steps[0, 0, 0] - length, -length])
+    dfs(1, state, int(state[0].max()), int(length.min()))
     return bound, nodes, leaf
 
 
@@ -162,11 +191,11 @@ def _alternating_value(ctx: ZnContext) -> int:
 
 
 def _branch_and_bound(ctx: ZnContext) -> ExactResult:
-    inc = progression_incidence(ctx, min_len=2)
+    tables = _search_tables(progression_incidence(ctx, min_len=2))
     heuristic = _alternating_value(ctx)
-    best, nodes, _ = _search(inc, heuristic + 1, witness=False)
+    best, nodes, _ = _search(tables, heuristic + 1, witness=False)
     value = min(best, heuristic)
-    _, _, chi = _search(inc, value + 1, witness=True)
+    _, _, chi = _search(tables, value + 1, witness=True)
     return ExactResult(n=ctx.n, value=value, optimal_coloring=Coloring(ctx.n, chi),
                        nodes_explored=nodes, method="branch_and_bound")
 

@@ -4,11 +4,13 @@ A request derives its orbit blocks (``OrbitBlocks``, counted in closed
 form) from n, X and its allowances, and the library enforces them through an
 orbit-rank table; it sorts only half the steps and mirrors the rest, reads
 window maxima off prefix extremes, signs whole runs of the walk order at
-once, builds the progression sets as one packed incidence and evaluates the
-Fourier double sum from one chunked gather.  These materialise the same
-objects directly (one sort per step, a definition-level transform, two
-independent double-sum routes, a generate-and-dedupe progression
-enumeration) and walk one point at a time, so the tests can compare the two.
+once, keys the progression sets by bit words, steps both children of a
+branch-and-bound node at once and evaluates the Fourier double sum from one
+chunked gather.  These materialise the same objects directly (one sort per
+step, a definition-level transform, two independent double-sum routes, a
+generate-and-dedupe progression enumeration, a dense membership tensor
+packed to bytes, one child at a time with a gathered vote) and walk one
+point at a time, so the tests can compare the two.
 """
 
 import math
@@ -151,6 +153,77 @@ def enumerate_aps(ctx):
                 if t not in seen:
                     seen.add(t)
                     yield t
+
+
+def progression_incidence_reference(ctx, min_len=1):
+    """Distinct progression sets of size >= min_len as an n x A boolean incidence.
+
+    Every set is a window of some step-d orbit, and steps d and n - d trace
+    the same windows, so the windows of steps d in [0, n//2] (d = 0 gives the
+    singletons) are built at once per step, packed to bytes and deduplicated
+    by ``np.unique``.  Columns follow the packed bytes' order; the column sets
+    are those of ``enumerate_aps``, for any n.
+    """
+    n = ctx.n
+    packed = []
+    for d in range(n // 2 + 1):
+        g = math.gcd(d, n)
+        L = n // g
+        orbit = (np.arange(g)[:, None] + np.arange(L)[None, :] * d) % n
+        # window (start i, length l) holds orbit position k iff (k - i) mod L < l
+        rank = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
+        window = rank[:, None, :] < np.arange(1, L + 1)[None, :, None]
+        member = np.zeros((g, L * L, n), dtype=bool)
+        np.put_along_axis(member, np.broadcast_to(orbit[:, None, :], (g, L * L, L)),
+                          window.reshape(1, L * L, L), axis=2)
+        packed.append(np.packbits(member.reshape(-1, n), axis=1))
+    sets = np.unique(np.concatenate(packed), axis=0)
+    sets = np.unpackbits(sets, axis=1, count=n).astype(bool)
+    return np.ascontiguousarray(sets[sets.sum(axis=1) >= min_len].T)
+
+
+def branch_and_bound_reference(inc, bound, witness):
+    """DFS over colorings with chi(0) = +1 for one below ``bound`` (max |sum|).
+
+    Optimisation mode returns the least value below the bound (the bound
+    itself if none is lower), the nodes explored and the last leaf reached,
+    each leaf lowering the bound; witness mode stops at the first leaf.
+    """
+    n = inc.shape[0]
+    step = 2 * inc.astype(np.int16)
+    length = inc.sum(axis=0, dtype=np.int16)
+    chi = np.ones(n, dtype=np.int8)
+    leaf = None
+    nodes = 0
+
+    def dfs(x, lo, hi, top, bottom):
+        # top = lo.max() and bottom = hi.min(); at a leaf lo = hi = the sums
+        nonlocal bound, leaf, nodes
+        if x == n:
+            bound = max(1, top, -bottom)
+            leaf = chi.copy()
+            return witness
+        if bound <= 1:
+            return False
+        first = 1
+        if not witness and int(np.sign(lo + hi)[inc[x]].sum()) > 0:
+            first = -1
+        for sg in (first, -first):
+            nodes += 1
+            chi[x] = sg
+            if sg > 0:
+                lo2, hi2 = lo + step[x], hi
+                top2, bottom2 = int(lo2.max()), bottom
+            else:
+                lo2, hi2 = lo, hi - step[x]
+                top2, bottom2 = top, int(hi2.min())
+            if top2 < bound and bottom2 > -bound and dfs(x + 1, lo2, hi2, top2, bottom2):
+                return True
+        return False
+
+    lo = step[0] - length
+    dfs(1, lo, length, int(lo.max()), int(length.min()))
+    return bound, nodes, leaf
 
 
 def dft_direct(f):

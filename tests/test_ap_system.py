@@ -22,7 +22,12 @@ from zndisc.ap_system import (
 )
 from zndisc.number_theory import make_context, totient
 
-from .oracles import enumerate_aps, orbit_intersection, step_maxima_naive
+from .oracles import (
+    enumerate_aps,
+    orbit_intersection,
+    progression_incidence_reference,
+    step_maxima_naive,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -102,6 +107,16 @@ def test_progression_incidence_matches_enumeration():
             kept = rows[rows.sum(axis=1) >= min_len]
             want = {row.tobytes() for row in np.packbits(kept, axis=1)}
             assert len(got) == len(set(got)) and set(got) == want, (n, min_len)
+
+
+def test_progression_incidence_matches_reference():
+    # same columns in the same order as the packed-byte reference; n = 65 and
+    # n = 72 key each set by two uint64 words
+    for n in list(range(1, 41)) + [64, 65, 72]:
+        ctx = make_context(n)
+        for min_len in (1, 2):
+            inc = progression_incidence(ctx, min_len=min_len)
+            assert np.array_equal(inc, progression_incidence_reference(ctx, min_len)), (n, min_len)
 
 
 # ------------------------------------------------------------ discrepancy

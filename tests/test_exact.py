@@ -1,14 +1,22 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zndisc.ap_system import Coloring, max_ap_discrepancy
+from zndisc.ap_system import Coloring, max_ap_discrepancy, progression_incidence
 from zndisc.exact import (
     LimitExceeded,
+    _alternating_value,
+    _search,
+    _search_tables,
     exact_disc,
     exact_herdisc,
     measure,
 )
 from zndisc.number_theory import make_context
+
+from .oracles import branch_and_bound_reference
 
 
 def brute_disc(n):
@@ -127,6 +135,62 @@ def test_branch_and_bound_pinned_values_and_witnesses():
         res = exact_disc(make_context(n), "branch_and_bound")
         assert (res.value, signs(res.optimal_coloring)) == pin, n
         assert res.nodes_explored <= EARLIER_BRANCH_AND_BOUND_NODES[n], n
+
+
+# past the default cap, pinned from the per-node gather search
+BRANCH_AND_BOUND_PINS_PAST_CAP = {
+    23: (6, 198286, "++++++-+-+-+--++----+--"),
+    24: (4, 3568, "++++-+--+-++-+--+-++----"),
+}
+
+
+def test_branch_and_bound_pinned_past_the_cap():
+    for n, pin in BRANCH_AND_BOUND_PINS_PAST_CAP.items():
+        res = exact_disc(make_context(n), limit=n)
+        assert (res.value, res.nodes_explored, signs(res.optimal_coloring)) == pin, n
+
+
+def assert_search_matches_reference(inc, bound, witness):
+    got = _search(_search_tables(inc), bound, witness)
+    want = branch_and_bound_reference(inc, bound, witness)
+    assert got[:2] == want[:2]
+    assert (got[2] is None and want[2] is None) or np.array_equal(got[2], want[2])
+    return want[0]
+
+
+def test_search_matches_reference():
+    # both modes with the bounds _branch_and_bound passes them
+    for n in list(range(2, 23)) + [24]:
+        ctx = make_context(n)
+        inc = progression_incidence(ctx, min_len=2)
+        heuristic = _alternating_value(ctx)
+        best = assert_search_matches_reference(inc, heuristic + 1, witness=False)
+        assert_search_matches_reference(inc, min(best, heuristic) + 1, witness=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_matches_reference_on_column_subsets(data):
+    # bounds from 1 (the bound <= 1 exit) up to n + 1, and sparse subsets
+    # where every child of a node is pruned
+    n = data.draw(st.integers(2, 16))
+    inc = progression_incidence(make_context(n), min_len=2)
+    cols = data.draw(st.lists(st.integers(0, inc.shape[1] - 1), min_size=1, max_size=40,
+                              unique=True))
+    bound = data.draw(st.integers(1, n + 1))
+    for witness in (False, True):
+        assert_search_matches_reference(inc[:, sorted(cols)], bound, witness)
+
+
+def test_oversized_incidence_refused_up_front():
+    # n = 300 spans 1.8e9 (window, point) cells; nothing that size is built
+    start = time.perf_counter()
+    for call in (lambda ctx: exact_disc(ctx, limit=300),
+                 lambda ctx: exact_disc(ctx, "exhaustive", limit=300),
+                 lambda ctx: exact_herdisc(ctx, limit=300)):
+        with pytest.raises(LimitExceeded, match="incidence"):
+            call(make_context(300))
+    assert time.perf_counter() - start < 5
 
 
 def test_exhaustive_pinned_values_witnesses_and_nodes():
