@@ -12,8 +12,15 @@ The five m-indexed checks have one implementation, ``fourier_checks``: one
 call evaluates them for every m (and every (m, l) for the truncated divisor
 bound) with numpy arrays, computing the class powers once and the double sum
 from one chunked gather of f(a + b*k); a one-m check is the call with
-``ms=[m]``.  The tests compare it against independent routes to the double
-sum in ``tests/oracles.py``.
+``ms=[m]``.  The inner sums over k < m of every m come from one pass over
+each gather, in the order numpy's pairwise sum adds a contiguous row, so
+they are bit for bit the per-m ``table[..., :m].sum(axis=-1)``: a row of up
+to 64 values in four lanes k = j (mod 4), combined as (L0 + L1) + (L2 + L3),
+then its m % 4 tail values in order (below 4 values plain sequential), and
+a longer row halved at (m - m % 8) / 2, recursively.
+``tests/test_analysis.py::test_row_sums_match_numpy_pairwise`` pins that
+order against numpy.  The tests also compare the double sum against
+independent routes in ``tests/oracles.py``.
 
 Equalities are checked to relative 1e-8; inequalities get an absolute floor
 of 1e-6 at the n^2 m^2 scale on top.  Class-sum tables for integer colorings
@@ -50,6 +57,7 @@ __all__ = [
 REL_TOL = 1e-8
 _ABS_COEFF = 1e-6
 _GATHER_CELLS = 1 << 14  # cells per gather of f(a + b*k) in the double sum
+_PAIRWISE_BLOCK = 64  # complex values numpy's pairwise sum adds in four lanes
 
 FOURIER_CHECKS = ("rhs_lower", "lhs_upper", "mobius_identity", "mobius_inequality",
                   "composite_lower")
@@ -133,32 +141,141 @@ def _grid(n: int, values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _pairwise_plan(ms: np.ndarray):
+    """numpy's pairwise summation tree for a row of m values, every m in ms.
+
+    A row longer than _PAIRWISE_BLOCK splits at h = (m - m % 8) / 2 into the
+    sums over [0, h) and [h, m), recursively, so every block starts at a
+    multiple of 4.  Blocks of at most _PAIRWISE_BLOCK values are leaves:
+    row (m // 4 - q0, m % 4, offset) of ``_RowSums``'s prefix table, q0 the
+    least m // 4 of a leaf.  The longer blocks take the rows after it, one
+    level of adds at a time.  Returns the leaves' distinct offsets, longest
+    length and q0, the (left, right) rows of each level bottom up, the rows
+    of the ms (a slice when they are consecutive) and the row count.
+    """
+    height = {}  # (offset, length) -> 0 for a leaf, else 1 + its children's
+
+    def visit(lo: int, m: int) -> int:
+        if (lo, m) not in height:
+            h = (m - m % 8) // 2
+            height[lo, m] = (0 if m <= _PAIRWISE_BLOCK
+                             else 1 + max(visit(lo, h), visit(lo + h, m - h)))
+        return height[lo, m]
+
+    for m in ms.tolist():
+        visit(0, m)
+    leaves = [node for node, h in height.items() if h == 0]
+    offsets = sorted({lo for lo, _ in leaves})
+    width = max(m for _, m in leaves)
+    q0 = min(m // 4 for _, m in leaves)
+    row = {(lo, m): (m - 4 * q0) * len(offsets) + offsets.index(lo) for lo, m in leaves}
+    rows = 4 * (width // 4 + 1 - q0) * len(offsets)
+    levels = []
+    for level in range(1, max(height.values()) + 1):
+        nodes = [node for node, h in height.items() if h == level]
+        splits = [(lo, m, (m - m % 8) // 2) for lo, m in nodes]
+        levels.append((np.array([row[lo, h] for lo, _, h in splits], dtype=np.intp),
+                       np.array([row[lo + h, m - h] for lo, m, h in splits], dtype=np.intp)))
+        row.update(zip(nodes, range(rows, rows + len(nodes))))
+        rows += len(nodes)
+    out = [row[0, m] for m in ms.tolist()]
+    if out == list(range(out[0], out[0] + len(out))):
+        out = slice(out[0], out[0] + len(out))
+    return np.array(offsets, dtype=np.intp), width, q0, levels, out, rows
+
+
+class _RowSums:
+    """Sums of the first m rows of a complex (k, column) table for every m in
+    ms, each bit for bit what numpy's pairwise ``add.reduce`` gives on the
+    column laid out as a contiguous row.
+
+    numpy sums a row of 4 <= m <= _PAIRWISE_BLOCK values in four lanes,
+    k = j (mod 4), combines them as (L0 + L1) + (L2 + L3) and adds the m % 4
+    tail values in order; a shorter row is plain sequential, which is the
+    same with no lanes.  So running sums of the lanes from each leaf offset,
+    combined at every quad count q, and three strided adds of the tails give
+    every length at once: prefix row (q, t) holds the sum of the first
+    4q + t values.  The running sums start at the least q a leaf needs, with
+    one reduction over the leading axis, which numpy adds in order, and fill
+    the prefix table before the combinations and tails replace them.
+    Longer rows add their leaves up by ``_pairwise_plan``'s levels.  Complex
+    adds are the real and imaginary float adds, so the work runs on float64
+    views.  The scratch arrays are allocated once, for tables of up to
+    ``columns`` columns, and a call's result is a view of them when the ms
+    are consecutive.
+    """
+
+    def __init__(self, ms: np.ndarray, columns: int):
+        (self._offsets, self._width, self._q0, self._levels, self._out,
+         self._rows) = _pairwise_plan(ms)
+        # the first `width` values from each leaf offset (clipped past the table's end)
+        self._take = np.arange(self._width)[:, None] + self._offsets
+        self._blocks = np.empty(self._take.size * 2 * columns if self._offsets.size > 1 else 0)
+        self._sums = np.empty(self._rows * 2 * columns)
+
+    def __call__(self, table: np.ndarray) -> np.ndarray:
+        """The (len(ms), columns) sums of a C-contiguous (k, columns) table."""
+        table = table.view(np.float64)
+        width, q0, offsets = self._width, self._q0, self._offsets.size
+        span = table.shape[1]
+        if offsets == 1:
+            blocks = table[:width, None]
+        else:
+            blocks = self._blocks[:width * offsets * span].reshape(width, offsets, span)
+            np.take(table, self._take, axis=0, mode="clip", out=blocks)
+        lanes = blocks[:width // 4 * 4].reshape(-1, 4, offsets, span)
+        sums = self._sums[:self._rows * span].reshape(self._rows, span)
+        done = (len(lanes) + 1 - q0) * 4 * offsets
+        prefix = sums[:done].reshape(-1, 4, offsets, span)
+        np.add.reduce(lanes[:q0], axis=0, out=prefix[0])
+        for i in range(1, len(prefix)):  # np.cumsum over the leading axis is several times slower
+            np.add(prefix[i - 1], lanes[q0 + i - 1], out=prefix[i])
+        np.add(prefix[:, 0], prefix[:, 1], out=prefix[:, 0])
+        np.add(prefix[:, 2], prefix[:, 3], out=prefix[:, 2])
+        np.add(prefix[:, 0], prefix[:, 2], out=prefix[:, 0])
+        for t in range(3):
+            tail = blocks[4 * q0 + t::4]
+            np.add(prefix[:len(tail), t], tail, out=prefix[:len(tail), t + 1])
+        for left, right in self._levels:
+            np.add(sums[left], sums[right], out=sums[done:done + left.size])
+            done += left.size
+        return sums[self._out].view(np.complex128)
+
+
 def _double_sums(arr: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms.
 
-    One gather of f(a + b*k), k < max(ms), serves every m: each row sum over
-    k < m is a prefix slice of the contiguous last axis, so numpy sums it
-    pairwise exactly as it would a gather of m columns.  |.|^2 is summed over
-    a along a contiguous axis and the total adds up over b in order.  A gather
-    holds at most _GATHER_CELLS cells (one row of max(ms) if that is larger).
+    One gather of f(a + b*k), k < max(ms), serves every m, and ``_RowSums``
+    gives every m's sums over k from one pass over it: four lane sums per
+    leaf block of up to 64 values, combined as (L0 + L1) + (L2 + L3), the
+    m % 4 tail values added in order, longer rows halved at (m - m % 8) / 2.
+    That is numpy's pairwise order on a contiguous row, so each sum is bit
+    for bit ``table[..., :m].sum(axis=-1)``
+    (``tests/test_analysis.py::test_row_sums_match_numpy_pairwise`` pins
+    it).  |.|^2 is summed over a along a contiguous axis and the total adds
+    up over b in order.  A gather holds at most _GATHER_CELLS cells (one row
+    of max(ms) if that is larger); its index is b*k mod n, taken once per b
+    chunk, plus a, less n where that passes n.
     """
     n = arr.size
     width = int(ms.max())
-    k = np.arange(width, dtype=np.int64)
+    k = np.arange(width, dtype=np.int64)[:, None, None]
     a_rows = min(n, max(1, _GATHER_CELLS // width))
     b_rows = min(n, max(1, _GATHER_CELLS // (a_rows * width)))
+    row_sums = _RowSums(ms, a_rows * b_rows)
     per_b = np.empty((ms.size, n))
     for b0 in range(0, n, b_rows):
-        b = np.arange(b0, min(b0 + b_rows, n), dtype=np.int64)[:, None, None]
+        b = np.arange(b0, min(b0 + b_rows, n), dtype=np.int64)[:, None]
+        step = b * k % n
         square = np.empty((ms.size, b.shape[0], n))  # |row sum|^2 per (m, b, a)
         for a0 in range(0, n, a_rows):
-            a = np.arange(a0, min(a0 + a_rows, n), dtype=np.int64)[:, None]
-            index = a + b * k
-            table = arr[np.remainder(index, n, out=index)]
+            a = np.arange(a0, min(a0 + a_rows, n), dtype=np.int64)
+            index = step + a
+            table = arr[np.subtract(index, n, out=index, where=index >= n)]
             del index
-            for i, m in enumerate(ms):
-                row = np.abs(table[..., :m].sum(axis=-1))
-                square[i, :, a0:a0 + a.shape[0]] = np.square(row, out=row)
+            row = np.abs(row_sums(table.reshape(width, -1)).reshape(ms.size, -1, a.size),
+                         out=square[:, :, a0:a0 + a.size])
+            np.square(row, out=row)
             del table
         per_b[:, b0:b0 + b.shape[0]] = square.sum(axis=-1)
     return np.cumsum(per_b, axis=1)[:, -1]

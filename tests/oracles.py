@@ -5,19 +5,24 @@ form) from n, X and its allowances, and the library enforces them through an
 orbit-rank table; it sorts only half the steps and mirrors the rest, reads
 window maxima off prefix extremes, signs whole runs of the walk order at
 once, keys the progression sets by bit words, steps both children of a
-branch-and-bound node at once and evaluates the Fourier double sum from one
-chunked gather.  These materialise the same objects directly (one sort per
-step, a definition-level transform, two independent double-sum routes, a
+branch-and-bound node at once, evaluates the Fourier double sum from one
+chunked gather with every m's row sums from one pass of lane sums, and
+takes the split-sum grid's max |sum| with one reduction.  These materialise
+the same objects directly (one sort per step, a definition-level
+transform, two independent double-sum routes and one numpy row sum per m, a
 generate-and-dedupe progression enumeration, a dense membership tensor
-packed to bytes, one child at a time with a gathered vote) and walk one
-point at a time, so the tests can compare the two.
+packed to bytes, one child at a time with a gathered vote, max and -min
+reduced apart) and walk one point at a time, so the tests can compare the
+two.
 """
 
 import math
 
 import numpy as np
 
+from zndisc.analysis import _GATHER_CELLS
 from zndisc.engine import _orbit_layout, _WalkTable
+from zndisc.exact import _GRID_CELLS_LIMIT, _GRID_CHUNK, LimitExceeded, _digit_sums
 
 _DIRECT_DFT_LIMIT = 4096
 
@@ -264,3 +269,47 @@ def weighted_lhs_spectral(f, m):
     for b in range(n):
         total += float((power * w[(b * np.arange(n)) % n]).sum())
     return total / n
+
+
+def double_sums_reference(arr, ms):
+    """sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms, one numpy
+    ``table[..., :m].sum(axis=-1)`` per m per chunked (b, a, k) gather."""
+    n = arr.size
+    width = int(ms.max())
+    k = np.arange(width, dtype=np.int64)
+    a_rows = min(n, max(1, _GATHER_CELLS // width))
+    b_rows = min(n, max(1, _GATHER_CELLS // (a_rows * width)))
+    per_b = np.empty((ms.size, n))
+    for b0 in range(0, n, b_rows):
+        b = np.arange(b0, min(b0 + b_rows, n), dtype=np.int64)[:, None, None]
+        square = np.empty((ms.size, b.shape[0], n))  # |row sum|^2 per (m, b, a)
+        for a0 in range(0, n, a_rows):
+            a = np.arange(a0, min(a0 + a_rows, n), dtype=np.int64)[:, None]
+            index = a + b * k
+            table = arr[np.remainder(index, n, out=index)]
+            del index
+            for i, m in enumerate(ms):
+                row = np.abs(table[..., :m].sum(axis=-1))
+                square[i, :, a0:a0 + a.shape[0]] = np.square(row, out=row)
+            del table
+        per_b[:, b0:b0 + b.shape[0]] = square.sum(axis=-1)
+    return np.cumsum(per_b, axis=1)[:, -1]
+
+
+def split_grid_reference(inc, digits, base=0):
+    """``exact._split_grid`` with the max |sum| over the progressions taken
+    as max(max sum, -min sum), two reductions per chunk."""
+    cells = len(digits) ** inc.shape[0]
+    if cells > _GRID_CELLS_LIMIT:
+        raise LimitExceeded(f"the search grid needs {cells} cells, past the limit of "
+                            f"{_GRID_CELLS_LIMIT}")
+    inc = inc.astype(np.int8)
+    k = (inc.shape[0] + 1) // 2
+    lo = _digit_sums(inc[:k], digits) + base
+    hi = _digit_sums(inc[k:], digits)
+    grid = np.empty((hi.shape[0], lo.shape[0]), dtype=np.int8)
+    rows = max(1, _GRID_CHUNK // lo.size)
+    for j in range(0, hi.shape[0], rows):
+        t = lo + hi[j:j + rows, None, :]
+        np.maximum(t.max(axis=2), -t.min(axis=2), out=grid[j:j + rows])
+    return grid

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zndisc import analysis
 from zndisc.analysis import (
@@ -20,7 +20,12 @@ from zndisc.analysis import (
 from zndisc.ap_system import Coloring, congruence_class_sums, max_ap_discrepancy
 from zndisc.number_theory import make_context
 
-from .oracles import dft_direct, weighted_lhs_all_m, weighted_lhs_spectral
+from .oracles import (
+    dft_direct,
+    double_sums_reference,
+    weighted_lhs_all_m,
+    weighted_lhs_spectral,
+)
 
 
 def weighted_lhs_tiny(f, m):
@@ -205,6 +210,53 @@ def test_double_sum_gathers_are_chunked(n, ms):
     # bitwise the scalar route: rows summed pairwise, totals added up over b
     for m, value in zip(ms, got):
         assert value == weighted_lhs_per_b(f, m)
+
+
+def test_double_sums_match_reference_every_m():
+    # every m at once, across numpy's 64/65 and 128/129 pairwise splits
+    rng = np.random.default_rng(19)
+    for n in [*range(1, 71), 100, 150]:
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ms = np.arange(1, n + 1)
+        assert np.array_equal(analysis._double_sums(f, ms), double_sums_reference(f, ms)), n
+
+
+@settings(max_examples=25, deadline=None)
+@example(n=150, seed=0, signs=False, ms=[150, 7, 65, 7, 1, 129, 128, 64, 65])
+@given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1), signs=st.booleans(),
+       ms=st.lists(st.integers(1, 150), min_size=1, max_size=10))
+def test_double_sums_match_reference_on_m_subsets(n, seed, signs, ms):
+    # any grid _grid admits: unsorted, repeated
+    rng = np.random.default_rng(seed)
+    if signs:
+        f = (rng.integers(0, 2, n) * 2 - 1).astype(np.complex128)
+    else:
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ms = (np.array(ms, dtype=np.int64) - 1) % n + 1
+    assert np.array_equal(analysis._double_sums(f, ms), double_sums_reference(f, ms))
+
+
+@settings(max_examples=40, deadline=None)
+@example(width=300, columns=3, seed=0, signs=False, every=True)
+@example(width=300, columns=3, seed=0, signs=True, every=True)
+@given(width=st.integers(1, 300), columns=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       signs=st.booleans(), every=st.booleans())
+def test_row_sums_match_numpy_pairwise(width, columns, seed, signs, every):
+    # _RowSums reproduces numpy's pairwise add.reduce order; a numpy whose
+    # order differs fails here, not as a drift in the fourier-check digests
+    rng = np.random.default_rng(seed)
+    if signs:
+        rows = (rng.integers(0, 2, (columns, width)) * 2 - 1).astype(np.complex128)
+    else:  # mixed magnitudes, so any reordering of the adds shows in the last bits
+        scale = 10.0 ** rng.integers(-12, 13, (2, columns, width))
+        rows = (rng.standard_normal((columns, width)) * scale[0]
+                + 1j * rng.standard_normal((columns, width)) * scale[1])
+    ms = np.arange(1, width + 1) if every else rng.integers(1, width + 1, 8)
+    got = analysis._RowSums(ms, columns)(np.ascontiguousarray(rows.T))
+    want = np.array([rows[:, :m].sum(axis=-1) for m in ms])
+    # numpy adds each row sum to add's identity +0.0, which turns -0.0 into +0.0
+    assert np.array_equal((got + 0.0).view(np.uint64), want.view(np.uint64)), (
+        "numpy's pairwise summation order is not the one _RowSums reproduces")
 
 
 @settings(max_examples=15, deadline=None)

@@ -10,13 +10,14 @@ from zndisc.exact import (
     _alternating_value,
     _search,
     _search_tables,
+    _split_grid,
     exact_disc,
     exact_herdisc,
     measure,
 )
 from zndisc.number_theory import make_context
 
-from .oracles import branch_and_bound_reference
+from .oracles import branch_and_bound_reference, split_grid_reference
 
 
 def brute_disc(n):
@@ -191,6 +192,24 @@ def test_oversized_incidence_refused_up_front():
         with pytest.raises(LimitExceeded, match="incidence"):
             call(make_context(300))
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_split_grid_matches_reference(n):
+    # the exhaustive grid (first point fixed to +1) at every n it serves
+    # (n = 1 has no progression of size >= 2), and the herdisc grid over
+    # {-1, 0, +1} vectors up to n = 10
+    grids = []
+    if n > 1:
+        inc = progression_incidence(make_context(n), min_len=2)
+        grids.append((_split_grid(inc[1:], (1, -1), base=inc[0]),
+                      split_grid_reference(inc[1:], (1, -1), base=inc[0])))
+    if n <= 10:
+        inc = progression_incidence(make_context(n))
+        grids.append((_split_grid(inc, (0, 1, -1)), split_grid_reference(inc, (0, 1, -1))))
+    for got, want in grids:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_exhaustive_pinned_values_witnesses_and_nodes():
