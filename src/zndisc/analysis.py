@@ -11,16 +11,17 @@ on the divisor structure of n.
 The five m-indexed checks have one implementation, ``fourier_checks``: one
 call evaluates them for every m (and every (m, l) for the truncated divisor
 bound) with numpy arrays, computing the class powers once and the double sum
-from one chunked gather of f(a + b*k); a one-m check is the call with
-``ms=[m]``.  The inner sums over k < m of every m come from one pass over
-each gather, in the order numpy's pairwise sum adds a contiguous row, so
-they are bit for bit the per-m ``table[..., :m].sum(axis=-1)``: a row of up
-to 64 values in four lanes k = j (mod 4), combined as (L0 + L1) + (L2 + L3),
-then its m % 4 tail values in order (below 4 values plain sequential), and
-a longer row halved at (m - m % 8) / 2, recursively.
-``tests/test_analysis.py::test_row_sums_match_numpy_pairwise`` pins that
-order against numpy.  The tests also compare the double sum against
-independent routes in ``tests/oracles.py``.
+for every m in one call; a one-m check is the call with ``ms=[m]``.  The
+double sum of integer input with every entry in {-1, 0, +1} (a coloring's
+values) is exact in int64, from the squared window sums of each step's orbit
+rows: with g = gcd(b, n), L = n/g and m = q*L + s (0 <= s < L), a row's L
+starts give L*q^2*S^2 + 2*q*s*S^2 + Q2[s], S the row sum and Q2[s] its sum of
+squared length-s window sums.  Any other input, complex included, is summed
+from chunked gathers of f(a + b*k) in numpy's pairwise order, bit for bit
+the per-m ``table[..., :m].sum(axis=-1)``.  On entries in {-1, 0, +1} that
+route's every value is an integer below n^4, exact while n^4 < 2^53
+(n <= 9741), so both routes give the same float64 (``_double_sums``).  The
+tests compare both against each other and against ``tests/oracles.py``.
 
 Equalities are checked to relative 1e-8; inequalities get an absolute floor
 of 1e-6 at the n^2 m^2 scale on top.  Class-sum tables for integer colorings
@@ -29,12 +30,14 @@ are computed in exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import Coloring, congruence_class_sums, max_ap_discrepancy, max_ap_sum_complex
+from .ap_system import (Coloring, _orbit_windows, congruence_class_sums, max_ap_discrepancy,
+                        max_ap_sum_complex)
 from .number_theory import ZnContext, factorize, make_context
 
 __all__ = [
@@ -141,7 +144,8 @@ def _grid(n: int, values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _pairwise_plan(ms: np.ndarray):
+@functools.lru_cache(maxsize=16)
+def _pairwise_plan(ms: tuple[int, ...]):
     """numpy's pairwise summation tree for a row of m values, every m in ms.
 
     A row longer than _PAIRWISE_BLOCK splits at h = (m - m % 8) / 2 into the
@@ -151,7 +155,8 @@ def _pairwise_plan(ms: np.ndarray):
     least m // 4 of a leaf.  The longer blocks take the rows after it, one
     level of adds at a time.  Returns the leaves' distinct offsets, longest
     length and q0, the (left, right) rows of each level bottom up, the rows
-    of the ms (a slice when they are consecutive) and the row count.
+    of the ms (a slice when they are consecutive) and the row count.  The
+    plan depends on ms alone and is cached; its arrays are read-only.
     """
     height = {}  # (offset, length) -> 0 for a leaf, else 1 + its children's
 
@@ -162,7 +167,7 @@ def _pairwise_plan(ms: np.ndarray):
                              else 1 + max(visit(lo, h), visit(lo + h, m - h)))
         return height[lo, m]
 
-    for m in ms.tolist():
+    for m in ms:
         visit(0, m)
     leaves = [node for node, h in height.items() if h == 0]
     offsets = sorted({lo for lo, _ in leaves})
@@ -178,10 +183,14 @@ def _pairwise_plan(ms: np.ndarray):
                        np.array([row[lo + h, m - h] for lo, m, h in splits], dtype=np.intp)))
         row.update(zip(nodes, range(rows, rows + len(nodes))))
         rows += len(nodes)
-    out = [row[0, m] for m in ms.tolist()]
-    if out == list(range(out[0], out[0] + len(out))):
-        out = slice(out[0], out[0] + len(out))
-    return np.array(offsets, dtype=np.intp), width, q0, levels, out, rows
+    out = [row[0, m] for m in ms]
+    out = (slice(out[0], out[0] + len(out)) if out == list(range(out[0], out[0] + len(out)))
+           else np.array(out, dtype=np.intp))
+    offsets = np.array(offsets, dtype=np.intp)
+    for a in (offsets, out, *(x for pair in levels for x in pair)):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return offsets, width, q0, levels, out, rows
 
 
 class _RowSums:
@@ -207,7 +216,7 @@ class _RowSums:
 
     def __init__(self, ms: np.ndarray, columns: int):
         (self._offsets, self._width, self._q0, self._levels, self._out,
-         self._rows) = _pairwise_plan(ms)
+         self._rows) = _pairwise_plan(tuple(ms.tolist()))
         # the first `width` values from each leaf offset (clipped past the table's end)
         self._take = np.arange(self._width)[:, None] + self._offsets
         self._blocks = np.empty(self._take.size * 2 * columns if self._offsets.size > 1 else 0)
@@ -242,8 +251,53 @@ class _RowSums:
         return sums[self._out].view(np.complex128)
 
 
-def _double_sums(arr: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms.
+def _double_sums(values: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms, as float64.
+
+    Integer input with every entry in {-1, 0, +1} takes
+    ``_double_sums_exact``; any other, float +-1 included, the pairwise
+    route, the only one for complex input.  On such entries every value
+    that route forms (row sums, squares, sums over a and b) is an integer
+    below n^4, exact while n^4 < 2^53 (n <= 9741), and hypot(x, 0) = |x|, so
+    both routes return the same float64.
+    """
+    if (np.issubdtype(values.dtype, np.integer) and values.min() >= -1
+            and values.max() <= 1):
+        return _double_sums_exact(values.astype(np.int8), ms)
+    return _double_sums_pairwise(values.astype(np.complex128, copy=False), ms)
+
+
+def _double_sums_exact(values: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The double sum of int8 entries in {-1, 0, +1}, exactly.
+
+    Step b (g = gcd(b, n)) runs round g orbit rows of L = n/g points.  With
+    m = q*L + s (0 <= s < L) a start's sum is q*S + W, S the row sum and W a
+    length-s window sum, and the length-s windows cover each point s times,
+    so a row's L starts give L*q^2*S^2 + 2*q*s*S^2 + Q2[s], Q2[s] the sum of
+    its squared length-s window sums (``ap_system._orbit_windows``);
+    Q2[L] = L*S^2.  Steps b and n - b give the same windows reversed, so b
+    runs over [0, n/2], weight 2 but at 0 and n/2; b = 0 (L = 1) gives
+    m^2 f(a)^2.  Window sums are int32, the totals int64 below n^4: no
+    overflow below n = 55 000.
+    """
+    n = values.size
+    # Q2[0..L] per row length L (one per gcd class), summed over the class's steps and rows
+    q2 = {1: np.array([0, np.count_nonzero(values)], dtype=np.int64)}  # step 0: f(a)^2
+    for L, windows in _orbit_windows(values, n):
+        total = q2.setdefault(L, np.zeros(L + 1, dtype=np.int64))
+        total[1:] += np.square(windows, out=windows).sum(axis=(0, 1, 2), dtype=np.int64)
+    lengths = np.fromiter(q2, dtype=np.int64, count=len(q2))
+    flat = np.concatenate(list(q2.values()))
+    offsets = np.cumsum(lengths + 1) - lengths - 1
+    q, s = np.divmod(ms[:, None], lengths)
+    rows = flat[offsets + lengths] // lengths  # sum of S^2 over the class's steps and rows
+    terms = q * (ms[:, None] + s) * rows + flat[offsets + s]  # L*q^2 + 2*q*s = q*(m + s)
+    # steps b and n - b count twice; b = 0 (L = 1) and b = n/2 (L = 2) once
+    return (terms @ np.where(lengths > 2, 2, 1)).astype(np.float64)
+
+
+def _double_sums_pairwise(arr: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The double sum of a complex array, in numpy's pairwise order.
 
     One gather of f(a + b*k), k < max(ms), serves every m, and ``_RowSums``
     gives every m's sums over k from one pass over it: four lane sums per
@@ -357,7 +411,7 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
 
     out = {}
     if want & {"rhs_lower", "lhs_upper"}:
-        double = _double_sums(arr, ms)
+        double = _double_sums(f.values if isinstance(f, Coloring) else np.asarray(f), ms)
     if want & {"rhs_lower", "composite_lower"}:
         spectral_max = (power * np.maximum(scaled, col)).sum(axis=1)
     if want & {"lhs_upper", "composite_lower"}:

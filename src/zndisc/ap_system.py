@@ -28,8 +28,10 @@ widens by Q*|C| and about half the steps stay (1062 of 2100 at n = 4200,
 r* = 175), too few dropped to pay for the extra pass.  The witness step
 is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
-extremes to sweep, difference the doubled prefix over every window.  The
-tests' oracles sum every window directly.
+extremes to sweep, difference the doubled prefix over every window
+(``_orbit_windows``, the steps of one gcd per numpy call; the exact Fourier
+double sum reads the same windows).  The tests' oracles sum every window
+directly.
 
 ``dyadic_block_counts`` counts the dyadic blocks of X along every step-d orbit
 in closed form; the engine's entropy budget takes its block counts from it.
@@ -373,28 +375,44 @@ def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
     return _full_scan(values, n)[1].max(axis=-1)
 
 
+def _orbit_windows(values: np.ndarray, n: int):
+    """Sums of every cyclic window of every step d in [1, n//2], in chunks.
+
+    Yields (L, W) with W[..., i, l - 1] the sum of the length-l window that
+    starts at position i of an orbit row (L points), read off a sliding view
+    of the doubled orbit prefix; the axes before the last two are (steps,
+    rows).  A chunk holds the steps of one gcd class, or the starts of one
+    step, up to _SCAN_CELLS window sums.
+    """
+    d = np.arange(1, n // 2 + 1, dtype=np.int64)
+    h = np.gcd(d, n)
+    for g in np.flatnonzero(np.bincount(h)).tolist():
+        ds = d[h == g]
+        L = n // g
+        chunk = max(1, _SCAN_CELLS // (n * L))
+        for lo in range(0, ds.size, chunk):
+            part = ds[lo : lo + chunk]
+            P = _orbit_prefix(values, n, part)
+            # ends[..., i, l - 1] = P[..., i + l]: a sliding view of the doubled prefix
+            ends = np.ndarray(P.shape[:-1] + (L, L), P.dtype, P, P.itemsize,
+                              P.strides + P.strides[-1:])
+            starts = max(1, _SCAN_CELLS // (part.size * n))
+            for i in range(0, L, starts):
+                j = min(i + starts, L)
+                yield L, ends[..., i:j, :] - P[..., i:j, None]
+
+
 def max_ap_sum_complex(f) -> float:
     """Max |sum of f over a progression| for complex-valued f.
 
-    Complex sums have no min/max extremes to sweep, so each step's window sums
-    P[i + l] - P[i] (start i < L, length l = 1..L) are read off a sliding view
-    of the doubled orbit prefix, a chunk of starts per numpy call (quadratic
-    scan).
+    Complex sums have no min/max extremes to sweep, so every window sum of
+    every step is taken (``_orbit_windows``, quadratic scan).
     """
     f = np.asarray(f, dtype=np.complex128)
     n = f.shape[0]
     if n == 1:
         return float(abs(f[0]))
-    best = 0.0
-    for d in range(1, n // 2 + 1):
-        P = _orbit_prefix(f, n, d)
-        g, L = P.shape[0], P.shape[-1] // 2
-        ends = np.lib.stride_tricks.sliding_window_view(P[:, 1:], L, axis=-1)
-        chunk = max(1, _SCAN_CELLS // (g * L))
-        for i in range(0, L, chunk):
-            starts = slice(i, min(i + chunk, L))
-            best = max(best, float(np.abs(ends[:, starts] - P[:, starts, None]).max()))
-    return best
+    return max(float(np.abs(w).max()) for _, w in _orbit_windows(f, n))
 
 
 def congruence_class_sums(values: np.ndarray, r: int) -> np.ndarray:

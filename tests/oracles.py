@@ -6,14 +6,15 @@ orbit-rank table; it sorts only half the steps and mirrors the rest, reads
 window maxima off prefix extremes, signs whole runs of the walk order at
 once, keys the progression sets by bit words, steps both children of a
 branch-and-bound node at once, evaluates the Fourier double sum from one
-chunked gather with every m's row sums from one pass of lane sums, and
-takes the split-sum grid's max |sum| with one reduction.  These materialise
-the same objects directly (one sort per step, a definition-level
-transform, two independent double-sum routes and one numpy row sum per m, a
-generate-and-dedupe progression enumeration, a dense membership tensor
-packed to bytes, one child at a time with a gathered vote, max and -min
-reduced apart) and walk one point at a time, so the tests can compare the
-two.
+chunked gather with every m's row sums from one pass of lane sums (exactly
+from orbit-row window sums for integer +-1 input), scans complex window sums
+a gcd class of steps at a time, and takes the split-sum grid's max |sum|
+with one reduction.  These materialise the same objects directly (one sort
+per step, a definition-level transform, two independent double-sum routes
+and one numpy row sum per m, one step per complex scan, a generate-and-dedupe
+progression enumeration, a dense membership tensor packed to bytes, one
+child at a time with a gathered vote, max and -min reduced apart) and walk
+one point at a time, so the tests can compare the two.
 """
 
 import math
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from zndisc.analysis import _GATHER_CELLS
+from zndisc.ap_system import _SCAN_CELLS, _orbit_prefix
 from zndisc.engine import _orbit_layout, _WalkTable
 from zndisc.exact import _GRID_CELLS_LIMIT, _GRID_CHUNK, LimitExceeded, _digit_sums
 
@@ -294,6 +296,26 @@ def double_sums_reference(arr, ms):
             del table
         per_b[:, b0:b0 + b.shape[0]] = square.sum(axis=-1)
     return np.cumsum(per_b, axis=1)[:, -1]
+
+
+def max_ap_sum_complex_per_step(f):
+    """``ap_system.max_ap_sum_complex`` one step at a time: each step's window
+    sums P[i + l] - P[i] off a sliding view of its doubled orbit prefix, a
+    chunk of starts per numpy call."""
+    f = np.asarray(f, dtype=np.complex128)
+    n = f.shape[0]
+    if n == 1:
+        return float(abs(f[0]))
+    best = 0.0
+    for d in range(1, n // 2 + 1):
+        P = _orbit_prefix(f, n, d)
+        g, L = P.shape[0], P.shape[-1] // 2
+        ends = np.lib.stride_tricks.sliding_window_view(P[:, 1:], L, axis=-1)
+        chunk = max(1, _SCAN_CELLS // (g * L))
+        for i in range(0, L, chunk):
+            starts = slice(i, min(i + chunk, L))
+            best = max(best, float(np.abs(ends[:, starts] - P[:, starts, None]).max()))
+    return best
 
 
 def split_grid_reference(inc, digits, base=0):

@@ -236,6 +236,62 @@ def test_double_sums_match_reference_on_m_subsets(n, seed, signs, ms):
     assert np.array_equal(analysis._double_sums(f, ms), double_sums_reference(f, ms))
 
 
+def test_exact_double_sums_match_reference_every_m():
+    # integer +-1 input takes the exact route, bit for bit the pairwise
+    # route and the reference; {-1, 0, +1} against the pairwise route
+    rng = np.random.default_rng(20)
+    for n in [*range(1, 91), 100, 128, 150]:
+        ms = np.arange(1, n + 1)
+        signs = rng.integers(0, 2, n) * 2 - 1
+        got = analysis._double_sums(signs, ms)
+        assert np.array_equal(got, double_sums_reference(signs.astype(np.complex128), ms)), n
+        assert np.array_equal(got, analysis._double_sums_pairwise(signs.astype(np.complex128), ms))
+        partial = rng.integers(-1, 2, n).astype(np.int8)
+        assert np.array_equal(analysis._double_sums(partial, ms),
+                              analysis._double_sums_pairwise(partial.astype(np.complex128), ms)), n
+
+
+@settings(max_examples=25, deadline=None)
+@example(n=150, seed=0, zeros=False, ms=[150, 7, 65, 7, 1, 129, 128, 64, 65, 75, 76])
+@example(n=2, seed=0, zeros=False, ms=[2, 1, 2])
+@given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1), zeros=st.booleans(),
+       ms=st.lists(st.integers(1, 150), min_size=1, max_size=10))
+def test_exact_double_sums_match_reference_on_m_subsets(n, seed, zeros, ms):
+    rng = np.random.default_rng(seed)
+    f = rng.integers(-1, 2, n) if zeros else rng.integers(0, 2, n) * 2 - 1
+    ms = (np.array(ms, dtype=np.int64) - 1) % n + 1
+    got = analysis._double_sums(f, ms)
+    assert np.array_equal(got, double_sums_reference(f.astype(np.complex128), ms))
+    assert np.array_equal(got, analysis._double_sums_pairwise(f.astype(np.complex128), ms))
+
+
+def test_double_sums_route_follows_input(monkeypatch):
+    # integer input with every entry in {-1, 0, +1} takes the exact route, a
+    # Coloring through fourier_checks included; float +-1, an integer 2 and
+    # complex input take the pairwise route
+    taken = []
+    for name in ("_double_sums_exact", "_double_sums_pairwise"):
+        def spy(values, ms, route=getattr(analysis, name), name=name):
+            taken.append(name)
+            return route(values, ms)
+        monkeypatch.setattr(analysis, name, spy)
+    rng = np.random.default_rng(4)
+    signs = rng.integers(0, 2, 12) * 2 - 1
+    two = signs.copy()
+    two[5] = 2
+    cases = [(signs, "_double_sums_exact"), (signs.astype(np.int8), "_double_sums_exact"),
+             (rng.integers(0, 2, 12).astype(np.uint8), "_double_sums_exact"),
+             (signs.astype(np.float64), "_double_sums_pairwise"), (two, "_double_sums_pairwise"),
+             (signs.astype(np.complex128), "_double_sums_pairwise")]
+    for values, route in cases:
+        taken.clear()
+        analysis._double_sums(values, np.arange(1, 13))
+        assert taken == [route], values.dtype
+    taken.clear()
+    double_sums(Coloring(12, signs), [3, 12])
+    assert taken == ["_double_sums_exact"]
+
+
 @settings(max_examples=40, deadline=None)
 @example(width=300, columns=3, seed=0, signs=False, every=True)
 @example(width=300, columns=3, seed=0, signs=True, every=True)

@@ -24,6 +24,7 @@ from zndisc.number_theory import make_context, totient
 
 from .oracles import (
     enumerate_aps,
+    max_ap_sum_complex_per_step,
     orbit_intersection,
     progression_incidence_reference,
     step_maxima_naive,
@@ -339,6 +340,21 @@ def test_complex_ap_sum_against_naive():
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         naive = max(abs(sum(f[x] for x in s)) for s in naive_ap_sets(n))
         assert max_ap_sum_complex(f) == pytest.approx(naive)
+
+
+@pytest.mark.parametrize("cells,ns", [(None, [*range(1, 100), 150, 210]),
+                                      (1, [*range(1, 41), 48, 60])])
+def test_complex_ap_sum_matches_per_step_scan(monkeypatch, cells, ns):
+    # the gcd-class chunks take the same window sums as one step at a time,
+    # so the maximum is bit for bit the same; one start per numpy call with
+    # cells = 1
+    rng = np.random.default_rng(21)
+    fs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in ns]
+    want = [max_ap_sum_complex_per_step(f) for f in fs]
+    if cells is not None:
+        monkeypatch.setattr("zndisc.ap_system._SCAN_CELLS", cells)
+    for n, f, t in zip(ns, fs, want):
+        assert max_ap_sum_complex(f) == t, n
 
 
 @pytest.mark.parametrize("n,values", [
