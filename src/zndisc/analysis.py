@@ -12,16 +12,15 @@ The five m-indexed checks have one implementation, ``fourier_checks``: one
 call evaluates them for every m (and every (m, l) for the truncated divisor
 bound) with numpy arrays, computing the class powers once and the double sum
 for every m in one call; a one-m check is the call with ``ms=[m]``.  The
-double sum of integer input with every entry in {-1, 0, +1} (a coloring's
-values) is exact in int64, from the squared window sums of each step's orbit
-rows: with g = gcd(b, n), L = n/g and m = q*L + s (0 <= s < L), a row's L
-starts give L*q^2*S^2 + 2*q*s*S^2 + Q2[s], S the row sum and Q2[s] its sum of
-squared length-s window sums.  Any other input, complex included, is summed
-from chunked gathers of f(a + b*k) in numpy's pairwise order, bit for bit
-the per-m ``table[..., :m].sum(axis=-1)``.  On entries in {-1, 0, +1} that
-route's every value is an integer below n^4, exact while n^4 < 2^53
-(n <= 9741), so both routes give the same float64 (``_double_sums``).  The
-tests compare both against each other and against ``tests/oracles.py``.
+double sum and T_f come from one pass over each step's orbit-row windows
+(``ap_system._window_moments``): with g = gcd(b, n), L = n/g and
+m = q*L + s (0 <= s < L), a row's L starts give
+L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], S the row sum and Q2[s] its sum of
+squared length-s window sums, and T_f is the largest |window sum|.  Integer
+input with every entry in {-1, 0, +1} (a coloring's values) is exact in
+int64; any other, complex included, takes the same code in float64.  The
+tests compare both against ``tests/oracles.py``: bit for bit on entries in
+{-1, 0, +1}, to relative 1e-12 on complex input.
 
 Equalities are checked to relative 1e-8; inequalities get an absolute floor
 of 1e-6 at the n^2 m^2 scale on top.  Class-sum tables for integer colorings
@@ -30,13 +29,12 @@ are computed in exact integer arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import (Coloring, _orbit_windows, congruence_class_sums, max_ap_discrepancy,
+from .ap_system import (Coloring, _window_moments, congruence_class_sums, max_ap_discrepancy,
                         max_ap_sum_complex)
 from .number_theory import ZnContext, factorize, make_context
 
@@ -59,8 +57,6 @@ __all__ = [
 
 REL_TOL = 1e-8
 _ABS_COEFF = 1e-6
-_GATHER_CELLS = 1 << 14  # cells per gather of f(a + b*k) in the double sum
-_PAIRWISE_BLOCK = 64  # complex values numpy's pairwise sum adds in four lanes
 
 FOURIER_CHECKS = ("rhs_lower", "lhs_upper", "mobius_identity", "mobius_inequality",
                   "composite_lower")
@@ -144,195 +140,39 @@ def _grid(n: int, values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-@functools.lru_cache(maxsize=16)
-def _pairwise_plan(ms: tuple[int, ...]):
-    """numpy's pairwise summation tree for a row of m values, every m in ms.
-
-    A row longer than _PAIRWISE_BLOCK splits at h = (m - m % 8) / 2 into the
-    sums over [0, h) and [h, m), recursively, so every block starts at a
-    multiple of 4.  Blocks of at most _PAIRWISE_BLOCK values are leaves:
-    row (m // 4 - q0, m % 4, offset) of ``_RowSums``'s prefix table, q0 the
-    least m // 4 of a leaf.  The longer blocks take the rows after it, one
-    level of adds at a time.  Returns the leaves' distinct offsets, longest
-    length and q0, the (left, right) rows of each level bottom up, the rows
-    of the ms (a slice when they are consecutive) and the row count.  The
-    plan depends on ms alone and is cached; its arrays are read-only.
-    """
-    height = {}  # (offset, length) -> 0 for a leaf, else 1 + its children's
-
-    def visit(lo: int, m: int) -> int:
-        if (lo, m) not in height:
-            h = (m - m % 8) // 2
-            height[lo, m] = (0 if m <= _PAIRWISE_BLOCK
-                             else 1 + max(visit(lo, h), visit(lo + h, m - h)))
-        return height[lo, m]
-
-    for m in ms:
-        visit(0, m)
-    leaves = [node for node, h in height.items() if h == 0]
-    offsets = sorted({lo for lo, _ in leaves})
-    width = max(m for _, m in leaves)
-    q0 = min(m // 4 for _, m in leaves)
-    row = {(lo, m): (m - 4 * q0) * len(offsets) + offsets.index(lo) for lo, m in leaves}
-    rows = 4 * (width // 4 + 1 - q0) * len(offsets)
-    levels = []
-    for level in range(1, max(height.values()) + 1):
-        nodes = [node for node, h in height.items() if h == level]
-        splits = [(lo, m, (m - m % 8) // 2) for lo, m in nodes]
-        levels.append((np.array([row[lo, h] for lo, _, h in splits], dtype=np.intp),
-                       np.array([row[lo + h, m - h] for lo, m, h in splits], dtype=np.intp)))
-        row.update(zip(nodes, range(rows, rows + len(nodes))))
-        rows += len(nodes)
-    out = [row[0, m] for m in ms]
-    out = (slice(out[0], out[0] + len(out)) if out == list(range(out[0], out[0] + len(out)))
-           else np.array(out, dtype=np.intp))
-    offsets = np.array(offsets, dtype=np.intp)
-    for a in (offsets, out, *(x for pair in levels for x in pair)):
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return offsets, width, q0, levels, out, rows
-
-
-class _RowSums:
-    """Sums of the first m rows of a complex (k, column) table for every m in
-    ms, each bit for bit what numpy's pairwise ``add.reduce`` gives on the
-    column laid out as a contiguous row.
-
-    numpy sums a row of 4 <= m <= _PAIRWISE_BLOCK values in four lanes,
-    k = j (mod 4), combines them as (L0 + L1) + (L2 + L3) and adds the m % 4
-    tail values in order; a shorter row is plain sequential, which is the
-    same with no lanes.  So running sums of the lanes from each leaf offset,
-    combined at every quad count q, and three strided adds of the tails give
-    every length at once: prefix row (q, t) holds the sum of the first
-    4q + t values.  The running sums start at the least q a leaf needs, with
-    one reduction over the leading axis, which numpy adds in order, and fill
-    the prefix table before the combinations and tails replace them.
-    Longer rows add their leaves up by ``_pairwise_plan``'s levels.  Complex
-    adds are the real and imaginary float adds, so the work runs on float64
-    views.  The scratch arrays are allocated once, for tables of up to
-    ``columns`` columns, and a call's result is a view of them when the ms
-    are consecutive.
-    """
-
-    def __init__(self, ms: np.ndarray, columns: int):
-        (self._offsets, self._width, self._q0, self._levels, self._out,
-         self._rows) = _pairwise_plan(tuple(ms.tolist()))
-        # the first `width` values from each leaf offset (clipped past the table's end)
-        self._take = np.arange(self._width)[:, None] + self._offsets
-        self._blocks = np.empty(self._take.size * 2 * columns if self._offsets.size > 1 else 0)
-        self._sums = np.empty(self._rows * 2 * columns)
-
-    def __call__(self, table: np.ndarray) -> np.ndarray:
-        """The (len(ms), columns) sums of a C-contiguous (k, columns) table."""
-        table = table.view(np.float64)
-        width, q0, offsets = self._width, self._q0, self._offsets.size
-        span = table.shape[1]
-        if offsets == 1:
-            blocks = table[:width, None]
-        else:
-            blocks = self._blocks[:width * offsets * span].reshape(width, offsets, span)
-            np.take(table, self._take, axis=0, mode="clip", out=blocks)
-        lanes = blocks[:width // 4 * 4].reshape(-1, 4, offsets, span)
-        sums = self._sums[:self._rows * span].reshape(self._rows, span)
-        done = (len(lanes) + 1 - q0) * 4 * offsets
-        prefix = sums[:done].reshape(-1, 4, offsets, span)
-        np.add.reduce(lanes[:q0], axis=0, out=prefix[0])
-        for i in range(1, len(prefix)):  # np.cumsum over the leading axis is several times slower
-            np.add(prefix[i - 1], lanes[q0 + i - 1], out=prefix[i])
-        np.add(prefix[:, 0], prefix[:, 1], out=prefix[:, 0])
-        np.add(prefix[:, 2], prefix[:, 3], out=prefix[:, 2])
-        np.add(prefix[:, 0], prefix[:, 2], out=prefix[:, 0])
-        for t in range(3):
-            tail = blocks[4 * q0 + t::4]
-            np.add(prefix[:len(tail), t], tail, out=prefix[:len(tail), t + 1])
-        for left, right in self._levels:
-            np.add(sums[left], sums[right], out=sums[done:done + left.size])
-            done += left.size
-        return sums[self._out].view(np.complex128)
-
-
-def _double_sums(values: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms, as float64.
-
-    Integer input with every entry in {-1, 0, +1} takes
-    ``_double_sums_exact``; any other, float +-1 included, the pairwise
-    route, the only one for complex input.  On such entries every value
-    that route forms (row sums, squares, sums over a and b) is an integer
-    below n^4, exact while n^4 < 2^53 (n <= 9741), and hypot(x, 0) = |x|, so
-    both routes return the same float64.
-    """
-    if (np.issubdtype(values.dtype, np.integer) and values.min() >= -1
-            and values.max() <= 1):
-        return _double_sums_exact(values.astype(np.int8), ms)
-    return _double_sums_pairwise(values.astype(np.complex128, copy=False), ms)
-
-
-def _double_sums_exact(values: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """The double sum of int8 entries in {-1, 0, +1}, exactly.
+def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, float]:
+    """The double sum sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms, as
+    float64, and T_f = max |f(A)| over progressions, from one pass over the
+    orbit-row windows (``ap_system._window_moments``).
 
     Step b (g = gcd(b, n)) runs round g orbit rows of L = n/g points.  With
     m = q*L + s (0 <= s < L) a start's sum is q*S + W, S the row sum and W a
     length-s window sum, and the length-s windows cover each point s times,
-    so a row's L starts give L*q^2*S^2 + 2*q*s*S^2 + Q2[s], Q2[s] the sum of
-    its squared length-s window sums (``ap_system._orbit_windows``);
-    Q2[L] = L*S^2.  Steps b and n - b give the same windows reversed, so b
-    runs over [0, n/2], weight 2 but at 0 and n/2; b = 0 (L = 1) gives
-    m^2 f(a)^2.  Window sums are int32, the totals int64 below n^4: no
-    overflow below n = 55 000.
+    so a row's L starts give L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], Q2[s] the sum
+    of its squared length-s window sums; Q2[L] = L*|S|^2.  Steps b and n - b
+    give the same windows reversed, so b runs over [0, n/2], weight 2 but at
+    0 and n/2; b = 0 (L = 1) gives m^2 |f(a)|^2.  Each m's terms add up over
+    the classes in one fixed order, so a grid's entry is its one-m call's.
+    Integer input with every entry in {-1, 0, +1} is exact (window sums
+    squared in int32, totals in int64: below n = 46 341); any other, complex
+    included, is summed in float64.
     """
+    integer = (np.issubdtype(values.dtype, np.integer) and values.min() >= -1
+               and values.max() <= 1)
+    values = values.astype(np.int8 if integer else np.complex128, copy=False)
     n = values.size
-    # Q2[0..L] per row length L (one per gcd class), summed over the class's steps and rows
-    q2 = {1: np.array([0, np.count_nonzero(values)], dtype=np.int64)}  # step 0: f(a)^2
-    for L, windows in _orbit_windows(values, n):
-        total = q2.setdefault(L, np.zeros(L + 1, dtype=np.int64))
-        total[1:] += np.square(windows, out=windows).sum(axis=(0, 1, 2), dtype=np.int64)
+    t, q2 = _window_moments(values, n)
+    q2[1] = np.array([0, np.square(np.abs(values)).sum()])  # step 0: Q2[1] = sum |f(a)|^2
     lengths = np.fromiter(q2, dtype=np.int64, count=len(q2))
     flat = np.concatenate(list(q2.values()))
     offsets = np.cumsum(lengths + 1) - lengths - 1
     q, s = np.divmod(ms[:, None], lengths)
-    rows = flat[offsets + lengths] // lengths  # sum of S^2 over the class's steps and rows
+    full = flat[offsets + lengths]  # Q2[L]: L times the sum of |S|^2 over the class's rows
+    rows = full // lengths if integer else full / lengths
     terms = q * (ms[:, None] + s) * rows + flat[offsets + s]  # L*q^2 + 2*q*s = q*(m + s)
     # steps b and n - b count twice; b = 0 (L = 1) and b = n/2 (L = 2) once
-    return (terms @ np.where(lengths > 2, 2, 1)).astype(np.float64)
-
-
-def _double_sums_pairwise(arr: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """The double sum of a complex array, in numpy's pairwise order.
-
-    One gather of f(a + b*k), k < max(ms), serves every m, and ``_RowSums``
-    gives every m's sums over k from one pass over it: four lane sums per
-    leaf block of up to 64 values, combined as (L0 + L1) + (L2 + L3), the
-    m % 4 tail values added in order, longer rows halved at (m - m % 8) / 2.
-    That is numpy's pairwise order on a contiguous row, so each sum is bit
-    for bit ``table[..., :m].sum(axis=-1)``
-    (``tests/test_analysis.py::test_row_sums_match_numpy_pairwise`` pins
-    it).  |.|^2 is summed over a along a contiguous axis and the total adds
-    up over b in order.  A gather holds at most _GATHER_CELLS cells (one row
-    of max(ms) if that is larger); its index is b*k mod n, taken once per b
-    chunk, plus a, less n where that passes n.
-    """
-    n = arr.size
-    width = int(ms.max())
-    k = np.arange(width, dtype=np.int64)[:, None, None]
-    a_rows = min(n, max(1, _GATHER_CELLS // width))
-    b_rows = min(n, max(1, _GATHER_CELLS // (a_rows * width)))
-    row_sums = _RowSums(ms, a_rows * b_rows)
-    per_b = np.empty((ms.size, n))
-    for b0 in range(0, n, b_rows):
-        b = np.arange(b0, min(b0 + b_rows, n), dtype=np.int64)[:, None]
-        step = b * k % n
-        square = np.empty((ms.size, b.shape[0], n))  # |row sum|^2 per (m, b, a)
-        for a0 in range(0, n, a_rows):
-            a = np.arange(a0, min(a0 + a_rows, n), dtype=np.int64)
-            index = step + a
-            table = arr[np.subtract(index, n, out=index, where=index >= n)]
-            del index
-            row = np.abs(row_sums(table.reshape(width, -1)).reshape(ms.size, -1, a.size),
-                         out=square[:, :, a0:a0 + a.size])
-            np.square(row, out=row)
-            del table
-        per_b[:, b0:b0 + b.shape[0]] = square.sum(axis=-1)
-    return np.cumsum(per_b, axis=1)[:, -1]
+    double = (terms * np.where(lengths > 2, 2, 1)).sum(axis=1)
+    return double.astype(np.float64), float(t)
 
 
 def max_progression_sum(f) -> float:
@@ -378,12 +218,19 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
     mobius_inequality  sum_r P(r) min(w(r), m) <= sum_{k<=l} A(k) + sum_{k>l} (m n/k) G_f(n/k)
     composite_lower    n^2 T_f^2 + sum_{1<=k<m} A(k) >= sum_r P(r) max(w(r), m)
 
-    ``checks`` picks a subset: the double sum is computed only for rhs_lower
-    and lhs_upper, and T_f (when not given) only for lhs_upper and
-    composite_lower.  Every entry is bitwise what the scalar formula gives for
-    its m (while m^2 phi(k) < 2^53, i.e. n below about 2e5): divisor sums add
-    up term by term in ascending k, spectral sums are pairwise along
-    contiguous rows.
+    ``checks`` picks a subset.  The double sum and T_f come from one pass over
+    the orbit-row windows (``_window_pass``), run for rhs_lower and lhs_upper,
+    or for composite_lower when ``t_f`` is not given.  T_f from the pass is
+    ``max_ap_discrepancy``'s for integer input with entries in {-1, 0, +1} and
+    ``max_ap_sum_complex``'s for any other, integer entries outside
+    {-1, 0, +1} included.  A grid's entry is bitwise its one-m call's.  The
+    divisor and spectral entries are bitwise what the scalar formula gives
+    for its m (while m^2 phi(k) < 2^53, i.e. n below about 2e5): divisor sums
+    add up term by term in ascending k, spectral sums are pairwise along
+    contiguous rows.  So is the double sum on input with entries in
+    {-1, 0, +1}, of any dtype, where every value it forms is an integer below
+    n^4 < 2^53; on other input it differs from the scalar formula's order of
+    summation only by rounding.
     """
     arr = _as_complex(f)
     n = arr.size
@@ -410,13 +257,13 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
             terms.append((k, m2 * phi_k / k * G, G))
 
     out = {}
-    if want & {"rhs_lower", "lhs_upper"}:
-        double = _double_sums(f.values if isinstance(f, Coloring) else np.asarray(f), ms)
+    bounded = want & {"lhs_upper", "composite_lower"}
+    if want & {"rhs_lower", "lhs_upper"} or bounded and t_f is None:
+        double, t_pass = _window_pass(f.values if isinstance(f, Coloring) else np.asarray(f), ms)
+        t_f = t_pass if t_f is None else t_f
     if want & {"rhs_lower", "composite_lower"}:
         spectral_max = (power * np.maximum(scaled, col)).sum(axis=1)
-    if want & {"lhs_upper", "composite_lower"}:
-        if t_f is None:
-            t_f = max_progression_sum(f)
+    if bounded:
         below = np.full(ms.size, n * n * t_f * t_f, dtype=np.float64)
         for k, term, _ in terms:
             np.add(below, term, out=below, where=k < ms)

@@ -29,9 +29,10 @@ r* = 175), too few dropped to pay for the extra pass.  The witness step
 is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
 extremes to sweep, difference the doubled prefix over every window
-(``_orbit_windows``, the steps of one gcd per numpy call; the exact Fourier
-double sum reads the same windows).  The tests' oracles sum every window
-directly.
+(``_orbit_windows``, the steps of one gcd per numpy call;
+``_window_moments`` takes the largest |sum| and, for the Fourier double sum,
+the squared sums by length in the same pass).  The tests' oracles sum every
+window directly.
 
 ``dyadic_block_counts`` counts the dyadic blocks of X along every step-d orbit
 in closed form; the engine's entropy budget takes its block counts from it.
@@ -402,17 +403,42 @@ def _orbit_windows(values: np.ndarray, n: int):
                 yield L, ends[..., i:j, :] - P[..., i:j, None]
 
 
+def _window_moments(values: np.ndarray, n: int):
+    """The largest |window sum| over every step d in [1, n//2] and the sums of
+    squared |window sums| by length, from one pass over ``_orbit_windows``.
+
+    Returns (T, Q2): Q2[L] holds, for the gcd class of steps whose rows have
+    L points, Q2[L][l] = sum of |W|^2 over the length-l windows of its steps
+    and rows, l = 0..L (Q2[L][0] = 0).  Integer values are exact: window sums
+    int32 squared in place (n < 46 341), Q2 in int64, T the isqrt of the
+    largest square.  Any other values take |W| by np.abs and Q2 in float64.
+    n = 1 has no steps, so Q2 is empty and T is |f(0)|.
+    """
+    integer = np.issubdtype(values.dtype, np.integer)
+    top, q2 = 0, {}
+    if n == 1:
+        top = int(values[0]) ** 2 if integer else float(abs(values[0]))
+    for L, w in _orbit_windows(values, n):
+        if integer:
+            square = np.square(w, out=w)
+            top = max(top, int(square.max()))
+        else:
+            square = np.abs(w)
+            top = max(top, float(square.max()))
+            np.square(square, out=square)
+        total = q2.setdefault(L, np.zeros(L + 1, dtype=np.int64 if integer else np.float64))
+        total[1:] += square.sum(axis=(0, 1, 2), dtype=total.dtype)
+    return (math.isqrt(top) if integer else top), q2
+
+
 def max_ap_sum_complex(f) -> float:
     """Max |sum of f over a progression| for complex-valued f.
 
     Complex sums have no min/max extremes to sweep, so every window sum of
-    every step is taken (``_orbit_windows``, quadratic scan).
+    every step is taken (``_window_moments``, quadratic scan).
     """
     f = np.asarray(f, dtype=np.complex128)
-    n = f.shape[0]
-    if n == 1:
-        return float(abs(f[0]))
-    return max(float(np.abs(w).max()) for _, w in _orbit_windows(f, n))
+    return _window_moments(f, f.shape[0])[0]
 
 
 def congruence_class_sums(values: np.ndarray, r: int) -> np.ndarray:

@@ -29,10 +29,8 @@ from .analysis import (
     lower_bound_main,
     lower_bound_prime_power,
     lower_bound_prop,
-    max_progression_sum,
     upper_bound_main,
 )
-from .ap_system import Coloring
 from .constructions import construct_best_coloring
 from .engine import SearchFailed
 from .exact import LimitExceeded, exact_disc, exact_herdisc, measure
@@ -323,13 +321,10 @@ def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
 
     for f in functions:
         fhat = np.fft.fft(np.asarray(f, dtype=np.complex128))
-        t_f = max_progression_sum(
-            Coloring(n, f) if np.isrealobj(f) else f
-        )
         plancherel = [check_subgroup_plancherel(f, r, fhat=fhat) for r in ctx.divisors]
         record("subgroup_plancherel", np.array([res.passed for res in plancherel]),
                np.array([res.error for res in plancherel]))
-        for name, grid in fourier_checks(f, ctx, fhat=fhat, t_f=t_f).items():
+        for name, grid in fourier_checks(f, ctx, fhat=fhat).items():
             record(name, grid.passed, grid.error)
     return [{"identity": k, **v} for k, v in sorted(stats.items())]
 

@@ -5,10 +5,9 @@ form) from n, X and its allowances, and the library enforces them through an
 orbit-rank table; it sorts only half the steps and mirrors the rest, reads
 window maxima off prefix extremes, signs whole runs of the walk order at
 once, keys the progression sets by bit words, steps both children of a
-branch-and-bound node at once, evaluates the Fourier double sum from one
-chunked gather with every m's row sums from one pass of lane sums (exactly
-from orbit-row window sums for integer +-1 input), scans complex window sums
-a gcd class of steps at a time, and takes the split-sum grid's max |sum|
+branch-and-bound node at once, evaluates the Fourier double sum and T_f
+from one pass over the orbit-row window sums, scans complex window sums a
+gcd class of steps at a time, and takes the split-sum grid's max |sum|
 with one reduction.  These materialise the same objects directly (one sort
 per step, a definition-level transform, two independent double-sum routes
 and one numpy row sum per m, one step per complex scan, a generate-and-dedupe
@@ -21,12 +20,12 @@ import math
 
 import numpy as np
 
-from zndisc.analysis import _GATHER_CELLS
 from zndisc.ap_system import _SCAN_CELLS, _orbit_prefix
 from zndisc.engine import _orbit_layout, _WalkTable
 from zndisc.exact import _GRID_CELLS_LIMIT, _GRID_CHUNK, LimitExceeded, _digit_sums
 
 _DIRECT_DFT_LIMIT = 4096
+_GATHER_CELLS = 1 << 14  # cells per gather of f(a + b*k) in double_sums_reference
 
 
 def orbit_intersection(n, d, a, xs):

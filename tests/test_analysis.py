@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zndisc import analysis
+from zndisc import analysis, ap_system
 from zndisc.analysis import (
     CheckResult,
     check_subgroup_plancherel,
@@ -17,7 +17,8 @@ from zndisc.analysis import (
     max_progression_sum,
     upper_bound_main,
 )
-from zndisc.ap_system import Coloring, congruence_class_sums, max_ap_discrepancy
+from zndisc.ap_system import (_SCAN_CELLS, Coloring, congruence_class_sums, max_ap_discrepancy,
+                               max_ap_sum_complex)
 from zndisc.number_theory import make_context
 
 from .oracles import (
@@ -188,37 +189,36 @@ def scalar_checks(f, m, ctx, fhat, t_f):
     return out
 
 
-class GatherSpy(np.ndarray):
-    """Records the size of every fancy-index gather taken from it."""
-
-    sizes: list = []
-
-    def __getitem__(self, index):
-        if isinstance(index, np.ndarray):
-            GatherSpy.sizes.append(index.size)
-        return super().__getitem__(index)
-
-
 @pytest.mark.parametrize("n,ms", [(48, range(1, 49)), (150, (1, 7, 150)), (7, (3,))])
-def test_double_sum_gathers_are_chunked(n, ms):
+def test_double_sum_gathers_are_chunked(monkeypatch, n, ms):
+    # the pass reads every window of every step d in [1, n/2] (n*L sums per
+    # step), at most _SCAN_CELLS window sums per chunk
+    sizes = []
+    windows = ap_system._orbit_windows
+
+    def spy(values, n):
+        for L, w in windows(values, n):
+            sizes.append(w.size)
+            yield L, w
+
+    monkeypatch.setattr(ap_system, "_orbit_windows", spy)
     rng = np.random.default_rng(n)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    GatherSpy.sizes = []
-    got = analysis._double_sums(f.view(GatherSpy), np.asarray(ms, dtype=np.int64))
-    assert GatherSpy.sizes and max(GatherSpy.sizes) <= 1 << 14
-    assert sum(GatherSpy.sizes) == n * n * max(ms)
-    # bitwise the scalar route: rows summed pairwise, totals added up over b
+    got, _ = analysis._window_pass(f, np.asarray(ms, dtype=np.int64))
+    assert sizes and max(sizes) <= _SCAN_CELLS
+    assert sum(sizes) == sum(n * (n // math.gcd(d, n)) for d in range(1, n // 2 + 1))
     for m, value in zip(ms, got):
-        assert value == weighted_lhs_per_b(f, m)
+        assert value == pytest.approx(weighted_lhs_per_b(f, m), rel=1e-12)
 
 
 def test_double_sums_match_reference_every_m():
-    # every m at once, across numpy's 64/65 and 128/129 pairwise splits
+    # complex input is summed in float64 in another order than the reference's
     rng = np.random.default_rng(19)
     for n in [*range(1, 71), 100, 150]:
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ms = np.arange(1, n + 1)
-        assert np.array_equal(analysis._double_sums(f, ms), double_sums_reference(f, ms)), n
+        want = double_sums_reference(f, ms)
+        assert double_sums(f, ms) == pytest.approx(want, rel=1e-12), n
 
 
 @settings(max_examples=25, deadline=None)
@@ -226,29 +226,33 @@ def test_double_sums_match_reference_every_m():
 @given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1), signs=st.booleans(),
        ms=st.lists(st.integers(1, 150), min_size=1, max_size=10))
 def test_double_sums_match_reference_on_m_subsets(n, seed, signs, ms):
-    # any grid _grid admits: unsorted, repeated
+    # any grid _grid admits: unsorted, repeated; complex +-1 stays exact
     rng = np.random.default_rng(seed)
     if signs:
         f = (rng.integers(0, 2, n) * 2 - 1).astype(np.complex128)
     else:
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ms = (np.array(ms, dtype=np.int64) - 1) % n + 1
-    assert np.array_equal(analysis._double_sums(f, ms), double_sums_reference(f, ms))
+    want = double_sums_reference(f, ms)
+    if signs:
+        assert np.array_equal(double_sums(f, ms), want)
+    else:
+        assert double_sums(f, ms) == pytest.approx(want, rel=1e-12)
+
+
+# +-1 and {-1, 0, +1} entries stay exact in every dtype: the int64 route, and
+# in float64 every value formed is an integer below n^4 < 2^53
+EXACT_DTYPES = (np.int64, np.int8, np.float64, np.complex128)
 
 
 def test_exact_double_sums_match_reference_every_m():
-    # integer +-1 input takes the exact route, bit for bit the pairwise
-    # route and the reference; {-1, 0, +1} against the pairwise route
     rng = np.random.default_rng(20)
     for n in [*range(1, 91), 100, 128, 150]:
         ms = np.arange(1, n + 1)
-        signs = rng.integers(0, 2, n) * 2 - 1
-        got = analysis._double_sums(signs, ms)
-        assert np.array_equal(got, double_sums_reference(signs.astype(np.complex128), ms)), n
-        assert np.array_equal(got, analysis._double_sums_pairwise(signs.astype(np.complex128), ms))
-        partial = rng.integers(-1, 2, n).astype(np.int8)
-        assert np.array_equal(analysis._double_sums(partial, ms),
-                              analysis._double_sums_pairwise(partial.astype(np.complex128), ms)), n
+        for f in (rng.integers(0, 2, n) * 2 - 1, rng.integers(-1, 2, n)):
+            want = double_sums_reference(f.astype(np.complex128), ms)
+            for dtype in EXACT_DTYPES:
+                assert np.array_equal(double_sums(f.astype(dtype), ms), want), (n, dtype)
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,59 +264,104 @@ def test_exact_double_sums_match_reference_on_m_subsets(n, seed, zeros, ms):
     rng = np.random.default_rng(seed)
     f = rng.integers(-1, 2, n) if zeros else rng.integers(0, 2, n) * 2 - 1
     ms = (np.array(ms, dtype=np.int64) - 1) % n + 1
-    got = analysis._double_sums(f, ms)
-    assert np.array_equal(got, double_sums_reference(f.astype(np.complex128), ms))
-    assert np.array_equal(got, analysis._double_sums_pairwise(f.astype(np.complex128), ms))
+    want = double_sums_reference(f.astype(np.complex128), ms)
+    for dtype in EXACT_DTYPES:
+        assert np.array_equal(double_sums(f.astype(dtype), ms), want), dtype
 
 
 def test_double_sums_route_follows_input(monkeypatch):
-    # integer input with every entry in {-1, 0, +1} takes the exact route, a
+    # integer input with every entry in {-1, 0, +1} takes the int64 route, a
     # Coloring through fourier_checks included; float +-1, an integer 2 and
-    # complex input take the pairwise route
+    # complex input take the float route
     taken = []
-    for name in ("_double_sums_exact", "_double_sums_pairwise"):
-        def spy(values, ms, route=getattr(analysis, name), name=name):
-            taken.append(name)
-            return route(values, ms)
-        monkeypatch.setattr(analysis, name, spy)
+    moments = analysis._window_moments
+
+    def spy(values, n):
+        taken.append(values.dtype)
+        return moments(values, n)
+
+    monkeypatch.setattr(analysis, "_window_moments", spy)
     rng = np.random.default_rng(4)
     signs = rng.integers(0, 2, 12) * 2 - 1
     two = signs.copy()
     two[5] = 2
-    cases = [(signs, "_double_sums_exact"), (signs.astype(np.int8), "_double_sums_exact"),
-             (rng.integers(0, 2, 12).astype(np.uint8), "_double_sums_exact"),
-             (signs.astype(np.float64), "_double_sums_pairwise"), (two, "_double_sums_pairwise"),
-             (signs.astype(np.complex128), "_double_sums_pairwise")]
+    exact, floats = np.dtype(np.int8), np.dtype(np.complex128)
+    cases = [(signs, exact), (signs.astype(np.int8), exact),
+             (rng.integers(0, 2, 12).astype(np.uint8), exact),
+             (rng.integers(-1, 2, 12), exact),
+             (signs.astype(np.float64), floats), (two, floats),
+             (signs.astype(np.complex128), floats)]
     for values, route in cases:
         taken.clear()
-        analysis._double_sums(values, np.arange(1, 13))
+        double_sums(values, range(1, 13))
         assert taken == [route], values.dtype
     taken.clear()
     double_sums(Coloring(12, signs), [3, 12])
-    assert taken == ["_double_sums_exact"]
+    assert taken == [exact]
 
 
-@settings(max_examples=40, deadline=None)
-@example(width=300, columns=3, seed=0, signs=False, every=True)
-@example(width=300, columns=3, seed=0, signs=True, every=True)
-@given(width=st.integers(1, 300), columns=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       signs=st.booleans(), every=st.booleans())
-def test_row_sums_match_numpy_pairwise(width, columns, seed, signs, every):
-    # _RowSums reproduces numpy's pairwise add.reduce order; a numpy whose
-    # order differs fails here, not as a drift in the fourier-check digests
-    rng = np.random.default_rng(seed)
-    if signs:
-        rows = (rng.integers(0, 2, (columns, width)) * 2 - 1).astype(np.complex128)
-    else:  # mixed magnitudes, so any reordering of the adds shows in the last bits
-        scale = 10.0 ** rng.integers(-12, 13, (2, columns, width))
-        rows = (rng.standard_normal((columns, width)) * scale[0]
-                + 1j * rng.standard_normal((columns, width)) * scale[1])
-    ms = np.arange(1, width + 1) if every else rng.integers(1, width + 1, 8)
-    got = analysis._RowSums(ms, columns)(np.ascontiguousarray(rows.T))
-    want = np.array([rows[:, :m].sum(axis=-1) for m in ms])
-    # numpy adds each row sum to add's identity +0.0, which turns -0.0 into +0.0
-    assert np.array_equal((got + 0.0).view(np.uint64), want.view(np.uint64)), (
-        "numpy's pairwise summation order is not the one _RowSums reproduces")
+def test_window_pass_t_f_matches_the_scans():
+    # T_f from the pass is max_ap_discrepancy's on +-1 and {-1, 0, +1} input
+    # and max_ap_sum_complex's, bit for bit, on complex input
+    rng = np.random.default_rng(21)
+    ms = np.array([1])
+    for n in [*range(1, 91), 100, 150]:
+        for chi in (rng.integers(0, 2, n) * 2 - 1, rng.integers(-1, 2, n)):
+            t, _ = max_ap_discrepancy(Coloring(n, chi))
+            assert analysis._window_pass(chi, ms)[1] == t, n
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert analysis._window_pass(f, ms)[1] == max_ap_sum_complex(f), n
+
+
+def test_fourier_checks_without_t_f_is_the_given_t_f():
+    # fourier_checks(f) takes T_f from its own pass: bit for bit the call with
+    # t_f = max_progression_sum(f)
+    rng = np.random.default_rng(22)
+    for n in [*range(1, 91), 100, 150]:
+        ctx = make_context(n)
+        ms = np.unique(np.linspace(1, n, 12).astype(np.int64))
+        for f in (rng.integers(0, 2, n) * 2 - 1, rng.integers(-1, 2, n),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            got = fourier_checks(f, ctx, ms=ms)
+            want = fourier_checks(f, ctx, ms=ms, t_f=max_progression_sum(f))
+            for name in analysis.FOURIER_CHECKS:
+                for field in ("lhs", "rhs", "passed", "error"):
+                    assert np.array_equal(getattr(got[name], field),
+                                          getattr(want[name], field)), (n, name, field)
+
+
+def test_fourier_checks_accept_integers_past_one():
+    # without t_f, integer entries outside {-1, 0, +1} take the float route
+    # (max_progression_sum refuses them): the same grids as the float input
+    rng = np.random.default_rng(23)
+    f = rng.integers(-3, 4, 30)
+    got = fourier_checks(f)
+    want = fourier_checks(f.astype(np.float64))
+    assert got["lhs_upper"].passed.all()
+    for name in analysis.FOURIER_CHECKS:
+        assert np.array_equal(got[name].lhs, want[name].lhs)
+        assert np.array_equal(got[name].rhs, want[name].rhs)
+    with pytest.raises(ValueError):
+        max_progression_sum(f)
+
+
+def test_complex_double_sum_grid_is_its_one_m_calls(monkeypatch):
+    # each m's terms add up over the classes in one fixed order; every call on
+    # one f reads the same windows, so the pass runs once per f
+    moments, done = analysis._window_moments, {}
+
+    def once(values, n):
+        if n not in done:
+            done[n] = moments(values, n)
+        t, q2 = done[n]
+        return t, dict(q2)
+
+    monkeypatch.setattr(analysis, "_window_moments", once)
+    rng = np.random.default_rng(24)
+    for n in [*range(1, 91), 100, 150]:
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        grid = double_sums(f, range(1, n + 1))
+        assert [double_sums(f, [m])[0] for m in range(1, n + 1)] == grid.tolist(), n
 
 
 @settings(max_examples=15, deadline=None)
@@ -336,7 +385,14 @@ def test_fourier_checks_property(n, seed, signs):
         # a one-m call of one check is bitwise the full grid's entry
         for name in ("rhs_lower", "lhs_upper", "mobius_identity", "composite_lower"):
             one = fourier_checks(f, ctx, fhat=fhat, t_f=t_f, ms=[m], checks=(name,))
-            assert grid[name].at(i) == ref[name] == one[name].at(0)
+            assert grid[name].at(i) == one[name].at(0)
+            got, want = grid[name].at(i), ref[name]
+            if signs or name not in ("rhs_lower", "lhs_upper"):
+                assert got == want
+            else:  # the complex double sum, summed in another order than the scalar one
+                assert (got.name, got.rhs, got.passed) == (want.name, want.rhs, want.passed)
+                assert got.lhs == pytest.approx(want.lhs, rel=1e-12)
+                assert got.error == pytest.approx(want.error, rel=0, abs=1e-12)
         for j, l in enumerate(ctx.divisors):
             one = fourier_checks(f, ctx, fhat=fhat, ms=[m], ls=[l],
                                  checks=("mobius_inequality",))

@@ -291,9 +291,9 @@ GOLDEN_RESULTS = [
      "642134280f2e7d56e62f4307cc4a9633b279c842492eebda3e8506a6504ac3bc"),
     # the benchmark's analysis-suite input, and a second n, seed and trial count
     (["fourier-check", "--n", "48", "--trials", "2", "--seed", "1"],
-     "f269b5b88db0db9804f336b824e254b9d21bc99aaec6e15ccf6d626d70b32fe8"),
+     "123ccbd947c200611031d222fb5fb7cdf5a0e6f1fd7333857bdeda90eb2679ff"),
     (["fourier-check", "--n", "30", "--trials", "3", "--seed", "5"],
-     "a2a1bfec343979e4087f3dbc4e7b50a54f50fdf417a1a678150d9b5717847e45"),
+     "2bcca9edcad4e6bc507378f0b6c8d3ee5854c9630198d9d525bbb80ac3eb1deb"),
     # a lifted coloring (r* = 512), measured on the periodic scan
     (["construct", "--n", "16384", "--seed", "1"],
      "b39d109e1528e296684c33f96bc109ce2a8055747ad4a265fa5ce7bf24501714"),
