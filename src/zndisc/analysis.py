@@ -8,13 +8,13 @@ spectral sum and above by progression discrepancy plus congruence-class power,
 and comparing the two yields lower bounds on the discrepancy that depend only
 on the divisor structure of n.
 
-The five m-indexed checks have one implementation, ``fourier_checks``: one
-call evaluates them for every m (and every (m, l) for the truncated divisor
-bound) with numpy arrays, computing the class powers once and the double sum
-for every m in one call; a one-m check is the call with ``ms=[m]``.  The
-double sum and T_f come from one pass over each step's orbit-row windows
-(``ap_system._window_moments``): with g = gcd(b, n), L = n/g and
-m = q*L + s (0 <= s < L), a row's L starts give
+The six checks have one implementation, ``fourier_checks``: one call
+evaluates them for every m (every (m, l) for the truncated divisor bound,
+every divisor r for subgroup Plancherel) with numpy arrays, computing the
+class powers once and the double sum for every m in one call; a one-m check
+is the call with ``ms=[m]``.  The double sum and T_f come from one pass over
+each step's orbit-row windows (``ap_system._window_moments``): with
+g = gcd(b, n), L = n/g and m = q*L + s (0 <= s < L), a row's L starts give
 L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], S the row sum and Q2[s] its sum of
 squared length-s window sums, and T_f is the largest |window sum|.  Integer
 input with every entry in {-1, 0, +1} (a coloring's values) is exact in
@@ -44,7 +44,6 @@ __all__ = [
     "BoundReport",
     "REL_TOL",
     "class_power",
-    "check_subgroup_plancherel",
     "FOURIER_CHECKS",
     "fourier_checks",
     "max_progression_sum",
@@ -58,8 +57,8 @@ __all__ = [
 REL_TOL = 1e-8
 _ABS_COEFF = 1e-6
 
-FOURIER_CHECKS = ("rhs_lower", "lhs_upper", "mobius_identity", "mobius_inequality",
-                  "composite_lower")
+FOURIER_CHECKS = ("subgroup_plancherel", "rhs_lower", "lhs_upper", "mobius_identity",
+                  "mobius_inequality", "composite_lower")
 
 
 @dataclass(frozen=True)
@@ -104,22 +103,6 @@ def class_power(f, r: int):
     if np.issubdtype(g.dtype, np.integer):
         return int((g * g).sum())
     return float((np.abs(g) ** 2).sum())
-
-
-def check_subgroup_plancherel(f, r: int, fhat: np.ndarray | None = None) -> CheckResult:
-    """Spectral mass on the order-r subgroup equals r times the class power:
-    sum_{k<r} |fhat(k n/r)|^2 = r * G_f(r)."""
-    arr = _as_complex(f)
-    n = arr.size
-    if r < 1 or n % r != 0:
-        raise ValueError("r must divide n")
-    if fhat is None:
-        fhat = np.fft.fft(arr)
-    lhs = float((np.abs(fhat[:: n // r][:r]) ** 2).sum())
-    rhs = float(r * class_power(arr, r))
-    scale = max(1.0, abs(lhs), abs(rhs))
-    err = abs(lhs - rhs) / scale
-    return CheckResult("subgroup_plancherel", lhs, rhs, err <= REL_TOL, err)
 
 
 def _gcd_weights(n: int) -> np.ndarray:
@@ -190,8 +173,9 @@ def max_progression_sum(f) -> float:
 @dataclass(frozen=True)
 class CheckGrid:
     """One check evaluated over a grid of m (and l): ``lhs``, ``rhs``,
-    ``passed`` and ``error`` share the shape (len(ms),), or (len(ms), len(ls))
-    for mobius_inequality.  ``at(i)`` / ``at(i, j)`` is one CheckResult."""
+    ``passed`` and ``error`` share the shape (len(ms),), (len(ms), len(ls))
+    for mobius_inequality, or (d(n),) for subgroup_plancherel, one entry per
+    divisor r of n, ascending.  ``at(i)`` / ``at(i, j)`` is one CheckResult."""
 
     name: str
     lhs: np.ndarray
@@ -204,19 +188,20 @@ class CheckGrid:
                            bool(self.passed[index]), float(self.error[index]))
 
 
-def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None = None,
-                   t_f: float | None = None, ms=None, ls=None,
-                   checks=FOURIER_CHECKS) -> dict[str, CheckGrid]:
-    """Evaluate the m-indexed checks for every m in ``ms`` (default 1..n) and,
-    for mobius_inequality, every (m, l) with l in ``ls`` (default the divisors
-    of n).  With S = sum_{a,b} |f(a + bM)|^2, P(r) = |fhat(r)|^2,
-    w(r) = m^2 gcd(r, n)/n and A(k) = m^2 (phi(k)/k) G_f(n/k), k | n:
+def fourier_checks(f, ctx: ZnContext | None = None, *, t_f: float | None = None,
+                   ms=None, ls=None, checks=FOURIER_CHECKS) -> dict[str, CheckGrid]:
+    """Evaluate the m-indexed checks for every m in ``ms`` (default 1..n),
+    mobius_inequality for every (m, l) with l in ``ls`` (default the divisors
+    of n), and subgroup_plancherel for every divisor r of n.  With
+    S = sum_{a,b} |f(a + bM)|^2, P(r) = |fhat(r)|^2, w(r) = m^2 gcd(r, n)/n
+    and A(k) = m^2 (phi(k)/k) G_f(n/k), k | n:
 
-    rhs_lower          S >= sum_r P(r) max(w(r), m)
-    lhs_upper          S <= n^2 T_f^2 + sum_{1<=k<m} A(k)
-    mobius_identity    sum_k A(k) = sum_r P(r) w(r)
-    mobius_inequality  sum_r P(r) min(w(r), m) <= sum_{k<=l} A(k) + sum_{k>l} (m n/k) G_f(n/k)
-    composite_lower    n^2 T_f^2 + sum_{1<=k<m} A(k) >= sum_r P(r) max(w(r), m)
+    subgroup_plancherel  sum_{j<r} P(j n/r) = r G_f(r)
+    rhs_lower            S >= sum_r P(r) max(w(r), m)
+    lhs_upper            S <= n^2 T_f^2 + sum_{1<=k<m} A(k)
+    mobius_identity      sum_k A(k) = sum_r P(r) w(r)
+    mobius_inequality    sum_r P(r) min(w(r), m) <= sum_{k<=l} A(k) + sum_{k>l} (m n/k) G_f(n/k)
+    composite_lower      n^2 T_f^2 + sum_{1<=k<m} A(k) >= sum_r P(r) max(w(r), m)
 
     ``checks`` picks a subset.  The double sum and T_f come from one pass over
     the orbit-row windows (``_window_pass``), run for rhs_lower and lhs_upper,
@@ -242,9 +227,7 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
     if ctx.n != n:
         raise ValueError(f"context is for n={ctx.n}, f has length {n}")
     ls = _grid(n, ctx.divisors if ls is None else ls, "l")
-    if fhat is None:
-        fhat = np.fft.fft(arr)
-    power = np.abs(fhat) ** 2
+    power = np.abs(np.fft.fft(arr)) ** 2
     m2 = ms * ms
     col = ms[:, None]
     scaled = np.outer(m2, _gcd_weights(n)) / n  # m^2 gcd(r, n) / n
@@ -257,6 +240,13 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, fhat: np.ndarray | None =
             terms.append((k, m2 * phi_k / k * G, G))
 
     out = {}
+    if "subgroup_plancherel" in want:
+        # r = n/k, so ascending r is descending k
+        lhs = np.array([power[::k].sum() for k, _, _ in reversed(terms)])
+        rhs = np.array([n // k * G for k, _, G in reversed(terms)])
+        err = np.abs(lhs - rhs) / _scale(lhs, rhs)
+        out["subgroup_plancherel"] = CheckGrid("subgroup_plancherel", lhs, rhs,
+                                               err <= REL_TOL, err)
     bounded = want & {"lhs_upper", "composite_lower"}
     if want & {"rhs_lower", "lhs_upper"} or bounded and t_f is None:
         double, t_pass = _window_pass(f.values if isinstance(f, Coloring) else np.asarray(f), ms)

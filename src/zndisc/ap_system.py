@@ -24,8 +24,9 @@ step has one row, S is the total sum, and the instrument's colorings have
 |S| <= 1, so one or two steps of n/2 remain; a random +-1 coloring keeps
 about a tenth (198 of 2048 at n = 4096).  The periodic path keeps the
 kernel on every step: a window there can add Q - 1 whole laps, so the bound
-widens by Q*|C| and about half the steps stay (1062 of 2100 at n = 4200,
-r* = 175), too few dropped to pay for the extra pass.  The witness step
+widens by Q*|C|, and on the constructions' bases it keeps from 32 of 2048
+steps (n = 4096) to 1800 of 2025 (n = 4050); where most stay, as at
+n = 4000, 4050 and 4200, the extra pass does not pay.  The witness step
 is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
 extremes to sweep, difference the doubled prefix over every window
@@ -33,9 +34,6 @@ extremes to sweep, difference the doubled prefix over every window
 ``_window_moments`` takes the largest |sum| and, for the Fourier double sum,
 the squared sums by length in the same pass).  The tests' oracles sum every
 window directly.
-
-``dyadic_block_counts`` counts the dyadic blocks of X along every step-d orbit
-in closed form; the engine's entropy budget takes its block counts from it.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ __all__ = [
     "max_ap_sum_complex",
     "congruence_class_sums",
     "max_congruence_discrepancy",
-    "dyadic_block_counts",
 ]
 
 
@@ -504,24 +501,3 @@ def _as_subset(n: int, xs) -> np.ndarray:
         raise ValueError("subset elements must lie in [0, n)")
     return xs
 
-
-def dyadic_block_counts(n: int, xs, scales=None) -> dict[int, int]:
-    """Number of dyadic blocks per scale over all (d, a) orbits of X.
-
-    The phi(n/g) steps d with gcd(d, n) = g share one row count per residue
-    a mod g, so the count is a sum over the proper divisors g of n.
-    """
-    xs = _as_subset(n, xs)
-    m = int(xs.size)
-    if m == 0 or n == 1:
-        return {}
-    if scales is None:
-        scales = range(m.bit_length())
-    counts = {s: 0 for s in scales if (1 << s) <= m}  # a repeat counts once
-    ctx = make_context(n)
-    # divisors ascend, so phi(n/g) for g = divisors[i] is divisor_phi[-1-i]
-    for g, steps in zip(ctx.divisors[:-1], ctx.divisor_phi[:0:-1]):
-        cnt = np.bincount(xs % g)
-        for s in counts:
-            counts[s] += steps * int((cnt >> s).sum())
-    return counts

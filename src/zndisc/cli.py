@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    check_subgroup_plancherel,
     fourier_checks,
     hereditary_upper_bound,
     lower_bound_main,
@@ -312,20 +311,12 @@ def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
     for _ in range(trials):
         functions.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     stats: dict[str, dict] = {}
-
-    def record(name: str, passed: np.ndarray, err: np.ndarray) -> None:
-        s = stats.setdefault(name, {"checks": 0, "passes": 0, "worst_error": 0.0})
-        s["checks"] += int(passed.size)
-        s["passes"] += int(passed.sum())
-        s["worst_error"] = max(s["worst_error"], float(err.max()))
-
     for f in functions:
-        fhat = np.fft.fft(np.asarray(f, dtype=np.complex128))
-        plancherel = [check_subgroup_plancherel(f, r, fhat=fhat) for r in ctx.divisors]
-        record("subgroup_plancherel", np.array([res.passed for res in plancherel]),
-               np.array([res.error for res in plancherel]))
-        for name, grid in fourier_checks(f, ctx, fhat=fhat).items():
-            record(name, grid.passed, grid.error)
+        for name, grid in fourier_checks(f, ctx).items():
+            s = stats.setdefault(name, {"checks": 0, "passes": 0, "worst_error": 0.0})
+            s["checks"] += int(grid.passed.size)
+            s["passes"] += int(grid.passed.sum())
+            s["worst_error"] = max(s["worst_error"], float(grid.error.max()))
     return [{"identity": k, **v} for k, v in sorted(stats.items())]
 
 

@@ -9,8 +9,9 @@ constraints before being handed back; the certificate is what callers rely
 on, not the search heuristic.
 
 A request is its inputs: n, X and an allowance Delta per dyadic block size.
-Everything else it derives in one place: its constraints, the dyadic blocks
-of X along every step-d orbit at each binding size (one closed-form
+Everything else it derives in one place, from one layout of X's orbit rows
+(``_orbit_layout``, built once per request): its constraints, the dyadic
+blocks of X along every step-d orbit at each binding size (one closed-form
 ``OrbitBlocks`` count per size, which the entropy budget reads), and the
 walk table's size, known in closed form, so a request whose table would be
 too large is refused before anything is allocated.  The walk table and the
@@ -53,7 +54,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ap_system import Coloring, _as_subset, _check_signs, dyadic_block_counts
+from .ap_system import Coloring, _as_subset, _check_signs
 from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
@@ -209,14 +210,17 @@ class PartialColorRequest:
     """One partial-coloring job: a point set, block allowances, and search knobs.
 
     n, X and ``deltas`` (block size -> allowance; sizes powers of two) fix
-    every constraint.  The request derives ``blocks``: one ``OrbitBlocks``
-    per binding size (delta < size), ascending, the dyadic blocks of that
-    size along every step-d orbit of X, counted in closed form.  It raises
-    LimitExceeded, before it counts them or allocates anything large, when
-    the walk table for those sizes would pass TABLE_BYTES_LIMIT.  The walk reads the
+    every constraint.  The request builds the orbit layout of X once
+    (``_orbit_layout``: its rows per gcd(d, n) group, for the binding sizes,
+    delta < size) and derives from it the walk table's size and ``blocks``:
+    one ``OrbitBlocks`` per binding size, ascending, the dyadic blocks of
+    that size along every step-d orbit of X, counted in closed form.  It
+    raises LimitExceeded, before it counts them or allocates anything large,
+    when the walk table would pass TABLE_BYTES_LIMIT.  The walk reads the
     blocks through one point-major table (a slot per point and step d from
-    the point's orbit rank), while ``certify_partial_coloring`` re-sums them
-    from their definition, the sorted step-d orbit rows of X.
+    the point's orbit rank, laid out by the same layout), while
+    ``certify_partial_coloring`` re-sums them from their definition, the
+    sorted step-d orbit rows of X.
     """
 
     n: int
@@ -226,6 +230,7 @@ class PartialColorRequest:
     retries: int = DEFAULT_RETRIES
     seed: int = 0
     blocks: dict[int, OrbitBlocks] = field(init=False)
+    _layout: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = _as_subset(self.n, self.x)
@@ -242,15 +247,17 @@ class PartialColorRequest:
                 raise ValueError(f"block sizes must be powers of two, got {size}")
         scales = [size.bit_length() - 1 for size in sorted(self.deltas)
                   if float(self.deltas[size]) < size]
-        if scales:
-            table_bytes = orbit_table_bytes(self.n, self.x, scales)
-            if table_bytes > TABLE_BYTES_LIMIT:
-                raise LimitExceeded(
-                    f"n={self.n}, m={m}: the constraint table needs {table_bytes} bytes, "
-                    f"past the limit of {TABLE_BYTES_LIMIT}"
-                )
-        counts = dyadic_block_counts(self.n, self.x, scales)
-        self.blocks = {1 << s: OrbitBlocks(counts.get(s, 0)) for s in scales}
+        self._layout = list(_orbit_layout(self.n, self.x, scales)) if scales else []
+        table_bytes = _table_bytes(m, scales, self._layout)
+        if table_bytes > TABLE_BYTES_LIMIT:
+            raise LimitExceeded(
+                f"n={self.n}, m={m}: the constraint table needs {table_bytes} bytes, "
+                f"past the limit of {TABLE_BYTES_LIMIT}"
+            )
+        # a group the layout skips has no row of the smallest binding size
+        self.blocks = {1 << s: OrbitBlocks(sum(steps * int((cnt >> s).sum())
+                                               for _, steps, _, cnt, _ in self._layout))
+                       for s in scales}
 
 
 @dataclass(frozen=True)
@@ -354,12 +361,17 @@ def orbit_table_bytes(n: int, xs, scales) -> int:
     """
     xs = _as_subset(n, xs)
     scales = sorted(scales)
+    return _table_bytes(int(xs.size), scales, _orbit_layout(n, xs, scales))
+
+
+def _table_bytes(m: int, shifts: list[int], layout) -> int:
+    """``orbit_table_bytes`` for |X| = m from the ``_orbit_layout`` groups."""
     columns = slots = 0
-    for _, steps, _, _, span in _orbit_layout(n, xs, scales):
+    for _, steps, _, _, span in layout:
         columns += steps
         slots += steps * span
-    ids = sum((slots >> s) + 1 for s in scales)
-    return 4 * int(xs.size) * columns + 8 * ids
+    ids = sum((slots >> s) + 1 for s in shifts)
+    return 4 * m * columns + 8 * ids
 
 
 def _walk_table(req: PartialColorRequest) -> _WalkTable:
@@ -382,7 +394,7 @@ def _walk_table(req: PartialColorRequest) -> _WalkTable:
         return _WalkTable(np.empty((m, 0), dtype=np.int32), zero, zero,
                           np.array([m], dtype=np.int32), 0)
     shifts = [size.bit_length() - 1 for size in req.blocks]
-    layout = list(_orbit_layout(n, xs, shifts))
+    layout = req._layout
     columns = sum(steps for _, steps, _, _, _ in layout)
     exempt = sum(steps * span for _, steps, _, _, span in layout)
     positions = np.empty((m, columns), dtype=np.int32)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from zndisc import analysis, ap_system
 from zndisc.analysis import (
+    REL_TOL,
     CheckResult,
-    check_subgroup_plancherel,
     class_power,
     fourier_checks,
     hereditary_upper_bound,
@@ -83,17 +83,24 @@ def test_spectral_mass_of_colorings():
 
 # ------------------------------------------------------ subgroup identity
 
+def plancherel(f, ctx=None):
+    return fourier_checks(f, ctx, checks=("subgroup_plancherel",))["subgroup_plancherel"]
+
+
 def test_subgroup_plancherel_examples():
     n = 12
+    divisors = make_context(n).divisors
+    assert divisors == (1, 2, 3, 4, 6, 12)  # one grid entry per r, ascending
     delta = np.zeros(n)
     delta[0] = 1
-    for r in (1, 2, 3, 4, 6, 12):
-        res = check_subgroup_plancherel(delta, r)
+    grid = plancherel(delta)
+    for i, r in enumerate(divisors):
+        res = grid.at(i)
         assert res.passed
         assert res.lhs == pytest.approx(r)
-    ones = np.ones(n)
+    grid = plancherel(np.ones(n))
     for r in (2, 6):
-        res = check_subgroup_plancherel(ones, r)
+        res = grid.at(divisors.index(r))
         assert res.passed
         assert res.lhs == pytest.approx(n * n)
 
@@ -104,8 +111,29 @@ def test_subgroup_plancherel_random():
         ctx = make_context(n)
         for _ in range(25):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for r in ctx.divisors:
-                assert check_subgroup_plancherel(f, r).passed
+            grid = plancherel(f, ctx)
+            assert grid.passed.shape == (len(ctx.divisors),)
+            assert grid.passed.all()
+
+
+def test_subgroup_plancherel_is_the_scalar_formula():
+    # each entry, in ascending r, is bit for bit the per-divisor formula
+    # sum_{j<r} |fhat(j n/r)|^2 against r G_f(r)
+    rng = np.random.default_rng(9)
+    for n in range(1, 65):
+        ctx = make_context(n)
+        for f in (rng.integers(0, 2, n) * 2 - 1,
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            arr = np.asarray(f, dtype=np.complex128)
+            fhat = np.fft.fft(arr)
+            want = []
+            for r in sorted(ctx.divisors):
+                lhs = float((np.abs(fhat[:: n // r]) ** 2).sum())
+                rhs = float(r * class_power(arr, r))
+                err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+                want.append(CheckResult("subgroup_plancherel", lhs, rhs, err <= REL_TOL, err))
+            grid = plancherel(f, ctx)
+            assert [grid.at(i) for i in range(grid.lhs.size)] == want, n
 
 
 # ------------------------------------------------------- weighted double sum
@@ -375,7 +403,7 @@ def test_fourier_checks_property(n, seed, signs):
     ctx = make_context(n)
     fhat = np.fft.fft(np.asarray(f, dtype=np.complex128))
     t_f = max_progression_sum(f)
-    grid = fourier_checks(f, ctx, fhat=fhat, t_f=t_f)
+    grid = fourier_checks(f, ctx, t_f=t_f)
     assert set(grid) == set(analysis.FOURIER_CHECKS)
     assert grid["mobius_inequality"].passed.shape == (n, len(ctx.divisors))
     lhs = grid["rhs_lower"].lhs
@@ -384,7 +412,7 @@ def test_fourier_checks_property(n, seed, signs):
         ref = scalar_checks(f, m, ctx, fhat, t_f)
         # a one-m call of one check is bitwise the full grid's entry
         for name in ("rhs_lower", "lhs_upper", "mobius_identity", "composite_lower"):
-            one = fourier_checks(f, ctx, fhat=fhat, t_f=t_f, ms=[m], checks=(name,))
+            one = fourier_checks(f, ctx, t_f=t_f, ms=[m], checks=(name,))
             assert grid[name].at(i) == one[name].at(0)
             got, want = grid[name].at(i), ref[name]
             if signs or name not in ("rhs_lower", "lhs_upper"):
@@ -394,17 +422,15 @@ def test_fourier_checks_property(n, seed, signs):
                 assert got.lhs == pytest.approx(want.lhs, rel=1e-12)
                 assert got.error == pytest.approx(want.error, rel=0, abs=1e-12)
         for j, l in enumerate(ctx.divisors):
-            one = fourier_checks(f, ctx, fhat=fhat, ms=[m], ls=[l],
-                                 checks=("mobius_inequality",))
+            one = fourier_checks(f, ctx, ms=[m], ls=[l], checks=("mobius_inequality",))
             assert (one["mobius_inequality"].at(0, 0)
                     == grid["mobius_inequality"].at(i, j) == ref[l])
     # a planted T_f = 0 breaks the upper bounds at the same m in both routes
-    planted = fourier_checks(f, ctx, fhat=fhat, t_f=0,
-                             checks=("lhs_upper", "composite_lower"))
+    planted = fourier_checks(f, ctx, t_f=0, checks=("lhs_upper", "composite_lower"))
     assert set(planted) == {"lhs_upper", "composite_lower"}
     for name in ("lhs_upper", "composite_lower"):
         assert not planted[name].passed[0]  # m = 1: no class-power term, the bound is 0
-        one_m = [fourier_checks(f, ctx, fhat=fhat, t_f=0, ms=[m], checks=(name,))[name].at(0)
+        one_m = [fourier_checks(f, ctx, t_f=0, ms=[m], checks=(name,))[name].at(0)
                  for m in range(1, n + 1)]
         assert one_m == [planted[name].at(i) for i in range(n)]
 
@@ -447,9 +473,8 @@ def test_identity_and_inequalities_random_colorings():
         ctx = make_context(n)
         for _ in range(10):
             chi = rng.integers(0, 2, n) * 2 - 1
-            fhat = np.fft.fft(chi.astype(np.complex128))
             t_f = max_progression_sum(Coloring(n, chi))
-            grid = fourier_checks(chi, ctx, fhat=fhat, t_f=t_f, ms=range(1, n + 1),
+            grid = fourier_checks(chi, ctx, t_f=t_f, ms=range(1, n + 1),
                                   ls=ctx.divisors)
             for name, checked in grid.items():
                 assert checked.passed.all(), name
@@ -461,9 +486,8 @@ def test_identities_random_complex():
         ctx = make_context(n)
         for _ in range(5):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            fhat = np.fft.fft(f)
             t_f = max_progression_sum(f)
-            grid = fourier_checks(f, ctx, fhat=fhat, t_f=t_f, ms=(1, n // 2, n),
+            grid = fourier_checks(f, ctx, t_f=t_f, ms=(1, n // 2, n),
                                   ls=(1, n // 2, n),
                                   checks=("rhs_lower", "lhs_upper", "mobius_identity",
                                           "mobius_inequality"))

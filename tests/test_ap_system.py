@@ -12,7 +12,6 @@ from zndisc.ap_system import (
     _step_ranges,
     _witness,
     congruence_class_sums,
-    dyadic_block_counts,
     full_ap,
     max_ap_discrepancy,
     max_ap_discrepancy_batch,
@@ -20,6 +19,7 @@ from zndisc.ap_system import (
     max_congruence_discrepancy,
     progression_incidence,
 )
+from zndisc.engine import PartialColorRequest
 from zndisc.number_theory import make_context, totient
 
 from .oracles import (
@@ -415,6 +415,12 @@ def test_max_congruence_matches_naive():
 
 # ------------------------------------------ orbit order and dyadic block counts
 
+def tight_request(n, xs):
+    # an allowance of 0.5 binds the blocks of every dyadic size up to |X|
+    deltas = {1 << s: 0.5 for s in range(xs.size.bit_length())}
+    return PartialColorRequest(n=n, x=xs, deltas=deltas)
+
+
 def test_dyadic_block_count_bounds():
     rng = np.random.default_rng(41)
     c0 = 2.1  # empirical constant for the truncated totient-reciprocal sum
@@ -425,9 +431,8 @@ def test_dyadic_block_count_bounds():
         if m == 0:
             continue
         ctx = make_context(n)
-        counts = dyadic_block_counts(n, xs)
-        for scale, f_i in counts.items():
-            s = 1 << scale
+        for s, group in tight_request(n, xs).blocks.items():
+            f_i = len(group)
             assert f_i <= (n - 1) * m / s
             assert f_i <= c0 * (m / s) * ctx.phi * math.log(math.e * n / s)
 
@@ -445,10 +450,9 @@ def test_dyadic_block_counts_match_step_loop():
             cnt = np.bincount(xs % math.gcd(d, n))
             for s in expect:
                 expect[s] += int((cnt >> s).sum())
-        assert dyadic_block_counts(n, xs) == (expect if n > 1 else {})
-    # a repeated scale is counted once
-    once = dyadic_block_counts(12, range(12), [1, 0])
-    assert dyadic_block_counts(12, range(12), [1, 1, 0]) == once == {1: 62, 0: 132}
+        blocks = tight_request(n, xs).blocks
+        assert {size: len(group) for size, group in blocks.items()} == {
+            1 << s: count for s, count in expect.items()}
 
 
 def test_orbit_ordering_is_by_k():

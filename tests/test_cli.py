@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zndisc import __version__
+from zndisc.analysis import FOURIER_CHECKS
 from zndisc.cli import (
     EXIT_INVARIANT,
     EXIT_LIMIT,
@@ -20,6 +21,7 @@ from zndisc.cli import (
     _json_text,
     main,
 )
+from zndisc.number_theory import make_context
 
 
 def run(args):
@@ -185,6 +187,16 @@ def test_fourier_check_passes(capsys):
     out = capsys.readouterr().out
     assert "subgroup_plancherel" in out
     assert "mobius_identity" in out
+
+
+def test_fourier_check_rows_are_the_library_checks(tmp_path):
+    # one row per check fourier_checks evaluates, subgroup Plancherel included
+    out = tmp_path / "fourier.json"
+    assert run(["fourier-check", "--n", "12", "--trials", "2", "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["results"]
+    assert [r["identity"] for r in rows] == sorted(FOURIER_CHECKS)
+    assert rows[-1]["identity"] == "subgroup_plancherel"
+    assert rows[-1]["checks"] == 4 * len(make_context(12).divisors)
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

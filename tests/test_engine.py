@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zndisc import engine
-from zndisc.ap_system import Coloring, dyadic_block_counts, max_ap_discrepancy_batch
+from zndisc.ap_system import Coloring, max_ap_discrepancy_batch
 from zndisc.engine import (
     TABLE_BYTES_LIMIT,
     BudgetExceeded,
@@ -136,7 +136,8 @@ def test_singleton_no_blocks():
 def test_vacuous_deltas_accepted():
     # deltas equal to block sizes cannot be violated, so any signing works
     xs = np.arange(10)
-    assert all(dyadic_block_counts(10, xs, [1, 2]).values())
+    tight = PartialColorRequest(n=10, x=xs, deltas={2: 1.0, 4: 1.0})
+    assert [size for size, group in tight.blocks.items() if len(group)] == [2, 4]
     req = PartialColorRequest(n=10, x=xs, deltas={2: 2.0, 4: 4.0}, seed=3)
     assert req.blocks == {}
     chi = partial_color(req)
@@ -195,8 +196,6 @@ def test_non_integral_subsets_rejected(xs):
         PartialColorRequest(n=n, x=xs, deltas={})
     with pytest.raises(ValueError, match="integers"):
         full_color_iterate_traced(make_context(n), xs)
-    with pytest.raises(ValueError, match="integers"):
-        dyadic_block_counts(n, xs, [1])
 
 
 def test_integral_subsets_of_any_dtype_accepted():
@@ -595,7 +594,7 @@ def test_request_refuses_table_past_limit(monkeypatch):
     deltas = {1 << i: sched.b(1 << i) for i in range(14) if sched.b(1 << i) < 1 << i}
     assert list(deltas) == [1 << i for i in range(8, 14)]
     assert orbit_table_bytes(p, xs, range(8, 14)) > TABLE_BYTES_LIMIT
-    monkeypatch.setattr(engine, "dyadic_block_counts", None)  # calling it would raise
+    monkeypatch.setattr(engine, "OrbitBlocks", None)  # calling it would raise
     with pytest.raises(LimitExceeded, match="constraint table"):
         PartialColorRequest(n=p, x=xs, deltas=deltas)
 
@@ -815,13 +814,15 @@ def test_certificate_agrees_with_orbit_definition_scaled(n, density, low, bias, 
 
 
 def test_build_request_counts_blocks_once(monkeypatch):
-    # the request counts its binding blocks once, in closed form: at n = 1061
-    # (prime) every step d has one row of all 530 points
+    # the request lays out X's orbit rows once, for its table size, its block
+    # counts (in closed form) and its walk table: at n = 1061 (prime) every
+    # step d has one row of all 530 points
     calls = []
-    count = engine.dyadic_block_counts
-    monkeypatch.setattr(engine, "dyadic_block_counts",
-                        lambda *args: calls.append(args) or count(*args))
+    layout = engine._orbit_layout
+    monkeypatch.setattr(engine, "_orbit_layout",
+                        lambda *args: calls.append(args) or layout(*args))
     req = build_c2_request(1061, range(1, 531), DeltaSchedule.main(1061))
+    engine._walk_table(req)
     assert len(calls) == 1
     assert sorted(req.deltas) == [1 << i for i in range(10)]
     binding = [size for size in sorted(req.deltas) if req.deltas[size] < size]
