@@ -12,7 +12,11 @@ The six checks have one implementation, ``fourier_checks``: one call
 evaluates them for every m (every (m, l) for the truncated divisor bound,
 every divisor r for subgroup Plancherel) with numpy arrays, computing the
 class powers once and the double sum for every m in one call; a one-m check
-is the call with ``ms=[m]``.  The double sum and T_f come from one pass over
+is the call with ``ms=[m]``.  A (B, n) stack of functions is one call as
+well: every grid gains a leading batch axis, row b bit for bit the call on
+f[b] alone, and the stack shares one FFT, one class power per divisor, one
+window pass (``ap_system._PASS_ROWS`` rows at a time) and one evaluation of
+each check.  The double sum and T_f come from one pass over
 each step's orbit-row windows (``ap_system._window_moments``): with
 g = gcd(b, n), L = n/g and m = q*L + s (0 <= s < L), a row's L starts give
 L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], S the row sum and Q2[s] its sum of
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import (Coloring, _window_moments, congruence_class_sums, max_ap_discrepancy,
-                        max_ap_sum_complex)
+from .ap_system import (_PASS_ROWS, _SCAN_CELLS, Coloring, _window_moments,
+                        congruence_class_sums, max_ap_discrepancy, max_ap_sum_complex)
 from .number_theory import ZnContext, factorize, make_context
 
 __all__ = [
@@ -88,21 +92,22 @@ class BoundReport:
     constants: dict
 
 
-def _as_complex(f) -> np.ndarray:
-    if isinstance(f, Coloring):
-        f = f.values
-    arr = np.asarray(f, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-d array over Z_n")
-    return arr
+def _as_values(f) -> np.ndarray:
+    """The values of f as a C-contiguous array: one function (n,), a
+    Coloring's included, or a stack (B, n) of them."""
+    arr = np.asarray(f.values if isinstance(f, Coloring) else f)
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError("expected a nonempty 1-d array over Z_n or (B, n) stack of them, "
+                         f"got shape {arr.shape}")
+    return np.ascontiguousarray(arr)
 
 
 def class_power(f, r: int):
-    """G_f(r) = sum_w |g_f(w, r)|^2; exact integer for integer input."""
+    """G_f(r) = sum_w |g_f(w, r)|^2; exact integer for integer input.  A
+    stack (B, n) gives one G per row, as an array."""
     g = congruence_class_sums(f.values if isinstance(f, Coloring) else f, r)
-    if np.issubdtype(g.dtype, np.integer):
-        return int((g * g).sum())
-    return float((np.abs(g) ** 2).sum())
+    G = (g * g if g.dtype.kind == "i" else np.abs(g) ** 2).sum(axis=-1)
+    return G if G.ndim else G.item()
 
 
 def _gcd_weights(n: int) -> np.ndarray:
@@ -123,10 +128,13 @@ def _grid(n: int, values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, float]:
+def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The double sum sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms, as
     float64, and T_f = max |f(A)| over progressions, from one pass over the
-    orbit-row windows (``ap_system._window_moments``).
+    orbit-row windows (``ap_system._window_moments``).  ``values`` is one
+    function (n,) or a stack (B, n): the sums have shape values.shape[:-1] +
+    (len(ms),) and T_f values.shape[:-1], row b bit for bit the call on
+    values[b].
 
     Step b (g = gcd(b, n)) runs round g orbit rows of L = n/g points.  With
     m = q*L + s (0 <= s < L) a start's sum is q*S + W, S the row sum and W a
@@ -138,24 +146,28 @@ def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, float]
     the classes in one fixed order, so a grid's entry is its one-m call's.
     Integer input with every entry in {-1, 0, +1} is exact (window sums
     squared in int32, totals in int64: below n = 46 341); any other, complex
-    included, is summed in float64.
+    included, is summed in float64.  A stack takes one route: a row with
+    entries in {-1, 0, +1} gives the same sums and T_f on either, because
+    every value the float route forms from it is an integer below 2^53.
     """
     integer = (np.issubdtype(values.dtype, np.integer) and values.min() >= -1
                and values.max() <= 1)
     values = values.astype(np.int8 if integer else np.complex128, copy=False)
-    n = values.size
-    t, q2 = _window_moments(values, n)
-    q2[1] = np.array([0, np.square(np.abs(values)).sum()])  # step 0: Q2[1] = sum |f(a)|^2
+    t, q2 = _window_moments(values, values.shape[-1])
+    power = np.square(np.abs(values)).sum(axis=-1)
+    q2[1] = np.stack([np.zeros_like(power), power], axis=-1)  # step 0: Q2[1] = sum |f(a)|^2
     lengths = np.fromiter(q2, dtype=np.int64, count=len(q2))
-    flat = np.concatenate(list(q2.values()))
+    flat = np.concatenate(list(q2.values()), axis=-1)
     offsets = np.cumsum(lengths + 1) - lengths - 1
     q, s = np.divmod(ms[:, None], lengths)
-    full = flat[offsets + lengths]  # Q2[L]: L times the sum of |S|^2 over the class's rows
-    rows = full // lengths if integer else full / lengths
-    terms = q * (ms[:, None] + s) * rows + flat[offsets + s]  # L*q^2 + 2*q*s = q*(m + s)
-    # steps b and n - b count twice; b = 0 (L = 1) and b = n/2 (L = 2) once
-    double = (terms * np.where(lengths > 2, 2, 1)).sum(axis=1)
-    return double.astype(np.float64), float(t)
+    full = flat[..., offsets + lengths]  # Q2[L]: L times the sum of |S|^2 over the class's rows
+    rows = (full // lengths if integer else full / lengths)[..., None, :]
+    terms = q * (ms[:, None] + s) * rows + flat[..., offsets + s]  # L*q^2 + 2*q*s = q*(m + s)
+    # steps b and n - b count twice; b = 0 (L = 1) and b = n/2 (L = 2) once.  The
+    # class sum runs pairwise along contiguous rows, as for one function: a
+    # stack's gather comes out in another memory order
+    double = np.ascontiguousarray(terms * np.where(lengths > 2, 2, 1)).sum(axis=-1)
+    return double.astype(np.float64), t
 
 
 def max_progression_sum(f) -> float:
@@ -175,7 +187,10 @@ class CheckGrid:
     """One check evaluated over a grid of m (and l): ``lhs``, ``rhs``,
     ``passed`` and ``error`` share the shape (len(ms),), (len(ms), len(ls))
     for mobius_inequality, or (d(n),) for subgroup_plancherel, one entry per
-    divisor r of n, ascending.  ``at(i)`` / ``at(i, j)`` is one CheckResult."""
+    divisor r of n, ascending.  A stack of B functions puts a leading batch
+    axis of length B in front, row b bit for bit the grid of function b
+    alone.  ``at(i)`` / ``at(i, j)`` (``at(b, i)`` / ``at(b, i, j)`` for a
+    stack) is one CheckResult."""
 
     name: str
     lhs: np.ndarray
@@ -188,7 +203,19 @@ class CheckGrid:
                            bool(self.passed[index]), float(self.error[index]))
 
 
-def fourier_checks(f, ctx: ZnContext | None = None, *, t_f: float | None = None,
+def _spectral_sums(power: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_r power[b, r] * weight[i, r] for every row b of power and i of
+    weight, each summed pairwise along r as for one row's (len(weight), n)
+    product.  The product is formed for a block of rows at a time, at most
+    _PASS_ROWS * _SCAN_CELLS cells, so memory does not grow with the stack."""
+    out = np.empty((len(power), len(weight)))
+    block = max(1, _PASS_ROWS * _SCAN_CELLS // weight.size)
+    for lo in range(0, len(power), block):
+        out[lo : lo + block] = (power[lo : lo + block, None, :] * weight).sum(axis=-1)
+    return out
+
+
+def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
                    ms=None, ls=None, checks=FOURIER_CHECKS) -> dict[str, CheckGrid]:
     """Evaluate the m-indexed checks for every m in ``ms`` (default 1..n),
     mobius_inequality for every (m, l) with l in ``ls`` (default the divisors
@@ -203,9 +230,14 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f: float | None = None,
     mobius_inequality    sum_r P(r) min(w(r), m) <= sum_{k<=l} A(k) + sum_{k>l} (m n/k) G_f(n/k)
     composite_lower      n^2 T_f^2 + sum_{1<=k<m} A(k) >= sum_r P(r) max(w(r), m)
 
-    ``checks`` picks a subset.  The double sum and T_f come from one pass over
-    the orbit-row windows (``_window_pass``), run for rhs_lower and lhs_upper,
-    or for composite_lower when ``t_f`` is not given.  T_f from the pass is
+    ``f`` is one function over Z_n (a Coloring or a 1-d array) or a (B, n)
+    stack of them; a stack's grids carry a leading batch axis, and row b is
+    bit for bit the call on f[b] alone.  The stack shares one FFT, one class
+    power per divisor, one window pass and one evaluation of each check.
+    ``t_f`` is a scalar or one value per function.  ``checks`` picks a subset.
+    The double sum and T_f come from one pass over the orbit-row windows
+    (``_window_pass``), run for rhs_lower and lhs_upper, or for
+    composite_lower when ``t_f`` is not given.  T_f from the pass is
     ``max_ap_discrepancy``'s for integer input with entries in {-1, 0, +1} and
     ``max_ap_sum_complex``'s for any other, integer entries outside
     {-1, 0, +1} included.  A grid's entry is bitwise its one-m call's.  The
@@ -217,46 +249,56 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f: float | None = None,
     n^4 < 2^53; on other input it differs from the scalar formula's order of
     summation only by rounding.
     """
-    arr = _as_complex(f)
-    n = arr.size
+    values = _as_values(f)
+    stack = values.reshape(-1, values.shape[-1])
+    batch, n = stack.shape
     want = set(checks)
     if not want <= set(FOURIER_CHECKS):
         raise ValueError(f"unknown checks {sorted(want - set(FOURIER_CHECKS))}")
-    ms = _grid(n, range(1, n + 1) if ms is None else ms, "m")
+    ms = _grid(n, np.arange(1, n + 1) if ms is None else ms, "m")
     ctx = ctx if ctx is not None else make_context(n)
     if ctx.n != n:
         raise ValueError(f"context is for n={ctx.n}, f has length {n}")
     ls = _grid(n, ctx.divisors if ls is None else ls, "l")
+    if t_f is not None:
+        try:
+            t_f = np.broadcast_to(np.asarray(t_f, dtype=np.float64), (batch,))
+        except ValueError:
+            raise ValueError(f"t_f must be a scalar or one value per function, "
+                             f"got shape {np.shape(t_f)} for {batch}") from None
+    arr = stack.astype(np.complex128)
     power = np.abs(np.fft.fft(arr)) ** 2
     m2 = ms * ms
     col = ms[:, None]
     scaled = np.outer(m2, _gcd_weights(n)) / n  # m^2 gcd(r, n) / n
     # squared in float: (n m)^2 would wrap in int64 past n m = 3e9
     tol = _ABS_COEFF * (n * ms).astype(np.float64) ** 2
-    terms = []  # (k, m^2 (phi(k)/k) G(k), G(k)) for k | n ascending
+    ks = np.array(ctx.divisors)
     if want != {"rhs_lower"}:
-        for k, phi_k in zip(ctx.divisors, ctx.divisor_phi):
-            G = class_power(arr, n // k)
-            terms.append((k, m2 * phi_k / k * G, G))
+        # per row and divisor k | n ascending: G(k) = G_f(n/k), shape (B, d(n)), and
+        # A(k) = m^2 (phi(k)/k) G(k), shape (B, d(n), len(ms)); terms[i] = A(k_i)
+        G = np.stack([class_power(arr, n // k) for k in ctx.divisors], axis=-1)
+        coeff = m2 * np.array(ctx.divisor_phi)[:, None] / ks[:, None]
+        terms = (coeff * G[..., None]).swapaxes(0, 1)
 
     out = {}
     if "subgroup_plancherel" in want:
         # r = n/k, so ascending r is descending k
-        lhs = np.array([power[::k].sum() for k, _, _ in reversed(terms)])
-        rhs = np.array([n // k * G for k, _, G in reversed(terms)])
+        lhs = np.stack([power[:, ::k].sum(axis=-1) for k in ctx.divisors[::-1]], axis=-1)
+        rhs = n // ks[::-1] * G[:, ::-1]
         err = np.abs(lhs - rhs) / _scale(lhs, rhs)
         out["subgroup_plancherel"] = CheckGrid("subgroup_plancherel", lhs, rhs,
                                                err <= REL_TOL, err)
     bounded = want & {"lhs_upper", "composite_lower"}
     if want & {"rhs_lower", "lhs_upper"} or bounded and t_f is None:
-        double, t_pass = _window_pass(f.values if isinstance(f, Coloring) else np.asarray(f), ms)
+        double, t_pass = _window_pass(stack, ms)
         t_f = t_pass if t_f is None else t_f
     if want & {"rhs_lower", "composite_lower"}:
-        spectral_max = (power * np.maximum(scaled, col)).sum(axis=1)
+        spectral_max = _spectral_sums(power, np.maximum(scaled, col))
     if bounded:
-        below = np.full(ms.size, n * n * t_f * t_f, dtype=np.float64)
-        for k, term, _ in terms:
-            np.add(below, term, out=below, where=k < ms)
+        below = np.repeat((n * n * t_f * t_f)[:, None], ms.size, axis=1)
+        for term, before in zip(terms, ks[:, None] < ms):
+            np.add(below, term, out=below, where=before)
     if "rhs_lower" in want:
         out["rhs_lower"] = CheckGrid("rhs_lower", double, spectral_max,
                                      double >= spectral_max - tol,
@@ -265,17 +307,18 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f: float | None = None,
         out["lhs_upper"] = CheckGrid("lhs_upper", double, below, double <= below + tol,
                                      (double - below) / _scale(double, below))
     if "mobius_identity" in want:
-        lhs = np.zeros(ms.size)
-        for _, term, _ in terms:
+        lhs = np.zeros((batch, ms.size))
+        for term in terms:
             lhs += term
-        rhs = (power * scaled).sum(axis=1)
+        rhs = _spectral_sums(power, scaled)
         err = np.abs(lhs - rhs) / _scale(lhs, rhs)
         out["mobius_identity"] = CheckGrid("mobius_identity", lhs, rhs, err <= REL_TOL, err)
     if "mobius_inequality" in want:
-        lhs = (power * np.minimum(scaled, col)).sum(axis=1)[:, None]
-        rhs = np.zeros((ms.size, ls.size))
-        for k, term, G in terms:
-            rhs += np.where(k <= ls, term[:, None], (ms * n / k * G)[:, None])
+        lhs = _spectral_sums(power, np.minimum(scaled, col))[..., None]
+        rhs = np.zeros((batch, ms.size, ls.size))
+        far = (ms * n / ks[:, None] * G[..., None]).swapaxes(0, 1)  # (m n/k) G(k)
+        for term, tail, within in zip(terms, far, ks[:, None] <= ls):
+            rhs += np.where(within, term[..., None], tail[..., None])
         lhs = np.broadcast_to(lhs, rhs.shape)
         out["mobius_inequality"] = CheckGrid("mobius_inequality", lhs, rhs,
                                              lhs <= rhs + tol[:, None],
@@ -284,6 +327,9 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f: float | None = None,
         out["composite_lower"] = CheckGrid("composite_lower", below, spectral_max,
                                            below >= spectral_max - tol,
                                            (spectral_max - below) / _scale(below, spectral_max))
+    if values.ndim == 1:
+        out = {name: CheckGrid(name, g.lhs[0], g.rhs[0], g.passed[0], g.error[0])
+               for name, g in out.items()}
     return out
 
 

@@ -30,9 +30,10 @@ n = 4000, 4050 and 4200, the extra pass does not pay.  The witness step
 is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
 extremes to sweep, difference the doubled prefix over every window
-(``_orbit_windows``, the steps of one gcd per numpy call;
-``_window_moments`` takes the largest |sum| and, for the Fourier double sum,
-the squared sums by length in the same pass).  The tests' oracles sum every
+(``_orbit_windows``, the steps of one gcd per numpy call):
+``max_ap_sum_complex`` keeps the largest |sum|, and ``_window_moments``,
+for the Fourier double sum of a stack of functions, takes it with the
+squared sums by length in the same pass.  The tests' oracles sum every
 window directly.
 """
 
@@ -60,6 +61,7 @@ __all__ = [
 
 
 _SCAN_CELLS = 1 << 14  # prefix cells per numpy call in the window scans
+_PASS_ROWS = 16  # rows of a stack per window pass: blocks of _PASS_ROWS * _SCAN_CELLS sums
 # (window, point) cells a progression incidence may span: n = 65 has 6.97e6,
 # n = 67, the first n refused, 9.93e6, and n = 300 1.8e9; 72 is the last n allowed
 _INCIDENCE_CELLS_LIMIT = 1 << 23
@@ -378,9 +380,10 @@ def _orbit_windows(values: np.ndarray, n: int):
 
     Yields (L, W) with W[..., i, l - 1] the sum of the length-l window that
     starts at position i of an orbit row (L points), read off a sliding view
-    of the doubled orbit prefix; the axes before the last two are (steps,
-    rows).  A chunk holds the steps of one gcd class, or the starts of one
-    step, up to _SCAN_CELLS window sums.
+    of the doubled orbit prefix; the axes before the last two are the leading
+    axes of ``values``, then (steps, rows).  A chunk holds the steps of one
+    gcd class, or the starts of one step, up to _SCAN_CELLS window sums per
+    row of ``values``: the chunks do not depend on the leading axes.
     """
     d = np.arange(1, n // 2 + 1, dtype=np.int64)
     h = np.gcd(d, n)
@@ -404,50 +407,64 @@ def _window_moments(values: np.ndarray, n: int):
     """The largest |window sum| over every step d in [1, n//2] and the sums of
     squared |window sums| by length, from one pass over ``_orbit_windows``.
 
-    Returns (T, Q2): Q2[L] holds, for the gcd class of steps whose rows have
-    L points, Q2[L][l] = sum of |W|^2 over the length-l windows of its steps
-    and rows, l = 0..L (Q2[L][0] = 0).  Integer values are exact: window sums
-    int32 squared in place (n < 46 341), Q2 in int64, T the isqrt of the
-    largest square.  Any other values take |W| by np.abs and Q2 in float64.
-    n = 1 has no steps, so Q2 is empty and T is |f(0)|.
+    ``values`` is one function (n,) or a stack (B, n).  Returns (T, Q2): T the
+    largest |W| as float64, and Q2[L] holds, for the gcd class of steps whose
+    rows have L points, Q2[L][..., l] = sum of |W|^2 over the length-l windows
+    of its steps and rows, l = 0..L (Q2[L][..., 0] = 0); both keep the stack's
+    leading axis, and row b is bit for bit the call on values[b].  A stack
+    goes through _PASS_ROWS rows at a time, so a window block holds at most
+    _PASS_ROWS * _SCAN_CELLS sums, and each row's windows keep the chunks and
+    order of its one-function call.  Integer values are exact: window sums
+    int32 squared in place (n < 46 341), Q2 in int64, T the square root of
+    the largest square.  Any other values take |W| by np.abs and Q2 in
+    float64.  n = 1 has no steps, so Q2 is empty and T is |f(0)|.
     """
+    if n == 1:  # abs of each scalar: numpy's array abs of complex can differ in the last bit
+        t = np.array([abs(x) for x in values[..., 0].ravel()], dtype=np.float64)
+        return t.reshape(values.shape[:-1]), {}
     integer = np.issubdtype(values.dtype, np.integer)
-    top, q2 = 0, {}
-    if n == 1:
-        top = int(values[0]) ** 2 if integer else float(abs(values[0]))
-    for L, w in _orbit_windows(values, n):
-        if integer:
-            square = np.square(w, out=w)
-            top = max(top, int(square.max()))
-        else:
-            square = np.abs(w)
-            top = max(top, float(square.max()))
-            np.square(square, out=square)
-        total = q2.setdefault(L, np.zeros(L + 1, dtype=np.int64 if integer else np.float64))
-        total[1:] += square.sum(axis=(0, 1, 2), dtype=total.dtype)
-    return (math.isqrt(top) if integer else top), q2
+    rows = values.reshape(-1, n)
+    top = np.zeros(len(rows), dtype=np.int64 if integer else np.float64)
+    q2 = {}
+    for lo in range(0, len(rows), _PASS_ROWS):
+        block, tops = slice(lo, lo + _PASS_ROWS), []
+        for L, w in _orbit_windows(rows[block], n):
+            square = np.square(w, out=w) if integer else np.abs(w)
+            tops.append(square.max(axis=(1, 2, 3, 4)))
+            if not integer:
+                np.square(square, out=square)
+            total = q2.setdefault(L, np.zeros((len(rows), L + 1), dtype=top.dtype))
+            total[block, 1:] += square.sum(axis=(1, 2, 3), dtype=total.dtype)
+        top[block] = np.max(tops, axis=0)
+    t = np.sqrt(top) if integer else top  # exact: perfect squares below 2^53
+    lead = values.shape[:-1]
+    return t.reshape(lead), {L: total.reshape(lead + (L + 1,)) for L, total in q2.items()}
 
 
 def max_ap_sum_complex(f) -> float:
     """Max |sum of f over a progression| for complex-valued f.
 
     Complex sums have no min/max extremes to sweep, so every window sum of
-    every step is taken (``_window_moments``, quadratic scan).
+    every step is taken (``_orbit_windows``, quadratic scan) and only the
+    largest |sum| is kept.
     """
     f = np.asarray(f, dtype=np.complex128)
-    return _window_moments(f, f.shape[0])[0]
+    n = f.shape[0]
+    if n == 1:
+        return float(abs(f[0]))
+    return max((float(np.abs(w).max()) for _, w in _orbit_windows(f, n)), default=0.0)
 
 
 def congruence_class_sums(values: np.ndarray, r: int) -> np.ndarray:
     """All class sums g(w, r), w < r, for an array of length n with r | n;
-    integer input is summed in int64."""
+    leading axes pass through, and integer input is summed in int64."""
     values = np.asarray(values)
-    n = values.shape[0]
+    n = values.shape[-1]
     if r < 1 or n % r != 0:
         raise ValueError("r must divide n")
-    if np.issubdtype(values.dtype, np.integer):
+    if values.dtype.kind in "iu":
         values = values.astype(np.int64, copy=False)
-    return values.reshape(n // r, r).sum(axis=0)
+    return values.reshape(values.shape[:-1] + (n // r, r)).sum(axis=-2)
 
 
 def _class_maxima(values: np.ndarray, ctx: ZnContext) -> dict[int, int]:

@@ -305,14 +305,13 @@ def cmd_herdisc(args) -> int:
 def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
     ctx = make_context(n)
     rng = np.random.default_rng(seed)
-    functions = []
-    for _ in range(trials):
-        functions.append(rng.integers(0, 2, size=n) * 2 - 1)
-    for _ in range(trials):
-        functions.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    # one stack per route: +-1 on the exact int64 route, complex on float64
+    signs = np.array([rng.integers(0, 2, size=n) * 2 - 1 for _ in range(trials)])
+    waves = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                      for _ in range(trials)])
     stats: dict[str, dict] = {}
-    for f in functions:
-        for name, grid in fourier_checks(f, ctx).items():
+    for stack in (signs, waves):
+        for name, grid in fourier_checks(stack, ctx).items():
             s = stats.setdefault(name, {"checks": 0, "passes": 0, "worst_error": 0.0})
             s["checks"] += int(grid.passed.size)
             s["passes"] += int(grid.passed.sum())

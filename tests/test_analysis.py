@@ -17,8 +17,8 @@ from zndisc.analysis import (
     max_progression_sum,
     upper_bound_main,
 )
-from zndisc.ap_system import (_SCAN_CELLS, Coloring, congruence_class_sums, max_ap_discrepancy,
-                               max_ap_sum_complex)
+from zndisc.ap_system import (_PASS_ROWS, _SCAN_CELLS, Coloring, congruence_class_sums,
+                               max_ap_discrepancy, max_ap_sum_complex)
 from zndisc.number_theory import make_context
 
 from .oracles import (
@@ -43,6 +43,16 @@ def weighted_lhs_tiny(f, m):
 def double_sums(f, ms):
     """The double sum for each m in ms, as fourier_checks reports it."""
     return fourier_checks(f, ms=ms, checks=("rhs_lower",))["rhs_lower"].lhs
+
+
+def assert_row_is_call(grids, b, one):
+    """Row b of a stack's grids is bit for bit the one-function grids ``one``."""
+    assert set(grids) == set(one)
+    for name, grid in one.items():
+        for field in ("lhs", "rhs", "passed", "error"):
+            got, want = getattr(grids[name], field)[b], getattr(grid, field)
+            assert got.shape == want.shape and got.dtype == want.dtype, (b, name, field)
+            assert np.array_equal(got, want), (b, name, field)
 
 
 # ----------------------------------------------------- Fourier transform
@@ -433,6 +443,96 @@ def test_fourier_checks_property(n, seed, signs):
         one_m = [fourier_checks(f, ctx, t_f=0, ms=[m], checks=(name,))[name].at(0)
                  for m in range(1, n + 1)]
         assert one_m == [planted[name].at(i) for i in range(n)]
+    # f in a stack between two other functions, with one T_f per row, gives
+    # its own grids in its row
+    if signs:
+        others = rng.integers(-1, 2, (2, n))
+    else:
+        others = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    stack = np.vstack([others[:1], [f], others[1:]])
+    batched = fourier_checks(stack, ctx, t_f=[max_progression_sum(g) for g in stack])
+    assert_row_is_call(batched, 1, grid)
+
+
+def stack_cases(n, rng, rows=5):
+    """One stack per input kind, each with ``rows`` functions over Z_n."""
+    signs = rng.integers(0, 2, (rows, n)) * 2 - 1
+    two = signs.copy()
+    two[rows // 2, n // 2] = 2  # one entry 2 sends the whole stack down the float route
+    return {"signs": signs, "zeros": rng.integers(-1, 2, (rows, n)), "two": two,
+            "floats": rng.standard_normal((rows, n)),
+            "complex": rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 30, 48])
+def test_fourier_checks_stack_rows_are_one_function_calls(n):
+    rng = np.random.default_rng(n)
+    ctx = make_context(n)
+    variants = [{}, {"ms": [n, 1, (n + 1) // 2, 1], "ls": [n, 1]},
+                {"checks": ("rhs_lower",)}, {"checks": ("lhs_upper", "composite_lower")},
+                {"checks": ("subgroup_plancherel", "mobius_inequality")}]
+    for stack in stack_cases(n, rng).values():
+        per_row = rng.uniform(0, n, len(stack))
+        for kwargs in [*variants, {"t_f": 1.5}, {"t_f": per_row, "ms": [1, n]}]:
+            grids = fourier_checks(stack, ctx, **kwargs)
+            for b, f in enumerate(stack):
+                one = dict(kwargs)
+                if "t_f" in one:  # a scalar serves every row, an array one each
+                    one["t_f"] = np.broadcast_to(one["t_f"], len(stack))[b]
+                assert_row_is_call(grids, b, fourier_checks(f, ctx, **one))
+
+
+def test_fourier_checks_stack_across_pass_blocks(monkeypatch):
+    # rows past the first _PASS_ROWS go through later window passes, and with
+    # a small cell budget every row is its own spectral block: the same
+    # arithmetic either way
+    monkeypatch.setattr(analysis, "_SCAN_CELLS", 16)
+    rng = np.random.default_rng(26)
+    n = 24
+    ctx = make_context(n)
+    for stack in stack_cases(n, rng, rows=2 * _PASS_ROWS + 5).values():
+        grids = fourier_checks(stack, ctx)
+        for b in (0, _PASS_ROWS - 1, _PASS_ROWS, 2 * _PASS_ROWS + 4):
+            assert_row_is_call(grids, b, fourier_checks(stack[b], ctx))
+
+
+@pytest.mark.parametrize("kind", ["signs", "complex"])
+def test_window_pass_blocks_of_a_stack_stay_in_budget(monkeypatch, kind):
+    # 40 functions go through the window pass _PASS_ROWS rows at a time, so no
+    # window block grows past _PASS_ROWS * _SCAN_CELLS sums with the stack
+    rows, sizes = [], []
+    windows = ap_system._orbit_windows
+
+    def spy(values, n):
+        rows.append(len(values))
+        for L, w in windows(values, n):
+            sizes.append(w.size)
+            yield L, w
+
+    monkeypatch.setattr(ap_system, "_orbit_windows", spy)
+    n = 48
+    stack = stack_cases(n, np.random.default_rng(27), rows=40)[kind]
+    fourier_checks(stack, make_context(n))
+    assert rows == [_PASS_ROWS, _PASS_ROWS, 40 - 2 * _PASS_ROWS]
+    assert max(sizes) <= _PASS_ROWS * _SCAN_CELLS
+    assert sum(sizes) == 40 * sum(n * (n // math.gcd(d, n)) for d in range(1, n // 2 + 1))
+
+
+@pytest.mark.parametrize("f,kwargs", [
+    (np.float64(1.0), {}),  # ndim 0
+    (np.ones((2, 3, 4)), {}),  # ndim 3
+    (np.ones((0, 6)), {}),  # an empty stack
+    (np.ones((3, 0)), {}),  # n = 0
+    (np.ones(0), {}),
+    (np.ones((3, 6)), {"t_f": [1.0, 2.0]}),  # t_f that does not broadcast to (B,)
+    (np.ones((3, 6)), {"t_f": np.ones((3, 3))}),
+    (np.ones(6), {"t_f": [1.0, 2.0]}),
+    (np.ones((3, 12)), {"ctx": make_context(6)}),  # a context for another n
+], ids=["ndim0", "ndim3", "no-rows", "n0", "empty", "t_f-2-for-3", "t_f-3x3", "t_f-2-for-1",
+        "ctx"])
+def test_fourier_checks_rejects_bad_stacks(f, kwargs):
+    with pytest.raises(ValueError):
+        fourier_checks(f, **kwargs)
 
 
 def test_fourier_checks_rejects_bad_grid():

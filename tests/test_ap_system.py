@@ -357,6 +357,20 @@ def test_complex_ap_sum_matches_per_step_scan(monkeypatch, cells, ns):
         assert max_ap_sum_complex(f) == t, n
 
 
+def test_complex_ap_sum_is_a_t_only_scan(monkeypatch):
+    # the largest |window sum| straight off the windows: no squared sums by
+    # length, so the double sum's moments pass is never entered; n = 1 is |f(0)|
+    def refuse(values, n):
+        raise AssertionError("max_ap_sum_complex entered _window_moments")
+
+    monkeypatch.setattr("zndisc.ap_system._window_moments", refuse)
+    rng = np.random.default_rng(22)
+    for n in range(1, 41):
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert max_ap_sum_complex(f) == max_ap_sum_complex_per_step(f), n
+    assert max_ap_sum_complex([3 - 4j]) == 5.0
+
+
 @pytest.mark.parametrize("n,values", [
     (3, [0.7, 1, -1]),  # non-integral: the int8 cast made it [0, 1, -1]
     (1, np.array([257])),  # out of range: the int8 cast wrapped it to [1]

@@ -306,6 +306,9 @@ GOLDEN_RESULTS = [
      "123ccbd947c200611031d222fb5fb7cdf5a0e6f1fd7333857bdeda90eb2679ff"),
     (["fourier-check", "--n", "30", "--trials", "3", "--seed", "5"],
      "2bcca9edcad4e6bc507378f0b6c8d3ee5854c9630198d9d525bbb80ac3eb1deb"),
+    # many test functions per run: the batched checks take them 16 rows a pass
+    (["fourier-check", "--n", "48", "--trials", "20", "--seed", "1"],
+     "fe10655d948fdbc44e9baa20aa5d7705e659d192785338bc4e42710ded006052"),
     # a lifted coloring (r* = 512), measured on the periodic scan
     (["construct", "--n", "16384", "--seed", "1"],
      "b39d109e1528e296684c33f96bc109ce2a8055747ad4a265fa5ce7bf24501714"),
@@ -314,7 +317,7 @@ GOLDEN_RESULTS = [
 
 @pytest.mark.parametrize("args,digest", GOLDEN_RESULTS,
                          ids=["construct", "construct-engine", "exact", "herdisc",
-                              "fourier-48", "fourier-30", "construct-lifted"])
+                              "fourier-48", "fourier-30", "fourier-48-many", "construct-lifted"])
 def test_golden_results(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert run(args + ["--out", str(out)]) == EXIT_OK
