@@ -15,9 +15,9 @@ class powers once and the double sum for every m in one call; a one-m check
 is the call with ``ms=[m]``.  A (B, n) stack of functions is one call as
 well: every grid gains a leading batch axis, row b bit for bit the call on
 f[b] alone, and the stack shares one FFT, one class power per divisor, one
-window pass (``ap_system._PASS_ROWS`` rows at a time) and one evaluation of
-each check.  The double sum and T_f come from one pass over
-each step's orbit-row windows (``ap_system._window_moments``): with
+window pass (``_PASS_ROWS`` rows at a time) and one evaluation of each
+check.  The double sum and T_f come from one pass over each step's
+orbit-row windows (``_window_pass``): with
 g = gcd(b, n), L = n/g and m = q*L + s (0 <= s < L), a row's L starts give
 L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], S the row sum and Q2[s] its sum of
 squared length-s window sums, and T_f is the largest |window sum|.  Integer
@@ -27,8 +27,10 @@ tests compare both against ``tests/oracles.py``: bit for bit on entries in
 {-1, 0, +1}, to relative 1e-12 on complex input.
 
 Equalities are checked to relative 1e-8; inequalities get an absolute floor
-of 1e-6 at the n^2 m^2 scale on top.  Class-sum tables for integer colorings
-are computed in exact integer arithmetic.
+of 1e-6 at the n^2 m^2 scale on top.  ``class_power`` sums integer input in
+int64, but ``fourier_checks`` takes its class powers on the complex128 copy
+of the stack: exact on integer input only because every imaginary part is 0
+and every class sum and power is an integer below 2^53.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import (_PASS_ROWS, _SCAN_CELLS, Coloring, _window_moments,
-                        congruence_class_sums, max_ap_discrepancy, max_ap_sum_complex)
+from .ap_system import (_SCAN_CELLS, Coloring, _orbit_windows, congruence_class_sums,
+                        max_ap_discrepancy, max_ap_sum_complex)
 from .number_theory import ZnContext, factorize, make_context
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
 
 REL_TOL = 1e-8
 _ABS_COEFF = 1e-6
+_PASS_ROWS = 16  # rows of a stack per window pass: blocks of _PASS_ROWS * _SCAN_CELLS sums
 
 FOURIER_CHECKS = ("subgroup_plancherel", "rhs_lower", "lhs_upper", "mobius_identity",
                   "mobius_inequality", "composite_lower")
@@ -131,7 +134,7 @@ def _grid(n: int, values, name: str) -> np.ndarray:
 def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The double sum sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms, as
     float64, and T_f = max |f(A)| over progressions, from one pass over the
-    orbit-row windows (``ap_system._window_moments``).  ``values`` is one
+    orbit-row windows (``ap_system._orbit_windows``).  ``values`` is one
     function (n,) or a stack (B, n): the sums have shape values.shape[:-1] +
     (len(ms),) and T_f values.shape[:-1], row b bit for bit the call on
     values[b].
@@ -142,32 +145,49 @@ def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.nda
     so a row's L starts give L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], Q2[s] the sum
     of its squared length-s window sums; Q2[L] = L*|S|^2.  Steps b and n - b
     give the same windows reversed, so b runs over [0, n/2], weight 2 but at
-    0 and n/2; b = 0 (L = 1) gives m^2 |f(a)|^2.  Each m's terms add up over
-    the classes in one fixed order, so a grid's entry is its one-m call's.
+    0 and n/2; b = 0 (L = 1) gives m^2 |f(a)|^2.  One flat table per function
+    holds Q2[0..L] of each class, g ascending over the divisors of n (g = n is
+    step 0), and each m's terms add up in that order, so a grid's entry is
+    its one-m call's.  T_f is the largest |W|, |f(0)| at n = 1 (no steps).
     Integer input with every entry in {-1, 0, +1} is exact (window sums
     squared in int32, totals in int64: below n = 46 341); any other, complex
     included, is summed in float64.  A stack takes one route: a row with
     entries in {-1, 0, +1} gives the same sums and T_f on either, because
-    every value the float route forms from it is an integer below 2^53.
+    every value the float route forms from it is an integer below 2^53.  It
+    goes _PASS_ROWS rows at a time, so a window block holds at most
+    _PASS_ROWS * _SCAN_CELLS sums and each row keeps its one-function chunks.
     """
+    n = values.shape[-1]
     integer = (np.issubdtype(values.dtype, np.integer) and values.min() >= -1
                and values.max() <= 1)
-    values = values.astype(np.int8 if integer else np.complex128, copy=False)
-    t, q2 = _window_moments(values, values.shape[-1])
-    power = np.square(np.abs(values)).sum(axis=-1)
-    q2[1] = np.stack([np.zeros_like(power), power], axis=-1)  # step 0: Q2[1] = sum |f(a)|^2
-    lengths = np.fromiter(q2, dtype=np.int64, count=len(q2))
-    flat = np.concatenate(list(q2.values()), axis=-1)
-    offsets = np.cumsum(lengths + 1) - lengths - 1
+    stack = values.reshape(-1, n).astype(np.int8 if integer else np.complex128, copy=False)
+    lengths = n // (np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1)  # L = n/g, g | n rising
+    offsets = np.cumsum(lengths + 1) - lengths - 1  # class L's Q2[0..L] starts here
+    first = dict(zip(lengths.tolist(), (offsets + 1).tolist()))  # and its Q2[1] here
+    q2 = np.zeros((len(stack), offsets[-1] + 2), dtype=np.int64 if integer else np.float64)
+    q2[:, -1] = np.square(np.abs(stack)).sum(axis=-1)  # step 0: Q2[1] = sum |f(a)|^2
+    top = np.zeros(len(stack), dtype=q2.dtype)
+    for lo in range(0, len(stack), _PASS_ROWS):
+        block = slice(lo, lo + _PASS_ROWS)
+        for L, w in _orbit_windows(stack[block], n):
+            square = np.square(w, out=w) if integer else np.abs(w)
+            top[block] = np.maximum(top[block], square.max(axis=(1, 2, 3, 4)))
+            if not integer:
+                np.square(square, out=square)
+            q2[block, first[L] : first[L] + L] += square.sum(axis=(1, 2, 3), dtype=q2.dtype)
+    t = np.sqrt(top) if integer else top  # exact: perfect squares below 2^53
+    if n == 1:  # abs of each scalar: numpy's array abs of complex can differ in the last bit
+        t = np.array([abs(x) for x in stack[:, 0]], dtype=np.float64)
     q, s = np.divmod(ms[:, None], lengths)
-    full = flat[..., offsets + lengths]  # Q2[L]: L times the sum of |S|^2 over the class's rows
-    rows = (full // lengths if integer else full / lengths)[..., None, :]
-    terms = q * (ms[:, None] + s) * rows + flat[..., offsets + s]  # L*q^2 + 2*q*s = q*(m + s)
+    full = q2[:, offsets + lengths]  # Q2[L]: L times the sum of |S|^2 over the class's rows
+    rows = (full // lengths if integer else full / lengths)[:, None, :]
+    terms = q * (ms[:, None] + s) * rows + q2[:, offsets + s]  # L*q^2 + 2*q*s = q*(m + s)
     # steps b and n - b count twice; b = 0 (L = 1) and b = n/2 (L = 2) once.  The
-    # class sum runs pairwise along contiguous rows, as for one function: a
-    # stack's gather comes out in another memory order
+    # class sum runs pairwise along contiguous rows: the gather comes out in
+    # another memory order
     double = np.ascontiguousarray(terms * np.where(lengths > 2, 2, 1)).sum(axis=-1)
-    return double.astype(np.float64), t
+    lead = values.shape[:-1]
+    return double.astype(np.float64).reshape(lead + ms.shape), t.reshape(lead)
 
 
 def max_progression_sum(f) -> float:
@@ -216,7 +236,7 @@ def _spectral_sums(power: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
-                   ms=None, ls=None, checks=FOURIER_CHECKS) -> dict[str, CheckGrid]:
+                   ms=None, ls=None) -> dict[str, CheckGrid]:
     """Evaluate the m-indexed checks for every m in ``ms`` (default 1..n),
     mobius_inequality for every (m, l) with l in ``ls`` (default the divisors
     of n), and subgroup_plancherel for every divisor r of n.  With
@@ -234,10 +254,9 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
     stack of them; a stack's grids carry a leading batch axis, and row b is
     bit for bit the call on f[b] alone.  The stack shares one FFT, one class
     power per divisor, one window pass and one evaluation of each check.
-    ``t_f`` is a scalar or one value per function.  ``checks`` picks a subset.
     The double sum and T_f come from one pass over the orbit-row windows
-    (``_window_pass``), run for rhs_lower and lhs_upper, or for
-    composite_lower when ``t_f`` is not given.  T_f from the pass is
+    (``_window_pass``).  ``t_f``, a scalar or one value per function, each
+    finite and at least 0, replaces the pass's T_f.  T_f from the pass is
     ``max_ap_discrepancy``'s for integer input with entries in {-1, 0, +1} and
     ``max_ap_sum_complex``'s for any other, integer entries outside
     {-1, 0, +1} included.  A grid's entry is bitwise its one-m call's.  The
@@ -252,9 +271,6 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
     values = _as_values(f)
     stack = values.reshape(-1, values.shape[-1])
     batch, n = stack.shape
-    want = set(checks)
-    if not want <= set(FOURIER_CHECKS):
-        raise ValueError(f"unknown checks {sorted(want - set(FOURIER_CHECKS))}")
     ms = _grid(n, np.arange(1, n + 1) if ms is None else ms, "m")
     ctx = ctx if ctx is not None else make_context(n)
     if ctx.n != n:
@@ -266,6 +282,8 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
         except ValueError:
             raise ValueError(f"t_f must be a scalar or one value per function, "
                              f"got shape {np.shape(t_f)} for {batch}") from None
+        if not (np.isfinite(t_f) & (t_f >= 0)).all():
+            raise ValueError(f"t_f must be finite and at least 0, got {t_f}")
     arr = stack.astype(np.complex128)
     power = np.abs(np.fft.fft(arr)) ** 2
     m2 = ms * ms
@@ -274,59 +292,47 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
     # squared in float: (n m)^2 would wrap in int64 past n m = 3e9
     tol = _ABS_COEFF * (n * ms).astype(np.float64) ** 2
     ks = np.array(ctx.divisors)
-    if want != {"rhs_lower"}:
-        # per row and divisor k | n ascending: G(k) = G_f(n/k), shape (B, d(n)), and
-        # A(k) = m^2 (phi(k)/k) G(k), shape (B, d(n), len(ms)); terms[i] = A(k_i)
-        G = np.stack([class_power(arr, n // k) for k in ctx.divisors], axis=-1)
-        coeff = m2 * np.array(ctx.divisor_phi)[:, None] / ks[:, None]
-        terms = (coeff * G[..., None]).swapaxes(0, 1)
+    # per row and divisor k | n ascending: G(k) = G_f(n/k), shape (B, d(n)), and
+    # A(k) = m^2 (phi(k)/k) G(k), shape (B, d(n), len(ms)); terms[i] = A(k_i)
+    G = np.stack([class_power(arr, n // k) for k in ctx.divisors], axis=-1)
+    coeff = m2 * np.array(ctx.divisor_phi)[:, None] / ks[:, None]
+    terms = (coeff * G[..., None]).swapaxes(0, 1)
+    double, t_pass = _window_pass(stack, ms)
+    t_f = t_pass if t_f is None else t_f
+    spectral_max = _spectral_sums(power, np.maximum(scaled, col))
+    below = np.repeat((n * n * t_f * t_f)[:, None], ms.size, axis=1)
+    for term, before in zip(terms, ks[:, None] < ms):
+        np.add(below, term, out=below, where=before)
 
     out = {}
-    if "subgroup_plancherel" in want:
-        # r = n/k, so ascending r is descending k
-        lhs = np.stack([power[:, ::k].sum(axis=-1) for k in ctx.divisors[::-1]], axis=-1)
-        rhs = n // ks[::-1] * G[:, ::-1]
-        err = np.abs(lhs - rhs) / _scale(lhs, rhs)
-        out["subgroup_plancherel"] = CheckGrid("subgroup_plancherel", lhs, rhs,
-                                               err <= REL_TOL, err)
-    bounded = want & {"lhs_upper", "composite_lower"}
-    if want & {"rhs_lower", "lhs_upper"} or bounded and t_f is None:
-        double, t_pass = _window_pass(stack, ms)
-        t_f = t_pass if t_f is None else t_f
-    if want & {"rhs_lower", "composite_lower"}:
-        spectral_max = _spectral_sums(power, np.maximum(scaled, col))
-    if bounded:
-        below = np.repeat((n * n * t_f * t_f)[:, None], ms.size, axis=1)
-        for term, before in zip(terms, ks[:, None] < ms):
-            np.add(below, term, out=below, where=before)
-    if "rhs_lower" in want:
-        out["rhs_lower"] = CheckGrid("rhs_lower", double, spectral_max,
-                                     double >= spectral_max - tol,
-                                     (spectral_max - double) / _scale(double, spectral_max))
-    if "lhs_upper" in want:
-        out["lhs_upper"] = CheckGrid("lhs_upper", double, below, double <= below + tol,
-                                     (double - below) / _scale(double, below))
-    if "mobius_identity" in want:
-        lhs = np.zeros((batch, ms.size))
-        for term in terms:
-            lhs += term
-        rhs = _spectral_sums(power, scaled)
-        err = np.abs(lhs - rhs) / _scale(lhs, rhs)
-        out["mobius_identity"] = CheckGrid("mobius_identity", lhs, rhs, err <= REL_TOL, err)
-    if "mobius_inequality" in want:
-        lhs = _spectral_sums(power, np.minimum(scaled, col))[..., None]
-        rhs = np.zeros((batch, ms.size, ls.size))
-        far = (ms * n / ks[:, None] * G[..., None]).swapaxes(0, 1)  # (m n/k) G(k)
-        for term, tail, within in zip(terms, far, ks[:, None] <= ls):
-            rhs += np.where(within, term[..., None], tail[..., None])
-        lhs = np.broadcast_to(lhs, rhs.shape)
-        out["mobius_inequality"] = CheckGrid("mobius_inequality", lhs, rhs,
-                                             lhs <= rhs + tol[:, None],
-                                             (lhs - rhs) / _scale(lhs, rhs))
-    if "composite_lower" in want:
-        out["composite_lower"] = CheckGrid("composite_lower", below, spectral_max,
-                                           below >= spectral_max - tol,
-                                           (spectral_max - below) / _scale(below, spectral_max))
+    # r = n/k, so ascending r is descending k
+    lhs = np.stack([power[:, ::k].sum(axis=-1) for k in ctx.divisors[::-1]], axis=-1)
+    rhs = n // ks[::-1] * G[:, ::-1]
+    err = np.abs(lhs - rhs) / _scale(lhs, rhs)
+    out["subgroup_plancherel"] = CheckGrid("subgroup_plancherel", lhs, rhs, err <= REL_TOL, err)
+    out["rhs_lower"] = CheckGrid("rhs_lower", double, spectral_max,
+                                 double >= spectral_max - tol,
+                                 (spectral_max - double) / _scale(double, spectral_max))
+    out["lhs_upper"] = CheckGrid("lhs_upper", double, below, double <= below + tol,
+                                 (double - below) / _scale(double, below))
+    lhs = np.zeros((batch, ms.size))
+    for term in terms:
+        lhs += term
+    rhs = _spectral_sums(power, scaled)
+    err = np.abs(lhs - rhs) / _scale(lhs, rhs)
+    out["mobius_identity"] = CheckGrid("mobius_identity", lhs, rhs, err <= REL_TOL, err)
+    lhs = _spectral_sums(power, np.minimum(scaled, col))[..., None]
+    rhs = np.zeros((batch, ms.size, ls.size))
+    far = (ms * n / ks[:, None] * G[..., None]).swapaxes(0, 1)  # (m n/k) G(k)
+    for term, tail, within in zip(terms, far, ks[:, None] <= ls):
+        rhs += np.where(within, term[..., None], tail[..., None])
+    lhs = np.broadcast_to(lhs, rhs.shape)
+    out["mobius_inequality"] = CheckGrid("mobius_inequality", lhs, rhs,
+                                         lhs <= rhs + tol[:, None],
+                                         (lhs - rhs) / _scale(lhs, rhs))
+    out["composite_lower"] = CheckGrid("composite_lower", below, spectral_max,
+                                       below >= spectral_max - tol,
+                                       (spectral_max - below) / _scale(below, spectral_max))
     if values.ndim == 1:
         out = {name: CheckGrid(name, g.lhs[0], g.rhs[0], g.passed[0], g.error[0])
                for name, g in out.items()}

@@ -30,11 +30,9 @@ n = 4000, 4050 and 4200, the extra pass does not pay.  The witness step
 is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
 extremes to sweep, difference the doubled prefix over every window
-(``_orbit_windows``, the steps of one gcd per numpy call):
-``max_ap_sum_complex`` keeps the largest |sum|, and ``_window_moments``,
-for the Fourier double sum of a stack of functions, takes it with the
-squared sums by length in the same pass.  The tests' oracles sum every
-window directly.
+(``_orbit_windows``, the steps of one gcd per numpy call), and
+``max_ap_sum_complex`` keeps the largest |sum|.  The tests' oracles sum
+every window directly.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ __all__ = [
 
 
 _SCAN_CELLS = 1 << 14  # prefix cells per numpy call in the window scans
-_PASS_ROWS = 16  # rows of a stack per window pass: blocks of _PASS_ROWS * _SCAN_CELLS sums
 # (window, point) cells a progression incidence may span: n = 65 has 6.97e6,
 # n = 67, the first n refused, 9.93e6, and n = 300 1.8e9; 72 is the last n allowed
 _INCIDENCE_CELLS_LIMIT = 1 << 23
@@ -212,7 +209,9 @@ def _orbit_prefix(values: np.ndarray, n: int, d, laps: int = 2) -> np.ndarray:
     L = n // g
     idx = np.arange(L, dtype=np.int64) * d[..., None, None] + np.arange(g)[:, None]
     idx -= idx // n * n  # as % n; floor division by a scalar is the faster numpy path
-    vals = np.concatenate([np.take(values, idx, axis=-1)] * laps, axis=-1)
+    vals = np.take(values, idx, axis=-1)
+    if laps > 1:
+        vals = np.concatenate([vals] * laps, axis=-1)
     P = np.zeros(vals.shape[:-1] + (laps * L + 1,), dtype=np.result_type(vals, np.int32))
     np.cumsum(vals, axis=-1, dtype=P.dtype, out=P[..., 1:])
     return P
@@ -401,44 +400,6 @@ def _orbit_windows(values: np.ndarray, n: int):
             for i in range(0, L, starts):
                 j = min(i + starts, L)
                 yield L, ends[..., i:j, :] - P[..., i:j, None]
-
-
-def _window_moments(values: np.ndarray, n: int):
-    """The largest |window sum| over every step d in [1, n//2] and the sums of
-    squared |window sums| by length, from one pass over ``_orbit_windows``.
-
-    ``values`` is one function (n,) or a stack (B, n).  Returns (T, Q2): T the
-    largest |W| as float64, and Q2[L] holds, for the gcd class of steps whose
-    rows have L points, Q2[L][..., l] = sum of |W|^2 over the length-l windows
-    of its steps and rows, l = 0..L (Q2[L][..., 0] = 0); both keep the stack's
-    leading axis, and row b is bit for bit the call on values[b].  A stack
-    goes through _PASS_ROWS rows at a time, so a window block holds at most
-    _PASS_ROWS * _SCAN_CELLS sums, and each row's windows keep the chunks and
-    order of its one-function call.  Integer values are exact: window sums
-    int32 squared in place (n < 46 341), Q2 in int64, T the square root of
-    the largest square.  Any other values take |W| by np.abs and Q2 in
-    float64.  n = 1 has no steps, so Q2 is empty and T is |f(0)|.
-    """
-    if n == 1:  # abs of each scalar: numpy's array abs of complex can differ in the last bit
-        t = np.array([abs(x) for x in values[..., 0].ravel()], dtype=np.float64)
-        return t.reshape(values.shape[:-1]), {}
-    integer = np.issubdtype(values.dtype, np.integer)
-    rows = values.reshape(-1, n)
-    top = np.zeros(len(rows), dtype=np.int64 if integer else np.float64)
-    q2 = {}
-    for lo in range(0, len(rows), _PASS_ROWS):
-        block, tops = slice(lo, lo + _PASS_ROWS), []
-        for L, w in _orbit_windows(rows[block], n):
-            square = np.square(w, out=w) if integer else np.abs(w)
-            tops.append(square.max(axis=(1, 2, 3, 4)))
-            if not integer:
-                np.square(square, out=square)
-            total = q2.setdefault(L, np.zeros((len(rows), L + 1), dtype=top.dtype))
-            total[block, 1:] += square.sum(axis=(1, 2, 3), dtype=total.dtype)
-        top[block] = np.max(tops, axis=0)
-    t = np.sqrt(top) if integer else top  # exact: perfect squares below 2^53
-    lead = values.shape[:-1]
-    return t.reshape(lead), {L: total.reshape(lead + (L + 1,)) for L, total in q2.items()}
 
 
 def max_ap_sum_complex(f) -> float:

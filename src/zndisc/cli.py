@@ -142,10 +142,11 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, _json_text(payload) + "\n")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: tuple[str, ...], rows: list[dict]) -> str:
+    """A header line, then each row's ``header`` entries in order; None is empty."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
+        lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
     return "\n".join(lines) + "\n"
 
 
@@ -161,6 +162,10 @@ def _ns_range(args) -> list[int]:
 def _is_prime(n: int) -> bool:
     ctx = make_context(n)
     return ctx.omega == 1 and ctx.factors[0][1] == 1
+
+
+_BOUNDS_COLUMNS = ("n", "upper_main", "upper_r", "lower_main", "lower_main_r", "lower_prop",
+                   "lower_prop_l", "lower_prime_power", "hereditary_upper")
 
 
 def cmd_bounds(args) -> int:
@@ -184,23 +189,13 @@ def cmd_bounds(args) -> int:
             p, k = ctx.factors[0]
             pp = lower_bound_prime_power(p, k)
         hered = hereditary_upper_bound(ctx, args.c_hat)
-        rows.append({
-            "n": n,
-            "upper_main": upper.value,
-            "upper_r": upper.witness["r"],
-            "lower_main": lower.value,
-            "lower_main_r": lower.witness["r"],
-            "lower_prop": best_prop.value,
-            "lower_prop_l": best_prop.witness["l"],
-            "lower_prime_power": None if pp is None else pp.value,
-            "hereditary_upper": hered.value,
-        })
+        rows.append(dict(zip(_BOUNDS_COLUMNS, (
+            n, upper.value, upper.witness["r"], lower.value, lower.witness["r"],
+            best_prop.value, best_prop.witness["l"], None if pp is None else pp.value,
+            hered.value,
+        ))))
     if args.format == "csv":
-        header = list(rows[0].keys()) if rows else [
-            "n", "upper_main", "upper_r", "lower_main", "lower_main_r",
-            "lower_prop", "lower_prop_l", "lower_prime_power", "hereditary_upper",
-        ]
-        _emit(args, _csv_text(header, [[r[h] for h in header] for r in rows]))
+        _emit(args, _csv_text(_BOUNDS_COLUMNS, rows))
     elif args.format == "text":
         lines = [
             f"n={r['n']} upper={r['upper_main']:.4f}(r={r['upper_r']}) "
@@ -334,8 +329,7 @@ def cmd_fourier_check(args) -> int:
         "results": rows,
     }
     if args.format == "csv":
-        header = ["identity", "checks", "passes", "worst_error"]
-        _emit(args, _csv_text(header, [[r[h] for h in header] for r in rows]))
+        _emit(args, _csv_text(("identity", "checks", "passes", "worst_error"), rows))
     elif args.format == "text":
         _emit(args, "\n".join(
             f"{r['identity']}: {r['passes']}/{r['checks']} worst_error={r['worst_error']:.3g}"
@@ -383,8 +377,7 @@ def cmd_sweep(args) -> int:
         fit = {"slope": float(slope), "intercept": float(intercept),
                "points": len(usable)}
     if args.format == "csv":
-        header = ["n", "r_star", "predicted", "measured_t", "base_congruence_max"]
-        text = _csv_text(header, [[r[h] for h in header] for r in rows])
+        text = _csv_text(("n", "r_star", "predicted", "measured_t", "base_congruence_max"), rows)
         if fit is not None:
             text += f"# fit_slope={fit['slope']!r} points={fit['points']}\n"
         _emit(args, text)

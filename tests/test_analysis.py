@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zndisc import analysis, ap_system
+from zndisc import analysis
 from zndisc.analysis import (
+    _PASS_ROWS,
     REL_TOL,
     CheckResult,
     class_power,
@@ -17,8 +18,8 @@ from zndisc.analysis import (
     max_progression_sum,
     upper_bound_main,
 )
-from zndisc.ap_system import (_PASS_ROWS, _SCAN_CELLS, Coloring, congruence_class_sums,
-                               max_ap_discrepancy, max_ap_sum_complex)
+from zndisc.ap_system import (_SCAN_CELLS, Coloring, congruence_class_sums, max_ap_discrepancy,
+                               max_ap_sum_complex)
 from zndisc.number_theory import make_context
 
 from .oracles import (
@@ -42,7 +43,7 @@ def weighted_lhs_tiny(f, m):
 
 def double_sums(f, ms):
     """The double sum for each m in ms, as fourier_checks reports it."""
-    return fourier_checks(f, ms=ms, checks=("rhs_lower",))["rhs_lower"].lhs
+    return fourier_checks(f, ms=ms)["rhs_lower"].lhs
 
 
 def assert_row_is_call(grids, b, one):
@@ -94,7 +95,7 @@ def test_spectral_mass_of_colorings():
 # ------------------------------------------------------ subgroup identity
 
 def plancherel(f, ctx=None):
-    return fourier_checks(f, ctx, checks=("subgroup_plancherel",))["subgroup_plancherel"]
+    return fourier_checks(f, ctx)["subgroup_plancherel"]
 
 
 def test_subgroup_plancherel_examples():
@@ -232,14 +233,14 @@ def test_double_sum_gathers_are_chunked(monkeypatch, n, ms):
     # the pass reads every window of every step d in [1, n/2] (n*L sums per
     # step), at most _SCAN_CELLS window sums per chunk
     sizes = []
-    windows = ap_system._orbit_windows
+    windows = analysis._orbit_windows
 
     def spy(values, n):
         for L, w in windows(values, n):
             sizes.append(w.size)
             yield L, w
 
-    monkeypatch.setattr(ap_system, "_orbit_windows", spy)
+    monkeypatch.setattr(analysis, "_orbit_windows", spy)
     rng = np.random.default_rng(n)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     got, _ = analysis._window_pass(f, np.asarray(ms, dtype=np.int64))
@@ -310,15 +311,15 @@ def test_exact_double_sums_match_reference_on_m_subsets(n, seed, zeros, ms):
 def test_double_sums_route_follows_input(monkeypatch):
     # integer input with every entry in {-1, 0, +1} takes the int64 route, a
     # Coloring through fourier_checks included; float +-1, an integer 2 and
-    # complex input take the float route
+    # complex input take the float route; one pass over the windows per call
     taken = []
-    moments = analysis._window_moments
+    windows = analysis._orbit_windows
 
     def spy(values, n):
         taken.append(values.dtype)
-        return moments(values, n)
+        return windows(values, n)
 
-    monkeypatch.setattr(analysis, "_window_moments", spy)
+    monkeypatch.setattr(analysis, "_orbit_windows", spy)
     rng = np.random.default_rng(4)
     signs = rng.integers(0, 2, 12) * 2 - 1
     two = signs.copy()
@@ -385,16 +386,16 @@ def test_fourier_checks_accept_integers_past_one():
 
 def test_complex_double_sum_grid_is_its_one_m_calls(monkeypatch):
     # each m's terms add up over the classes in one fixed order; every call on
-    # one f reads the same windows, so the pass runs once per f
-    moments, done = analysis._window_moments, {}
+    # one f reads the same windows, so they are taken once per f (the float
+    # route leaves them as they are)
+    windows, done = analysis._orbit_windows, {}
 
     def once(values, n):
         if n not in done:
-            done[n] = moments(values, n)
-        t, q2 = done[n]
-        return t, dict(q2)
+            done[n] = list(windows(values, n))
+        return done[n]
 
-    monkeypatch.setattr(analysis, "_window_moments", once)
+    monkeypatch.setattr(analysis, "_orbit_windows", once)
     rng = np.random.default_rng(24)
     for n in [*range(1, 91), 100, 150]:
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -420,9 +421,9 @@ def test_fourier_checks_property(n, seed, signs):
     for i, m in enumerate(range(1, n + 1)):
         assert lhs[i] == pytest.approx(weighted_lhs_tiny(f, m), rel=1e-8)
         ref = scalar_checks(f, m, ctx, fhat, t_f)
-        # a one-m call of one check is bitwise the full grid's entry
+        # a one-m call is bitwise the full grid's entry
+        one = fourier_checks(f, ctx, t_f=t_f, ms=[m])
         for name in ("rhs_lower", "lhs_upper", "mobius_identity", "composite_lower"):
-            one = fourier_checks(f, ctx, t_f=t_f, ms=[m], checks=(name,))
             assert grid[name].at(i) == one[name].at(0)
             got, want = grid[name].at(i), ref[name]
             if signs or name not in ("rhs_lower", "lhs_upper"):
@@ -432,15 +433,14 @@ def test_fourier_checks_property(n, seed, signs):
                 assert got.lhs == pytest.approx(want.lhs, rel=1e-12)
                 assert got.error == pytest.approx(want.error, rel=0, abs=1e-12)
         for j, l in enumerate(ctx.divisors):
-            one = fourier_checks(f, ctx, ms=[m], ls=[l], checks=("mobius_inequality",))
+            one = fourier_checks(f, ctx, ms=[m], ls=[l])
             assert (one["mobius_inequality"].at(0, 0)
                     == grid["mobius_inequality"].at(i, j) == ref[l])
     # a planted T_f = 0 breaks the upper bounds at the same m in both routes
-    planted = fourier_checks(f, ctx, t_f=0, checks=("lhs_upper", "composite_lower"))
-    assert set(planted) == {"lhs_upper", "composite_lower"}
+    planted = fourier_checks(f, ctx, t_f=0)
     for name in ("lhs_upper", "composite_lower"):
         assert not planted[name].passed[0]  # m = 1: no class-power term, the bound is 0
-        one_m = [fourier_checks(f, ctx, t_f=0, ms=[m], checks=(name,))[name].at(0)
+        one_m = [fourier_checks(f, ctx, t_f=0, ms=[m])[name].at(0)
                  for m in range(1, n + 1)]
         assert one_m == [planted[name].at(i) for i in range(n)]
     # f in a stack between two other functions, with one T_f per row, gives
@@ -468,9 +468,7 @@ def stack_cases(n, rng, rows=5):
 def test_fourier_checks_stack_rows_are_one_function_calls(n):
     rng = np.random.default_rng(n)
     ctx = make_context(n)
-    variants = [{}, {"ms": [n, 1, (n + 1) // 2, 1], "ls": [n, 1]},
-                {"checks": ("rhs_lower",)}, {"checks": ("lhs_upper", "composite_lower")},
-                {"checks": ("subgroup_plancherel", "mobius_inequality")}]
+    variants = [{}, {"ms": [n, 1, (n + 1) // 2, 1], "ls": [n, 1]}]
     for stack in stack_cases(n, rng).values():
         per_row = rng.uniform(0, n, len(stack))
         for kwargs in [*variants, {"t_f": 1.5}, {"t_f": per_row, "ms": [1, n]}]:
@@ -501,7 +499,7 @@ def test_window_pass_blocks_of_a_stack_stay_in_budget(monkeypatch, kind):
     # 40 functions go through the window pass _PASS_ROWS rows at a time, so no
     # window block grows past _PASS_ROWS * _SCAN_CELLS sums with the stack
     rows, sizes = [], []
-    windows = ap_system._orbit_windows
+    windows = analysis._orbit_windows
 
     def spy(values, n):
         rows.append(len(values))
@@ -509,7 +507,7 @@ def test_window_pass_blocks_of_a_stack_stay_in_budget(monkeypatch, kind):
             sizes.append(w.size)
             yield L, w
 
-    monkeypatch.setattr(ap_system, "_orbit_windows", spy)
+    monkeypatch.setattr(analysis, "_orbit_windows", spy)
     n = 48
     stack = stack_cases(n, np.random.default_rng(27), rows=40)[kind]
     fourier_checks(stack, make_context(n))
@@ -527,9 +525,15 @@ def test_window_pass_blocks_of_a_stack_stay_in_budget(monkeypatch, kind):
     (np.ones((3, 6)), {"t_f": [1.0, 2.0]}),  # t_f that does not broadcast to (B,)
     (np.ones((3, 6)), {"t_f": np.ones((3, 3))}),
     (np.ones(6), {"t_f": [1.0, 2.0]}),
+    # a negative T_f would pass for its absolute value, an infinite or NaN one
+    # every upper bound with a NaN error
+    (np.ones(6), {"t_f": -3}),
+    (np.ones(6), {"t_f": np.inf}),
+    (np.ones(6), {"t_f": np.nan}),
+    (np.ones((3, 6)), {"t_f": [1.0, -0.5, 2.0]}),
     (np.ones((3, 12)), {"ctx": make_context(6)}),  # a context for another n
 ], ids=["ndim0", "ndim3", "no-rows", "n0", "empty", "t_f-2-for-3", "t_f-3x3", "t_f-2-for-1",
-        "ctx"])
+        "t_f-negative", "t_f-inf", "t_f-nan", "t_f-one-negative", "ctx"])
 def test_fourier_checks_rejects_bad_stacks(f, kwargs):
     with pytest.raises(ValueError):
         fourier_checks(f, **kwargs)
@@ -538,7 +542,7 @@ def test_fourier_checks_rejects_bad_stacks(f, kwargs):
 def test_fourier_checks_rejects_bad_grid():
     f = np.ones(6)
     for kwargs in ({"ms": [0]}, {"ms": [7]}, {"ms": []}, {"ms": [1.5]},
-                   {"ls": [0]}, {"checks": ("nonsense",)}):
+                   {"ls": [0]}):
         with pytest.raises(ValueError):
             fourier_checks(f, **kwargs)
 
@@ -553,7 +557,7 @@ def test_fourier_checks_rejects_context_for_another_n():
 
 def test_rhs_lower_equality_for_ones():
     n = 12
-    res = fourier_checks(np.ones(n), ms=[1, 5, 12], checks=("rhs_lower",))["rhs_lower"]
+    res = fourier_checks(np.ones(n), ms=[1, 5, 12])["rhs_lower"]
     assert res.passed.all()
     assert res.lhs == pytest.approx(res.rhs)  # gcd(0, n) = n makes it tight
 
@@ -562,7 +566,7 @@ def test_lhs_upper_m1_is_singleton_bound():
     rng = np.random.default_rng(12)
     n = 16
     f = rng.integers(0, 2, n) * 2 - 1
-    res = fourier_checks(f, ms=[1], checks=("lhs_upper",))["lhs_upper"].at(0)
+    res = fourier_checks(f, ms=[1])["lhs_upper"].at(0)
     assert res.passed
     assert res.lhs == pytest.approx(n * n)
 
@@ -587,12 +591,9 @@ def test_identities_random_complex():
         for _ in range(5):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             t_f = max_progression_sum(f)
-            grid = fourier_checks(f, ctx, t_f=t_f, ms=(1, n // 2, n),
-                                  ls=(1, n // 2, n),
-                                  checks=("rhs_lower", "lhs_upper", "mobius_identity",
-                                          "mobius_inequality"))
-            for name, checked in grid.items():
-                assert checked.passed.all(), name
+            grid = fourier_checks(f, ctx, t_f=t_f, ms=(1, n // 2, n), ls=(1, n // 2, n))
+            for name in ("rhs_lower", "lhs_upper", "mobius_identity", "mobius_inequality"):
+                assert grid[name].passed.all(), name
 
 
 def test_mobius_identity_delta_function():
@@ -600,7 +601,7 @@ def test_mobius_identity_delta_function():
     for n in (6, 12, 64):
         delta = np.zeros(n)
         delta[0] = 1
-        res = fourier_checks(delta, ms=(1, 3, n), checks=("mobius_identity",))
+        res = fourier_checks(delta, ms=(1, 3, n))
         assert res["mobius_identity"].passed.all()
 
 

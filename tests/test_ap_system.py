@@ -359,11 +359,11 @@ def test_complex_ap_sum_matches_per_step_scan(monkeypatch, cells, ns):
 
 def test_complex_ap_sum_is_a_t_only_scan(monkeypatch):
     # the largest |window sum| straight off the windows: no squared sums by
-    # length, so the double sum's moments pass is never entered; n = 1 is |f(0)|
-    def refuse(values, n):
-        raise AssertionError("max_ap_sum_complex entered _window_moments")
+    # length, so the double sum's window pass is never entered; n = 1 is |f(0)|
+    def refuse(values, ms):
+        raise AssertionError("max_ap_sum_complex entered _window_pass")
 
-    monkeypatch.setattr("zndisc.ap_system._window_moments", refuse)
+    monkeypatch.setattr("zndisc.analysis._window_pass", refuse)
     rng = np.random.default_rng(22)
     for n in range(1, 41):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -309,6 +309,16 @@ GOLDEN_RESULTS = [
     # many test functions per run: the batched checks take them 16 rows a pass
     (["fourier-check", "--n", "48", "--trials", "20", "--seed", "1"],
      "fe10655d948fdbc44e9baa20aa5d7705e659d192785338bc4e42710ded006052"),
+    # edge layouts of the window pass: no steps (n = 1), only L = 2 (n = 2), a
+    # prime (one gcd class) and a prime power (classes L = 27, 9 and 3)
+    (["fourier-check", "--n", "1", "--trials", "2", "--seed", "0"],
+     "74bcd39c551dc88a7df23b818bbc6f364859ff3c35d89225ad6d49e885fc2766"),
+    (["fourier-check", "--n", "2", "--trials", "5", "--seed", "0"],
+     "7e026ac0995d8e80454773a63f24e7a07d12b0d01cec2b8e0d4eff704da57195"),
+    (["fourier-check", "--n", "27", "--trials", "3", "--seed", "2"],
+     "a9779e1962526a1e4b460c1f250e971c8fbb7d9e1192616e1cc645b43afcb7cf"),
+    (["fourier-check", "--n", "31", "--trials", "3", "--seed", "4"],
+     "f2e7f772db71213785a191845ce7358cf638c2529f6fe7218c4f4b72d49a5b76"),
     # a lifted coloring (r* = 512), measured on the periodic scan
     (["construct", "--n", "16384", "--seed", "1"],
      "b39d109e1528e296684c33f96bc109ce2a8055747ad4a265fa5ce7bf24501714"),
@@ -317,7 +327,8 @@ GOLDEN_RESULTS = [
 
 @pytest.mark.parametrize("args,digest", GOLDEN_RESULTS,
                          ids=["construct", "construct-engine", "exact", "herdisc",
-                              "fourier-48", "fourier-30", "fourier-48-many", "construct-lifted"])
+                              "fourier-48", "fourier-30", "fourier-48-many", "fourier-1",
+                              "fourier-2", "fourier-27", "fourier-31", "construct-lifted"])
 def test_golden_results(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert run(args + ["--out", str(out)]) == EXIT_OK
