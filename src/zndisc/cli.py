@@ -1,19 +1,18 @@
 """Command-line surface: construct colorings, tabulate bounds, run exact
 solvers, and batch-verify the Fourier identities.
 
-Every artifact embeds the full run configuration (version, command, seed,
-c-hat, kappa, budget), so identical invocations produce byte-identical
-output.  A JSON artifact is exactly ``json.dumps(payload, sort_keys=True,
-indent=2)`` plus LF, written by ``_json_text``; a coloring's entries, in JSON
-and csv alike, come from its int8 bytes through a table.  Exit codes: 0 ok,
-1 usage or I/O, 2 invariant breach, 3 search failure, 4 solver or
-engine-table size limit exceeded.
+Every artifact embeds the version, the command and the flags the subcommand
+reads, so identical invocations produce byte-identical output.  A JSON
+artifact is exactly ``json.dumps(payload, sort_keys=True, indent=2)`` plus LF,
+written by ``_json_text``; a coloring's entries, in JSON and csv alike, come
+from its int8 bytes through a table.  Exit codes: 0 ok, 1 usage or I/O, 2
+invariant breach, 3 search failure, 4 solver or engine-table size limit
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -32,7 +31,7 @@ from .analysis import (
 )
 from .constructions import construct_best_coloring
 from .engine import SearchFailed
-from .exact import LimitExceeded, exact_disc, exact_herdisc, measure
+from .exact import LimitExceeded, exact_disc, exact_herdisc
 from .number_theory import make_context
 
 EXIT_OK = 0
@@ -67,15 +66,11 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _meta(args, command: str, seed: int) -> dict:
-    cfg = {
-        "seed": seed,
-        "c_hat": getattr(args, "c_hat", None),
-        "kappa": getattr(args, "kappa", None),
-        "budget": getattr(args, "budget", None),
-        "method": getattr(args, "method", None),
-        "format": args.format,
-    }
+def _meta(args, command: str, seed: int | None = None) -> dict:
+    """Version, command and the flags the subcommand reads; ``seed`` is the
+    resolved seed, None where the subcommand reads no seed."""
+    cfg = {"seed": seed, **{key: getattr(args, key, None)
+                            for key in ("c_hat", "kappa", "budget", "method", "format")}}
     return {"version": __version__, "command": command,
             "config": {k: v for k, v in cfg.items() if v is not None}}
 
@@ -142,12 +137,27 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, _json_text(payload) + "\n")
 
 
-def _csv_text(header: tuple[str, ...], rows: list[dict]) -> str:
-    """A header line, then each row's ``header`` entries in order; None is empty."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
-    return "\n".join(lines) + "\n"
+def _emit_rows(args, payload: dict, columns: tuple[str, ...], lines: list[str],
+               csv_notes: tuple[str, ...] = ()) -> None:
+    """Write a table artifact in ``args.format``: ``payload`` as JSON; its
+    ``results`` rows as csv under a ``columns`` header (None is empty), then
+    ``csv_notes``; or the text ``lines``."""
+    if args.format == "csv":
+        lines = [",".join(columns), *(
+            ",".join("" if row[c] is None else str(row[c]) for c in columns)
+            for row in payload["results"]), *csv_notes]
+    if args.format == "json":
+        _emit_json(args, payload)
+    else:
+        _emit(args, "".join(line + "\n" for line in lines))
+
+
+def _invariant_exit(rows: list[dict]) -> int:
+    """EXIT_INVARIANT, after naming each n whose base class sums exceed 1."""
+    breached = [row["n"] for row in rows if row["base_congruence_max"] > 1]
+    for n in breached:
+        print(f"invariant breach at n={n}: base congruence max exceeds 1", file=sys.stderr)
+    return EXIT_INVARIANT if breached else EXIT_OK
 
 
 def _ns_range(args) -> list[int]:
@@ -169,7 +179,6 @@ _BOUNDS_COLUMNS = ("n", "upper_main", "upper_r", "lower_main", "lower_main_r", "
 
 
 def cmd_bounds(args) -> int:
-    seed = _resolve_seed(args)
     ns = _ns_range(args)
     rows = []
     for n in ns:
@@ -194,18 +203,10 @@ def cmd_bounds(args) -> int:
             best_prop.value, best_prop.witness["l"], None if pp is None else pp.value,
             hered.value,
         ))))
-    if args.format == "csv":
-        _emit(args, _csv_text(_BOUNDS_COLUMNS, rows))
-    elif args.format == "text":
-        lines = [
-            f"n={r['n']} upper={r['upper_main']:.4f}(r={r['upper_r']}) "
-            f"lower={r['lower_main']:.4f} prop={r['lower_prop']:.4f}"
-            for r in rows
-        ]
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
-    else:
-        _emit_json(args, {"meta": _meta(args, "bounds", seed),
-                          "inputs": {"ns": ns}, "results": rows})
+    _emit_rows(args, {"meta": _meta(args, "bounds"), "inputs": {"ns": ns}, "results": rows},
+               _BOUNDS_COLUMNS,
+               [f"n={r['n']} upper={r['upper_main']:.4f}(r={r['upper_r']}) "
+                f"lower={r['lower_main']:.4f} prop={r['lower_prop']:.4f}" for r in rows])
     return EXIT_OK
 
 
@@ -218,7 +219,7 @@ def cmd_construct(args) -> int:
     try:
         chi, report = construct_best_coloring(
             ctx, c_hat=args.c_hat, seed=seed, kappa=args.kappa,
-            retries=args.budget, measure=False,
+            retries=args.budget,
         )
     except SearchFailed as exc:
         print(f"search failed (cell r={exc.cell}): {exc}", file=sys.stderr)
@@ -226,9 +227,7 @@ def cmd_construct(args) -> int:
     except LimitExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_LIMIT
-    measured = measure(chi, ctx, period=report.r_star)
-    report = dataclasses.replace(report, measured_t=measured["T"])
-    report_dict = {**dataclasses.asdict(report), "measure": measured}
+    report_dict = vars(report)  # the fields as they are: asdict would deep-copy `measure`
     if args.format == "csv":
         _emit(args, _int8_text(chi.values, "\n") + "\n")
         print(json.dumps(report_dict, sort_keys=True), file=sys.stderr)
@@ -247,10 +246,7 @@ def cmd_construct(args) -> int:
             }],
         }
         _emit_json(args, payload)
-    if report.base_congruence_max > 1:
-        print("invariant breach: base congruence max exceeds 1", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _invariant_exit([report_dict])
 
 
 def _run_exact_oracle(args, command: str, solve) -> int:
@@ -259,7 +255,6 @@ def _run_exact_oracle(args, command: str, solve) -> int:
     The JSON artifact goes to --out, or to stdout with --format json; the bare
     value is printed beside --out and in the other formats.
     """
-    seed = _resolve_seed(args)
     if args.n is None or args.n < 1:
         print("--n is required and must be positive", file=sys.stderr)
         return EXIT_USAGE
@@ -269,7 +264,7 @@ def _run_exact_oracle(args, command: str, solve) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_LIMIT
     if args.out or args.format == "json":
-        _emit_json(args, {"meta": _meta(args, command, seed),
+        _emit_json(args, {"meta": _meta(args, command),
                           "inputs": {"n": args.n}, "results": [row]})
     if args.out or args.format != "json":
         print(row["value"])
@@ -323,23 +318,17 @@ def cmd_fourier_check(args) -> int:
         print("--trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     rows = _fourier_suite(args.n, args.trials, seed)
-    payload = {
-        "meta": _meta(args, "fourier-check", seed),
-        "inputs": {"n": args.n, "trials": args.trials},
-        "results": rows,
-    }
-    if args.format == "csv":
-        _emit(args, _csv_text(("identity", "checks", "passes", "worst_error"), rows))
-    elif args.format == "text":
-        _emit(args, "\n".join(
-            f"{r['identity']}: {r['passes']}/{r['checks']} worst_error={r['worst_error']:.3g}"
-            for r in rows
-        ) + "\n")
-    else:
-        _emit_json(args, payload)
+    _emit_rows(args, {"meta": _meta(args, "fourier-check", seed),
+                      "inputs": {"n": args.n, "trials": args.trials}, "results": rows},
+               ("identity", "checks", "passes", "worst_error"),
+               [f"{r['identity']}: {r['passes']}/{r['checks']} worst_error={r['worst_error']:.3g}"
+                for r in rows])
     if any(r["passes"] != r["checks"] for r in rows):
         return EXIT_INVARIANT
     return EXIT_OK
+
+
+_SWEEP_COLUMNS = ("n", "r_star", "predicted", "measured_t", "base_congruence_max")
 
 
 def cmd_sweep(args) -> int:
@@ -361,55 +350,48 @@ def cmd_sweep(args) -> int:
         except LimitExceeded as exc:
             print(f"limit exceeded at n={n}: {exc}", file=sys.stderr)
             return EXIT_LIMIT
-        rows.append({
-            "n": n,
-            "r_star": report.r_star,
-            "predicted": report.predicted,
-            "measured_t": report.measured_t,
-            "base_congruence_max": report.base_congruence_max,
-        })
+        rows.append({c: getattr(report, c) for c in _SWEEP_COLUMNS})
     fit = None
-    usable = [r for r in rows if r["measured_t"] and r["measured_t"] > 0 and r["n"] > 1]
+    usable = [r for r in rows if r["measured_t"] > 0 and r["n"] > 1]
     if len(usable) >= 2:
         xs = np.log([r["n"] for r in usable])
         ys = np.log([r["measured_t"] for r in usable])
         slope, intercept = np.polyfit(xs, ys, 1)
         fit = {"slope": float(slope), "intercept": float(intercept),
                "points": len(usable)}
-    if args.format == "csv":
-        text = _csv_text(("n", "r_star", "predicted", "measured_t", "base_congruence_max"), rows)
-        if fit is not None:
-            text += f"# fit_slope={fit['slope']!r} points={fit['points']}\n"
-        _emit(args, text)
-    elif args.format == "text":
-        lines = [f"n={r['n']} r*={r['r_star']} T={r['measured_t']}" for r in rows]
-        if fit is not None:
-            lines.append(f"fit slope={fit['slope']:.4f} over {fit['points']} points")
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
-    else:
-        _emit_json(args, {"meta": _meta(args, "sweep", seed),
-                          "inputs": {"ns": ns}, "results": rows, "fit": fit})
-    return EXIT_OK
+    lines = [f"n={r['n']} r*={r['r_star']} T={r['measured_t']}" for r in rows]
+    notes = ()
+    if fit is not None:
+        lines.append(f"fit slope={fit['slope']:.4f} over {fit['points']} points")
+        notes = (f"# fit_slope={fit['slope']!r} points={fit['points']}",)
+    _emit_rows(args, {"meta": _meta(args, "sweep", seed), "inputs": {"ns": ns},
+                      "results": rows, "fit": fit}, _SWEEP_COLUMNS, lines, notes)
+    return _invariant_exit(rows)
 
 
-def _add_common(p: argparse.ArgumentParser, ranged: bool = False) -> None:
-    """The flags every subcommand takes; with ``ranged``, --range too, and
-    --n together with --range is a usage error."""
-    if ranged:
-        which = p.add_mutually_exclusive_group()
-        which.add_argument("--n", type=int, default=None)
-        which.add_argument("--range", type=_parse_range, default=None, metavar="A..B")
-    else:
-        p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
-    p.add_argument("--c-hat", type=float, default=1.0, dest="c_hat")
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--budget", type=int, default=64, help="engine restart budget")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--method", choices=("exhaustive", "branch_and_bound"),
-                   default="branch_and_bound")
+# every flag past --n, --format and --out, with its parse settings
+_FLAGS = {
+    "--range": dict(type=_parse_range, default=None, metavar="A..B"),
+    "--seed": dict(type=int, default=None, help=f"RNG seed (falls back to ${SEED_ENV}, then 0)"),
+    "--c-hat": dict(type=float, default=1.0),
+    "--kappa": dict(type=float, default=1.0),
+    "--budget": dict(type=int, default=64, help="engine restart budget"),
+    "--method": dict(choices=("exhaustive", "branch_and_bound"), default="branch_and_bound"),
+    "--trials": dict(type=int, default=20),
+    "--primes-only": dict(action="store_true"),
+}
+
+# (name, function, help, the _FLAGS it reads); a flag it does not read is a usage error
+_SUBCOMMANDS = (
+    ("bounds", cmd_bounds, "tabulate upper/lower bound formulas", ("--range", "--c-hat")),
+    ("construct", cmd_construct, "build and measure a coloring of Z_n",
+     ("--seed", "--c-hat", "--kappa", "--budget")),
+    ("exact", cmd_exact, "exact discrepancy by full search", ("--method",)),
+    ("herdisc", cmd_herdisc, "exact hereditary discrepancy", ()),
+    ("fourier-check", cmd_fourier_check, "verify the spectral identities", ("--seed", "--trials")),
+    ("sweep", cmd_sweep, "construct over a range and fit the growth",
+     ("--range", "--seed", "--c-hat", "--kappa", "--budget", "--primes-only")),
+)
 
 
 @functools.cache  # built once per process: parsing never changes the parser
@@ -420,33 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="tabulate upper/lower bound formulas")
-    _add_common(p, ranged=True)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("construct", help="build and measure a coloring of Z_n")
-    _add_common(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("exact", help="exact discrepancy by full search")
-    _add_common(p)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("herdisc", help="exact hereditary discrepancy")
-    _add_common(p)
-    p.set_defaults(func=cmd_herdisc)
-
-    p = sub.add_parser("fourier-check", help="verify the spectral identities")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(func=cmd_fourier_check)
-
-    p = sub.add_parser("sweep", help="construct over a range and fit the growth")
-    _add_common(p, ranged=True)
-    p.add_argument("--primes-only", action="store_true")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, func, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        # --n together with --range is a usage error
+        which = p.add_mutually_exclusive_group() if "--range" in flags else p
+        which.add_argument("--n", type=int, default=None)
+        for flag in flags:
+            (which if flag == "--range" else p).add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--out", type=str, default=None)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import upper_bound_main
-from .ap_system import Coloring, _as_subset, max_ap_discrepancy, max_congruence_discrepancy
+from .ap_system import Coloring, _as_subset, max_congruence_discrepancy
 from .engine import (
     DEFAULT_HEREDITARY_C1,
     DEFAULT_RETRIES,
@@ -29,6 +29,7 @@ from .engine import (
     full_color_iterate,
     _derived_seed,
 )
+from .exact import measure
 from .number_theory import ZnContext, make_context
 
 __all__ = [
@@ -98,12 +99,14 @@ class CrtBox:
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """What a top-level construction run chose, predicted, and measured."""
+    """What a top-level construction run chose, predicted, and measured;
+    ``measure`` is ``exact.measure`` of the lifted coloring."""
 
     n: int
     r_star: int
     predicted: float
-    measured_t: int | None
+    measured_t: int
+    measure: dict = field(hash=False)
     base_congruence_max: int
     c_hat: float
     kappa: float
@@ -237,7 +240,7 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
 
 def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
                             *, kappa: float = 1.0, retries: int = DEFAULT_RETRIES,
-                            measure: bool = True) -> tuple[Coloring, ConstructionReport]:
+                            ) -> tuple[Coloring, ConstructionReport]:
     """Best divisor-balanced coloring of Z_n: pick r* minimizing the predicted
     bound n/r + c_hat*sqrt(r)*2^omega(r) (``upper_bound_main``), color Z_{r*},
     and lift.
@@ -256,11 +259,9 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
     base = congruence_balanced_coloring(base_ctx, seed=seed, kappa=kappa,
                                         retries=retries)
     chi = lift_coloring(base, ctx.n)
-    measured = None
-    if measure:
-        measured, _ = max_ap_discrepancy(chi, period=best_r)
+    summary = measure(chi, ctx, period=best_r)
     report = ConstructionReport(
-        n=ctx.n, r_star=best_r, predicted=bound.value, measured_t=measured,
+        n=ctx.n, r_star=best_r, predicted=bound.value, measured_t=summary["T"], measure=summary,
         base_congruence_max=max_congruence_discrepancy(base, base_ctx),
         c_hat=c_hat, kappa=kappa, seed=seed,
     )

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -19,6 +20,7 @@ from zndisc.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _json_text,
+    build_parser,
     main,
 )
 from zndisc.number_theory import make_context
@@ -273,20 +275,26 @@ def test_engine_table_limit_exit_code(command, capsys):
     assert "limit" in capsys.readouterr().err
 
 
-def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path):
+def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path, capsys):
+    # both write their artifact and name each breaching n; sweep used to exit 0
     import zndisc.cli as cli
     from zndisc.constructions import ConstructionReport
     from zndisc.ap_system import Coloring
 
     def fake(ctx, **kwargs):
         rep = ConstructionReport(n=ctx.n, r_star=1, predicted=1.0, measured_t=1,
-                                 base_congruence_max=2, c_hat=1.0, kappa=1.0,
-                                 seed=0)
+                                 measure={"T": 1}, base_congruence_max=2, c_hat=1.0,
+                                 kappa=1.0, seed=0)
         return Coloring.full([1] * ctx.n), rep
 
     monkeypatch.setattr(cli, "construct_best_coloring", fake)
-    assert run(["construct", "--n", "4", "--out",
-                str(tmp_path / "x.json")]) == EXIT_INVARIANT
+    for args, ns in ((["construct", "--n", "4"], [4]), (["sweep", "--range", "2..4"], [2, 3, 4])):
+        out = tmp_path / f"{args[0]}.json"
+        assert run(args + ["--out", str(out)]) == EXIT_INVARIANT
+        rows = json.loads(out.read_text())["results"]
+        assert [(r["n"], r["base_congruence_max"]) for r in rows] == [(n, 2) for n in ns]
+        err = capsys.readouterr().err
+        assert all(f"invariant breach at n={n}" in err for n in ns)
 
 
 # sha256 of json.dumps(payload["results"], sort_keys=True); meta is left out
@@ -322,13 +330,19 @@ GOLDEN_RESULTS = [
     # a lifted coloring (r* = 512), measured on the periodic scan
     (["construct", "--n", "16384", "--seed", "1"],
      "b39d109e1528e296684c33f96bc109ce2a8055747ad4a265fa5ce7bf24501714"),
+    # None entries and floats; a sweep whose rows feed a fit
+    (["bounds", "--range", "1..30"],
+     "fc076d44af6a6a2f81304f436bfd11139e1f78f81c6f6c421a3be11b73f45aba"),
+    (["sweep", "--range", "60..90", "--seed", "1"],
+     "9b1b66643d087f2fc4c1e5a1451eb56a9dded383178a179f9365f4f23f753f52"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN_RESULTS,
                          ids=["construct", "construct-engine", "exact", "herdisc",
                               "fourier-48", "fourier-30", "fourier-48-many", "fourier-1",
-                              "fourier-2", "fourier-27", "fourier-31", "construct-lifted"])
+                              "fourier-2", "fourier-27", "fourier-31", "construct-lifted",
+                              "bounds", "sweep"])
 def test_golden_results(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert run(args + ["--out", str(out)]) == EXIT_OK
@@ -377,6 +391,82 @@ def test_construct_text_and_csv_digests(tmp_path, capsys, fmt):
     capsys.readouterr()
     assert run(args) == EXIT_OK
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+# sha256 of the full csv and text artifacts of the three table commands; the
+# sweep range writes a fit line in both formats
+TABLE_ARGS = {
+    "bounds": ["bounds", "--range", "1..30"],
+    "sweep": ["sweep", "--range", "60..90", "--seed", "1"],
+    "fourier-check": ["fourier-check", "--n", "24", "--trials", "2", "--seed", "1"],
+}
+TABLE_DIGESTS = {
+    ("bounds", "csv"): "238483fb4ae2394dc9227e7df426d30acac1024d3709b3b06b19dc64ce39d0d5",
+    ("bounds", "text"): "16492b4ccdf3b229e2ed0fe79a70271e147c095e9e707641fdd64e78932793ef",
+    ("sweep", "csv"): "29a6be25173744848dbe4076160f1c5254b53b63ef6dd7216cbee92694328d33",
+    ("sweep", "text"): "0a721650b57e326851a6cd5cdb193c5402ad3a08dc744c7e2c6fbfbb0621967f",
+    ("fourier-check", "csv"): "f9695b06999a12c5cb897b53773df10a10cc70302db96d48d65a7dca6c7466f1",
+    ("fourier-check", "text"): "de578b44dc38c823433f5c6ab24e1c9d52a1d717097fe50b0b679b5d9a57cc9c",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(TABLE_DIGESTS))
+def test_table_text_and_csv_digests(tmp_path, capsys, command, fmt):
+    args = TABLE_ARGS[command] + ["--format", fmt]
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGESTS[command, fmt]
+    capsys.readouterr()
+    assert run(args) == EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+# every option each subcommand takes; each one is read by the subcommand
+SUBCOMMAND_FLAGS = {
+    "bounds": {"--n", "--range", "--c-hat", "--format", "--out"},
+    "construct": {"--n", "--seed", "--c-hat", "--kappa", "--budget", "--format", "--out"},
+    "exact": {"--n", "--method", "--format", "--out"},
+    "herdisc": {"--n", "--format", "--out"},
+    "fourier-check": {"--n", "--seed", "--trials", "--format", "--out"},
+    "sweep": {"--n", "--range", "--seed", "--c-hat", "--kappa", "--budget", "--primes-only",
+              "--format", "--out"},
+}
+
+
+def test_subcommand_flags():
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {opt for action in p._actions for opt in action.option_strings}
+             - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "--n", "5", "--kappa", "inf"],
+    ["herdisc", "--n", "5", "--seed", "1"],
+    ["fourier-check", "--n", "8", "--c-hat", "nan"],
+    ["bounds", "--n", "5", "--budget", "-7"],
+    ["construct", "--n", "5", "--method", "exhaustive"],
+    ["sweep", "--range", "2..4", "--method", "exhaustive"],
+], ids=lambda args: args[0] + args[3])
+def test_unread_flags_rejected(tmp_path, capsys, args):
+    # these were accepted, unread, and written into meta.config (kappa=inf as Infinity)
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == EXIT_USAGE
+    assert args[3] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [1, 1061, 4096])
+def test_sweep_row_is_the_construct_report(tmp_path, n):
+    # one construction report feeds both commands
+    c_out, s_out = tmp_path / "c.json", tmp_path / "s.json"
+    assert run(["construct", "--n", str(n), "--seed", "3", "--out", str(c_out)]) == EXIT_OK
+    assert run(["sweep", "--n", str(n), "--seed", "3", "--out", str(s_out)]) == EXIT_OK
+    report = json.loads(c_out.read_text())["results"][0]
+    row, = json.loads(s_out.read_text())["results"]
+    assert row == {k: report[k] for k in ("n", "r_star", "predicted", "measured_t",
+                                          "base_congruence_max")}
 
 
 _json_strings = st.text(alphabet=st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é☃'),

@@ -20,6 +20,7 @@ from zndisc.constructions import (
     lift_coloring,
     _balanced_cells,
 )
+from zndisc.exact import measure
 from zndisc.number_theory import make_context
 
 
@@ -256,11 +257,21 @@ def test_construct_best_prime_choice():
 
 def test_construct_best_ties_take_smallest_r():
     ctx = make_context(4)
-    _, rep = construct_best_coloring(ctx, c_hat=1.0, seed=0, measure=False)
+    _, rep = construct_best_coloring(ctx, c_hat=1.0, seed=0)
     vals = {r: 4 / r + math.sqrt(r) * 2 ** ctx.omega_of_divisor(r) for r in ctx.divisors}
     best = min(vals.values())
     assert vals[rep.r_star] == best
     assert rep.r_star == min(r for r, v in vals.items() if v == best)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (360, 7), (1061, 1), (4096, 2)])
+def test_construct_best_report_is_one_measure(n, seed):
+    # the report carries the summary of one measure of the lifted coloring
+    ctx = make_context(n)
+    chi, rep = construct_best_coloring(ctx, seed=seed)
+    assert rep.measure == measure(chi, ctx, period=rep.r_star)
+    assert type(rep.measured_t) is int and rep.measured_t == rep.measure["T"]
+    assert hash(rep) == hash(construct_best_coloring(ctx, seed=seed)[1])
 
 
 # -------------------------------------------------------------- hereditary
