@@ -31,8 +31,10 @@ is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
 extremes to sweep, difference the doubled prefix over every window
 (``_orbit_windows``, the steps of one gcd per numpy call), and
-``max_ap_sum_complex`` keeps the largest |sum|.  The tests' oracles sum
-every window directly.
+``max_ap_sum_complex`` keeps the largest |sum|.  Every route gathers its
+orbit rows in ``_orbit_prefix``, through an index of int32 while n*L < 2^31
+(L points a row) and of int64 past that.  The tests' oracles sum every
+window directly.
 """
 
 from __future__ import annotations
@@ -202,12 +204,16 @@ def _orbit_prefix(values: np.ndarray, n: int, d, laps: int = 2) -> np.ndarray:
     g = gcd(d, n)), so P[..., a, j] - P[..., a, i] is the sum over the
     cyclic window of positions i..j-1.  Leading batch axes pass through.  An
     array of steps sharing one gcd adds its shape in front of the orbit axis.
-    Integer values are summed in int32 or wider.
+    Steps lie in [0, n), so every index (L-1)*d + a before its reduction mod n
+    is below n*L: int32 while n*L < 2^31, else int64.  Integer values are
+    summed in int32 or wider.
     """
-    d = np.asarray(d, dtype=np.int64)
+    d = np.asarray(d)
     g = math.gcd(int(d.flat[0]), n)
     L = n // g
-    idx = np.arange(L, dtype=np.int64) * d[..., None, None] + np.arange(g)[:, None]
+    dtype = np.int32 if n * L < 1 << 31 else np.int64
+    idx = (np.arange(L, dtype=dtype) * d.astype(dtype)[..., None, None]
+           + np.arange(g, dtype=dtype)[:, None])
     idx -= idx // n * n  # as % n; floor division by a scalar is the faster numpy path
     vals = np.take(values, idx, axis=-1)
     if laps > 1:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _PASS_ROWS,
     fourier_checks,
     hereditary_upper_bound,
     lower_bound_main,
@@ -300,8 +301,11 @@ def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
     waves = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n)
                       for _ in range(trials)])
     stats: dict[str, dict] = {}
-    for stack in (signs, waves):
-        for name, grid in fourier_checks(stack, ctx).items():
+    # _PASS_ROWS rows a call, each row its one-function call's, so memory stays
+    # flat in trials and the sums and maxima are the whole stack's
+    for rows in (stack[lo : lo + _PASS_ROWS] for stack in (signs, waves)
+                 for lo in range(0, trials, _PASS_ROWS)):
+        for name, grid in fourier_checks(rows, ctx).items():
             s = stats.setdefault(name, {"checks": 0, "passes": 0, "worst_error": 0.0})
             s["checks"] += int(grid.passed.size)
             s["passes"] += int(grid.passed.sum())

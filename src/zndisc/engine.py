@@ -85,9 +85,12 @@ TABLE_BYTES_LIMIT = 1 << 30
 # cells at a time, and the paired steps derived from each such chunk, so their
 # scratch stays small whatever the number of steps.
 _CHUNK_CELLS = 1 << 15
-# One run of the sign walk copies at most this many table positions (int32),
-# so its scratch stays at 512 KB whatever the table's size.
+# A run of the sign walk copies _RUN_IDS * ids to max(_RUN_CELLS, _RUN_IDS * ids)
+# table positions (int32), ids counted at the finest scale.  Each run test
+# passes over every id, so past 32 K ids the runs grow with them; below, a
+# run's scratch stays at 512 KB.
 _RUN_CELLS = 1 << 17
+_RUN_IDS = 4
 
 
 class BudgetExceeded(ValueError):
@@ -316,8 +319,8 @@ def _orbit_orders(n: int, xs: np.ndarray, g: int, chunk: int):
 
     Row ``order[i]`` lists the indices into X by (a, k), where x = a + k*d
     and a = x mod g; row a fills the same places in every step.  k is
-    q*u^-1 mod L (q = x // g, L = n/g), one multiply and a floor-subtract,
-    exact while the product stays below 2^53.  Each key packs
+    q*u^-1 mod L (q = x // g, L = n/g): one multiply, then an integer
+    floor-subtract (numpy's fast division by a scalar).  Each key packs
     ((a*L + k) << bits) | index, bits wide enough for every index, so the keys
     are unique and one in-place sort of them orders X stably by (a, k).
 
@@ -342,7 +345,7 @@ def _orbit_orders(n: int, xs: np.ndarray, g: int, chunk: int):
     for lo in range(0, units.size, chunk):
         inv = np.array([pow(int(u), -1, L) for u in units[lo : lo + chunk]], dtype=dtype)
         key = q[None, :] * inv[:, None]
-        key -= (key / L).astype(dtype) * L
+        key -= key // L * L
         key <<= bits
         key += base
         key.sort(axis=1)
@@ -461,8 +464,10 @@ def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
     slot >> s == (slot >> s0) >> (s - s0).  Ids with cap >= m are never
     checked and runs leave their sums alone: they cannot bind, and the exempt
     id repeats across a point's columns, where the histogram counts it once
-    per column.  A failed test halves the run down to a floor; at the floor
-    the walk steps point by point, over twice as many points after each
+    per column.  Each test passes over every id, so a run spans _RUN_IDS *
+    ids to max(_RUN_CELLS, _RUN_IDS * ids) cells (run x columns, ids at the
+    finest scale).  A failed test halves the run down to that floor; at the
+    floor the walk steps point by point, over twice as many points after each
     consecutive failure, and a passed test doubles the run.  The result is
     the point-by-point walk's, bit for bit, for the same rng draws.
     """
@@ -484,7 +489,7 @@ def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
 
     def hits(points):
         # per scale, how many of the points each block holds
-        cells = positions[points]
+        cells = np.take(positions, points, axis=0)
         cells >>= shifts[0]
         c = np.zeros(finest + 1, dtype=np.int64)
         np.add.at(c, cells.ravel(), 1)  # bincount would copy the cells to intp first
@@ -495,10 +500,10 @@ def _sign_walk(table: _WalkTable, rng) -> np.ndarray:
             out.append(c)
         return out
 
-    # a run at the floor reads about four cells per finest-scale id, so a
+    # a run at the floor reads _RUN_IDS cells per finest-scale id, so a
     # failed test costs little next to the steps that follow it
-    top = max(1, _RUN_CELLS // max(width, 1))
-    floor = min(top, max(1, 4 * finest // max(width, 1)))
+    floor = max(1, _RUN_IDS * finest // max(width, 1))
+    top = max(floor, _RUN_CELLS // max(width, 1))
     run, wait, i = top, floor, 0
     while i < m:
         points = order[i : i + run]
@@ -571,11 +576,11 @@ def _orbit_blocks_hold(n: int, xs: np.ndarray, values: np.ndarray, limits) -> bo
             checks.append((lo, hi, wrap, first, delta))
         for _, order in _orbit_orders(n, xs, g, max(1, _CHUNK_CELLS // m)):
             P = np.zeros((order.shape[0], m + 1), dtype=np.int32)
-            np.cumsum(v[order], axis=1, dtype=np.int32, out=P[:, 1:])
+            np.cumsum(np.take(v, order), axis=1, dtype=np.int32, out=P[:, 1:])
             for lo, hi, wrap, first, delta in checks:
-                sums = P[:, hi] - P[:, lo]
+                sums = np.take(P, hi, axis=1) - np.take(P, lo, axis=1)
                 if wrap.size:
-                    sums[:, wrap] += P[:, first + 1] - P[:, first]
+                    sums[:, wrap] += np.take(P, first + 1, axis=1) - np.take(P, first, axis=1)
                 if np.any(np.abs(sums) > delta):
                     return False
     return True

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from zndisc.ap_system import (
     Coloring,
     ModAP,
+    _orbit_prefix,
     _step_maxima,
     _step_ranges,
     _witness,
@@ -282,6 +283,24 @@ def test_full_scan_keeps_a_step_reaching_t_by_a_wrapped_window():
     b = [-1, -1, 1, 1, 1, 1, 1, 1, -1, -1]
     assert max_ap_discrepancy_batch(10, np.array([a, b])).tolist() == [5, 6]
     assert max_ap_discrepancy_batch(10, np.array([b, a])).tolist() == [6, 5]
+
+
+@pytest.mark.parametrize("n, steps", [
+    (46337, (1, 46337 // 2, 46336)),  # n^2 < 2^31: int32 indices
+    (46349, (1, 46349 // 2, 46348)),  # n^2 > 2^31: int64; (n - 1)^2 would wrap int32
+    (2 * 46337, (1, 46337, 2 * 46337 - 1, 2)),  # int32 at g = 46337 only
+])
+def test_orbit_prefix_index_dtype_switch(n, steps):
+    # the gather index is int32 while n*L < 2^31; each point of each row,
+    # one lap, against the orbit walked in Python ints.  No scan at this size
+    values = np.arange(n, dtype=np.int64)
+    for d in steps:
+        g = math.gcd(d, n)
+        L = n // g
+        P = _orbit_prefix(values, n, d, laps=1)
+        assert P.shape == (g, L + 1)
+        assert np.diff(P, axis=-1).tolist() == [[(a + k * d) % n for k in range(L)]
+                                                for a in range(g)]
 
 
 def test_witness_rejects_a_missed_maximum():

@@ -201,6 +201,25 @@ def test_fourier_check_rows_are_the_library_checks(tmp_path):
     assert rows[-1]["checks"] == 4 * len(make_context(12).divisors)
 
 
+def test_fourier_check_takes_pass_sized_stacks(monkeypatch):
+    # memory stays flat in --trials: each stack goes _PASS_ROWS rows a call,
+    # every row of both stacks once
+    import zndisc.cli as cli
+    from zndisc.analysis import _PASS_ROWS, fourier_checks
+
+    rows = []
+
+    def spy(f, ctx):
+        rows.append(len(f))
+        return fourier_checks(f, ctx)
+
+    monkeypatch.setattr(cli, "fourier_checks", spy)
+    trials = 2 * _PASS_ROWS + 3
+    assert run(["fourier-check", "--n", "12", "--trials", str(trials)]) == EXIT_OK
+    assert max(rows) == _PASS_ROWS
+    assert sum(rows) == 2 * trials
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_fourier_check_rejects_no_trials(trials, capsys):
     # zero functions would be zero checks, reported as a pass
@@ -305,6 +324,10 @@ GOLDEN_RESULTS = [
     # a prime cell whose engine request binds 1 628 160 (point, block) pairs
     (["construct", "--n", "1061", "--seed", "1"],
      "76d5507db1c0c8abc836e68a18e618884f087d4d1fc13b5e0d2fab7c7617f735"),
+    # a prime cell whose walk table has 64 000 finest-scale ids, so the walk's
+    # runs are sized by the ids, not by _RUN_CELLS
+    (["construct", "--n", "4001", "--seed", "1"],
+     "b5f61f4d9f35365e93786375344de8dcbb8aa7bea883fc35bc94f1f0f689803b"),
     (["exact", "--n", "12"],
      "c9561459a310c32dba774ec78993794d6df5ceaff584158e1c107b88d3e62bfb"),
     (["herdisc", "--n", "7"],
@@ -339,7 +362,8 @@ GOLDEN_RESULTS = [
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN_RESULTS,
-                         ids=["construct", "construct-engine", "exact", "herdisc",
+                         ids=["construct", "construct-engine", "construct-engine-4001",
+                              "exact", "herdisc",
                               "fourier-48", "fourier-30", "fourier-48-many", "fourier-1",
                               "fourier-2", "fourier-27", "fourier-31", "construct-lifted",
                               "bounds", "sweep"])

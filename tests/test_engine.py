@@ -429,8 +429,9 @@ def test_batched_walk_matches_sequential(n, density, hereditary, factor, coarse_
         explicit = {size: orbit_blocks_by_definition(n, xs, size) for size in req.blocks}
         tables.append(explicit_walk_table(req.x, explicit, req.deltas))
     with pytest.MonkeyPatch.context() as mp:
-        if run_cells is not None:
+        if run_cells is not None:  # with no floor of _RUN_IDS cells per id
             mp.setattr(engine, "_RUN_CELLS", run_cells)
+            mp.setattr(engine, "_RUN_IDS", 0)
         for table in tables:
             assert_walks_agree(with_caps_scaled(table, factor, coarse_only), seed)
 
@@ -447,11 +448,42 @@ def test_batched_walk_repeated_exempt_ids(n, run_cells, monkeypatch):
     table = engine._walk_table(req)
     repeats = (table.positions == table.exempt).sum(axis=1)
     assert repeats.max() > table.positions.shape[1] // 4
-    if run_cells is not None:
+    if run_cells is not None:  # with no floor of _RUN_IDS cells per id
         monkeypatch.setattr(engine, "_RUN_CELLS", run_cells)
+        monkeypatch.setattr(engine, "_RUN_IDS", 0)
     for factor in (1.0, 0.5, 0.2):
         for coarse_only in (False, True):
             assert_walks_agree(with_caps_scaled(table, factor, coarse_only), n, restarts=4)
+
+
+def test_walk_runs_sized_by_finest_ids():
+    # n = 4001 with X = [1, 2000]: 64 000 finest-scale ids, past the 32 K at
+    # which _RUN_IDS cells per id reach _RUN_CELLS, so a run spans _RUN_IDS
+    # cells per id (64 points of 4000 columns, not 32), and the coloring is
+    # still the point-by-point walk's
+    n = 4001
+    req = build_c2_request(n, np.arange(1, 2001), DeltaSchedule.main(n), seed=n)
+    table = engine._walk_table(req)
+    m, width = table.positions.shape
+    ids = table.exempt >> int(table.shifts[0, 0])
+    assert engine._RUN_IDS * ids > engine._RUN_CELLS
+    reads = []
+
+    class Spy(np.ndarray):  # records the points of each run's np.take
+        def take(self, indices, axis=None, **kwargs):
+            reads.append(len(indices))
+            return np.asarray(self).take(indices, axis=axis, **kwargs)
+
+    spied = dataclasses.replace(table, positions=table.positions.view(Spy))
+    for restart in range(2):
+        draws = [np.random.default_rng(np.random.SeedSequence(entropy=n, spawn_key=(restart,)))
+                 for _ in range(2)]
+        reads.clear()
+        chi = engine._sign_walk(spied, draws[0])
+        assert np.array_equal(chi, sign_walk_sequential(table, draws[1]))
+        # a run test takes its +1 and its -1 points apart; the first is a full run
+        assert reads[0] + reads[1] == min(m, engine._RUN_IDS * ids // width)
+        assert reads[0] + reads[1] > engine._RUN_CELLS // width
 
 
 def mirrored_order(order, xs, g):
