@@ -8,16 +8,16 @@ spectral sum and above by progression discrepancy plus congruence-class power,
 and comparing the two yields lower bounds on the discrepancy that depend only
 on the divisor structure of n.
 
-The six checks have one implementation, ``fourier_checks``: one call
-evaluates them for every m (every (m, l) for the truncated divisor bound,
-every divisor r for subgroup Plancherel) with numpy arrays, computing the
-class powers once and the double sum for every m in one call; a one-m check
-is the call with ``ms=[m]``.  A (B, n) stack of functions is one call as
-well: every grid gains a leading batch axis, row b bit for bit the call on
-f[b] alone, and the stack shares one FFT, one class power per divisor, one
-window pass (``_PASS_ROWS`` rows at a time) and one evaluation of each
-check.  The double sum and T_f come from one pass over each step's
-orbit-row windows (``_window_pass``): with
+The six checks have one implementation, ``fourier_checks(f)``: one call
+evaluates them for every m in 1..n (every (m, l), l a divisor of n, for the
+truncated divisor bound, every divisor r for subgroup Plancherel) with numpy
+arrays, computing the class powers once and the double sum for every m in
+one pass.  A (B, n) stack of functions is one call as well: every grid
+gains a leading batch axis, row b bit for bit the call on f[b] alone, and
+the stack shares one FFT, one class power per divisor, one window pass
+(``_PASS_ROWS`` rows at a time) and one evaluation of each check.  The
+double sum and T_f come from one pass over each step's orbit-row windows
+(``_window_pass``): with
 g = gcd(b, n), L = n/g and m = q*L + s (0 <= s < L), a row's L starts give
 L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], S the row sum and Q2[s] its sum of
 squared length-s window sums, and T_f is the largest |window sum|.  Integer
@@ -45,7 +45,6 @@ from .ap_system import (_SCAN_CELLS, Coloring, _orbit_windows, congruence_class_
 from .number_theory import ZnContext, factorize, make_context
 
 __all__ = [
-    "CheckResult",
     "CheckGrid",
     "BoundReport",
     "REL_TOL",
@@ -66,22 +65,6 @@ _PASS_ROWS = 16  # rows of a stack per window pass: blocks of _PASS_ROWS * _SCAN
 
 FOURIER_CHECKS = ("subgroup_plancherel", "rhs_lower", "lhs_upper", "mobius_identity",
                   "mobius_inequality", "composite_lower")
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one identity or inequality check.
-
-    ``error`` is the signed relative defect: for equalities the relative
-    difference, for inequalities the normalized amount by which the bound is
-    violated (negative values mean slack).
-    """
-
-    name: str
-    lhs: float
-    rhs: float
-    passed: bool
-    error: float
 
 
 @dataclass(frozen=True)
@@ -123,20 +106,12 @@ def _scale(lhs, rhs):
     return np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
 
-def _grid(n: int, values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if (arr.ndim != 1 or arr.size == 0 or not np.issubdtype(arr.dtype, np.integer)
-            or arr.min() < 1 or arr.max() > n):
-        raise ValueError(f"{name} must lie in [1, n]")
-    return arr.astype(np.int64)
-
-
-def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The double sum sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in ms, as
+def _window_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double sum sum_{a,b} |sum_{k<m} f(a + b*k)|^2 for each m in 1..n, as
     float64, and T_f = max |f(A)| over progressions, from one pass over the
     orbit-row windows (``ap_system._orbit_windows``).  ``values`` is one
-    function (n,) or a stack (B, n): the sums have shape values.shape[:-1] +
-    (len(ms),) and T_f values.shape[:-1], row b bit for bit the call on
+    function (n,) or a stack (B, n): the sums have values' shape, entry m - 1
+    the sum for m, and T_f values.shape[:-1], row b bit for bit the call on
     values[b].
 
     Step b (g = gcd(b, n)) runs round g orbit rows of L = n/g points.  With
@@ -147,17 +122,18 @@ def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.nda
     give the same windows reversed, so b runs over [0, n/2], weight 2 but at
     0 and n/2; b = 0 (L = 1) gives m^2 |f(a)|^2.  One flat table per function
     holds Q2[0..L] of each class, g ascending over the divisors of n (g = n is
-    step 0), and each m's terms add up in that order, so a grid's entry is
-    its one-m call's.  T_f is the largest |W|, |f(0)| at n = 1 (no steps).
-    Integer input with every entry in {-1, 0, +1} is exact (window sums
-    squared in int32, totals in int64: below n = 46 341); any other, complex
-    included, is summed in float64.  A stack takes one route: a row with
-    entries in {-1, 0, +1} gives the same sums and T_f on either, because
-    every value the float route forms from it is an integer below 2^53.  It
-    goes _PASS_ROWS rows at a time, so a window block holds at most
-    _PASS_ROWS * _SCAN_CELLS sums and each row keeps its one-function chunks.
+    step 0), and each m's terms add up in that order.  T_f is the largest |W|,
+    |f(0)| at n = 1 (no steps).  Integer input with every entry in
+    {-1, 0, +1} is exact (window sums squared in int32, totals in int64:
+    below n = 46 341); any other, complex included, is summed in float64.
+    A stack takes one route: a row with entries in {-1, 0, +1} gives the
+    same sums and T_f on either, because every value the float route forms
+    from it is an integer below 2^53.  It goes _PASS_ROWS rows at a time, so
+    a window block holds at most _PASS_ROWS * _SCAN_CELLS sums and each row
+    keeps its one-function chunks.
     """
     n = values.shape[-1]
+    ms = np.arange(1, n + 1, dtype=np.int64)
     integer = (np.issubdtype(values.dtype, np.integer) and values.min() >= -1
                and values.max() <= 1)
     stack = values.reshape(-1, n).astype(np.int8 if integer else np.complex128, copy=False)
@@ -186,8 +162,7 @@ def _window_pass(values: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.nda
     # class sum runs pairwise along contiguous rows: the gather comes out in
     # another memory order
     double = np.ascontiguousarray(terms * np.where(lengths > 2, 2, 1)).sum(axis=-1)
-    lead = values.shape[:-1]
-    return double.astype(np.float64).reshape(lead + ms.shape), t.reshape(lead)
+    return double.astype(np.float64).reshape(values.shape), t.reshape(values.shape[:-1])
 
 
 def max_progression_sum(f) -> float:
@@ -204,23 +179,21 @@ def max_progression_sum(f) -> float:
 
 @dataclass(frozen=True)
 class CheckGrid:
-    """One check evaluated over a grid of m (and l): ``lhs``, ``rhs``,
-    ``passed`` and ``error`` share the shape (len(ms),), (len(ms), len(ls))
-    for mobius_inequality, or (d(n),) for subgroup_plancherel, one entry per
-    divisor r of n, ascending.  A stack of B functions puts a leading batch
-    axis of length B in front, row b bit for bit the grid of function b
-    alone.  ``at(i)`` / ``at(i, j)`` (``at(b, i)`` / ``at(b, i, j)`` for a
-    stack) is one CheckResult."""
+    """One check evaluated for every m in 1..n (and every divisor l of n):
+    ``lhs``, ``rhs``, ``passed`` and ``error`` share the shape (n,), entry
+    m - 1 for m, (n, d(n)) for mobius_inequality, or (d(n),) for
+    subgroup_plancherel, one entry per divisor r of n, ascending.  A stack of
+    B functions puts a leading batch axis of length B in front, row b bit for
+    bit the grid of function b alone.  ``error`` is the signed relative
+    defect: for equalities the relative difference, for inequalities the
+    normalized amount by which the bound is violated (negative values mean
+    slack)."""
 
     name: str
     lhs: np.ndarray
     rhs: np.ndarray
     passed: np.ndarray
     error: np.ndarray
-
-    def at(self, *index) -> CheckResult:
-        return CheckResult(self.name, float(self.lhs[index]), float(self.rhs[index]),
-                           bool(self.passed[index]), float(self.error[index]))
 
 
 def _spectral_sums(power: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -235,13 +208,11 @@ def _spectral_sums(power: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out
 
 
-def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
-                   ms=None, ls=None) -> dict[str, CheckGrid]:
-    """Evaluate the m-indexed checks for every m in ``ms`` (default 1..n),
-    mobius_inequality for every (m, l) with l in ``ls`` (default the divisors
-    of n), and subgroup_plancherel for every divisor r of n.  With
-    S = sum_{a,b} |f(a + bM)|^2, P(r) = |fhat(r)|^2, w(r) = m^2 gcd(r, n)/n
-    and A(k) = m^2 (phi(k)/k) G_f(n/k), k | n:
+def fourier_checks(f) -> dict[str, CheckGrid]:
+    """Evaluate the m-indexed checks for every m in 1..n, mobius_inequality
+    for every (m, l) with l a divisor of n, and subgroup_plancherel for every
+    divisor r of n.  With S = sum_{a,b} |f(a + bM)|^2, P(r) = |fhat(r)|^2,
+    w(r) = m^2 gcd(r, n)/n and A(k) = m^2 (phi(k)/k) G_f(n/k), k | n:
 
     subgroup_plancherel  sum_{j<r} P(j n/r) = r G_f(r)
     rhs_lower            S >= sum_r P(r) max(w(r), m)
@@ -255,35 +226,21 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
     bit for bit the call on f[b] alone.  The stack shares one FFT, one class
     power per divisor, one window pass and one evaluation of each check.
     The double sum and T_f come from one pass over the orbit-row windows
-    (``_window_pass``).  ``t_f``, a scalar or one value per function, each
-    finite and at least 0, replaces the pass's T_f.  T_f from the pass is
-    ``max_ap_discrepancy``'s for integer input with entries in {-1, 0, +1} and
-    ``max_ap_sum_complex``'s for any other, integer entries outside
-    {-1, 0, +1} included.  A grid's entry is bitwise its one-m call's.  The
-    divisor and spectral entries are bitwise what the scalar formula gives
-    for its m (while m^2 phi(k) < 2^53, i.e. n below about 2e5): divisor sums
-    add up term by term in ascending k, spectral sums are pairwise along
-    contiguous rows.  So is the double sum on input with entries in
-    {-1, 0, +1}, of any dtype, where every value it forms is an integer below
-    n^4 < 2^53; on other input it differs from the scalar formula's order of
-    summation only by rounding.
+    (``_window_pass``).  T_f is ``max_ap_discrepancy``'s for integer input
+    with entries in {-1, 0, +1} and ``max_ap_sum_complex``'s for any other,
+    integer entries outside {-1, 0, +1} included.  The divisor and spectral
+    entries are bitwise what the scalar formula gives for their m (while
+    m^2 phi(k) < 2^53, i.e. n below about 2e5): divisor sums add up term by
+    term in ascending k, spectral sums are pairwise along contiguous rows.
+    So is the double sum on input with entries in {-1, 0, +1}, of any dtype,
+    where every value it forms is an integer below n^4 < 2^53; on other input
+    it differs from the scalar formula's order of summation only by rounding.
     """
     values = _as_values(f)
     stack = values.reshape(-1, values.shape[-1])
     batch, n = stack.shape
-    ms = _grid(n, np.arange(1, n + 1) if ms is None else ms, "m")
-    ctx = ctx if ctx is not None else make_context(n)
-    if ctx.n != n:
-        raise ValueError(f"context is for n={ctx.n}, f has length {n}")
-    ls = _grid(n, ctx.divisors if ls is None else ls, "l")
-    if t_f is not None:
-        try:
-            t_f = np.broadcast_to(np.asarray(t_f, dtype=np.float64), (batch,))
-        except ValueError:
-            raise ValueError(f"t_f must be a scalar or one value per function, "
-                             f"got shape {np.shape(t_f)} for {batch}") from None
-        if not (np.isfinite(t_f) & (t_f >= 0)).all():
-            raise ValueError(f"t_f must be finite and at least 0, got {t_f}")
+    ctx = make_context(n)
+    ms = np.arange(1, n + 1, dtype=np.int64)
     arr = stack.astype(np.complex128)
     power = np.abs(np.fft.fft(arr)) ** 2
     m2 = ms * ms
@@ -293,14 +250,13 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
     tol = _ABS_COEFF * (n * ms).astype(np.float64) ** 2
     ks = np.array(ctx.divisors)
     # per row and divisor k | n ascending: G(k) = G_f(n/k), shape (B, d(n)), and
-    # A(k) = m^2 (phi(k)/k) G(k), shape (B, d(n), len(ms)); terms[i] = A(k_i)
+    # A(k) = m^2 (phi(k)/k) G(k), shape (B, d(n), n); terms[i] = A(k_i)
     G = np.stack([class_power(arr, n // k) for k in ctx.divisors], axis=-1)
     coeff = m2 * np.array(ctx.divisor_phi)[:, None] / ks[:, None]
     terms = (coeff * G[..., None]).swapaxes(0, 1)
-    double, t_pass = _window_pass(stack, ms)
-    t_f = t_pass if t_f is None else t_f
+    double, t_f = _window_pass(stack)
     spectral_max = _spectral_sums(power, np.maximum(scaled, col))
-    below = np.repeat((n * n * t_f * t_f)[:, None], ms.size, axis=1)
+    below = np.repeat((n * n * t_f * t_f)[:, None], n, axis=1)
     for term, before in zip(terms, ks[:, None] < ms):
         np.add(below, term, out=below, where=before)
 
@@ -315,16 +271,16 @@ def fourier_checks(f, ctx: ZnContext | None = None, *, t_f=None,
                                  (spectral_max - double) / _scale(double, spectral_max))
     out["lhs_upper"] = CheckGrid("lhs_upper", double, below, double <= below + tol,
                                  (double - below) / _scale(double, below))
-    lhs = np.zeros((batch, ms.size))
+    lhs = np.zeros((batch, n))
     for term in terms:
         lhs += term
     rhs = _spectral_sums(power, scaled)
     err = np.abs(lhs - rhs) / _scale(lhs, rhs)
     out["mobius_identity"] = CheckGrid("mobius_identity", lhs, rhs, err <= REL_TOL, err)
     lhs = _spectral_sums(power, np.minimum(scaled, col))[..., None]
-    rhs = np.zeros((batch, ms.size, ls.size))
+    rhs = np.zeros((batch, n, ks.size))
     far = (ms * n / ks[:, None] * G[..., None]).swapaxes(0, 1)  # (m n/k) G(k)
-    for term, tail, within in zip(terms, far, ks[:, None] <= ls):
+    for term, tail, within in zip(terms, far, ks[:, None] <= ks):
         rhs += np.where(within, term[..., None], tail[..., None])
     lhs = np.broadcast_to(lhs, rhs.shape)
     out["mobius_inequality"] = CheckGrid("mobius_inequality", lhs, rhs,

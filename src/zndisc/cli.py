@@ -213,9 +213,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_construct(args) -> int:
     seed = _resolve_seed(args)
-    if args.n is None or args.n < 1:
-        print("--n is required and must be positive", file=sys.stderr)
-        return EXIT_USAGE
     ctx = make_context(args.n)
     try:
         chi, report = construct_best_coloring(
@@ -256,9 +253,6 @@ def _run_exact_oracle(args, command: str, solve) -> int:
     The JSON artifact goes to --out, or to stdout with --format json; the bare
     value is printed beside --out and in the other formats.
     """
-    if args.n is None or args.n < 1:
-        print("--n is required and must be positive", file=sys.stderr)
-        return EXIT_USAGE
     try:
         row = solve(make_context(args.n))
     except LimitExceeded as exc:
@@ -294,18 +288,18 @@ def cmd_herdisc(args) -> int:
 
 
 def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
-    ctx = make_context(n)
     rng = np.random.default_rng(seed)
     # one stack per route: +-1 on the exact int64 route, complex on float64
     signs = np.array([rng.integers(0, 2, size=n) * 2 - 1 for _ in range(trials)])
     waves = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n)
                       for _ in range(trials)])
     stats: dict[str, dict] = {}
-    # _PASS_ROWS rows a call, each row its one-function call's, so memory stays
-    # flat in trials and the sums and maxima are the whole stack's
+    # _PASS_ROWS rows a call, each row its one-function call's, so the check grids
+    # stay bounded in trials (the input stacks are trials x n) and the sums and
+    # maxima are the whole stack's
     for rows in (stack[lo : lo + _PASS_ROWS] for stack in (signs, waves)
                  for lo in range(0, trials, _PASS_ROWS)):
-        for name, grid in fourier_checks(rows, ctx).items():
+        for name, grid in fourier_checks(rows).items():
             s = stats.setdefault(name, {"checks": 0, "passes": 0, "worst_error": 0.0})
             s["checks"] += int(grid.passed.size)
             s["passes"] += int(grid.passed.sum())
@@ -315,9 +309,6 @@ def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
 
 def cmd_fourier_check(args) -> int:
     seed = _resolve_seed(args)
-    if args.n is None or args.n < 1:
-        print("--n is required and must be positive", file=sys.stderr)
-        return EXIT_USAGE
     if args.trials < 1:
         print("--trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -425,6 +416,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # a subcommand without --range reads one n, which it needs
+    if "range" not in args and (args.n is None or args.n < 1):
+        print("--n is required and must be positive", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

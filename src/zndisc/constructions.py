@@ -22,13 +22,7 @@ import numpy as np
 
 from .analysis import upper_bound_main
 from .ap_system import Coloring, _as_subset, max_congruence_discrepancy
-from .engine import (
-    DEFAULT_HEREDITARY_C1,
-    DEFAULT_RETRIES,
-    SearchFailed,
-    full_color_iterate,
-    _derived_seed,
-)
+from .engine import DEFAULT_RETRIES, SearchFailed, _derived_seed, full_color_iterate
 from .exact import measure
 from .number_theory import ZnContext, make_context
 
@@ -154,8 +148,8 @@ def crt_box_coloring(box: CrtBox, seed: int = 0, *, kappa: float = 1.0,
     n = ctx.n
     half = box.half_extents()
     x0 = _box_elements(ctx, half)
-    chi0 = full_color_iterate(ctx, x0, kind="main", seed=seed,
-                              kappa=kappa, retries=retries)
+    chi0, _ = full_color_iterate(ctx, x0, kind="main", seed=seed,
+                                 kappa=kappa, retries=retries)
     values = np.zeros(n, dtype=np.int8)
     for v in itertools.product((0, 1), repeat=len(box.doubled)):
         u = sum(vi * half[i] * ctx.crt_basis[i] for vi, i in zip(v, box.doubled)) % n
@@ -225,7 +219,8 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
                                     kappa=kappa, retries=retries)
         except SearchFailed as exc:
             raise SearchFailed(
-                f"cell r={r}: {exc}", restarts=exc.restarts, cell=r
+                f"cell r={r}: {exc}", restarts=exc.restarts,
+                iteration=exc.iteration, cell=r,
             ) from exc
         shift = 0
         for s, basis in zip(starts, ctx.crt_basis):
@@ -269,14 +264,13 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
 
 
 def hereditary_coloring(ctx: ZnContext, xs, seed: int = 0, *, kappa: float = 1.0,
-                        retries: int = DEFAULT_RETRIES,
-                        c1: float = DEFAULT_HEREDITARY_C1) -> Coloring:
+                        retries: int = DEFAULT_RETRIES) -> Coloring:
     """Full coloring of an arbitrary subset X of Z_n.
 
     Runs the totient-tuned schedule while more than phi(n) points remain
     uncolored, then finishes with the main schedule.
     """
     xs = _as_subset(ctx.n, xs)
-    chi = full_color_iterate(ctx, xs, kind="hereditary", seed=seed,
-                             kappa=kappa, retries=retries, c1=c1)
+    chi, _ = full_color_iterate(ctx, xs, kind="hereditary", seed=seed,
+                                kappa=kappa, retries=retries)
     return _normalized(ctx.n, chi.values.copy())

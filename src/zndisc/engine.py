@@ -71,11 +71,10 @@ __all__ = [
     "certify_partial_coloring",
     "partial_color",
     "full_color_iterate",
-    "full_color_iterate_traced",
 ]
 
 DEFAULT_RETRIES = 64
-DEFAULT_HEREDITARY_C1 = 5.0
+_HEREDITARY_C1 = 5.0  # the hereditary schedule's constant: it must exceed 2
 COLOR_FRACTION_DENOM = 10  # at least ceil(m/10) points must receive a sign
 # A request whose walk table would pass this many bytes (a prime cell near
 # n = 23000) is refused when it is built; the limit also keeps every slot id
@@ -115,33 +114,29 @@ class DeltaSchedule:
     main:       b(0) = 0, b(s) = 5*sqrt(s)*sqrt(log(e*n/s)), which is >= 2*sqrt(s)
                 on (0, n].
     hereditary: b(s) = c1*sqrt(s)*(s/M)^(-1) for s >= M and c1*sqrt(s)*(s/M)^(-0.1)
-                below, where M = phi(n)*log(e*n/phi(n)) and c1 > 2.
+                below, where M = phi(n)*log(e*n/phi(n)) and c1 = 5.
     """
 
     kind: str
     n: int
     M: float | None = None
-    c1: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("main", "hereditary"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("modulus must be positive")
-        if self.kind == "hereditary":
-            if self.M is None or self.c1 is None:
-                raise ValueError("hereditary schedule needs M and c1")
-            if not self.c1 > 2:
-                raise ValueError("hereditary schedule requires c1 > 2")
+        if self.kind == "hereditary" and self.M is None:
+            raise ValueError("hereditary schedule needs M")
 
     @classmethod
     def main(cls, n: int) -> "DeltaSchedule":
         return cls(kind="main", n=n)
 
     @classmethod
-    def hereditary(cls, ctx: ZnContext, c1: float = DEFAULT_HEREDITARY_C1) -> "DeltaSchedule":
+    def hereditary(cls, ctx: ZnContext) -> "DeltaSchedule":
         M = ctx.phi * math.log(math.e * ctx.n / ctx.phi)
-        return cls(kind="hereditary", n=ctx.n, M=M, c1=c1)
+        return cls(kind="hereditary", n=ctx.n, M=M)
 
     def b(self, s):
         s_arr = np.asarray(s, dtype=np.float64)
@@ -152,8 +147,8 @@ class DeltaSchedule:
                 ratio = s_arr / self.M
                 out = np.where(
                     s_arr >= self.M,
-                    self.c1 * np.sqrt(s_arr) / ratio,
-                    self.c1 * np.sqrt(s_arr) * ratio**-0.1,
+                    _HEREDITARY_C1 * np.sqrt(s_arr) / ratio,
+                    _HEREDITARY_C1 * np.sqrt(s_arr) * ratio**-0.1,
                 )
         out = np.where(s_arr > 0, out, 0.0)
         return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
@@ -658,15 +653,18 @@ def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
     )
 
 
-def full_color_iterate_traced(ctx: ZnContext, xs, kind: str = "main", seed: int = 0,
-                              kappa: float = 1.0, retries: int = DEFAULT_RETRIES,
-                              c1: float = DEFAULT_HEREDITARY_C1):
+def full_color_iterate(ctx: ZnContext, xs, kind: str = "main", seed: int = 0,
+                       kappa: float = 1.0, retries: int = DEFAULT_RETRIES,
+                       ) -> tuple[Coloring, list[int]]:
     """Color all of X by repeated partial coloring of the uncolored remainder.
 
     Returns (coloring, sizes) where sizes[i] = |X_i| going into iteration i.
     With kind="hereditary" the looser schedule is used while more than phi(n)
-    points remain, then the main schedule finishes.
+    points remain, then the main schedule finishes; kind="main" uses the main
+    schedule throughout.
     """
+    if kind not in ("main", "hereditary"):
+        raise ValueError(f"unknown schedule kind {kind!r}")
     xs = _as_subset(ctx.n, xs)
     if xs.size == 0:
         raise ValueError("X must be nonempty")
@@ -677,7 +675,7 @@ def full_color_iterate_traced(ctx: ZnContext, xs, kind: str = "main", seed: int 
     while remaining.size:
         sizes.append(int(remaining.size))
         if kind == "hereditary" and remaining.size > ctx.phi:
-            schedule = DeltaSchedule.hereditary(ctx, c1)
+            schedule = DeltaSchedule.hereditary(ctx)
         else:
             schedule = DeltaSchedule.main(ctx.n)
         req = build_c2_request(
@@ -695,12 +693,3 @@ def full_color_iterate_traced(ctx: ZnContext, xs, kind: str = "main", seed: int 
         remaining = remaining[part.values[remaining] == 0]
         iteration += 1
     return Coloring(ctx.n, values), sizes
-
-
-def full_color_iterate(ctx: ZnContext, xs, kind: str = "main", seed: int = 0,
-                       kappa: float = 1.0, retries: int = DEFAULT_RETRIES,
-                       c1: float = DEFAULT_HEREDITARY_C1) -> Coloring:
-    coloring, _ = full_color_iterate_traced(
-        ctx, xs, kind=kind, seed=seed, kappa=kappa, retries=retries, c1=c1
-    )
-    return coloring

@@ -255,7 +255,7 @@ def test_criterion_5_fourier_suite():
             _fourier_one(f, ctx, stats)
         # tie the vectorized run to the library's checks on a spot sample
         chi = rng.integers(0, 2, n) * 2 - 1
-        grid = fourier_checks(chi, ms=[1, n // 2, n], ls=[1, n])
+        grid = fourier_checks(chi)
         for name, checked in grid.items():
             assert checked.passed.all(), name
         for name, err in stats.items():

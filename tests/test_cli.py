@@ -202,16 +202,16 @@ def test_fourier_check_rows_are_the_library_checks(tmp_path):
 
 
 def test_fourier_check_takes_pass_sized_stacks(monkeypatch):
-    # memory stays flat in --trials: each stack goes _PASS_ROWS rows a call,
-    # every row of both stacks once
+    # the check grids stay bounded in --trials: each stack goes _PASS_ROWS rows
+    # a call, every row of both stacks once
     import zndisc.cli as cli
     from zndisc.analysis import _PASS_ROWS, fourier_checks
 
     rows = []
 
-    def spy(f, ctx):
+    def spy(f):
         rows.append(len(f))
-        return fourier_checks(f, ctx)
+        return fourier_checks(f)
 
     monkeypatch.setattr(cli, "fourier_checks", spy)
     trials = 2 * _PASS_ROWS + 3

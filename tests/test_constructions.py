@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zndisc import engine
 from zndisc.ap_system import (
     Coloring,
     congruence_class_sums,
@@ -20,6 +21,7 @@ from zndisc.constructions import (
     lift_coloring,
     _balanced_cells,
 )
+from zndisc.engine import SearchFailed
 from zndisc.exact import measure
 from zndisc.number_theory import make_context
 
@@ -232,6 +234,28 @@ def test_balanced_coloring_class_sums_property(n, seed):
 
 
 # ------------------------------------------------------------ best + lift
+
+def test_balanced_coloring_failure_names_cell_and_iteration(monkeypatch):
+    # the first request leaves one point unsigned and the second fails: the
+    # error names the cell (Z_1024 is one cell, r = 1024) and the iteration,
+    # which the cell's re-raise used to drop
+    real, calls = engine.partial_color, []
+
+    def flaky(req):
+        calls.append(req)
+        if len(calls) > 1:
+            raise SearchFailed("planted failure", restarts=req.retries)
+        values = real(req).values.copy()
+        values[req.x[0]] = 0
+        return Coloring(req.n, values)
+
+    monkeypatch.setattr(engine, "partial_color", flaky)
+    with pytest.raises(SearchFailed) as info:
+        congruence_balanced_coloring(make_context(1024), seed=0)
+    assert (info.value.cell, info.value.iteration) == (1024, 1)
+    assert info.value.__cause__.iteration == 1
+    assert len(calls) == 2
+
 
 def test_construct_best_examples():
     ctx = make_context(12)

@@ -18,7 +18,6 @@ from zndisc.engine import (
     certify_partial_coloring,
     entropy_weight,
     full_color_iterate,
-    full_color_iterate_traced,
     orbit_table_bytes,
     partial_color,
     schedule_entropy_budget,
@@ -92,15 +91,13 @@ def test_main_schedule_geometric_sum_bound():
 
 def test_hereditary_schedule_shape():
     ctx = make_context(360)
-    sched = DeltaSchedule.hereditary(ctx, c1=5.0)
+    sched = DeltaSchedule.hereditary(ctx)
     M = ctx.phi * math.log(math.e * 360 / ctx.phi)
     assert sched.M == pytest.approx(M)
     s_hi = 2 * M
     assert sched.b(s_hi) == pytest.approx(5.0 * math.sqrt(s_hi) * (s_hi / M) ** -1)
     s_lo = M / 2
     assert sched.b(s_lo) == pytest.approx(5.0 * math.sqrt(s_lo) * (s_lo / M) ** -0.1)
-    with pytest.raises(ValueError):
-        DeltaSchedule.hereditary(ctx, c1=2.0)
 
 
 def test_entropy_weight_seam():
@@ -195,7 +192,7 @@ def test_non_integral_subsets_rejected(xs):
     with pytest.raises(ValueError, match="integers"):
         PartialColorRequest(n=n, x=xs, deltas={})
     with pytest.raises(ValueError, match="integers"):
-        full_color_iterate_traced(make_context(n), xs)
+        full_color_iterate(make_context(n), xs)
 
 
 def test_integral_subsets_of_any_dtype_accepted():
@@ -242,8 +239,8 @@ def test_determinism():
     a = partial_color(build_c2_request(64, xs, sched, seed=99))
     b = partial_color(build_c2_request(64, xs, sched, seed=99))
     assert np.array_equal(a.values, b.values)
-    c = full_color_iterate(make_context(60), np.arange(60), seed=5)
-    d = full_color_iterate(make_context(60), np.arange(60), seed=5)
+    c, _ = full_color_iterate(make_context(60), np.arange(60), seed=5)
+    d, _ = full_color_iterate(make_context(60), np.arange(60), seed=5)
     assert np.array_equal(c.values, d.values)
 
 
@@ -251,7 +248,7 @@ def test_determinism():
 
 def test_full_color_single_point():
     ctx = make_context(7)
-    chi = full_color_iterate(ctx, np.array([3]), seed=0)
+    chi, _ = full_color_iterate(ctx, np.array([3]), seed=0)
     assert abs(int(chi.values[3])) == 1
     assert np.count_nonzero(chi.values) == 1
 
@@ -264,7 +261,7 @@ def test_full_color_covers_and_decays():
         if xs.size == 0:
             continue
         ctx = make_context(n)
-        chi, sizes = full_color_iterate_traced(ctx, xs, seed=int(rng.integers(1 << 20)))
+        chi, sizes = full_color_iterate(ctx, xs, seed=int(rng.integers(1 << 20)))
         assert np.all(chi.values[xs] != 0)
         m = sizes[0]
         for i, s in enumerate(sizes):
@@ -278,7 +275,7 @@ def test_full_color_prime_quality():
     worst = 0.0
     for p, seed in [(127, 1), (251, 2), (509, 3)]:
         ctx = make_context(p)
-        chi = full_color_iterate(ctx, np.arange(p), seed=seed)
+        chi, _ = full_color_iterate(ctx, np.arange(p), seed=seed)
         t, _ = max_ap_discrepancy(chi)
         worst = max(worst, t / math.sqrt(p))
     assert worst <= 6.0  # calibrated engine constant, generous margin
@@ -287,9 +284,16 @@ def test_full_color_prime_quality():
 def test_hereditary_switches_to_main():
     ctx = make_context(1021)  # prime: phi = n - 1, one loose round then main
     xs = np.arange(1021)
-    chi, sizes = full_color_iterate_traced(ctx, xs, kind="hereditary", seed=4)
+    chi, sizes = full_color_iterate(ctx, xs, kind="hereditary", seed=4)
     assert np.all(chi.values != 0)
     assert sizes[0] == 1021
+
+
+@pytest.mark.parametrize("kind", ["heredetary", "Main", ""])
+def test_full_color_rejects_unknown_kind(kind):
+    # an unknown kind used to run the main schedule and return a full coloring
+    with pytest.raises(ValueError, match="schedule kind"):
+        full_color_iterate(make_context(64), np.arange(64), kind=kind)
 
 
 def test_search_failure_reports_iteration(monkeypatch):
@@ -307,7 +311,7 @@ def test_search_failure_reports_iteration(monkeypatch):
 
     monkeypatch.setattr(engine, "_sign_walk", walk)
     with pytest.raises(SearchFailed) as info:
-        full_color_iterate_traced(make_context(127), np.arange(127), seed=5, retries=3)
+        full_color_iterate(make_context(127), np.arange(127), seed=5, retries=3)
     assert info.value.iteration == 1
     assert info.value.restarts == 3
     assert "iteration 1" in str(info.value)
