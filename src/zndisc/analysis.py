@@ -166,12 +166,13 @@ def _window_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_progression_sum(f) -> float:
-    """T_f = max |f(A)| over progressions; exact integer path for colorings."""
+    """T_f = max |f(A)| over progressions; exact integer path for colorings
+    and integer input with entries in {-1, 0, +1}, complex path otherwise."""
     if isinstance(f, Coloring):
         t, _ = max_ap_discrepancy(f)
         return float(t)
     arr = np.asarray(f)
-    if np.isrealobj(arr) and np.issubdtype(arr.dtype, np.integer):
+    if np.issubdtype(arr.dtype, np.integer) and arr.min() >= -1 and arr.max() <= 1:
         t, _ = max_ap_discrepancy(Coloring(arr.size, arr))
         return float(t)
     return max_ap_sum_complex(arr)

@@ -4,9 +4,9 @@ Progressions are handled as element sets; the same set arises from many
 (offset, step, length) triples, and mirrored steps d and n - d trace the same
 arcs, so the discrepancy evaluators only visit steps d in [1, n//2].
 
-Every integer scan (a plain call, ``period=r`` and the batch) is one kernel,
+Every integer scan (``max_ap_discrepancy`` and the batch) is one kernel,
 ``_step_maxima``: one-lap int32 prefix sums P[0..L] of the step-e orbits of
-Z_r (r = n unless a period is given), steps of one gcd per chunked numpy call.
+Z_r (r | n the least period, ``_period``), steps of one gcd per chunked call.
   - With S = P[L] and maxD, minD the extreme windows P[j] - P[i], i < j, the
     largest cyclic window sum is max(maxD, S - minD) and the least is
     min(minD, S - maxD): a window that wraps is the complement of one that
@@ -15,17 +15,17 @@ Z_r (r = n unless a period is given), steps of one gcd per chunked numpy call.
     orbit of Z_r (m points); a window of length q*m + l (1 <= l <= m) sums to
     q*C + W, C the Z_r row sum, and |q*C + W| is convex in q, so q in
     {0, Q-1} and each row's extreme W suffice.  Q = 1 when r = n.
-A coloring lifted from Z_r costs O(r^2 + n) against O(n^2).  The plain scan
-and the batch (r = n) first bound every step by its rows' prefix ranges
+A coloring lifted from Z_r costs O(r^2 + n) against O(n^2).  The full scan
+(r = n) and the batch first bound every step by its rows' prefix ranges
 (``_step_ranges``: max P - min P <= max |window| <= max P - min P + |S|, one
 gather and cumsum, no extremes swept) and run the kernel only on the steps
 whose upper bound reaches the largest lower bound.  At a prime n every
 step has one row, S is the total sum, and the instrument's colorings have
 |S| <= 1, so one or two steps of n/2 remain; a random +-1 coloring keeps
-about a tenth (198 of 2048 at n = 4096).  The periodic path keeps the
-kernel on every step: a window there can add Q - 1 whole laps, so the bound
-widens by Q*|C|, and on the constructions' bases it keeps from 32 of 2048
-steps (n = 4096) to 1800 of 2025 (n = 4050); where most stay, as at
+about a tenth (198 of 2048 at n = 4096).  A periodic scan (r < n) keeps
+the kernel on every step: a window there can add Q - 1 whole laps, so the
+bound widens by Q*|C|, and on the constructions' lifts it keeps from 32 of
+2048 steps (n = 4096) to 1800 of 2025 (n = 4050); where most stay, as at
 n = 4000, 4050 and 4200, the extra pass does not pay.  The witness step
 is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
@@ -40,12 +40,11 @@ window directly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .number_theory import LimitExceeded, ZnContext, make_context
+from .number_theory import LimitExceeded, ZnContext, factorize, make_context
 
 __all__ = [
     "ModAP",
@@ -256,7 +255,7 @@ def _step_maxima(values: np.ndarray, n: int, r: int, steps=None) -> np.ndarray:
     """Largest |window sum| of every step d in [1, n//2] of the coloring of Z_n
     that repeats ``values`` (length r, r | n), read off Z_r; leading batch
     axes pass through.  ``steps``, an ascending array of such d, restricts the
-    scan to them (the last axis then follows ``steps``); only the plain scan
+    scan to them (the last axis then follows ``steps``); only the full scan
     (r = n) passes it, after ``_step_ranges``.  A chunk holds up to
     _SCAN_CELLS prefix cells, batch rows counted."""
     d = np.arange(1, n // 2 + 1, dtype=np.int64) if steps is None else steps
@@ -337,26 +336,32 @@ def _witness(v: np.ndarray, n: int, d: int, best: int) -> ModAP:
     return witness
 
 
-def max_ap_discrepancy(chi: Coloring, period: int | None = None) -> tuple[int, ModAP]:
+def _period(v: np.ndarray) -> int:
+    """Least period r | n of ``v`` (length n): r drops from n by each prime p
+    of n while v[:r] repeats with period r/p, as the periods dividing n are
+    the least one's multiples."""
+    r = v.size
+    for p, _ in factorize(r):
+        while r % p == 0 and np.array_equal(v[r // p : r], v[: r - r // p]):
+            r //= p
+    return r
+
+
+def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
     """Max |chi(A)| over all progressions A, with a witness attaining it.
 
     The witness is the first window attaining the maximum over steps d, then
-    orbit rows, then window ends, then window starts.  ``period`` r declares
-    chi = tile(chi[:r], n/r); the step maxima then come from Z_r and only the
-    witness step is scanned on Z_n.  A period that does not divide n, or one
-    chi does not have, raises ValueError.
+    orbit rows, then window ends, then window starts.  When chi has a least
+    period r < n (``_period``), as a coloring lifted from Z_r does, the step
+    maxima come from Z_r and only the witness step is scanned on Z_n.
     """
     n = chi.n
     v = chi.values
-    r = n if period is None else operator.index(period)
-    if r < 1 or n % r:
-        raise ValueError(f"period must be a positive divisor of n={n}, got {r}")
-    if r < n and (v.reshape(n // r, r) != v[:r]).any():
-        raise ValueError(f"coloring does not repeat with period {r}")
     if n == 1:
         t = abs(int(v[0]))
         witness = ModAP(1, 0, 0, 0, 0) if t else ModAP(1, 0, 1, 0, -1)
         return t, witness
+    r = _period(v)
     if r < n:
         steps, t = np.arange(1, n // 2 + 1), _step_maxima(v[:r], n, r)
     else:
@@ -449,16 +454,13 @@ def _class_maxima(values: np.ndarray, ctx: ZnContext) -> dict[int, int]:
     return {r: int(np.abs(sums[r]).max()) for r in ctx.divisors}
 
 
-def max_congruence_discrepancy(chi: Coloring, ctx: ZnContext | None = None) -> int:
+def max_congruence_discrepancy(chi: Coloring) -> int:
     """Max |class sum| over residues mod every divisor of n.
 
     Classes mod any r' coincide with classes mod gcd(r', n), so divisors
     suffice.
     """
-    ctx = ctx if ctx is not None else make_context(chi.n)
-    if ctx.n != chi.n:
-        raise ValueError(f"context is for n={ctx.n}, coloring for n={chi.n}")
-    return max(_class_maxima(chi.values, ctx).values())
+    return max(_class_maxima(chi.values, make_context(chi.n)).values())
 
 
 def _as_subset(n: int, xs) -> np.ndarray:

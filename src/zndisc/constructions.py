@@ -241,7 +241,9 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
     and lift.
 
     The unit class-sum invariant belongs to the base coloring of Z_{r*};
-    lifting preserves the progression bound, not the class bound.
+    lifting preserves the progression bound, not the class bound.  Its least
+    period is r* (mod s < r* a class sum would be +-r*/s), so ``measure``
+    scans the lift on Z_{r*}.
     """
     # the engine checks these too, but a small r* needs no engine request
     if not 1.0 <= kappa < math.inf:
@@ -254,10 +256,10 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
     base = congruence_balanced_coloring(base_ctx, seed=seed, kappa=kappa,
                                         retries=retries)
     chi = lift_coloring(base, ctx.n)
-    summary = measure(chi, ctx, period=best_r)
+    summary = measure(chi)
     report = ConstructionReport(
         n=ctx.n, r_star=best_r, predicted=bound.value, measured_t=summary["T"], measure=summary,
-        base_congruence_max=max_congruence_discrepancy(base, base_ctx),
+        base_congruence_max=max_congruence_discrepancy(base),
         c_hat=c_hat, kappa=kappa, seed=seed,
     )
     return chi, report

@@ -107,6 +107,11 @@ class SearchFailed(RuntimeError):
         self.cell = cell
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("main", "hereditary"):
+        raise ValueError(f"unknown schedule kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class DeltaSchedule:
     """Per-size block allowance b(s).
@@ -122,8 +127,7 @@ class DeltaSchedule:
     M: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("main", "hereditary"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        _check_kind(self.kind)
         if self.n < 1:
             raise ValueError("modulus must be positive")
         if self.kind == "hereditary" and self.M is None:
@@ -156,6 +160,7 @@ class DeltaSchedule:
 
 def entropy_weight(kind: str, delta, size):
     """Per-block term of the entropy condition for a block of the given size."""
+    _check_kind(kind)
     delta = np.asarray(delta, dtype=np.float64)
     size = np.asarray(size, dtype=np.float64)
     if kind == "main":
@@ -172,8 +177,7 @@ def schedule_entropy_budget(counts: Mapping[int, int], deltas: Mapping[int, floa
     ``counts`` maps block size -> number of blocks of that size.  The caller
     compares the result against m/50 (main) or m/5 (hereditary).
     """
-    if kind not in ("main", "hereditary"):
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    _check_kind(kind)
     total = 0.0
     for size, count in counts.items():
         if size < 1:
@@ -231,6 +235,7 @@ class PartialColorRequest:
     _layout: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_kind(self.kind)
         self.x = _as_subset(self.n, self.x)
         m = int(self.x.size)
         if m == 0:
@@ -644,6 +649,8 @@ def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
     Scales whose allowance reaches 2^i bind nothing: no signing can violate
     them, so the request enforces none of their blocks.
     """
+    if schedule.n != n:
+        raise ValueError(f"schedule is for n={schedule.n}, request for n={n}")
     xs = _as_subset(n, xs)
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
@@ -663,8 +670,7 @@ def full_color_iterate(ctx: ZnContext, xs, kind: str = "main", seed: int = 0,
     points remain, then the main schedule finishes; kind="main" uses the main
     schedule throughout.
     """
-    if kind not in ("main", "hereditary"):
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    _check_kind(kind)
     xs = _as_subset(ctx.n, xs)
     if xs.size == 0:
         raise ValueError("X must be nonempty")

@@ -239,16 +239,11 @@ def exact_herdisc(ctx: ZnContext, limit: int | None = None) -> tuple[int, tuple[
     return int(disc[X]), tuple(int(e) for e in np.flatnonzero((X >> np.arange(n)) & 1))
 
 
-def measure(chi: Coloring, ctx: ZnContext | None = None, *,
-            period: int | None = None) -> dict:
-    """Serializable summary: max progression sum with witness, per-divisor
-    class-sum maxima, and the total sum.  ``period`` goes to
-    ``max_ap_discrepancy``."""
-    ctx = ctx if ctx is not None else make_context(chi.n)
-    if ctx.n != chi.n:
-        raise ValueError(f"context is for n={ctx.n}, coloring for n={chi.n}")
-    t, witness = max_ap_discrepancy(chi, period=period)
-    per_divisor = {str(r): m for r, m in _class_maxima(chi.values, ctx).items()}
+def measure(chi: Coloring) -> dict:
+    """Serializable summary: max progression sum with witness (a lift from
+    Z_r scanned on Z_r), per-divisor class-sum maxima, and the total sum."""
+    t, witness = max_ap_discrepancy(chi)
+    per_divisor = {str(r): m for r, m in _class_maxima(chi.values, make_context(chi.n)).items()}
     return {
         "n": chi.n,
         "T": int(t),

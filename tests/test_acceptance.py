@@ -134,7 +134,7 @@ def test_criterion_3_exact_structural_invariants():
         seed = int(rng.integers(0, 1 << 30))
         ctx = make_context(n)
         chi = congruence_balanced_coloring(ctx, seed=seed)
-        if max_congruence_discrepancy(chi, ctx) > 1:
+        if max_congruence_discrepancy(chi) > 1:
             bad_cong += 1
         box = _random_box(ctx, rng)
         cb = crt_box_coloring(box, seed=seed + 1)

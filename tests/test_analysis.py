@@ -366,8 +366,9 @@ def test_fourier_checks_t_f_is_max_progression_sum():
 
 
 def test_fourier_checks_accept_integers_past_one():
-    # integer entries outside {-1, 0, +1} take the float route
-    # (max_progression_sum refuses them): the same grids as the float input
+    # integer entries outside {-1, 0, +1} take the float route: the same grids
+    # as the float input, and max_progression_sum (which refused them) the
+    # same T_f as the float call and the window pass
     rng = np.random.default_rng(23)
     f = rng.integers(-3, 4, 30)
     got = fourier_checks(f)
@@ -376,8 +377,11 @@ def test_fourier_checks_accept_integers_past_one():
     for name in analysis.FOURIER_CHECKS:
         assert np.array_equal(got[name].lhs, want[name].lhs)
         assert np.array_equal(got[name].rhs, want[name].rhs)
-    with pytest.raises(ValueError):
-        max_progression_sum(f)
+    small = np.array([2, -3, 1, 0, 2, 1])
+    assert max_progression_sum(small) == max_progression_sum(small.astype(np.float64)) == 6.0
+    for g in (f, small):
+        assert max_progression_sum(g) == max_progression_sum(g.astype(np.float64))
+        assert max_progression_sum(g) == analysis._window_pass(g)[1]
 
 
 @settings(max_examples=15, deadline=None)

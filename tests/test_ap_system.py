@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zndisc import ap_system
 from zndisc.ap_system import (
     Coloring,
     ModAP,
     _orbit_prefix,
+    _period,
     _step_maxima,
     _step_ranges,
     _witness,
@@ -20,8 +22,13 @@ from zndisc.ap_system import (
     max_congruence_discrepancy,
     progression_incidence,
 )
+from zndisc.constructions import (
+    congruence_balanced_coloring,
+    construct_best_coloring,
+    lift_coloring,
+)
 from zndisc.engine import PartialColorRequest
-from zndisc.number_theory import make_context, totient
+from zndisc.number_theory import factorize, make_context, totient
 
 from .oracles import (
     enumerate_aps,
@@ -33,6 +40,14 @@ from .oracles import (
 
 
 # ---------------------------------------------------------------- oracles
+
+def full_route(fn, *args):
+    """fn(*args) with ``ap_system._period`` pinned to n, so that
+    ``max_ap_discrepancy`` runs the full scan on every coloring."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ap_system, "_period", lambda v: v.size)
+        return fn(*args)
+
 
 def naive_ap_sets(n):
     """Brute-force generate-and-dedupe over all (a, d, l)."""
@@ -197,17 +212,64 @@ def periodic_colorings(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(periodic_colorings())
-def test_periodic_scan_matches_full_scan(case):
+def test_period_is_least(case):
     chi, r = case
-    assert max_ap_discrepancy(chi, period=r) == max_ap_discrepancy(chi)
+    n, v = chi.n, chi.values
+    p = _period(v)
+    assert r % p == 0 and np.array_equal(v, np.tile(v[:p], n // p))
+    for q, _ in factorize(p):
+        assert not np.array_equal(v, np.tile(v[: p // q], n // (p // q)))
+
+
+def test_period_edge_cases():
+    assert _period(np.zeros(12, dtype=np.int8)) == 1
+    for sign in (1, -1):
+        assert _period(np.full(360, sign, dtype=np.int8)) == 1
+        assert _period(np.array([sign], dtype=np.int8)) == 1
+    # a prime n has no period but n and 1
+    v = np.ones(97, dtype=np.int8)
+    v[40] = -1
+    assert _period(v) == 97
+    assert _period(np.tile(v, 4)) == 97
+    assert _period(np.tile(v[36:44], 12)) == 8
+
+
+@pytest.mark.parametrize("make, period", [
+    (lambda: construct_best_coloring(make_context(4096), seed=1)[0], 256),
+    (lambda: construct_best_coloring(make_context(1061), seed=1)[0], 1061),
+    (lambda: Coloring(24, np.tile([1, -1], 12)), 2),
+    (lambda: lift_coloring(congruence_balanced_coloring(make_context(2048), seed=1), 1 << 16),
+     2048),
+], ids=["construct-4096", "construct-1061", "alternating-24", "lift-65536"])
+def test_scan_route_follows_least_period(monkeypatch, make, period):
+    # the full scan runs exactly when the least period is n; otherwise the
+    # kernel runs once, on Z_period
+    chi = make()
+    assert _period(chi.values) == period
+    full, kernel = [], []
+    real_full, real_kernel = ap_system._full_scan, ap_system._step_maxima
+    monkeypatch.setattr(ap_system, "_full_scan",
+                        lambda v, n: full.append(n) or real_full(v, n))
+    monkeypatch.setattr(ap_system, "_step_maxima",
+                        lambda v, n, r, *a: kernel.append(r) or real_kernel(v, n, r, *a))
+    max_ap_discrepancy(chi)
+    assert full == ([chi.n] if period == chi.n else [])
+    assert kernel == [period]
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_colorings())
+def test_periodic_scan_matches_full_scan(case):
+    chi, _ = case
+    assert max_ap_discrepancy(chi) == full_route(max_ap_discrepancy, chi)
 
 
 def test_periodic_scan_edge_cases():
     zero = Coloring(12, np.zeros(12))
-    for r in (1, 3, 12):
-        assert max_ap_discrepancy(zero, period=r) == (0, ModAP(12, 0, 1, 0, -1))
-    assert max_ap_discrepancy(Coloring(1, [-1]), period=1) == (1, ModAP(1, 0, 0, 0, 0))
-    assert max_ap_discrepancy(Coloring(1, [0]), period=1) == (0, ModAP(1, 0, 1, 0, -1))
+    assert max_ap_discrepancy(zero) == full_route(max_ap_discrepancy, zero) \
+        == (0, ModAP(12, 0, 1, 0, -1))
+    assert max_ap_discrepancy(Coloring(1, [-1])) == (1, ModAP(1, 0, 0, 0, 0))
+    assert max_ap_discrepancy(Coloring(1, [0])) == (0, ModAP(1, 0, 1, 0, -1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,12 +293,12 @@ def test_periodic_scan_small_chunks(monkeypatch):
     rng = np.random.default_rng(17)
     cases = [(96, 12), (100, 20), (81, 27), (64, 32), (90, 45), (97, 97), (64, 64)]
     colorings = [Coloring(n, np.tile(rng.integers(-1, 2, r), n // r)) for n, r in cases]
-    want = [max_ap_discrepancy(chi) for chi in colorings]
+    want = [full_route(max_ap_discrepancy, chi) for chi in colorings]
     rows = [rng.integers(-1, 2, (3, n)) for n, _ in cases]
     batch = [max_ap_discrepancy_batch(n, b) for (n, _), b in zip(cases, rows)]
     monkeypatch.setattr("zndisc.ap_system._SCAN_CELLS", 1)
     for (n, r), chi, t, b, t_b in zip(cases, colorings, want, rows, batch):
-        assert max_ap_discrepancy(chi, period=r) == max_ap_discrepancy(chi) == t
+        assert max_ap_discrepancy(chi) == full_route(max_ap_discrepancy, chi) == t
         assert t[0] == step_maxima_naive(chi.values, n).max()
         assert np.array_equal(max_ap_discrepancy_batch(n, b), t_b)
         assert np.array_equal(t_b, step_maxima_naive(b, n).max(axis=-1))
@@ -320,19 +382,6 @@ def test_batch_rejects_non_colorings():
     for bad in ([[1, 2, -1]], [[1, 0.5, -1]], [[257, 1, 1]], np.array([[1, -1, 1j]])):
         with pytest.raises(ValueError, match="must lie in"):
             max_ap_discrepancy_batch(3, bad)
-
-
-@pytest.mark.parametrize("values,period,message", [
-    ([1, -1, 1, -1, 1, -1], 4, "positive divisor"),
-    ([1, -1, 1, -1, 1, -1], 0, "positive divisor"),
-    ([1, -1, 1, -1, 1, -1], -2, "positive divisor"),
-    ([1, -1, 1, -1, 1, -1], 12, "positive divisor"),
-    ([1, -1, 1, -1, 1, 1], 2, "does not repeat"),  # the last period differs
-    ([1, 1, -1, 1, 1, 1], 3, "does not repeat"),
-])
-def test_periodic_scan_rejects_bad_period(values, period, message):
-    with pytest.raises(ValueError, match=message):
-        max_ap_discrepancy(Coloring(len(values), values), period=period)
 
 
 def test_parity_full_coloring():
@@ -426,11 +475,6 @@ def test_max_congruence_examples():
     assert max_congruence_discrepancy(Coloring(2, [1, -1])) == 1
 
 
-def test_max_congruence_rejects_foreign_context():
-    with pytest.raises(ValueError):
-        max_congruence_discrepancy(Coloring.full([1, 1, -1, -1]), make_context(2))
-
-
 def test_max_congruence_matches_naive():
     rng = np.random.default_rng(17)
     for n in (6, 12, 18, 25):
@@ -443,7 +487,7 @@ def test_max_congruence_matches_naive():
                 for r in ctx.divisors
                 for w in range(r)
             )
-            assert max_congruence_discrepancy(chi, ctx) == naive
+            assert max_congruence_discrepancy(chi) == naive
 
 
 # ------------------------------------------ orbit order and dyadic block counts

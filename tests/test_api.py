@@ -25,6 +25,13 @@ def test_public_api_surface():
     params = inspect.signature(exact.exact_disc).parameters
     assert list(params)[:1] == ["ctx"] and "method" in params and "limit" in params
 
+    # the scans take the coloring alone: its least period picks the route
+    from zndisc import ap_system
+
+    for fn in (ap_system.max_ap_discrepancy, exact.measure,
+               ap_system.max_congruence_discrepancy):
+        assert list(inspect.signature(fn).parameters) == ["chi"], fn.__name__
+
     # what bench/tracing.py reads off results: constraint pairs from a
     # request's .blocks and .deltas, signed points from its .x, and nodes
     # from an ExactResult

@@ -25,6 +25,8 @@ from zndisc.engine import SearchFailed
 from zndisc.exact import measure
 from zndisc.number_theory import make_context
 
+from .test_ap_system import full_route
+
 
 def class_sum_naive(values, r, w):
     return sum(int(values[x]) for x in range(len(values)) if x % r == w)
@@ -104,7 +106,7 @@ def test_prime_power_p2():
     for gamma in range(3):
         for w in range(2**gamma):
             assert class_sum_naive(chi.values, 2**gamma, w) == 0
-    assert max_congruence_discrepancy(chi, ctx) == 1
+    assert max_congruence_discrepancy(chi) == 1
 
 
 def test_prime_power_odd():
@@ -200,14 +202,13 @@ def test_balanced_coloring_examples():
     assert chi.values.tolist() == [1]
     assert max_congruence_discrepancy(chi) == 1
 
-    ctx = make__ctx = make_context(7)
-    chi = congruence_balanced_coloring(make__ctx, seed=1)
-    assert max_congruence_discrepancy(chi, make__ctx) <= 1
+    chi = congruence_balanced_coloring(make_context(7), seed=1)
+    assert max_congruence_discrepancy(chi) <= 1
 
     ctx = make_context(12)
     chi = congruence_balanced_coloring(ctx, seed=2)
     assert chi.is_full()
-    assert max_congruence_discrepancy(chi, ctx) <= 1
+    assert max_congruence_discrepancy(chi) <= 1
     assert chi.values[0] == 1  # sign normalization
 
 
@@ -218,7 +219,7 @@ def test_balanced_coloring_random_moduli():
         ctx = make_context(n)
         chi = congruence_balanced_coloring(ctx, seed=int(rng.integers(1 << 20)))
         assert chi.is_full()
-        assert max_congruence_discrepancy(chi, ctx) <= 1
+        assert max_congruence_discrepancy(chi) <= 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -290,10 +291,11 @@ def test_construct_best_ties_take_smallest_r():
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (360, 7), (1061, 1), (4096, 2)])
 def test_construct_best_report_is_one_measure(n, seed):
-    # the report carries the summary of one measure of the lifted coloring
+    # the report carries the summary of one measure of the lifted coloring,
+    # which the full scan agrees with
     ctx = make_context(n)
     chi, rep = construct_best_coloring(ctx, seed=seed)
-    assert rep.measure == measure(chi, ctx, period=rep.r_star)
+    assert rep.measure == measure(chi) == full_route(measure, chi)
     assert type(rep.measured_t) is int and rep.measured_t == rep.measure["T"]
     assert hash(rep) == hash(construct_best_coloring(ctx, seed=seed)[1])
 

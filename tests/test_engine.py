@@ -177,6 +177,14 @@ def test_build_request_rejects_bad_kappa(kappa):
         build_c2_request(1061, range(1, 531), DeltaSchedule.main(1061), kappa=kappa)
 
 
+def test_build_request_rejects_foreign_schedule():
+    # Z_50's schedule on Z_100 gave delta(64) = 34.7, not Z_100's 48.1
+    with pytest.raises(ValueError, match="schedule is for n=50"):
+        build_c2_request(100, range(64), DeltaSchedule.main(50))
+    assert build_c2_request(100, range(64), DeltaSchedule.main(100)).deltas[64] == \
+        pytest.approx(DeltaSchedule.main(100).b(64))
+
+
 @pytest.mark.parametrize("xs", [
     [0.7, 2.5, 3.9],  # the int64 cast made it [0, 2, 3]
     [0.5, 1.5, 2.5],  # full_color_iterate colored points 0, 1 and 2
@@ -291,9 +299,14 @@ def test_hereditary_switches_to_main():
 
 @pytest.mark.parametrize("kind", ["heredetary", "Main", ""])
 def test_full_color_rejects_unknown_kind(kind):
-    # an unknown kind used to run the main schedule and return a full coloring
+    # an unknown kind used to run the main schedule and return a full coloring;
+    # entropy_weight gave it the hereditary weight, and a request was built
     with pytest.raises(ValueError, match="schedule kind"):
         full_color_iterate(make_context(64), np.arange(64), kind=kind)
+    with pytest.raises(ValueError, match="schedule kind"):
+        entropy_weight(kind, 2.0, 1.0)
+    with pytest.raises(ValueError, match="schedule kind"):
+        PartialColorRequest(n=10, x=[1, 2, 3], deltas={1: 5.0}, kind=kind)
 
 
 def test_search_failure_reports_iteration(monkeypatch):

