@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import (_SCAN_CELLS, Coloring, _orbit_windows, congruence_class_sums,
-                        max_ap_discrepancy, max_ap_sum_complex)
+from .ap_system import (_SCAN_CELLS, Coloring, _as_function, _orbit_windows,
+                        congruence_class_sums, max_ap_discrepancy, max_ap_sum_complex)
 from .number_theory import ZnContext, factorize, make_context
 
 __all__ = [
@@ -167,11 +167,12 @@ def _window_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def max_progression_sum(f) -> float:
     """T_f = max |f(A)| over progressions; exact integer path for colorings
-    and integer input with entries in {-1, 0, +1}, complex path otherwise."""
+    and integer input with entries in {-1, 0, +1}, complex path otherwise.
+    Any other f than a Coloring or a nonempty 1-d array raises ValueError."""
     if isinstance(f, Coloring):
         t, _ = max_ap_discrepancy(f)
         return float(t)
-    arr = np.asarray(f)
+    arr = _as_function(f)
     if np.issubdtype(arr.dtype, np.integer) and arr.min() >= -1 and arr.max() <= 1:
         t, _ = max_ap_discrepancy(Coloring(arr.size, arr))
         return float(t)

@@ -6,7 +6,8 @@ arcs, so the discrepancy evaluators only visit steps d in [1, n//2].
 
 Every integer scan (``max_ap_discrepancy`` and the batch) is one kernel,
 ``_step_maxima``: one-lap int32 prefix sums P[0..L] of the step-e orbits of
-Z_r (r | n the least period, ``_period``), steps of one gcd per chunked call.
+Z_r (r | n the least period, ``_period``), in one segmented pass whose
+chunks mix the steps of every gcd, each (e, laps) pair evaluated once.
   - With S = P[L] and maxD, minD the extreme windows P[j] - P[i], i < j, the
     largest cyclic window sum is max(maxD, S - minD) and the least is
     min(minD, S - maxD): a window that wraps is the complement of one that
@@ -31,10 +32,11 @@ is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
 extremes to sweep, difference the doubled prefix over every window
 (``_orbit_windows``, the steps of one gcd per numpy call), and
-``max_ap_sum_complex`` keeps the largest |sum|.  Every route gathers its
-orbit rows in ``_orbit_prefix``, through an index of int32 while n*L < 2^31
-(L points a row) and of int64 past that.  The tests' oracles sum every
-window directly.
+``max_ap_sum_complex`` keeps the largest |sum|.  Every other route gathers
+its orbit rows in ``_orbit_prefix``, through an index of int32 while
+n*L < 2^31 (L points a row) and of int64 past that; the kernel builds its
+own, int32 while a chunk's prefixes and row shifts stay below 2^31.  The
+tests' oracles sum every window directly.
 """
 
 from __future__ import annotations
@@ -242,45 +244,77 @@ def _end_best(P: np.ndarray) -> np.ndarray:
     return np.maximum(lo, hi, out=lo)
 
 
-def _row_extremes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Largest window sum hi, largest negated window sum -lo and row sum S of
-    each one-lap prefix row P[0..L], over its cyclic windows of length 1..L."""
-    S, starts, ends = P[..., -1], P[..., :-1], P[..., 1:]
-    max_d = (ends - np.minimum.accumulate(starts, axis=-1)).max(axis=-1)
-    min_d = (ends - np.maximum.accumulate(starts, axis=-1)).min(axis=-1)
-    return np.maximum(max_d, S - min_d), np.maximum(-min_d, max_d - S), S
-
-
 def _step_maxima(values: np.ndarray, n: int, r: int, steps=None) -> np.ndarray:
     """Largest |window sum| of every step d in [1, n//2] of the coloring of Z_n
-    that repeats ``values`` (length r, r | n), read off Z_r; leading batch
-    axes pass through.  ``steps``, an ascending array of such d, restricts the
-    scan to them (the last axis then follows ``steps``); only the full scan
-    (r = n) passes it, after ``_step_ranges``.  A chunk holds up to
-    _SCAN_CELLS prefix cells, batch rows counted."""
+    that repeats ``values`` (length r, r | n, entries in {-1, 0, +1}), read off
+    Z_r; leading batch axes pass through.  ``steps``, an ascending array of
+    such d, restricts the scan to them (the last axis then follows ``steps``);
+    only the full scan (r = n) passes it, after ``_step_ranges``.
+
+    Step d reads the h = gcd(e, r) rows of step e = min(d, -d) mod r, r/h
+    points each, and adds Q - 1 whole laps, Q = n/gcd(d, n)/(r/h); as
+    gcd(d/h, r/h) = 1, Q = M/gcd(d/h, M) with M = n/r.  So a step's maximum
+    depends on (e, Q) alone, and each such key present is evaluated once and
+    gathered back to its steps.  The rows' extremes come from one segmented
+    pass: the distinct e, whatever their gcd, in chunks of up to _SCAN_CELLS
+    places (batch rows counted), the rows of each e laid end to end, so that
+    place j of step e is (j*e + floor(j*h/r)) mod r, as (r/h)*e = 0 mod r.
+    One cumsum per chunk gives the prefixes, and row t of the chunk is shifted
+    by t*(r + 1) before the running min or max: the prefixes of an earlier
+    row u lie within r*(t - u) of row t's first, so none of them wins.
+    ``reduceat`` over the row starts then takes each row's extreme windows.
+    """
     d = np.arange(1, n // 2 + 1, dtype=np.int64) if steps is None else steps
     e = np.minimum(d % r, -d % r)  # steps e and r - e trace the same rows reversed
-    h = np.gcd(e, r)  # step e has h rows of r/h points; gcd(0, r) = r
-    q = n // np.gcd(d, n) // (r // h) - 1  # Q - 1: the whole laps a window adds
-    order = np.argsort(h * r + e, kind="stable")  # by (h, e): a chunk of e's is a run
-    key = (h * r + e)[order]
-    distinct = np.flatnonzero(np.bincount(e))
-    out = np.empty(values.shape[:-1] + d.shape, dtype=np.int64)
-    for g in np.flatnonzero(np.bincount(h)):
-        es = distinct[np.gcd(distinct, r) == g]
-        chunk = max(1, _SCAN_CELLS // (values.size // r * (r + g)))
-        for lo in range(0, es.size, chunk):
-            part = es[lo : lo + chunk]
-            first, stop = np.searchsorted(key, [g * r + part[0], g * r + part[-1] + 1])
-            sel = order[first:stop]
-            k = np.searchsorted(part, e[sel])
-            P = _orbit_prefix(values, r, part, laps=1)
-            hi, neg_lo, row_sum = (x[..., k, :] for x in _row_extremes(P))
-            lap = q[sel, None] * row_sum
-            out[..., sel] = np.maximum(
-                hi + np.maximum(lap, 0), neg_lo - np.minimum(lap, 0)
-            ).max(axis=-1)
-    return out
+    gcd_r = np.gcd(np.arange(r // 2 + 1), r)  # step e has gcd_r[e] rows; gcd(0, r) = r
+    M = n // r
+    key = e * M + np.gcd(np.arange(M), M)[d // gcd_r[e] % M] - 1  # (e, gcd(d/h, M))
+    present = np.zeros((r // 2 + 1, M), dtype=bool)
+    present.ravel()[key] = True
+    keys = np.flatnonzero(present)  # by e, then gcd(d/h, M)
+    step_key = np.cumsum(present)[key] - 1
+    es = np.flatnonzero(present.any(axis=1))
+    first_row = np.concatenate(([0], np.cumsum(gcd_r[es])))  # rows of es[i] start here
+    max_d = np.empty(values.shape[:-1] + (first_row[-1],), dtype=np.int64)
+    min_d, S = np.empty_like(max_d), np.empty_like(max_d)
+    chunk = max(1, _SCAN_CELLS // values.size)
+    # prefixes and row shifts stay below (chunk*r) * (r + 2)
+    dtype = np.int32 if chunk * r * (r + 2) < 1 << 31 else np.int64
+    j = np.arange(r, dtype=dtype)
+    for lo in range(0, es.size, chunk):
+        part = es[lo : lo + chunk]
+        rows = gcd_r[part].astype(dtype)  # h rows of r/h places for each e
+        idx = j * part.astype(dtype)[:, None] + j * rows[:, None] // r
+        idx -= idx // r * r  # as % r; floor division by a scalar is the faster numpy path
+        P = np.zeros(values.shape[:-1] + (idx.size + 1,), dtype=dtype)
+        np.cumsum(np.take(values, idx.ravel(), axis=-1), axis=-1, dtype=dtype, out=P[..., 1:])
+        size = np.repeat(r // rows, rows)
+        start = np.cumsum(size) - size
+        shift = np.arange(size.size, dtype=dtype) * (r + 1)
+        offset = np.repeat(shift, size)
+        starts, ends = P[..., :-1], P[..., 1:]
+        band = slice(first_row[lo], first_row[lo + part.size])
+        # an end minus the shifted running extreme is a window sum plus its row's shift
+        run = np.subtract(starts, offset)
+        np.minimum.accumulate(run, axis=-1, out=run)
+        np.subtract(ends, run, out=run)
+        max_d[..., band] = np.maximum.reduceat(run, start, axis=-1) - shift
+        np.add(starts, offset, out=run)
+        np.maximum.accumulate(run, axis=-1, out=run)
+        np.subtract(ends, run, out=run)
+        min_d[..., band] = np.minimum.reduceat(run, start, axis=-1) + shift
+        S[..., band] = P[..., start + size] - P[..., start]
+    hi, neg_lo = np.maximum(max_d, S - min_d), np.maximum(-min_d, max_d - S)
+    # the rows of every (e, Q) key, keys end to end
+    key_e = keys // M
+    count = gcd_r[key_e]
+    key_start = np.cumsum(count) - count
+    key_rows = np.repeat(first_row[np.searchsorted(es, key_e)] - key_start, count) \
+        + np.arange(count.sum())
+    lap = np.repeat(M // (keys % M + 1) - 1, count) * np.take(S, key_rows, axis=-1)
+    best = np.maximum(np.take(hi, key_rows, axis=-1) + np.maximum(lap, 0),
+                      np.take(neg_lo, key_rows, axis=-1) - np.minimum(lap, 0))
+    return np.take(np.maximum.reduceat(best, key_start, axis=-1), step_key, axis=-1)
 
 
 def _step_ranges(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +325,9 @@ def _step_ranges(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     max P - min P (from one extreme to the other), and no window past
     max P - min P + |S| (a wrapped window is S minus an unwrapped one); lower
     and upper are those two over the step's rows.  One gather and cumsum per
-    step, no extremes swept; chunked as in ``_step_maxima``.
+    step, no extremes swept; a chunk holds the steps of one gcd, up to
+    _SCAN_CELLS prefix cells (batch rows counted).  The loop over gcd classes
+    stays: at a prime n, the full scan's main case, there is one class.
     """
     d = np.arange(1, n // 2 + 1, dtype=np.int64)
     h = np.gcd(d, n)
@@ -413,15 +449,24 @@ def _orbit_windows(values: np.ndarray, n: int):
                 yield L, ends[..., i:j, :] - P[..., i:j, None]
 
 
+def _as_function(f) -> np.ndarray:
+    """f as an array; ValueError unless it is nonempty and 1-d."""
+    arr = np.asarray(f)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"expected a nonempty 1-d array over Z_n, got shape {arr.shape}")
+    return arr
+
+
 def max_ap_sum_complex(f) -> float:
-    """Max |sum of f over a progression| for complex-valued f.
+    """Max |sum of f over a progression| for complex-valued f, a nonempty
+    1-d array (ValueError otherwise).
 
     Complex sums have no min/max extremes to sweep, so every window sum of
     every step is taken (``_orbit_windows``, quadratic scan) and only the
     largest |sum| is kept.
     """
-    f = np.asarray(f, dtype=np.complex128)
-    n = f.shape[0]
+    f = _as_function(f).astype(np.complex128, copy=False)
+    n = f.size
     if n == 1:
         return float(abs(f[0]))
     return max((float(np.abs(w).max()) for _, w in _orbit_windows(f, n)), default=0.0)

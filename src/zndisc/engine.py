@@ -149,10 +149,12 @@ class DeltaSchedule:
                 out = 5.0 * np.sqrt(s_arr) * np.sqrt(np.log(math.e * self.n / s_arr))
             else:
                 ratio = s_arr / self.M
+                # np.power, not **: ** on a numpy scalar takes libm's pow, so a
+                # scalar s would differ from the same s in an array in the last bit
                 out = np.where(
                     s_arr >= self.M,
                     _HEREDITARY_C1 * np.sqrt(s_arr) / ratio,
-                    _HEREDITARY_C1 * np.sqrt(s_arr) * ratio**-0.1,
+                    _HEREDITARY_C1 * np.sqrt(s_arr) * np.power(ratio, -0.1),
                 )
         out = np.where(s_arr > 0, out, 0.0)
         return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
@@ -654,7 +656,8 @@ def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
     xs = _as_subset(n, xs)
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
-    deltas = {1 << i: kappa * schedule.b(1 << i) for i in range(int(xs.size).bit_length())}
+    sizes = 1 << np.arange(int(xs.size).bit_length())
+    deltas = dict(zip(sizes.tolist(), (kappa * schedule.b(sizes)).tolist()))
     return PartialColorRequest(
         n=n, x=xs, deltas=deltas, kind=schedule.kind, retries=retries, seed=seed,
     )

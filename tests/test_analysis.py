@@ -384,6 +384,20 @@ def test_fourier_checks_accept_integers_past_one():
         assert max_progression_sum(g) == analysis._window_pass(g)[1]
 
 
+@pytest.mark.parametrize("f", [
+    np.array([], dtype=np.int64),  # raised numpy's zero-size reduction error
+    np.array([], dtype=np.float64),  # returned 0.0
+    np.array([], dtype=np.complex128),
+    np.ones((2, 3)),  # read the first axis as n and returned 2.0
+    np.ones((2, 3), dtype=np.int8),
+    np.float64(1.0),
+], ids=["int-empty", "float-empty", "complex-empty", "float-2d", "int-2d", "scalar"])
+def test_progression_sums_refuse_all_but_one_function(f):
+    for fn in (max_progression_sum, max_ap_sum_complex):
+        with pytest.raises(ValueError, match="expected a nonempty 1-d array over Z_n, got shape"):
+            fn(f)
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), signs=st.booleans())
 def test_fourier_checks_property(n, seed, signs):

@@ -9,6 +9,7 @@ from zndisc import ap_system
 from zndisc.ap_system import (
     Coloring,
     ModAP,
+    _end_best,
     _orbit_prefix,
     _period,
     _step_maxima,
@@ -276,7 +277,9 @@ def test_periodic_scan_edge_cases():
 @given(periodic_colorings())
 def test_step_maxima_match_naive_windows(case):
     # every cyclic window summed directly, for the period's kernel, the plain
-    # scan (r = n) and the batch rows
+    # scan (r = n) and the batch rows; then a (2, 3) stack of them, each of
+    # period r, on the period's kernel and, at r = n, on the odd steps alone
+    # (the full scan's ``steps`` route, spanning several gcds)
     chi, r = case
     n = chi.n
     want = step_maxima_naive(chi.values, n)
@@ -285,6 +288,11 @@ def test_step_maxima_match_naive_windows(case):
     rows = np.stack([chi.values, -chi.values, np.roll(chi.values, 1)])
     naive = step_maxima_naive(rows, n).max(axis=-1) if n > 1 else np.abs(rows[:, 0])
     assert np.array_equal(max_ap_discrepancy_batch(n, rows), naive)
+    stack = np.stack([rows, rows[::-1]])
+    want = step_maxima_naive(stack, n)
+    assert np.array_equal(_step_maxima(stack[..., :r], n, r), want)
+    odd = np.arange(1, n // 2 + 1, 2)
+    assert np.array_equal(_step_maxima(stack, n, n, odd), want[..., odd - 1])
 
 
 def test_periodic_scan_small_chunks(monkeypatch):
@@ -302,6 +310,49 @@ def test_periodic_scan_small_chunks(monkeypatch):
         assert t[0] == step_maxima_naive(chi.values, n).max()
         assert np.array_equal(max_ap_discrepancy_batch(n, b), t_b)
         assert np.array_equal(t_b, step_maxima_naive(b, n).max(axis=-1))
+
+
+@pytest.mark.parametrize("per_chunk", [2, 3, 4, 7])
+def test_step_maxima_chunks_mix_and_split_gcd_classes(monkeypatch, per_chunk):
+    # per_chunk distinct steps e of Z_30 (e = 0..15) per chunk: a chunk holds
+    # several gcds (0..3 gives 30, 1, 2, 3), and the steps of gcd 1 (e = 1, 7,
+    # 11, 13) fall in more than one chunk; the same for a batch of 3 rows
+    r = 30
+    e = np.arange(r // 2 + 1)
+    chunks = [np.gcd(e[i : i + per_chunk], r) for i in range(0, e.size, per_chunk)]
+    assert max(np.unique(c).size for c in chunks) > 1
+    assert sum(1 in c for c in chunks) > 1
+    rng = np.random.default_rng(per_chunk)
+    tiles = rng.integers(-1, 2, (3, r)).astype(np.int8)
+    for rows in (tiles[0], tiles):
+        monkeypatch.setattr("zndisc.ap_system._SCAN_CELLS", per_chunk * rows.size)
+        for n in (30, 60, 90, 120, 240):
+            want = step_maxima_naive(np.tile(rows, n // r), n)
+            assert np.array_equal(_step_maxima(rows, n, r), want), (n, rows.shape)
+
+
+def test_step_maxima_fan_shared_steps_out_by_laps():
+    # Z_6 lifted to Z_72: steps d sharing e = d mod 6 (up to sign) add
+    # different whole laps Q - 1 (e = 2: Q = 12, 6, 3 at d = 2, 4, 8), so one
+    # e carries several (e, Q) keys; every tile of {-1, 0, +1}^6 at once
+    n, r = 72, 6
+    tiles = np.array(np.meshgrid(*[[-1, 0, 1]] * r, indexing="ij"), dtype=np.int8)
+    tiles = tiles.reshape(r, -1).T
+    got = _step_maxima(tiles, n, r)
+    assert np.array_equal(got, step_maxima_naive(np.tile(tiles, n // r), n))
+    # the laps matter: steps 2, 4 and 8 differ on some tile
+    assert (got[:, 1] != got[:, 3]).any() and (got[:, 3] != got[:, 7]).any()
+
+
+def test_step_maxima_past_int32_prefixes():
+    # from r = 46341 on r*(r + 2) passes 2^31 and the kernel works in int64;
+    # at the prime 65537 the index j*e of step n // 2 reaches 2^31 itself.
+    # A few steps against the witness route's per-end extremes
+    n = 65537
+    rows = np.random.default_rng(41).integers(-1, 2, (2, n)).astype(np.int8)
+    steps = np.array([1, 2, 3, 5000, n // 2])
+    want = [[_end_best(_orbit_prefix(v, n, d)).max() for d in steps] for v in rows]
+    assert np.array_equal(_step_maxima(rows, n, n, steps), want)
 
 
 @st.composite

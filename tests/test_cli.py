@@ -353,6 +353,12 @@ GOLDEN_RESULTS = [
     # a lifted coloring (r* = 512), measured on the periodic scan
     (["construct", "--n", "16384", "--seed", "1"],
      "b39d109e1528e296684c33f96bc109ce2a8055747ad4a265fa5ce7bf24501714"),
+    # lifts from r* = 144 (15 gcd classes of Z_144) and r* = 343 (4 classes):
+    # the periodic scan's many-class route
+    (["construct", "--n", "4032", "--seed", "1"],
+     "5c6b02ab59eaea405a772a353ee8ce294c56aed91647e2d60bddabdd27ff9b25"),
+    (["construct", "--n", "4116", "--seed", "1"],
+     "52741176552ceae5f582dddcba74d036aa83403785e980d232bd6aa3f1bec046"),
     # None entries and floats; a sweep whose rows feed a fit
     (["bounds", "--range", "1..30"],
      "fc076d44af6a6a2f81304f436bfd11139e1f78f81c6f6c421a3be11b73f45aba"),
@@ -366,6 +372,7 @@ GOLDEN_RESULTS = [
                               "exact", "herdisc",
                               "fourier-48", "fourier-30", "fourier-48-many", "fourier-1",
                               "fourier-2", "fourier-27", "fourier-31", "construct-lifted",
+                              "construct-lifted-4032", "construct-lifted-4116",
                               "bounds", "sweep"])
 def test_golden_results(tmp_path, args, digest):
     out = tmp_path / "out.json"

@@ -185,6 +185,25 @@ def test_build_request_rejects_foreign_schedule():
         pytest.approx(DeltaSchedule.main(100).b(64))
 
 
+def test_build_request_takes_every_scale_in_one_call():
+    # the request evaluates b once on all its scales; each allowance is bit for
+    # bit the scalar kappa * b(2^i), a Python float, for either schedule kind
+    kappa = 1.5
+    for n in [*range(2, 3000), 1 << 16, 1 << 20, 3**13, 1 << 21]:
+        scheds = [DeltaSchedule.main(n)]
+        if n < 300:
+            scheds.append(DeltaSchedule.hereditary(make_context(n)))
+        sizes = 1 << np.arange(n.bit_length())
+        for sched in scheds:
+            want = [kappa * sched.b(int(s)) for s in sizes]
+            assert (kappa * sched.b(sizes)).tolist() == want, (n, sched.kind)
+    n = 1061
+    req = build_c2_request(n, range(1, 531), DeltaSchedule.main(n), kappa=kappa)
+    want = {1 << i: kappa * DeltaSchedule.main(n).b(1 << i) for i in range(10)}
+    assert req.deltas == want
+    assert all(type(s) is int and type(v) is float for s, v in req.deltas.items())
+
+
 @pytest.mark.parametrize("xs", [
     [0.7, 2.5, 3.9],  # the int64 cast made it [0, 2, 3]
     [0.5, 1.5, 2.5],  # full_color_iterate colored points 0, 1 and 2
