@@ -22,7 +22,8 @@ g = gcd(b, n), L = n/g and m = q*L + s (0 <= s < L), a row's L starts give
 L*q^2*|S|^2 + 2*q*s*|S|^2 + Q2[s], S the row sum and Q2[s] its sum of
 squared length-s window sums, and T_f is the largest |window sum|.  Integer
 input with every entry in {-1, 0, +1} (a coloring's values) is exact in
-int64; any other, complex included, takes the same code in float64.  The
+int64; any other, complex included, takes the same code in float64, and
+``max_progression_sum`` reads T_f of such input off the same pass.  The
 tests compare both against ``tests/oracles.py``: bit for bit on entries in
 {-1, 0, +1}, to relative 1e-12 on complex input.
 
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_system import (_SCAN_CELLS, Coloring, _as_function, _orbit_windows,
-                        congruence_class_sums, max_ap_discrepancy, max_ap_sum_complex)
+from .ap_system import (_SCAN_CELLS, Coloring, _orbit_windows, congruence_class_sums,
+                        max_ap_discrepancy)
 from .number_theory import ZnContext, factorize, make_context
 
 __all__ = [
@@ -72,10 +73,8 @@ class BoundReport:
     """An evaluated bound with the parameter choices that witness it."""
 
     n: int
-    kind: str
     value: float
     witness: dict
-    constants: dict
 
 
 def _as_values(f) -> np.ndarray:
@@ -166,17 +165,20 @@ def _window_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_progression_sum(f) -> float:
-    """T_f = max |f(A)| over progressions; exact integer path for colorings
-    and integer input with entries in {-1, 0, +1}, complex path otherwise.
+    """T_f = max |f(A)| over progressions: ``max_ap_discrepancy``'s for
+    colorings and integer input with entries in {-1, 0, +1}, the window
+    pass's (``_window_pass``, in float64) for any other, complex included.
     Any other f than a Coloring or a nonempty 1-d array raises ValueError."""
     if isinstance(f, Coloring):
         t, _ = max_ap_discrepancy(f)
         return float(t)
-    arr = _as_function(f)
+    arr = np.asarray(f)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"expected a nonempty 1-d array over Z_n, got shape {arr.shape}")
     if np.issubdtype(arr.dtype, np.integer) and arr.min() >= -1 and arr.max() <= 1:
         t, _ = max_ap_discrepancy(Coloring(arr.size, arr))
         return float(t)
-    return max_ap_sum_complex(arr)
+    return float(_window_pass(arr)[1])
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,6 @@ class CheckGrid:
     normalized amount by which the bound is violated (negative values mean
     slack)."""
 
-    name: str
     lhs: np.ndarray
     rhs: np.ndarray
     passed: np.ndarray
@@ -228,12 +229,11 @@ def fourier_checks(f) -> dict[str, CheckGrid]:
     bit for bit the call on f[b] alone.  The stack shares one FFT, one class
     power per divisor, one window pass and one evaluation of each check.
     The double sum and T_f come from one pass over the orbit-row windows
-    (``_window_pass``).  T_f is ``max_ap_discrepancy``'s for integer input
-    with entries in {-1, 0, +1} and ``max_ap_sum_complex``'s for any other,
-    integer entries outside {-1, 0, +1} included.  The divisor and spectral
-    entries are bitwise what the scalar formula gives for their m (while
-    m^2 phi(k) < 2^53, i.e. n below about 2e5): divisor sums add up term by
-    term in ascending k, spectral sums are pairwise along contiguous rows.
+    (``_window_pass``); T_f is ``max_progression_sum``'s, bit for bit.  The
+    divisor and spectral entries are bitwise what the scalar formula gives
+    for their m (while m^2 phi(k) < 2^53, i.e. n below about 2e5): divisor
+    sums add up term by term in ascending k, spectral sums are pairwise
+    along contiguous rows.
     So is the double sum on input with entries in {-1, 0, +1}, of any dtype,
     where every value it forms is an integer below n^4 < 2^53; on other input
     it differs from the scalar formula's order of summation only by rounding.
@@ -267,32 +267,29 @@ def fourier_checks(f) -> dict[str, CheckGrid]:
     lhs = np.stack([power[:, ::k].sum(axis=-1) for k in ctx.divisors[::-1]], axis=-1)
     rhs = n // ks[::-1] * G[:, ::-1]
     err = np.abs(lhs - rhs) / _scale(lhs, rhs)
-    out["subgroup_plancherel"] = CheckGrid("subgroup_plancherel", lhs, rhs, err <= REL_TOL, err)
-    out["rhs_lower"] = CheckGrid("rhs_lower", double, spectral_max,
-                                 double >= spectral_max - tol,
+    out["subgroup_plancherel"] = CheckGrid(lhs, rhs, err <= REL_TOL, err)
+    out["rhs_lower"] = CheckGrid(double, spectral_max, double >= spectral_max - tol,
                                  (spectral_max - double) / _scale(double, spectral_max))
-    out["lhs_upper"] = CheckGrid("lhs_upper", double, below, double <= below + tol,
+    out["lhs_upper"] = CheckGrid(double, below, double <= below + tol,
                                  (double - below) / _scale(double, below))
     lhs = np.zeros((batch, n))
     for term in terms:
         lhs += term
     rhs = _spectral_sums(power, scaled)
     err = np.abs(lhs - rhs) / _scale(lhs, rhs)
-    out["mobius_identity"] = CheckGrid("mobius_identity", lhs, rhs, err <= REL_TOL, err)
+    out["mobius_identity"] = CheckGrid(lhs, rhs, err <= REL_TOL, err)
     lhs = _spectral_sums(power, np.minimum(scaled, col))[..., None]
     rhs = np.zeros((batch, n, ks.size))
     far = (ms * n / ks[:, None] * G[..., None]).swapaxes(0, 1)  # (m n/k) G(k)
     for term, tail, within in zip(terms, far, ks[:, None] <= ks):
         rhs += np.where(within, term[..., None], tail[..., None])
     lhs = np.broadcast_to(lhs, rhs.shape)
-    out["mobius_inequality"] = CheckGrid("mobius_inequality", lhs, rhs,
-                                         lhs <= rhs + tol[:, None],
+    out["mobius_inequality"] = CheckGrid(lhs, rhs, lhs <= rhs + tol[:, None],
                                          (lhs - rhs) / _scale(lhs, rhs))
-    out["composite_lower"] = CheckGrid("composite_lower", below, spectral_max,
-                                       below >= spectral_max - tol,
+    out["composite_lower"] = CheckGrid(below, spectral_max, below >= spectral_max - tol,
                                        (spectral_max - below) / _scale(below, spectral_max))
     if values.ndim == 1:
-        out = {name: CheckGrid(name, g.lhs[0], g.rhs[0], g.passed[0], g.error[0])
+        out = {name: CheckGrid(g.lhs[0], g.rhs[0], g.passed[0], g.error[0])
                for name, g in out.items()}
     return out
 
@@ -306,11 +303,8 @@ def lower_bound_prop(ctx: ZnContext, l: int) -> BoundReport:
     s1 = sum(phi_k for k, phi_k in zip(ctx.divisors, ctx.divisor_phi) if k <= l)
     s2 = sum(1.0 / (k * k) for k in ctx.divisors if k > l)
     value = (8.0 * s1 / n + 2.0 * s2) ** -0.5
-    return BoundReport(
-        n=n, kind="lower_prop", value=value,
-        witness={"l": l, "S1": s1, "S2": s2, "m": n // (2 * s1)},
-        constants={},
-    )
+    return BoundReport(n=n, value=value,
+                       witness={"l": l, "S1": s1, "S2": s2, "m": n // (2 * s1)})
 
 
 def lower_bound_main(ctx: ZnContext) -> BoundReport:
@@ -325,11 +319,8 @@ def lower_bound_main(ctx: ZnContext) -> BoundReport:
     t1 = min(r for r in ctx.divisors if r**3 >= n**2)
     below = [r for r in ctx.divisors if r**3 < n**2]
     t2 = max(below) if below else None
-    return BoundReport(
-        n=n, kind="lower_main", value=val(best_r) / (8.0 * math.sqrt(ctx.d)),
-        witness={"r": best_r, "t1": t1, "t2": t2},
-        constants={},
-    )
+    return BoundReport(n=n, value=val(best_r) / (8.0 * math.sqrt(ctx.d)),
+                       witness={"r": best_r, "t1": t1, "t2": t2})
 
 
 def lower_bound_prime_power(p: int, k: int) -> BoundReport:
@@ -339,11 +330,7 @@ def lower_bound_prime_power(p: int, k: int) -> BoundReport:
     if k < 1:
         raise ValueError("k must be positive")
     value = p ** ((k - k // 3) / 2.0) / 4.0
-    return BoundReport(
-        n=p**k, kind="lower_prime_power", value=value,
-        witness={"p": p, "k": k, "t": k // 3},
-        constants={},
-    )
+    return BoundReport(n=p**k, value=value, witness={"p": p, "k": k, "t": k // 3})
 
 
 def upper_bound_main(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
@@ -356,11 +343,7 @@ def upper_bound_main(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
         return n / r + c_hat * math.sqrt(r) * 2 ** ctx.omega_of_divisor(r)
 
     best_r = min(ctx.divisors, key=val)
-    return BoundReport(
-        n=n, kind="upper_main", value=val(best_r),
-        witness={"r": best_r},
-        constants={"c_hat": c_hat},
-    )
+    return BoundReport(n=n, value=val(best_r), witness={"r": best_r})
 
 
 def hereditary_upper_bound(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
@@ -369,8 +352,4 @@ def hereditary_upper_bound(ctx: ZnContext, c_hat: float = 1.0) -> BoundReport:
         raise ValueError(f"c_hat must be positive and finite, got {c_hat}")
     n = ctx.n
     value = c_hat * math.sqrt(ctx.phi) * math.log(math.e * n / ctx.phi) ** 1.5
-    return BoundReport(
-        n=n, kind="hereditary_upper", value=value,
-        witness={"phi": ctx.phi},
-        constants={"c_hat": c_hat},
-    )
+    return BoundReport(n=n, value=value, witness={"phi": ctx.phi})

@@ -31,8 +31,8 @@ n = 4000, 4050 and 4200, the extra pass does not pay.  The witness step
 is scanned on Z_n by its own route, per-end extremes of the doubled prefix
 (``_end_best``), and the witness is re-summed; complex sums, which have no
 extremes to sweep, difference the doubled prefix over every window
-(``_orbit_windows``, the steps of one gcd per numpy call), and
-``max_ap_sum_complex`` keeps the largest |sum|.  Every other route gathers
+(``_orbit_windows``, the steps of one gcd per numpy call, read by
+``analysis``'s window pass).  Every other route gathers
 its orbit rows in ``_orbit_prefix``, through an index of int32 while
 n*L < 2^31 (L points a row) and of int64 past that; the kernel builds its
 own, int32 while a chunk's prefixes and row shifts stay below 2^31.  The
@@ -55,7 +55,6 @@ __all__ = [
     "progression_incidence",
     "max_ap_discrepancy",
     "max_ap_discrepancy_batch",
-    "max_ap_sum_complex",
     "congruence_class_sums",
     "max_congruence_discrepancy",
 ]
@@ -69,27 +68,21 @@ _INCIDENCE_CELLS_LIMIT = 1 << 23
 
 @dataclass(frozen=True)
 class ModAP:
-    """Progression segment {a + k*d : i <= k <= j} in Z_n; j = i - 1 encodes empty."""
+    """Progression segment {a + k*d : 0 <= k < length} in Z_n."""
 
     n: int
     a: int
     d: int
-    i: int
-    j: int
+    length: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("modulus must be positive")
-        if self.j < self.i - 1:
-            raise ValueError("end index may not drop below start - 1")
-
-    @property
-    def length(self) -> int:
-        return self.j - self.i + 1
+        if self.length < 0:
+            raise ValueError("length must be nonnegative")
 
     def elements(self) -> np.ndarray:
-        k = np.arange(self.i, self.j + 1, dtype=np.int64)
-        return (self.a + k * self.d) % self.n
+        return (self.a + np.arange(self.length, dtype=np.int64) * self.d) % self.n
 
 
 def _check_signs(v: np.ndarray) -> None:
@@ -124,13 +117,6 @@ class Coloring:
         self.n = int(n)
         self.values = np.asarray(v, dtype=np.int8)
 
-    @classmethod
-    def full(cls, values) -> "Coloring":
-        out = cls(len(values), values)
-        if not out.is_full():
-            raise ValueError("full coloring may not contain zeros")
-        return out
-
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.values)
 
@@ -143,14 +129,13 @@ class Coloring:
 
 def full_ap(n: int, a: int, d: int, length: int) -> ModAP:
     """Canonical progression {a + k*d : 0 <= k < length} with distinct elements."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    a %= n
+    if n < 1:  # before the reductions mod n
+        raise ValueError("modulus must be positive")
     d %= n
     orbit = n // math.gcd(d, n)
     if length > orbit:
         raise ValueError(f"length {length} exceeds orbit size {orbit}")
-    return ModAP(n, a, d, 0, length - 1)
+    return ModAP(n, a % n, d, length)
 
 
 def progression_incidence(ctx: ZnContext, min_len: int = 1) -> np.ndarray:
@@ -395,7 +380,7 @@ def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
     v = chi.values
     if n == 1:
         t = abs(int(v[0]))
-        witness = ModAP(1, 0, 0, 0, 0) if t else ModAP(1, 0, 1, 0, -1)
+        witness = ModAP(1, 0, 0, 1) if t else ModAP(1, 0, 1, 0)
         return t, witness
     r = _period(v)
     if r < n:
@@ -405,7 +390,7 @@ def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
     i = int(np.argmax(t))  # the first step attaining the maximum
     best_d, best = int(steps[i]), int(t[i])
     if best == 0:
-        return 0, ModAP(n, 0, 1, 0, -1)
+        return 0, ModAP(n, 0, 1, 0)
     return best, _witness(v, n, best_d, best)
 
 
@@ -447,29 +432,6 @@ def _orbit_windows(values: np.ndarray, n: int):
             for i in range(0, L, starts):
                 j = min(i + starts, L)
                 yield L, ends[..., i:j, :] - P[..., i:j, None]
-
-
-def _as_function(f) -> np.ndarray:
-    """f as an array; ValueError unless it is nonempty and 1-d."""
-    arr = np.asarray(f)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"expected a nonempty 1-d array over Z_n, got shape {arr.shape}")
-    return arr
-
-
-def max_ap_sum_complex(f) -> float:
-    """Max |sum of f over a progression| for complex-valued f, a nonempty
-    1-d array (ValueError otherwise).
-
-    Complex sums have no min/max extremes to sweep, so every window sum of
-    every step is taken (``_orbit_windows``, quadratic scan) and only the
-    largest |sum| is kept.
-    """
-    f = _as_function(f).astype(np.complex128, copy=False)
-    n = f.size
-    if n == 1:
-        return float(abs(f[0]))
-    return max((float(np.abs(w).max()) for _, w in _orbit_windows(f, n)), default=0.0)
 
 
 def congruence_class_sums(values: np.ndarray, r: int) -> np.ndarray:

@@ -50,21 +50,30 @@ _SIGN_CHARS = b"-+" + b"-" * 254
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from exc
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"expected A <= B, got {text!r}")
+    return lo, hi
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else $ZNDISC_SEED, else 0; ValueError, naming the source, on a
+    value that is not a nonnegative integer."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV
         except ValueError:
             raise ValueError(f"invalid {SEED_ENV}={env!r}")
-    return 0
+    if seed < 0:
+        raise ValueError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 def _meta(args, command: str, seed: int | None = None) -> dict:

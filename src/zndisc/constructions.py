@@ -127,6 +127,8 @@ def _normalized(n: int, values: np.ndarray) -> Coloring:
 def lift_coloring(base: Coloring, n: int) -> Coloring:
     """Pull a full coloring of Z_r back along the quotient Z_n -> Z_r."""
     r = base.n
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n % r != 0:
         raise ValueError("r must divide n")
     if not base.is_full():
@@ -250,6 +252,8 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
         raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
     if retries < 1:
         raise ValueError(f"retries (the restart budget) must be at least 1, got {retries}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     bound = upper_bound_main(ctx, c_hat)
     best_r = bound.witness["r"]
     base_ctx = make_context(best_r)

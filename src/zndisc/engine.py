@@ -67,7 +67,6 @@ __all__ = [
     "entropy_weight",
     "schedule_entropy_budget",
     "build_c2_request",
-    "orbit_table_bytes",
     "certify_partial_coloring",
     "partial_color",
     "full_color_iterate",
@@ -355,22 +354,14 @@ def _orbit_orders(n: int, xs: np.ndarray, g: int, chunk: int):
         yield lo, key
 
 
-def orbit_table_bytes(n: int, xs, scales) -> int:
-    """Closed-form size of the walk table for the orbit blocks at the given scales.
-
-    ``scales`` are the exponents s of the binding block sizes 2^s.  Counts the
-    int32 positions (|X| per step column) and an int32 cap and sum per block
-    id.  The walk's scratch is not part of the table: a run reads at most
-    ``_RUN_CELLS`` positions whatever the table's size, besides a few words
-    per block id.
-    """
-    xs = _as_subset(n, xs)
-    scales = sorted(scales)
-    return _table_bytes(int(xs.size), scales, _orbit_layout(n, xs, scales))
-
-
 def _table_bytes(m: int, shifts: list[int], layout) -> int:
-    """``orbit_table_bytes`` for |X| = m from the ``_orbit_layout`` groups."""
+    """Closed-form size of the walk table for |X| = m from the ``_orbit_layout``
+    groups at the binding scales ``shifts`` (exponents s of the block sizes
+    2^s).  Counts the int32 positions (|X| per step column) and an int32 cap
+    and sum per block id.  The walk's scratch is not part of the table: a run
+    reads at most ``_RUN_CELLS`` positions whatever the table's size, besides
+    a few words per block id.
+    """
     columns = slots = 0
     for _, steps, _, _, span in layout:
         columns += steps

@@ -221,13 +221,13 @@ def exact_disc(ctx: ZnContext, method: str = "branch_and_bound",
     return _branch_and_bound(ctx)
 
 
-def exact_herdisc(ctx: ZnContext, limit: int | None = None) -> tuple[int, tuple[int, ...]]:
+def exact_herdisc(ctx: ZnContext) -> tuple[int, tuple[int, ...]]:
     """Exact hereditary discrepancy: max over subsets X of the restricted disc,
-    with the first X (as a bit mask) that attains it."""
+    with the first X (as a bit mask) that attains it; LimitExceeded past
+    HERDISC_LIMIT."""
     n = ctx.n
-    cap = limit if limit is not None else HERDISC_LIMIT
-    if n > cap:
-        raise LimitExceeded(f"n={n} exceeds limit {cap} for herdisc")
+    if n > HERDISC_LIMIT:
+        raise LimitExceeded(f"n={n} exceeds limit {HERDISC_LIMIT} for herdisc")
     # every {-1, 0, +1} vector of Z_n; its support is the subset X it signs
     grid = _split_grid(progression_incidence(ctx), (0, 1, -1))
     support = np.zeros(1, dtype=np.int32)

@@ -66,9 +66,9 @@ class ZnContext:
     """A modulus n with its factorization, divisor list, and multiplicative invariants.
 
     ``divisor_phi`` holds phi(r) for each r in ``divisors``, in the same order.
-    ``prime_powers`` are the pairwise-coprime factors p_i^{a_i}; ``crt_basis``
-    holds e_i with e_i = 1 mod p_i^{a_i} and e_i = 0 mod the other prime powers,
-    so combining residues is a dot product mod n.
+    ``crt_basis`` holds e_i with e_i = 1 mod p_i^{a_i} (the i-th factor) and
+    e_i = 0 mod the other prime powers, so combining residues is a dot product
+    mod n.
     """
 
     n: int
@@ -78,7 +78,6 @@ class ZnContext:
     phi: int
     omega: int
     d: int
-    prime_powers: tuple[int, ...]
     crt_basis: tuple[int, ...]
 
     def omega_of_divisor(self, r: int) -> int:
@@ -105,11 +104,10 @@ def make_context(n: int) -> ZnContext:
     d = 1
     for _, e in factors:
         d *= e + 1
-    prime_powers = tuple(p**e for p, e in factors)
     basis = []
-    for q in prime_powers:
-        m = n // q
-        basis.append(m * pow(m, -1, q) % n)
+    for p, e in factors:
+        m = n // p**e
+        basis.append(m * pow(m, -1, p**e) % n)
     return ZnContext(
         n=n,
         factors=factors,
@@ -118,6 +116,5 @@ def make_context(n: int) -> ZnContext:
         phi=divisor_phi[-1],
         omega=len(factors),
         d=d,
-        prime_powers=prime_powers,
         crt_basis=tuple(basis),
     )

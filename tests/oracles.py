@@ -297,10 +297,10 @@ def double_sums_reference(arr, ms):
     return np.cumsum(per_b, axis=1)[:, -1]
 
 
-def max_ap_sum_complex_per_step(f):
-    """``ap_system.max_ap_sum_complex`` one step at a time: each step's window
-    sums P[i + l] - P[i] off a sliding view of its doubled orbit prefix, a
-    chunk of starts per numpy call."""
+def max_progression_sum_per_step(f):
+    """``analysis.max_progression_sum`` of complex f one step at a time: each
+    step's window sums P[i + l] - P[i] off a sliding view of its doubled
+    orbit prefix, a chunk of starts per numpy call."""
     f = np.asarray(f, dtype=np.complex128)
     n = f.shape[0]
     if n == 1:

@@ -24,7 +24,6 @@ from zndisc.ap_system import (
     congruence_class_sums,
     max_ap_discrepancy,
     max_ap_discrepancy_batch,
-    max_ap_sum_complex,
     max_congruence_discrepancy,
 )
 from zndisc.constructions import (
@@ -44,7 +43,7 @@ from zndisc.engine import (
 from zndisc.exact import exact_disc, exact_herdisc
 from zndisc.number_theory import make_context
 
-from .oracles import weighted_lhs_all_m
+from .oracles import max_progression_sum_per_step, weighted_lhs_all_m
 
 ENGINE_KAPPA = 1.0  # allowance multiplier the construction runs use (cap 4)
 POWER_RATIO_CAP = 16.0  # spec cap for measured T / predicted at n = 2^k
@@ -182,7 +181,7 @@ def _fourier_one(f, ctx, stats):
         t_f, _ = max_ap_discrepancy(Coloring(n, f))
         t_f = float(t_f)
     else:
-        t_f = max_ap_sum_complex(arr)
+        t_f = max_progression_sum_per_step(arr)
     Gr = {r: float(class_power(arr, r)) for r in ctx.divisors}
     m = np.arange(1, n + 1, dtype=np.float64)
     tol = 1e-6 * (n * m) ** 2

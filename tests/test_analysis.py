@@ -17,13 +17,13 @@ from zndisc.analysis import (
     max_progression_sum,
     upper_bound_main,
 )
-from zndisc.ap_system import (_SCAN_CELLS, Coloring, congruence_class_sums, max_ap_discrepancy,
-                               max_ap_sum_complex)
+from zndisc.ap_system import _SCAN_CELLS, Coloring, congruence_class_sums, max_ap_discrepancy
 from zndisc.number_theory import make_context
 
 from .oracles import (
     dft_direct,
     double_sums_reference,
+    max_progression_sum_per_step,
     weighted_lhs_all_m,
     weighted_lhs_spectral,
 )
@@ -341,14 +341,14 @@ def test_double_sums_route_follows_input(monkeypatch):
 
 def test_window_pass_t_f_matches_the_scans():
     # T_f from the pass is max_ap_discrepancy's on +-1 and {-1, 0, +1} input
-    # and max_ap_sum_complex's, bit for bit, on complex input
+    # and the per-step complex scan's, bit for bit, on complex input
     rng = np.random.default_rng(21)
     for n in [*range(1, 91), 100, 150]:
         for chi in (rng.integers(0, 2, n) * 2 - 1, rng.integers(-1, 2, n)):
             t, _ = max_ap_discrepancy(Coloring(n, chi))
             assert analysis._window_pass(chi)[1] == t, n
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert analysis._window_pass(f)[1] == max_ap_sum_complex(f), n
+        assert analysis._window_pass(f)[1] == max_progression_sum_per_step(f), n
 
 
 def test_fourier_checks_t_f_is_max_progression_sum():
@@ -393,9 +393,8 @@ def test_fourier_checks_accept_integers_past_one():
     np.float64(1.0),
 ], ids=["int-empty", "float-empty", "complex-empty", "float-2d", "int-2d", "scalar"])
 def test_progression_sums_refuse_all_but_one_function(f):
-    for fn in (max_progression_sum, max_ap_sum_complex):
-        with pytest.raises(ValueError, match="expected a nonempty 1-d array over Z_n, got shape"):
-            fn(f)
+    with pytest.raises(ValueError, match="expected a nonempty 1-d array over Z_n, got shape"):
+        max_progression_sum(f)
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zndisc import ap_system
+from zndisc.analysis import max_progression_sum
 from zndisc.ap_system import (
     Coloring,
     ModAP,
@@ -19,7 +20,6 @@ from zndisc.ap_system import (
     full_ap,
     max_ap_discrepancy,
     max_ap_discrepancy_batch,
-    max_ap_sum_complex,
     max_congruence_discrepancy,
     progression_incidence,
 )
@@ -33,7 +33,7 @@ from zndisc.number_theory import factorize, make_context, totient
 
 from .oracles import (
     enumerate_aps,
-    max_ap_sum_complex_per_step,
+    max_progression_sum_per_step,
     orbit_intersection,
     progression_incidence_reference,
     step_maxima_naive,
@@ -141,7 +141,7 @@ def test_progression_incidence_matches_reference():
 
 def test_max_ap_examples():
     for n in (2, 5, 9):
-        chi = Coloring.full([1] * n)
+        chi = Coloring(n, [1] * n)
         t, wit = max_ap_discrepancy(chi)
         assert t == n
         assert set(wit.elements().tolist()) == set(range(n))
@@ -268,9 +268,9 @@ def test_periodic_scan_matches_full_scan(case):
 def test_periodic_scan_edge_cases():
     zero = Coloring(12, np.zeros(12))
     assert max_ap_discrepancy(zero) == full_route(max_ap_discrepancy, zero) \
-        == (0, ModAP(12, 0, 1, 0, -1))
-    assert max_ap_discrepancy(Coloring(1, [-1])) == (1, ModAP(1, 0, 0, 0, 0))
-    assert max_ap_discrepancy(Coloring(1, [0])) == (0, ModAP(1, 0, 1, 0, -1))
+        == (0, ModAP(12, 0, 1, 0))
+    assert max_ap_discrepancy(Coloring(1, [-1])) == (1, ModAP(1, 0, 0, 1))
+    assert max_ap_discrepancy(Coloring(1, [0])) == (0, ModAP(1, 0, 1, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,7 +450,7 @@ def test_complex_ap_sum_matches_real_case():
     for n in (5, 8, 12):
         vals = rng.integers(0, 2, n) * 2 - 1
         t, _ = max_ap_discrepancy(Coloring(n, vals))
-        assert max_ap_sum_complex(vals.astype(np.complex128)) == pytest.approx(t)
+        assert max_progression_sum(vals.astype(np.complex128)) == pytest.approx(t)
 
 
 def test_complex_ap_sum_against_naive():
@@ -458,36 +458,23 @@ def test_complex_ap_sum_against_naive():
     for n in (4, 7, 10):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         naive = max(abs(sum(f[x] for x in s)) for s in naive_ap_sets(n))
-        assert max_ap_sum_complex(f) == pytest.approx(naive)
+        assert max_progression_sum(f) == pytest.approx(naive)
 
 
 @pytest.mark.parametrize("cells,ns", [(None, [*range(1, 100), 150, 210]),
                                       (1, [*range(1, 41), 48, 60])])
 def test_complex_ap_sum_matches_per_step_scan(monkeypatch, cells, ns):
-    # the gcd-class chunks take the same window sums as one step at a time,
-    # so the maximum is bit for bit the same; one start per numpy call with
-    # cells = 1
+    # the window pass's gcd-class chunks take the same window sums as one
+    # step at a time, so the maximum is bit for bit the same; one start per
+    # numpy call with cells = 1; n = 1 is |f(0)|
     rng = np.random.default_rng(21)
     fs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in ns]
-    want = [max_ap_sum_complex_per_step(f) for f in fs]
+    want = [max_progression_sum_per_step(f) for f in fs]
     if cells is not None:
         monkeypatch.setattr("zndisc.ap_system._SCAN_CELLS", cells)
     for n, f, t in zip(ns, fs, want):
-        assert max_ap_sum_complex(f) == t, n
-
-
-def test_complex_ap_sum_is_a_t_only_scan(monkeypatch):
-    # the largest |window sum| straight off the windows: no squared sums by
-    # length, so the double sum's window pass is never entered; n = 1 is |f(0)|
-    def refuse(values, ms):
-        raise AssertionError("max_ap_sum_complex entered _window_pass")
-
-    monkeypatch.setattr("zndisc.analysis._window_pass", refuse)
-    rng = np.random.default_rng(22)
-    for n in range(1, 41):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert max_ap_sum_complex(f) == max_ap_sum_complex_per_step(f), n
-    assert max_ap_sum_complex([3 - 4j]) == 5.0
+        assert max_progression_sum(f) == t, n
+    assert max_progression_sum([3 - 4j]) == 5.0
 
 
 @pytest.mark.parametrize("n,values", [
@@ -501,6 +488,18 @@ def test_coloring_rejects_bad_input(n, values):
         Coloring(n, values)
 
 
+def test_progressions_refuse_bad_moduli_and_lengths():
+    # full_ap(0, ...) raised ZeroDivisionError at its reduction mod n
+    for bad in (lambda: full_ap(0, 1, 1, 1), lambda: full_ap(-3, 0, 1, 1),
+                lambda: full_ap(5, 0, 1, -1), lambda: full_ap(6, 0, 2, 4),
+                lambda: ModAP(0, 0, 1, 0), lambda: ModAP(5, 0, 1, -1)):
+        with pytest.raises(ValueError):
+            bad()
+    ap = full_ap(6, 7, -2, 3)
+    assert ap == ModAP(6, 1, 4, 3) and ap.elements().tolist() == [1, 5, 3]
+    assert full_ap(6, 0, 1, 0).elements().size == 0
+
+
 def test_coloring_accepts_integral_input():
     assert Coloring(3, [1.0, 0.0, -1.0]).values.tolist() == [1, 0, -1]
     assert Coloring(2, [True, False]).values.tolist() == [1, 0]
@@ -510,7 +509,7 @@ def test_coloring_accepts_integral_input():
 # ---------------------------------------------------------- class sums
 
 def test_congruence_sum_examples():
-    chi = Coloring.full([1] * 6)
+    chi = Coloring(6, [1] * 6)
     for r in (1, 2, 3, 6):
         for w in range(r):
             assert congruence_class_sums(chi.values, r)[w] == 6 // r
@@ -522,7 +521,7 @@ def test_congruence_sum_examples():
 
 
 def test_max_congruence_examples():
-    assert max_congruence_discrepancy(Coloring.full([1] * 7)) == 7
+    assert max_congruence_discrepancy(Coloring(7, [1] * 7)) == 7
     assert max_congruence_discrepancy(Coloring(2, [1, -1])) == 1
 
 

@@ -84,13 +84,17 @@ def test_single_n_commands_reject_range(command, n, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bounds_empty_range(tmp_path):
-    out = tmp_path / "empty.csv"
-    assert run(["bounds", "--range", "5..4", "--format", "csv",
-                "--out", str(out)]) == EXIT_OK
-    text = out.read_text()
-    assert text.splitlines()[0].startswith("n,")
-    assert len(text.splitlines()) == 1
+def test_inverted_range_rejected(tmp_path, capsys):
+    # an empty range used to exit 0 with an empty table
+    for command in ("bounds", "sweep"):
+        for text in ("5..4", "5..2"):
+            out = tmp_path / f"{command}.csv"
+            assert run([command, "--range", text, "--format", "csv",
+                        "--out", str(out)]) == EXIT_USAGE
+            assert "--range" in capsys.readouterr().err
+            assert not out.exists()
+    assert run(["bounds", "--range", "5..5", "--format", "csv",
+                "--out", str(tmp_path / "one.csv")]) == EXIT_OK
 
 
 def test_construct_json_and_invariant(tmp_path):
@@ -173,7 +177,7 @@ def test_parser_built_once_and_reused(tmp_path, capsys):
                if writes and expect == EXIT_OK)
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
+def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
     monkeypatch.setenv("ZNDISC_SEED", "21")
@@ -181,6 +185,11 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.delenv("ZNDISC_SEED")
     assert run(["construct", "--n", "20", "--seed", "21", "--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+    # a negative seed is refused under the name it came by
+    monkeypatch.setenv("ZNDISC_SEED", "-1")
+    for args in (["construct", "--n", "2"], ["fourier-check", "--n", "8"]):
+        assert run(args) == EXIT_USAGE
+        assert "ZNDISC_SEED" in capsys.readouterr().err
 
 
 def test_fourier_check_passes(capsys):
@@ -237,6 +246,9 @@ def test_fourier_check_rejects_no_trials(trials, capsys):
     # r* = 1 or 2 colors its base without an engine request
     (["construct", "--n", "2", "--kappa", "inf"], "kappa"),
     (["construct", "--n", "3", "--budget", "0"], "budget"),
+    # numpy refused a negative seed at n = 64 in words that named no flag
+    (["construct", "--n", "2", "--seed", "-1"], "--seed"),
+    (["construct", "--n", "64", "--seed", "-1"], "--seed"),
     (["sweep", "--range", "2..4", "--kappa", "nan"], "kappa"),
     (["bounds", "--n", "12", "--c-hat", "nan"], "c_hat"),
 ])
@@ -304,7 +316,7 @@ def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path, capsys):
         rep = ConstructionReport(n=ctx.n, r_star=1, predicted=1.0, measured_t=1,
                                  measure={"T": 1}, base_congruence_max=2, c_hat=1.0,
                                  kappa=1.0, seed=0)
-        return Coloring.full([1] * ctx.n), rep
+        return Coloring(ctx.n, [1] * ctx.n), rep
 
     monkeypatch.setattr(cli, "construct_best_coloring", fake)
     for args, ns in ((["construct", "--n", "4"], [4]), (["sweep", "--range", "2..4"], [2, 3, 4])):

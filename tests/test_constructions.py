@@ -35,15 +35,17 @@ def class_sum_naive(values, r, w):
 # ----------------------------------------------------------------- lifting
 
 def test_lift_examples():
-    chi = Coloring.full([1, 1, -1])
+    chi = Coloring(3, [1, 1, -1])
     assert np.array_equal(lift_coloring(chi, 3).values, chi.values)
     assert np.array_equal(
         lift_coloring(chi, 6).values, np.array([1, 1, -1, 1, 1, -1], dtype=np.int8)
     )
-    ones = lift_coloring(Coloring.full([1]), 5)
+    ones = lift_coloring(Coloring(1, [1]), 5)
     assert np.all(ones.values == 1)
-    with pytest.raises(ValueError):
-        lift_coloring(chi, 7)
+    # n = 0 returned an empty coloring, as 0 % r == 0
+    for n in (7, 0, -3):
+        with pytest.raises(ValueError):
+            lift_coloring(chi, n)
 
 
 def test_lift_inequality_random():
@@ -270,6 +272,13 @@ def test_construct_best_examples():
     assert rep.r_star == 1
     assert rep.measured_t == 1
     assert chi.values.tolist() == [1]
+
+
+@pytest.mark.parametrize("n", [2, 64])
+def test_construct_best_refuses_negative_seed(n):
+    # r* = 1 at n = 2 needs no engine request, so the seed was never read
+    with pytest.raises(ValueError, match="seed"):
+        construct_best_coloring(make_context(n), seed=-1)
 
 
 def test_construct_best_prime_choice():

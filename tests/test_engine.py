@@ -18,7 +18,6 @@ from zndisc.engine import (
     certify_partial_coloring,
     entropy_weight,
     full_color_iterate,
-    orbit_table_bytes,
     partial_color,
     schedule_entropy_budget,
 )
@@ -630,13 +629,20 @@ def test_orbit_orders_past_int32_products():
     assert not certify_partial_coloring(req, planted)
 
 
+def table_bytes(n, xs, scales):
+    """The walk table's closed-form size, as a request at these binding
+    scales reckons it before it allocates anything."""
+    xs, scales = np.asarray(xs, dtype=np.int64), sorted(scales)
+    return engine._table_bytes(xs.size, scales, engine._orbit_layout(n, xs, scales))
+
+
 def test_orbit_table_bytes_closed_form():
     cases = [(1061, np.arange(1, 531)), (360, np.arange(0, 360, 2)), (240, np.arange(240))]
     for n, xs in cases:
         req = build_c2_request(n, xs, DeltaSchedule.main(n))
         scales = [size.bit_length() - 1 for size in req.blocks]
         table = engine._walk_table(req)
-        assert orbit_table_bytes(n, xs, scales) == (
+        assert table_bytes(n, xs, scales) == (
             table.positions.nbytes + 8 * table.caps.size
         )
 
@@ -647,7 +653,7 @@ def test_table_limit_refused_before_allocation():
     xs = np.arange(1, (p - 1) // 2 + 1)
     sched = DeltaSchedule.main(p)
     scales = [i for i in range(20) if sched.b(1 << i) < (1 << i)]
-    estimate = orbit_table_bytes(p, xs, scales)
+    estimate = table_bytes(p, xs, scales)
     assert estimate >= 4 * xs.size * (p - 1) > TABLE_BYTES_LIMIT
     with pytest.raises(LimitExceeded):
         build_c2_request(p, xs, sched)
@@ -661,7 +667,7 @@ def test_request_refuses_table_past_limit(monkeypatch):
     sched = DeltaSchedule.main(p)
     deltas = {1 << i: sched.b(1 << i) for i in range(14) if sched.b(1 << i) < 1 << i}
     assert list(deltas) == [1 << i for i in range(8, 14)]
-    assert orbit_table_bytes(p, xs, range(8, 14)) > TABLE_BYTES_LIMIT
+    assert table_bytes(p, xs, range(8, 14)) > TABLE_BYTES_LIMIT
     monkeypatch.setattr(engine, "OrbitBlocks", None)  # calling it would raise
     with pytest.raises(LimitExceeded, match="constraint table"):
         PartialColorRequest(n=p, x=xs, deltas=deltas)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zndisc import exact
 from zndisc.ap_system import Coloring, max_ap_discrepancy, progression_incidence
 from zndisc.exact import (
     LimitExceeded,
@@ -184,12 +185,13 @@ def test_search_matches_reference_on_column_subsets(data):
         assert_search_matches_reference(inc[:, sorted(cols)], bound, witness)
 
 
-def test_oversized_incidence_refused_up_front():
+def test_oversized_incidence_refused_up_front(monkeypatch):
     # n = 300 spans 1.8e9 (window, point) cells; nothing that size is built
+    monkeypatch.setattr(exact, "HERDISC_LIMIT", 300)
     start = time.perf_counter()
     for call in (lambda ctx: exact_disc(ctx, limit=300),
                  lambda ctx: exact_disc(ctx, "exhaustive", limit=300),
-                 lambda ctx: exact_herdisc(ctx, limit=300)):
+                 exact_herdisc):
         with pytest.raises(LimitExceeded, match="incidence"):
             call(make_context(300))
     assert time.perf_counter() - start < 5
@@ -232,7 +234,7 @@ def test_smallest_moduli(method, expected):
         assert res.method == method
 
 
-def test_limit_exceeded():
+def test_limit_exceeded(monkeypatch):
     with pytest.raises(LimitExceeded):
         exact_disc(make_context(17), "exhaustive")
     with pytest.raises(LimitExceeded):
@@ -253,8 +255,9 @@ def test_limit_exceeded():
     # allocating 2^(n-1) (exhaustive) or 3^n (herdisc) cells
     with pytest.raises(LimitExceeded, match="grid"):
         exact_disc(make_context(30), "exhaustive", limit=30)
+    monkeypatch.setattr(exact, "HERDISC_LIMIT", 16)
     with pytest.raises(LimitExceeded, match="grid"):
-        exact_herdisc(make_context(16), limit=16)
+        exact_herdisc(make_context(16))
 
 
 def test_herdisc_pinned_values_and_witnesses():
@@ -287,16 +290,16 @@ def test_herdisc_witness_value():
 
 
 def test_measure_with_period_matches_full_scan():
-    chi = Coloring.full(np.tile([1, 1, -1, 1, -1, -1], 8))
+    chi = Coloring(48, np.tile([1, 1, -1, 1, -1, -1], 8))
     assert measure(chi) == full_route(measure, chi)
 
 
 def test_measure_examples():
-    rep = measure(Coloring.full([1, 1, 1, 1]))
+    rep = measure(Coloring(4, [1, 1, 1, 1]))
     assert rep["T"] == 4
     assert rep["congruence_max"] == 4
     assert rep["total_sum"] == 4
-    rep = measure(Coloring.full([1, -1]))
+    rep = measure(Coloring(2, [1, -1]))
     assert rep["T"] == 1
     assert rep["congruence_max"] == 1
     assert rep["total_sum"] == 0

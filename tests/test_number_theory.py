@@ -80,8 +80,13 @@ def crt_combine(ctx, residues):
     return sum(t * e for t, e in zip(residues, ctx.crt_basis)) % ctx.n
 
 
+def prime_power_factors(ctx):
+    """The pairwise-coprime factors p_i^{a_i} of n, in ``ctx.factors`` order."""
+    return tuple(p**e for p, e in ctx.factors)
+
+
 def crt_split(ctx, x):
-    return tuple(x % q for q in ctx.prime_powers)
+    return tuple(x % q for q in prime_power_factors(ctx))
 
 
 def test_crt_examples():
@@ -103,9 +108,9 @@ def test_crt_round_trips_all_n():
         xs = np.arange(n, dtype=np.int64)
         res = crt_split(ctx, xs)
         back = crt_combine(ctx, res)
-        if ctx.prime_powers:
+        if ctx.factors:
             assert np.array_equal(np.asarray(back), xs)
-            for t, q in zip(crt_split(ctx, back), ctx.prime_powers):
+            for t, q in zip(crt_split(ctx, back), prime_power_factors(ctx)):
                 assert np.array_equal(t, xs % q)
         else:
             assert back == 0
@@ -124,7 +129,7 @@ def test_crt_round_trip_scalar_spot_checks():
 @given(st.integers(1, 10**6), st.data())
 def test_crt_basis_round_trip_property(n, data):
     ctx = make_context(n)
-    qs, basis = ctx.prime_powers, ctx.crt_basis
+    qs, basis = prime_power_factors(ctx), ctx.crt_basis
     for i, e in enumerate(basis):
         assert 0 <= e < n
         assert [e % q for q in qs] == [int(i == j) for j in range(len(qs))]
