@@ -246,11 +246,11 @@ def test_fourier_check_rejects_no_trials(trials, capsys):
     # r* = 1 or 2 colors its base without an engine request
     (["construct", "--n", "2", "--kappa", "inf"], "kappa"),
     (["construct", "--n", "3", "--budget", "0"], "budget"),
+    (["sweep", "--range", "2..4", "--kappa", "nan"], "kappa"),
+    (["bounds", "--n", "12", "--c-hat", "nan"], "c_hat"),
     # numpy refused a negative seed at n = 64 in words that named no flag
     (["construct", "--n", "2", "--seed", "-1"], "--seed"),
     (["construct", "--n", "64", "--seed", "-1"], "--seed"),
-    (["sweep", "--range", "2..4", "--kappa", "nan"], "kappa"),
-    (["bounds", "--n", "12", "--c-hat", "nan"], "c_hat"),
 ])
 def test_rejects_bad_engine_parameters(args, name, capsys):
     # nan and inf passed every check before: c_hat = inf picked r* = 1, kappa = nan
