@@ -43,7 +43,7 @@ import numpy as np
 
 from .ap_system import (_SCAN_CELLS, Coloring, _orbit_windows, congruence_class_sums,
                         max_ap_discrepancy)
-from .number_theory import ZnContext, factorize, make_context
+from .number_theory import LimitExceeded, ZnContext, factorize, make_context
 
 __all__ = [
     "CheckGrid",
@@ -51,6 +51,7 @@ __all__ = [
     "REL_TOL",
     "class_power",
     "FOURIER_CHECKS",
+    "FOURIER_BYTES_LIMIT",
     "fourier_checks",
     "max_progression_sum",
     "lower_bound_prop",
@@ -63,6 +64,12 @@ __all__ = [
 REL_TOL = 1e-8
 _ABS_COEFF = 1e-6
 _PASS_ROWS = 16  # rows of a stack per window pass: blocks of _PASS_ROWS * _SCAN_CELLS sums
+# fourier_checks refuses a call whose grids would pass this many bytes: 25 per
+# cell of the (n, n) grids (three float64 ones live at once: w(r), its max or
+# min with m, a spectral product) and of each row's (n, d(n)) mobius grids.
+# tracemalloc read 3.1 * 8 n^2 at n = 512 and 768.  One function passes up to
+# n = 6 549, and no n past 6 551
+FOURIER_BYTES_LIMIT = 1 << 30
 
 FOURIER_CHECKS = ("subgroup_plancherel", "rhs_lower", "lhs_upper", "mobius_identity",
                   "mobius_inequality", "composite_lower")
@@ -79,11 +86,15 @@ class BoundReport:
 
 def _as_values(f) -> np.ndarray:
     """The values of f as a C-contiguous array: one function (n,), a
-    Coloring's included, or a stack (B, n) of them."""
+    Coloring's included, or a stack (B, n) of them, numeric and finite."""
     arr = np.asarray(f.values if isinstance(f, Coloring) else f)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError("expected a nonempty 1-d array over Z_n or (B, n) stack of them, "
                          f"got shape {arr.shape}")
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"expected numeric values, got dtype {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise ValueError("expected finite values, got nan or inf")
     return np.ascontiguousarray(arr)
 
 
@@ -168,13 +179,12 @@ def max_progression_sum(f) -> float:
     """T_f = max |f(A)| over progressions: ``max_ap_discrepancy``'s for
     colorings and integer input with entries in {-1, 0, +1}, the window
     pass's (``_window_pass``, in float64) for any other, complex included.
-    Any other f than a Coloring or a nonempty 1-d array raises ValueError."""
-    if isinstance(f, Coloring):
-        t, _ = max_ap_discrepancy(f)
-        return float(t)
-    arr = np.asarray(f)
+    Any other f than a Coloring or a nonempty 1-d array of finite numbers
+    raises ValueError."""
+    arr = np.asarray(f.values if isinstance(f, Coloring) else f)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a nonempty 1-d array over Z_n, got shape {arr.shape}")
+    arr = _as_values(arr)
     if np.issubdtype(arr.dtype, np.integer) and arr.min() >= -1 and arr.max() <= 1:
         t, _ = max_ap_discrepancy(Coloring(arr.size, arr))
         return float(t)
@@ -242,6 +252,10 @@ def fourier_checks(f) -> dict[str, CheckGrid]:
     stack = values.reshape(-1, values.shape[-1])
     batch, n = stack.shape
     ctx = make_context(n)
+    need = 25 * n * (n + batch * ctx.d)
+    if need > FOURIER_BYTES_LIMIT:
+        raise LimitExceeded(f"the Fourier check grids of n={n} need about {need} bytes, "
+                            f"past the limit of {FOURIER_BYTES_LIMIT}")
     ms = np.arange(1, n + 1, dtype=np.int64)
     arr = stack.astype(np.complex128)
     power = np.abs(np.fft.fft(arr)) ** 2

@@ -111,6 +111,8 @@ class Coloring:
 
     def __init__(self, n: int, values):
         v = np.asarray(values)
+        if n < 1:
+            raise ValueError("modulus must be positive")
         if v.shape != (n,):
             raise ValueError(f"expected {n} values, got shape {v.shape}")
         _check_signs(v)
@@ -397,6 +399,8 @@ def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
 def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
     """Per-row max |progression sum| for a (B, n) matrix of colorings."""
     values = np.asarray(values)
+    if n < 1:
+        raise ValueError("modulus must be positive")
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError("expected a (B, n) matrix")
     _check_signs(values)
@@ -439,6 +443,8 @@ def congruence_class_sums(values: np.ndarray, r: int) -> np.ndarray:
     leading axes pass through, and integer input is summed in int64."""
     values = np.asarray(values)
     n = values.shape[-1]
+    if n < 1:
+        raise ValueError("expected values over Z_n, n >= 1, got length 0")
     if r < 1 or n % r != 0:
         raise ValueError("r must divide n")
     if values.dtype.kind in "iu":

@@ -321,7 +321,11 @@ def cmd_fourier_check(args) -> int:
     if args.trials < 1:
         print("--trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    rows = _fourier_suite(args.n, args.trials, seed)
+    try:
+        rows = _fourier_suite(args.n, args.trials, seed)
+    except LimitExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_LIMIT
     _emit_rows(args, {"meta": _meta(args, "fourier-check", seed),
                       "inputs": {"n": args.n, "trials": args.trials}, "results": rows},
                ("identity", "checks", "passes", "worst_error"),

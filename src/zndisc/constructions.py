@@ -39,17 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrtBox:
-    """Residue box X = {psi(t_1, ..., t_k) : 0 <= t_i < T_i} with doubling data.
+    """Residue box X = {psi(t_1, ..., t_k) : 0 <= t_i < T_i}, 1 <= T_i <= p_i^{alpha_i}.
 
-    ``doubled`` lists the factor indices whose extent splits as T_i = s_i *
-    p_i^{beta_i} with s_i even; those coordinates get the sign-flip treatment.
-    ``beta`` is aligned with ``doubled``.
+    Every even extent T_i takes the sign flip: X is its half box (T_i/2 along
+    each even coordinate) and the sign-flipped copies translated by T_i/2 along
+    them.
     """
 
     ctx: ZnContext
     extents: tuple[int, ...]
-    doubled: tuple[int, ...]
-    beta: tuple[int, ...]
 
     def __post_init__(self):
         facs = self.ctx.factors
@@ -58,35 +56,20 @@ class CrtBox:
         for t, (p, e) in zip(self.extents, facs):
             if not 1 <= t <= p**e:
                 raise ValueError(f"extent {t} out of range for {p}^{e}")
-        if len(self.doubled) != len(self.beta):
-            raise ValueError("beta must align with the doubled index set")
-        if tuple(sorted(set(self.doubled))) != self.doubled:
-            raise ValueError("doubled indices must be sorted and distinct")
-        for i, b in zip(self.doubled, self.beta):
-            if not 0 <= i < len(facs):
-                raise ValueError("doubled index out of range")
-            p = facs[i][0]
-            q = p**b
-            t = self.extents[i]
-            if b < 0 or t % q != 0 or (t // q) % 2 != 0:
-                raise ValueError(
-                    f"extent {t} is not an even multiple of {p}^{b} at index {i}"
-                )
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.extents)
-
-    def half_extents(self) -> tuple[int, ...]:
-        return tuple(
-            t // 2 if i in self.doubled else t for i, t in enumerate(self.extents)
-        )
 
     def cancellation_moduli(self) -> tuple[int, ...]:
-        """Class moduli r_i = n / p_i^{alpha_i - beta_i} whose sums vanish on X."""
+        """Class moduli r_i = n / p_i^{alpha_i - b_i} whose sums vanish on X, one
+        per even extent T_i, with b_i the largest b such that T_i / p_i^b is
+        even (so p_i^{b_i} divides the half extent T_i/2).  A smaller b_i
+        would give a divisor of r_i, whose classes are unions of r_i's."""
         out = []
-        for i, b in zip(self.doubled, self.beta):
-            p, e = self.ctx.factors[i]
+        for t, (p, e) in zip(self.extents, self.ctx.factors):
+            if t % 2:
+                continue
+            b = 0
+            while t % p == 0 and (t // p) % 2 == 0:
+                t //= p
+                b += 1
             out.append(self.ctx.n // p ** (e - b))
         return tuple(out)
 
@@ -138,23 +121,26 @@ def lift_coloring(base: Coloring, n: int) -> Coloring:
 
 def crt_box_coloring(box: CrtBox, seed: int = 0, *, kappa: float = 1.0,
                      retries: int = DEFAULT_RETRIES) -> Coloring:
-    """Color a residue box by sign-flipped doubling across the chosen coordinates.
+    """Color a residue box by sign-flipped doubling across its even extents.
 
-    The half box X_0 is engine-colored; for each corner v in {0, 1}^doubled
-    the copy u_v + X_0 carries (-1)^(sum v) times those colors, where
-    u_v = sum v_i S_i e_i mod n (S_i the halved extent, e_i the CRT basis
-    element of factor i).  For every doubled index i and every w, the
-    class sum over C(n / p_i^{alpha_i - beta_i}, w) ∩ X is exactly 0.
+    The half box X_0 (T_i/2 along each even extent T_i) is engine-colored; for
+    each corner v in {0, 1}^(even coordinates) the copy u_v + X_0 carries
+    (-1)^(sum v) times those colors, where u_v = sum v_i (T_i/2) e_i mod n
+    (e_i the CRT basis element of factor i).  For every modulus r of
+    ``box.cancellation_moduli()`` and every w, the class sum over C(r, w) ∩ X
+    is exactly 0: the copies pair up inside each class with opposite signs.
     """
     ctx = box.ctx
     n = ctx.n
-    half = box.half_extents()
+    half = [t // 2 if t % 2 == 0 else t for t in box.extents]
+    shifts = [h * basis for t, h, basis in zip(box.extents, half, ctx.crt_basis)
+              if t % 2 == 0]
     x0 = _box_elements(ctx, half)
     chi0, _ = full_color_iterate(ctx, x0, kind="main", seed=seed,
                                  kappa=kappa, retries=retries)
     values = np.zeros(n, dtype=np.int8)
-    for v in itertools.product((0, 1), repeat=len(box.doubled)):
-        u = sum(vi * half[i] * ctx.crt_basis[i] for vi, i in zip(v, box.doubled)) % n
+    for v in itertools.product((0, 1), repeat=len(shifts)):
+        u = sum(vi * s for vi, s in zip(v, shifts)) % n
         values[(x0 + u) % n] = (-1) ** sum(v) * chi0.values[x0]
     return _normalized(n, values)
 
@@ -162,44 +148,27 @@ def crt_box_coloring(box: CrtBox, seed: int = 0, *, kappa: float = 1.0,
 def _balanced_cells(ctx: ZnContext):
     """The divisor-indexed partition of Z_n into translated residue boxes.
 
-    Coordinate i is cut into intervals by the exponent delta_i: for p_i = 2
-    only delta_i = alpha_i survives (the whole coordinate); for odd p_i,
-    delta_i = 0 is {0} and delta_i >= 1 is [p^(delta-1), p^delta).  The cell of
-    r = prod p_i^{delta_i} is the product of those intervals, pushed through
-    the CRT map.
+    Yields (r, box, shift), divisors r ascending: the cell of r is
+    (box elements + shift) mod n.  Coordinate i is cut into intervals by the
+    exponent delta_i of p_i in r: for p_i = 2 only delta_i = alpha_i survives
+    (the whole coordinate); for odd p_i, delta_i = 0 is {0} and delta_i >= 1 is
+    [p^(delta-1), p^delta).  The cell of r is the product of those intervals,
+    pushed through the CRT map, and holds at most r points.
     """
-    cells = []
     for r in ctx.divisors:
         extents = []
-        starts = []
-        doubled = []
-        beta = []
-        ok = True
-        for i, (p, e) in enumerate(ctx.factors):
+        shift = 0
+        for (p, e), basis in zip(ctx.factors, ctx.crt_basis):
             delta = 0
-            rr = r
-            while rr % p == 0:
-                rr //= p
+            while r % p ** (delta + 1) == 0:
                 delta += 1
-            if p == 2:
-                if delta != e:
-                    ok = False
-                    break
-                starts.append(0)
-                extents.append(p**e)
-                doubled.append(i)
-                beta.append(delta - 1)
-            elif delta == 0:
-                starts.append(0)
-                extents.append(1)
-            else:
-                starts.append(p ** (delta - 1))
-                extents.append((p - 1) * p ** (delta - 1))
-                doubled.append(i)
-                beta.append(delta - 1)
-        if ok:
-            cells.append((r, tuple(extents), tuple(starts), tuple(doubled), tuple(beta)))
-    return cells
+            if p == 2 and delta != e:
+                break
+            start = 0 if p == 2 else p**delta // p
+            extents.append(p**delta - start)
+            shift += start * basis
+        else:
+            yield r, CrtBox(ctx, tuple(extents)), shift % ctx.n
 
 
 def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float = 1.0,
@@ -207,15 +176,15 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
     """Full coloring of Z_n with every congruence-class sum in {-1, 0, +1}.
 
     Z_n is partitioned into one translated residue box per divisor r (cells of
-    size at most r); each nonempty cell is colored by crt_box_coloring.  The
-    unit class-sum guarantee is structural: it survives any engine output.
+    size at most r, ``_balanced_cells``); each cell is colored by
+    crt_box_coloring.  The unit class-sum guarantee is structural: it
+    survives any engine output.
     """
     n = ctx.n
     if n == 1:
         return Coloring(1, np.array([1], dtype=np.int8))
     values = np.zeros(n, dtype=np.int8)
-    for idx, (r, extents, starts, doubled, beta) in enumerate(_balanced_cells(ctx)):
-        box = CrtBox(ctx=ctx, extents=extents, doubled=doubled, beta=beta)
+    for idx, (r, box, shift) in enumerate(_balanced_cells(ctx)):
         try:
             cell = crt_box_coloring(box, seed=_derived_seed(seed, idx),
                                     kappa=kappa, retries=retries)
@@ -224,10 +193,6 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
                 f"cell r={r}: {exc}", restarts=exc.restarts,
                 iteration=exc.iteration, cell=r,
             ) from exc
-        shift = 0
-        for s, basis in zip(starts, ctx.crt_basis):
-            shift += s * basis
-        shift %= n
         sup = cell.support()
         values[(sup + shift) % n] = cell.values[sup]
     if np.any(values == 0):

@@ -55,7 +55,7 @@ from typing import Mapping
 import numpy as np
 
 from .ap_system import Coloring, _as_subset, _check_signs
-from .number_theory import LimitExceeded, ZnContext, make_context
+from .number_theory import LimitExceeded, ZnContext, make_context, totient
 
 __all__ = [
     "BudgetExceeded",
@@ -123,14 +123,11 @@ class DeltaSchedule:
 
     kind: str
     n: int
-    M: float | None = None
 
     def __post_init__(self):
         _check_kind(self.kind)
         if self.n < 1:
             raise ValueError("modulus must be positive")
-        if self.kind == "hereditary" and self.M is None:
-            raise ValueError("hereditary schedule needs M")
 
     @classmethod
     def main(cls, n: int) -> "DeltaSchedule":
@@ -138,8 +135,7 @@ class DeltaSchedule:
 
     @classmethod
     def hereditary(cls, ctx: ZnContext) -> "DeltaSchedule":
-        M = ctx.phi * math.log(math.e * ctx.n / ctx.phi)
-        return cls(kind="hereditary", n=ctx.n, M=M)
+        return cls(kind="hereditary", n=ctx.n)
 
     def b(self, s):
         s_arr = np.asarray(s, dtype=np.float64)
@@ -147,11 +143,13 @@ class DeltaSchedule:
             if self.kind == "main":
                 out = 5.0 * np.sqrt(s_arr) * np.sqrt(np.log(math.e * self.n / s_arr))
             else:
-                ratio = s_arr / self.M
+                phi = totient(self.n)
+                M = phi * math.log(math.e * self.n / phi)
+                ratio = s_arr / M
                 # np.power, not **: ** on a numpy scalar takes libm's pow, so a
                 # scalar s would differ from the same s in an array in the last bit
                 out = np.where(
-                    s_arr >= self.M,
+                    s_arr >= M,
                     _HEREDITARY_C1 * np.sqrt(s_arr) / ratio,
                     _HEREDITARY_C1 * np.sqrt(s_arr) * np.power(ratio, -0.1),
                 )

@@ -107,21 +107,8 @@ def test_criterion_2_lower_bound_soundness(exact_values):
 
 
 def _random_box(ctx, rng):
-    extents, doubled, beta = [], [], []
-    for i, (p, e) in enumerate(ctx.factors):
-        t = int(rng.integers(1, p**e + 1))
-        if t % 2 == 0 and rng.integers(0, 2):
-            v = 0
-            tt = t
-            while tt % p == 0:
-                tt //= p
-                v += 1
-            choices = [b for b in range(v + 1) if (t // p**b) % 2 == 0]
-            doubled.append(i)
-            beta.append(int(rng.choice(choices)))
-        extents.append(t)
-    return CrtBox(ctx=ctx, extents=tuple(extents), doubled=tuple(doubled),
-                  beta=tuple(beta))
+    return CrtBox(ctx=ctx, extents=tuple(int(rng.integers(1, p**e + 1))
+                                         for p, e in ctx.factors))
 
 
 def test_criterion_3_exact_structural_invariants():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from zndisc.analysis import (
     upper_bound_main,
 )
 from zndisc.ap_system import _SCAN_CELLS, Coloring, congruence_class_sums, max_ap_discrepancy
-from zndisc.number_theory import make_context
+from zndisc.number_theory import LimitExceeded, make_context
 
 from .oracles import (
     dft_direct,
@@ -395,6 +396,37 @@ def test_fourier_checks_accept_integers_past_one():
 def test_progression_sums_refuse_all_but_one_function(f):
     with pytest.raises(ValueError, match="expected a nonempty 1-d array over Z_n, got shape"):
         max_progression_sum(f)
+
+
+@pytest.mark.parametrize("f,problem", [
+    (np.array([np.nan, 1.0]), "finite"),
+    (np.array([np.inf, 1.0]), "finite"),
+    (np.array([1.0, complex(0.0, -math.inf)]), "finite"),
+    (np.array(["1", "-1"]), "numeric"),
+    (np.array([1, -1], dtype=object), "numeric"),
+], ids=["nan", "inf", "complex-inf", "str", "object"])
+def test_analysis_refuses_non_finite_and_non_numeric(f, problem):
+    # a ValueError that names the problem, before numpy warns or checks fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, arg in ((max_progression_sum, f), (fourier_checks, f),
+                          (fourier_checks, np.stack([f, f]))):
+            with pytest.raises(ValueError, match=problem):
+                call(arg)
+
+
+def test_fourier_checks_refuse_grids_past_the_limit(monkeypatch):
+    # 25 bytes per cell of the (n, n) grids and of each row's (n, d(n)) ones;
+    # the refusal comes before any of them is allocated
+    f = np.ones(24)
+    need = 25 * 24 * (24 + make_context(24).d)
+    monkeypatch.setattr(analysis, "FOURIER_BYTES_LIMIT", need - 1)
+    with pytest.raises(LimitExceeded, match="limit"):
+        fourier_checks(f)
+    with pytest.raises(LimitExceeded):
+        fourier_checks(np.stack([f, f]))  # the (n, d(n)) grids grow with the stack
+    monkeypatch.setattr(analysis, "FOURIER_BYTES_LIMIT", need)
+    assert all(g.passed.all() for g in fourier_checks(f).values())
 
 
 @settings(max_examples=15, deadline=None)

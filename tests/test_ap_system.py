@@ -433,6 +433,9 @@ def test_batch_rejects_non_colorings():
     for bad in ([[1, 2, -1]], [[1, 0.5, -1]], [[257, 1, 1]], np.array([[1, -1, 1j]])):
         with pytest.raises(ValueError, match="must lie in"):
             max_ap_discrepancy_batch(3, bad)
+    # n = 0: no column for the one-point branch's values[:, 0]
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        max_ap_discrepancy_batch(0, np.zeros((2, 0)))
 
 
 def test_parity_full_coloring():
@@ -482,6 +485,7 @@ def test_complex_ap_sum_matches_per_step_scan(monkeypatch, cells, ns):
     (1, np.array([257])),  # out of range: the int8 cast wrapped it to [1]
     (3, np.array([1, -1, 1], dtype=np.complex128)),  # complex: imaginary part dropped
     (2, [2, 1]),
+    (0, []),  # Z_0 has no points to color
 ])
 def test_coloring_rejects_bad_input(n, values):
     with pytest.raises(ValueError):
@@ -518,6 +522,9 @@ def test_congruence_sum_examples():
     assert congruence_class_sums(chi.values, 6)[3] == -1
     with pytest.raises(ValueError):
         congruence_class_sums(chi.values, 4)
+    # n = 0: every r divides 0, so the divisor check alone lets Z_0 through
+    with pytest.raises(ValueError, match="n >= 1"):
+        congruence_class_sums(np.zeros(0), 3)
 
 
 def test_max_congruence_examples():

@@ -229,6 +229,16 @@ def test_fourier_check_takes_pass_sized_stacks(monkeypatch):
     assert sum(rows) == 2 * trials
 
 
+def test_fourier_check_limit_exit_code(monkeypatch, tmp_path, capsys):
+    # refused before its grids are allocated, and with no artifact written
+    from zndisc import analysis
+
+    monkeypatch.setattr(analysis, "FOURIER_BYTES_LIMIT", 25 * 24 * 24)
+    out = tmp_path / "fourier.json"
+    assert run(["fourier-check", "--n", "24", "--out", str(out)]) == EXIT_LIMIT
+    assert "limit" in capsys.readouterr().err and not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_fourier_check_rejects_no_trials(trials, capsys):
     # zero functions would be zero checks, reported as a pass

@@ -77,7 +77,7 @@ def test_lift_inequality_property(n, data):
 # a one-factor box starting at 0 doubles the interval [0, extent)
 
 def test_interval_doubling_tiny():
-    box = CrtBox(ctx=make_context(8), extents=(2,), doubled=(0,), beta=(0,))
+    box = CrtBox(ctx=make_context(8), extents=(2,))
     chi = crt_box_coloring(box, seed=0)
     assert int(chi.values[:2].sum()) == 0
     assert np.count_nonzero(chi.values) == 2
@@ -85,7 +85,7 @@ def test_interval_doubling_tiny():
 
 def test_interval_doubling_class_cancellation():
     # p = 3, m = 6: classes mod 1 and mod 3 vanish on the interval
-    box = CrtBox(ctx=make_context(9), extents=(6,), doubled=(0,), beta=(1,))
+    box = CrtBox(ctx=make_context(9), extents=(6,))
     assert box.cancellation_moduli() == (3,)
     chi = crt_box_coloring(box, seed=2)
     sup = chi.support()
@@ -125,18 +125,19 @@ def test_prime_power_odd():
 
 def test_crt_box_example_n12():
     ctx = make_context(12)
-    box = CrtBox(ctx=ctx, extents=(4, 3), doubled=(0,), beta=(0,))
+    box = CrtBox(ctx=ctx, extents=(4, 3))
     chi = crt_box_coloring(box, seed=3)
     assert np.count_nonzero(chi.values) == 12
-    # cancellation modulus r_1 = 12 / 2^2 = 3
-    assert box.cancellation_moduli() == (3,)
-    for w in range(3):
-        assert class_sum_naive(chi.values, 3, w) == 0
+    # 4 / 2^1 is even, 4 / 2^2 is not: b = 1, r_1 = 12 / 2^(2 - 1) = 6
+    assert box.cancellation_moduli() == (6,)
+    for r in (3, 6):  # the classes mod 3 are unions of those mod 6
+        for w in range(r):
+            assert class_sum_naive(chi.values, r, w) == 0
 
 
 def test_crt_box_no_doubling_is_plain_engine():
     ctx = make_context(15)
-    box = CrtBox(ctx=ctx, extents=(3, 5), doubled=(), beta=())
+    box = CrtBox(ctx=ctx, extents=(3, 5))
     chi = crt_box_coloring(box, seed=1)
     assert np.count_nonzero(chi.values) == 15
 
@@ -144,11 +145,11 @@ def test_crt_box_no_doubling_is_plain_engine():
 def test_crt_box_validation():
     ctx = make_context(12)
     with pytest.raises(ValueError):
-        CrtBox(ctx=ctx, extents=(5, 3), doubled=(), beta=())  # extent too big
+        CrtBox(ctx=ctx, extents=(5, 3))  # extent too big
     with pytest.raises(ValueError):
-        CrtBox(ctx=ctx, extents=(3, 3), doubled=(0,), beta=(0,))  # odd extent
+        CrtBox(ctx=ctx, extents=(0, 3))  # empty coordinate
     with pytest.raises(ValueError):
-        CrtBox(ctx=ctx, extents=(4, 3), doubled=(0,), beta=(2,))  # 4/4 odd
+        CrtBox(ctx=ctx, extents=(4,))  # one extent per factor
 
 
 def test_crt_box_random_cancellation_exact():
@@ -156,27 +157,13 @@ def test_crt_box_random_cancellation_exact():
     for _ in range(60):
         n = int(rng.integers(2, 800))
         ctx = make_context(n)
-        extents = []
-        doubled = []
-        beta = []
-        for i, (p, e) in enumerate(ctx.factors):
-            t = int(rng.integers(1, p**e + 1))
-            if t % 2 == 0 and rng.integers(0, 2):
-                v = 0
-                tt = t
-                while tt % p == 0:
-                    tt //= p
-                    v += 1
-                # any b with p^b | t and t / p^b even
-                choices = [b for b in range(v + 1) if (t // p**b) % 2 == 0]
-                doubled.append(i)
-                beta.append(int(rng.choice(choices)))
-            extents.append(t)
-        box = CrtBox(ctx=ctx, extents=tuple(extents),
-                     doubled=tuple(doubled), beta=tuple(beta))
+        extents = tuple(int(rng.integers(1, p**e + 1)) for p, e in ctx.factors)
+        box = CrtBox(ctx=ctx, extents=extents)
         chi = crt_box_coloring(box, seed=int(rng.integers(1 << 20)))
-        assert np.count_nonzero(chi.values) == box.size
-        for r in box.cancellation_moduli():
+        assert np.count_nonzero(chi.values) == math.prod(extents)
+        moduli = box.cancellation_moduli()
+        assert len(moduli) == sum(t % 2 == 0 for t in extents)
+        for r in moduli:
             sums = congruence_class_sums(chi.values.astype(np.int64), r)
             assert np.all(sums == 0)
 
@@ -186,15 +173,12 @@ def test_crt_box_random_cancellation_exact():
 def test_balanced_cells_partition():
     for n in (2, 12, 36, 90, 128, 210):
         ctx = make_context(n)
-        cells = _balanced_cells(ctx)
         seen = np.zeros(n, dtype=int)
-        for r, extents, starts, doubled, beta in cells:
-            size = math.prod(extents)
-            assert size <= r
-            shift = sum(s * b for s, b in zip(starts, ctx.crt_basis)) % n
+        for r, box, shift in _balanced_cells(ctx):
+            assert math.prod(box.extents) <= r
             from zndisc.constructions import _box_elements
 
-            elems = (_box_elements(ctx, extents) + shift) % n
+            elems = (_box_elements(ctx, box.extents) + shift) % n
             seen[elems] += 1
         assert np.all(seen == 1)
 

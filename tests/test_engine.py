@@ -91,8 +91,10 @@ def test_main_schedule_geometric_sum_bound():
 def test_hereditary_schedule_shape():
     ctx = make_context(360)
     sched = DeltaSchedule.hereditary(ctx)
+    # M = phi(n) log(e n / phi(n)) comes from n: the schedule holds nothing else
+    assert [f.name for f in dataclasses.fields(sched)] == ["kind", "n"]
+    assert sched == DeltaSchedule("hereditary", 360)
     M = ctx.phi * math.log(math.e * 360 / ctx.phi)
-    assert sched.M == pytest.approx(M)
     s_hi = 2 * M
     assert sched.b(s_hi) == pytest.approx(5.0 * math.sqrt(s_hi) * (s_hi / M) ** -1)
     s_lo = M / 2
