@@ -16,15 +16,20 @@ chunks mix the steps of every gcd, each (e, laps) pair evaluated once.
     orbit of Z_r (m points); a window of length q*m + l (1 <= l <= m) sums to
     q*C + W, C the Z_r row sum, and |q*C + W| is convex in q, so q in
     {0, Q-1} and each row's extreme W suffice.  Q = 1 when r = n.
-A coloring lifted from Z_r costs O(r^2 + n) against O(n^2).  The full scan
-(r = n) and the batch first bound every step by its rows' prefix ranges
-(``_step_ranges``: max P - min P <= max |window| <= max P - min P + |S|, one
-gather and cumsum, no extremes swept) and run the kernel only on the steps
-whose upper bound reaches the largest lower bound.  At a prime n every
-step has one row, S is the total sum, and the instrument's colorings have
-|S| <= 1, so one or two steps of n/2 remain; a random +-1 coloring keeps
-about a tenth (198 of 2048 at n = 4096).  A periodic scan (r < n) keeps
-the kernel on every step: a window there can add Q - 1 whole laps, so the
+A coloring lifted from Z_r costs O(r^2 + n) against O(n^2).  At a prime r
+the units u with f(u*x) = f(x) (``_stabilizer``) shrink that further: u maps
+the rows of step e onto those of step u*e, so the kernel scans one step per
+coset of them, two for a quadratic character, and O(r) in all.  Otherwise the
+full scan (r = n) and the batch first bound every step by its rows' prefix
+ranges (``_step_ranges``: max P - min P <= max |window| <= max P - min P +
+|S|, one gather and cumsum, no extremes swept) and run the kernel only on the
+steps whose upper bound reaches the largest lower bound.  At a prime n every
+step has one row and S is the total sum; an engine coloring, fixed by no unit
+but 1, keeps one or two steps of n/2, and a random +-1 coloring about a tenth
+(198 of 2048 at n = 4096).  A quadratic character would keep every step,
+all its rows being copies, at O(n^2), so it takes the coset route with no
+prefilter.  A periodic scan (r < n) keeps the kernel on every step: a
+window there can add Q - 1 whole laps, so the
 bound widens by Q*|C|, and on the constructions' lifts it keeps from 32 of
 2048 steps (n = 4096) to 1800 of 2025 (n = 4050); where most stay, as at
 n = 4000, 4050 and 4200, the extra pass does not pay.  The witness step
@@ -231,12 +236,15 @@ def _end_best(P: np.ndarray) -> np.ndarray:
     return np.maximum(lo, hi, out=lo)
 
 
-def _step_maxima(values: np.ndarray, n: int, r: int, steps=None) -> np.ndarray:
+def _step_maxima(values: np.ndarray, n: int, r: int, steps=None, cosets=None) -> np.ndarray:
     """Largest |window sum| of every step d in [1, n//2] of the coloring of Z_n
     that repeats ``values`` (length r, r | n, entries in {-1, 0, +1}), read off
     Z_r; leading batch axes pass through.  ``steps``, an ascending array of
     such d, restricts the scan to them (the last axis then follows ``steps``);
-    only the full scan (r = n) passes it, after ``_step_ranges``.
+    only the full scan (r = n) passes it, after ``_step_ranges``.  ``cosets``,
+    the unit labels of ``_stabilizer(values)``, folds each step e onto the
+    least e' in [1, r//2] with e' = +-u*e for a unit u that fixes ``values``:
+    u maps the rows of step e onto those of step u*e, values and all.
 
     Step d reads the h = gcd(e, r) rows of step e = min(d, -d) mod r, r/h
     points each, and adds Q - 1 whole laps, Q = n/gcd(d, n)/(r/h); as
@@ -253,6 +261,11 @@ def _step_maxima(values: np.ndarray, n: int, r: int, steps=None) -> np.ndarray:
     """
     d = np.arange(1, n // 2 + 1, dtype=np.int64) if steps is None else steps
     e = np.minimum(d % r, -d % r)  # steps e and r - e trace the same rows reversed
+    if cosets is not None:
+        x = np.arange(1, r)
+        least = np.full(r, r)  # per label, its least unit up to sign
+        np.minimum.at(least, cosets[1:], np.minimum(x, r - x))
+        e = np.where(e > 0, least[cosets[e]], 0)
     gcd_r = np.gcd(np.arange(r // 2 + 1), r)  # step e has gcd_r[e] rows; gcd(0, r) = r
     M = n // r
     key = e * M + np.gcd(np.arange(M), M)[d // gcd_r[e] % M] - 1  # (e, gcd(d/h, M))
@@ -370,13 +383,47 @@ def _period(v: np.ndarray) -> int:
     return r
 
 
+def _stabilizer(v: np.ndarray):
+    """Coset labels of the units u of Z_p with v[u*x] = v[x] for every x, when
+    ``v`` has prime length p >= 5 and more units than 1 fix it; else None.
+
+    The units are cyclic, generated by a primitive root g, and v read in the
+    order g^0, g^1, ..., g^(p-2) is fixed by u = g^s exactly when it has period
+    s.  So the fixing units are the powers of g^k, k the least period
+    (``_period``: k drops from p - 1 by each prime of p - 1 while it still
+    fixes v), and unit x = g^j is labelled j mod k; label[0] is 0 and means
+    nothing.  The powers of g come from O(log p) numpy products, O(p) in all.
+    """
+    p = v.size
+    if p < 5 or not make_context(p).is_prime:
+        return None
+    qs = [q for q, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+    power = np.ones(p - 1, dtype=np.int64)  # g^j mod p
+    m = 1
+    while m < p - 1:
+        step = min(m, p - 1 - m)
+        power[m : m + step] = power[:step] * pow(g, m, p) % p
+        m *= 2
+    k = _period(v[power])
+    if k == p - 1:
+        return None
+    label = np.zeros(p, dtype=np.int64)
+    label[power] = np.arange(p - 1) % k
+    return label
+
+
 def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
     """Max |chi(A)| over all progressions A, with a witness attaining it.
 
     The witness is the first window attaining the maximum over steps d, then
     orbit rows, then window ends, then window starts.  When chi has a least
     period r < n (``_period``), as a coloring lifted from Z_r does, the step
-    maxima come from Z_r and only the witness step is scanned on Z_n.
+    maxima come from Z_r and only the witness step is scanned on Z_n.  When
+    units u != 1 of a prime r fix chi[:r] (``_stabilizer``), as the residues
+    fix a quadratic character, the kernel scans one step per coset of them, and at
+    r = n it skips the prefilter of ``_full_scan``, which keeps every step of
+    such a coloring, its rows being copies of each other.
     """
     n = chi.n
     v = chi.values
@@ -385,8 +432,9 @@ def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
         witness = ModAP(1, 0, 0, 1) if t else ModAP(1, 0, 1, 0)
         return t, witness
     r = _period(v)
-    if r < n:
-        steps, t = np.arange(1, n // 2 + 1), _step_maxima(v[:r], n, r)
+    cosets = _stabilizer(v[:r])
+    if r < n or cosets is not None:
+        steps, t = np.arange(1, n // 2 + 1), _step_maxima(v[:r], n, r, cosets=cosets)
     else:
         steps, t = _full_scan(v, n)
     i = int(np.argmax(t))  # the first step attaining the maximum

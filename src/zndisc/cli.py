@@ -179,11 +179,6 @@ def _ns_range(args) -> list[int]:
     raise ValueError("one of --n or --range is required")
 
 
-def _is_prime(n: int) -> bool:
-    ctx = make_context(n)
-    return ctx.omega == 1 and ctx.factors[0][1] == 1
-
-
 _BOUNDS_COLUMNS = ("n", "upper_main", "upper_r", "lower_main", "lower_main_r", "lower_prop",
                    "lower_prop_l", "lower_prime_power", "hereditary_upper")
 
@@ -343,7 +338,7 @@ def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     ns = _ns_range(args)
     if args.primes_only:
-        ns = [n for n in ns if n >= 2 and _is_prime(n)]
+        ns = [n for n in ns if n >= 2 and make_context(n).is_prime]
     rows = []
     for n in ns:
         ctx = make_context(n)

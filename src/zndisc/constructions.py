@@ -7,9 +7,11 @@ lattice yields a full coloring of Z_n whose class sums never exceed 1 in
 magnitude, and pulling a coloring back along the quotient map Z_n -> Z_r
 trades progression discrepancy against class discrepancy.
 
-Interiors are colored by the randomized engine; all the exact cancellation
-statements hold regardless of what the engine returns, because they depend
-only on the sign-flip structure.
+The box halves are colored by the randomized engine; all the exact
+cancellation statements hold regardless of what the engine returns, because
+they depend only on the sign-flip structure.  An odd prime p is colored by
+its quadratic character instead, with no engine request, so the seed has no
+effect there: its progression sums are below what the engine finds.
 """
 
 from __future__ import annotations
@@ -171,6 +173,19 @@ def _balanced_cells(ctx: ZnContext):
             yield r, CrtBox(ctx, tuple(extents)), shift % ctx.n
 
 
+def _legendre_coloring(p: int) -> Coloring:
+    """The quadratic character (x/p) of an odd prime p, with 0 colored +1.
+
+    Its only class sum is the total, +1, as the units hold as many residues as
+    nonresidues; Polya-Vinogradov bounds every progression sum by
+    O(sqrt(p) log p).
+    """
+    values = np.full(p, -1, dtype=np.int8)
+    x = np.arange((p + 1) // 2, dtype=np.int64)
+    values[x * x % p] = 1
+    return Coloring(p, values)
+
+
 def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float = 1.0,
                                  retries: int = DEFAULT_RETRIES) -> Coloring:
     """Full coloring of Z_n with every congruence-class sum in {-1, 0, +1}.
@@ -178,11 +193,14 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
     Z_n is partitioned into one translated residue box per divisor r (cells of
     size at most r, ``_balanced_cells``); each cell is colored by
     crt_box_coloring.  The unit class-sum guarantee is structural: it
-    survives any engine output.
+    survives any engine output.  An odd prime n is colored by its quadratic
+    character instead (``_legendre_coloring``), whatever the seed.
     """
     n = ctx.n
     if n == 1:
         return Coloring(1, np.array([1], dtype=np.int8))
+    if ctx.is_prime and n > 2:
+        return _legendre_coloring(n)
     values = np.zeros(n, dtype=np.int8)
     for idx, (r, box, shift) in enumerate(_balanced_cells(ctx)):
         try:

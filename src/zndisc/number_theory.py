@@ -80,6 +80,10 @@ class ZnContext:
     d: int
     crt_basis: tuple[int, ...]
 
+    @property
+    def is_prime(self) -> bool:
+        return self.factors == ((self.n, 1),)
+
     def omega_of_divisor(self, r: int) -> int:
         """Number of distinct primes of n dividing r (equals omega(r) for r | n)."""
         if r < 1 or self.n % r != 0:

@@ -13,6 +13,7 @@ from zndisc.ap_system import (
     _end_best,
     _orbit_prefix,
     _period,
+    _stabilizer,
     _step_maxima,
     _step_ranges,
     _witness,
@@ -24,11 +25,13 @@ from zndisc.ap_system import (
     progression_incidence,
 )
 from zndisc.constructions import (
+    CrtBox,
     congruence_balanced_coloring,
     construct_best_coloring,
+    crt_box_coloring,
     lift_coloring,
 )
-from zndisc.engine import PartialColorRequest
+from zndisc.engine import PartialColorRequest, _derived_seed
 from zndisc.number_theory import factorize, make_context, totient
 
 from .oracles import (
@@ -43,11 +46,26 @@ from .oracles import (
 # ---------------------------------------------------------------- oracles
 
 def full_route(fn, *args):
-    """fn(*args) with ``ap_system._period`` pinned to n, so that
-    ``max_ap_discrepancy`` runs the full scan on every coloring."""
+    """fn(*args) with ``ap_system._period`` pinned to n and no stabilizer, so
+    that ``max_ap_discrepancy`` runs the full scan on every coloring."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ap_system, "_period", lambda v: v.size)
+        mp.setattr(ap_system, "_stabilizer", lambda v: None)
         return fn(*args)
+
+
+def coset_coloring(p, k, classes, zero):
+    """The coloring of Z_p with 0 -> zero and g^j -> classes[j % k], g the
+    least primitive root: fixed by the units g^(k*i)."""
+    qs = [q for q, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+    v = np.empty(p, dtype=np.int8)
+    v[0] = zero
+    x = 1
+    for j in range(p - 1):
+        v[x] = classes[j % k]
+        x = x * g % p
+    return v
 
 
 def naive_ap_sets(n):
@@ -235,27 +253,87 @@ def test_period_edge_cases():
     assert _period(np.tile(v[36:44], 12)) == 8
 
 
-@pytest.mark.parametrize("make, period", [
-    (lambda: construct_best_coloring(make_context(4096), seed=1)[0], 256),
-    (lambda: construct_best_coloring(make_context(1061), seed=1)[0], 1061),
-    (lambda: Coloring(24, np.tile([1, -1], 12)), 2),
+def _engine_cell_1061():
+    """Z_1061 with {0} -> +1 and the units colored as the engine's seed-1 cell."""
+    cell = crt_box_coloring(CrtBox(make_context(1061), (1060,)), seed=_derived_seed(1, 1))
+    return Coloring(1061, np.concatenate(([1], cell.values[:1060])))
+
+
+@pytest.mark.parametrize("make, period, cosets", [
+    (lambda: construct_best_coloring(make_context(4096), seed=1)[0], 256, None),
+    (lambda: construct_best_coloring(make_context(1061), seed=1)[0], 1061, 2),
+    (lambda: Coloring(24, np.tile([1, -1], 12)), 2, None),
     (lambda: lift_coloring(congruence_balanced_coloring(make_context(2048), seed=1), 1 << 16),
-     2048),
-], ids=["construct-4096", "construct-1061", "alternating-24", "lift-65536"])
-def test_scan_route_follows_least_period(monkeypatch, make, period):
-    # the full scan runs exactly when the least period is n; otherwise the
-    # kernel runs once, on Z_period
+     2048, None),
+    (_engine_cell_1061, 1061, None),
+], ids=["construct-4096", "construct-1061", "alternating-24", "lift-65536", "engine-1061"])
+def test_scan_route_follows_least_period(monkeypatch, make, period, cosets):
+    # the full scan runs exactly when the least period is n and only the unit
+    # 1 fixes the coloring; otherwise the kernel runs once, on Z_period, with
+    # the labels of ``cosets`` cosets of the units that fix it, one step each
+    # (the quadratic residues fix a Legendre coloring; an engine cell has no
+    # such unit)
     chi = make()
     assert _period(chi.values) == period
     full, kernel = [], []
     real_full, real_kernel = ap_system._full_scan, ap_system._step_maxima
+
+    def spy(v, n, r, steps=None, cosets=None):
+        kernel.append((r, None if cosets is None else np.unique(cosets[1:]).size))
+        return real_kernel(v, n, r, steps, cosets)
+
     monkeypatch.setattr(ap_system, "_full_scan",
                         lambda v, n: full.append(n) or real_full(v, n))
-    monkeypatch.setattr(ap_system, "_step_maxima",
-                        lambda v, n, r, *a: kernel.append(r) or real_kernel(v, n, r, *a))
+    monkeypatch.setattr(ap_system, "_step_maxima", spy)
     max_ap_discrepancy(chi)
-    assert full == ([chi.n] if period == chi.n else [])
-    assert kernel == [period]
+    assert full == ([chi.n] if period == chi.n and cosets is None else [])
+    assert kernel == [(period, cosets)]
+
+
+def test_stabilizer_is_the_units_that_fix_the_coloring():
+    # brute force over every unit u: u fixes v exactly when its label is 0,
+    # and units share a label exactly when their ratio fixes v
+    rng = np.random.default_rng(5)
+    for p in (5, 7, 11, 13, 31, 37, 61):
+        for k in sorted({k for k in (1, 2, 3, 4, 6, p - 1) if (p - 1) % k == 0}):
+            v = coset_coloring(p, k, rng.integers(-1, 2, k), rng.integers(-1, 2))
+            x = np.arange(p)
+            fixes = [np.array_equal(v[u * x % p], v) for u in range(1, p)]
+            label = _stabilizer(v)
+            if not any(fixes[1:]):
+                assert label is None
+                continue
+            assert [lab == 0 for lab in label[1:]] == fixes
+            for u in range(1, p):
+                assert (label[u] == label[1:]).tolist() == \
+                    [fixes[u * pow(w, -1, p) % p - 1] for w in range(1, p)]
+    assert _stabilizer(np.array([1, -1, -1], dtype=np.int8)) is None  # p < 5
+    assert _stabilizer(np.tile([1, -1, -1], 4)) is None  # not a prime
+
+
+@st.composite
+def coset_colorings(draw):
+    """(coloring of Z_p, m): constant on the cosets of the index-k units, k in
+    {2, 3, 4, 6}, or random (k = p - 1, mostly fixed by 1 alone); the test
+    also tiles it m times."""
+    k = draw(st.sampled_from((2, 3, 4, 6, None)))
+    primes = [p for p in range(5, 400) if make_context(p).is_prime
+              and (k is None or (p - 1) % k == 0)]
+    p = draw(st.sampled_from(primes))
+    k = p - 1 if k is None else k
+    signs = st.sampled_from((-1, 0, 1))
+    v = coset_coloring(p, k, draw(st.lists(signs, min_size=k, max_size=k)), draw(signs))
+    return Coloring(p, v), draw(st.sampled_from((1, 2, 3, 4, 6, 9)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(coset_colorings())
+def test_coset_route_matches_full_scan(case):
+    # T and witness of the coset route, on Z_p and on a lift to Z_(m*p), equal
+    # the full scan's
+    base, m = case
+    for chi in (base, Coloring(m * base.n, np.tile(base.values, m))):
+        assert max_ap_discrepancy(chi) == full_route(max_ap_discrepancy, chi)
 
 
 @settings(max_examples=150, deadline=None)

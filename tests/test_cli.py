@@ -307,13 +307,24 @@ def test_construct_search_failure_exit_code(monkeypatch):
 
 
 @pytest.mark.parametrize("command", [
-    ["construct", "--n", "999983"],
-    ["sweep", "--range", "999983..999983", "--primes-only"],
+    ["construct", "--n", "4194304"],
+    ["sweep", "--range", "4194304..4194304"],
 ])
 def test_engine_table_limit_exit_code(command, capsys):
-    # refused from the closed-form table size, before anything is allocated
+    # r* = 32768: refused from the closed-form table size, before anything is
+    # allocated
     assert run(command) == EXIT_LIMIT
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [999983, 1999966])
+def test_construct_past_the_engine_table_at_a_prime_r_star(tmp_path, n):
+    # a prime r* is colored by its quadratic character, with no engine table
+    out = tmp_path / "out.json"
+    assert run(["construct", "--n", str(n), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())["results"][0]
+    assert rep["r_star"] == 999983 and rep["base_congruence_max"] == 1
+    assert rep["measured_t"] / 999983**0.5 < 2.5
 
 
 def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path, capsys):
@@ -343,13 +354,12 @@ def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path, capsys):
 GOLDEN_RESULTS = [
     (["construct", "--n", "360", "--seed", "7"],
      "f330d717f6ccede652143fe2a5b481db4c2cebf2bb188337c85585e2009dc23c"),
-    # a prime cell whose engine request binds 1 628 160 (point, block) pairs
+    # prime r*: the quadratic character, scanned one step per coset of the
+    # residues (test_constructions pins the engine's coloring of these cells)
     (["construct", "--n", "1061", "--seed", "1"],
-     "76d5507db1c0c8abc836e68a18e618884f087d4d1fc13b5e0d2fab7c7617f735"),
-    # a prime cell whose walk table has 64 000 finest-scale ids, so the walk's
-    # runs are sized by the ids, not by _RUN_CELLS
+     "9dce858d3c1d6fc3bffc58ee7770655ed7d15d75c1aac041881abecc7881d5d6"),
     (["construct", "--n", "4001", "--seed", "1"],
-     "b5f61f4d9f35365e93786375344de8dcbb8aa7bea883fc35bc94f1f0f689803b"),
+     "925545f87c1e4d4b2db80517711edc1984eedca361618e21dd547f9603a645ff"),
     (["exact", "--n", "12"],
      "c9561459a310c32dba774ec78993794d6df5ceaff584158e1c107b88d3e62bfb"),
     (["herdisc", "--n", "7"],
@@ -385,7 +395,7 @@ GOLDEN_RESULTS = [
     (["bounds", "--range", "1..30"],
      "fc076d44af6a6a2f81304f436bfd11139e1f78f81c6f6c421a3be11b73f45aba"),
     (["sweep", "--range", "60..90", "--seed", "1"],
-     "9b1b66643d087f2fc4c1e5a1451eb56a9dded383178a179f9365f4f23f753f52"),
+     "0f7fe23465544b8e4fd3c0d106ddb28694cb473405acacf8553d49a8dc2d4752"),
 ]
 
 
@@ -456,8 +466,8 @@ TABLE_ARGS = {
 TABLE_DIGESTS = {
     ("bounds", "csv"): "238483fb4ae2394dc9227e7df426d30acac1024d3709b3b06b19dc64ce39d0d5",
     ("bounds", "text"): "16492b4ccdf3b229e2ed0fe79a70271e147c095e9e707641fdd64e78932793ef",
-    ("sweep", "csv"): "29a6be25173744848dbe4076160f1c5254b53b63ef6dd7216cbee92694328d33",
-    ("sweep", "text"): "0a721650b57e326851a6cd5cdb193c5402ad3a08dc744c7e2c6fbfbb0621967f",
+    ("sweep", "csv"): "70f49cbe09b99c3f38043438579b087e41ce7f3512b0d7bbb58d934804fc2dc6",
+    ("sweep", "text"): "976a18c1ea25cb432473bad16495f94a61e51ea828678070471dc7e3be2013f7",
     ("fourier-check", "csv"): "f9695b06999a12c5cb897b53773df10a10cc70302db96d48d65a7dca6c7466f1",
     ("fourier-check", "text"): "de578b44dc38c823433f5c6ab24e1c9d52a1d717097fe50b0b679b5d9a57cc9c",
 }

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from zndisc.constructions import (
     lift_coloring,
     _balanced_cells,
 )
-from zndisc.engine import SearchFailed
+from zndisc.engine import SearchFailed, _derived_seed
 from zndisc.exact import measure
 from zndisc.number_theory import make_context
 
@@ -196,6 +197,44 @@ def test_balanced_coloring_examples():
     assert chi.is_full()
     assert max_congruence_discrepancy(chi) <= 1
     assert chi.values[0] == 1  # sign normalization
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1061])
+def test_balanced_coloring_at_an_odd_prime_is_the_quadratic_character(monkeypatch, p):
+    # (x/p) by Euler's criterion, 0 -> +1, whatever the seed, and no engine request
+    def no_engine(*args, **kwargs):
+        raise AssertionError("engine request at a prime")
+
+    monkeypatch.setattr("zndisc.constructions.full_color_iterate", no_engine)
+    want = [1] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+    for seed in (0, 1, 9):
+        chi = congruence_balanced_coloring(make_context(p), seed=seed)
+        assert chi.values.tolist() == want
+    assert max_congruence_discrepancy(chi) == 1 and int(chi.values[1:].sum()) == 0
+
+
+def test_balanced_coloring_at_2_takes_the_engine(monkeypatch):
+    calls = []
+    real = engine.full_color_iterate
+    monkeypatch.setattr("zndisc.constructions.full_color_iterate",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    chi = congruence_balanced_coloring(make_context(2), seed=0)
+    assert chi.is_full() and max_congruence_discrepancy(chi) <= 1
+    assert len(calls) == 1  # Z_2 is one cell, r = 2, doubled from one point
+
+
+# sha256 of the engine's seed-1 coloring of the unit cell of Z_p, the half box
+# [0, (p-1)/2) doubled; no construct reaches the engine at a prime, so these
+# pin its path there: at 1061 the request binds 1 628 160 (point, block)
+# pairs, and at 4001 the walk table has 64 000 finest-scale ids, so the walk's
+# runs are sized by the ids, not by _RUN_CELLS
+@pytest.mark.parametrize("p, digest", [
+    (1061, "b3a95ff894c9acb2b7a7dc9876ba2696c18fe536b41c7300c2448f398b7328b0"),
+    (4001, "128210aab88ad0621b8c3b24d9ab00098f40c748349bf1b0fe99b71f46593a03"),
+])
+def test_engine_prime_cell_digest(p, digest):
+    cell = crt_box_coloring(CrtBox(make_context(p), (p - 1,)), seed=_derived_seed(1, 1))
+    assert hashlib.sha256(cell.values.tobytes()).hexdigest() == digest
 
 
 def test_balanced_coloring_random_moduli():

@@ -36,6 +36,13 @@ def test_context_examples():
     assert (ctx.phi, ctx.omega, ctx.d) == (6, 1, 3)
 
 
+def test_context_is_prime():
+    # against trial division by every smaller integer
+    for n in range(1, 400):
+        assert make_context(n).is_prime == (n > 1 and all(n % q for q in range(2, n)))
+    assert make_context(999983).is_prime and not make_context(999983 * 2).is_prime
+
+
 def test_context_rejects_bad_n():
     with pytest.raises(ValueError):
         make_context(0)
