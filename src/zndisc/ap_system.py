@@ -5,9 +5,10 @@ Progressions are handled as element sets; the same set arises from many
 arcs, so the discrepancy evaluators only visit steps d in [1, n//2].
 
 Every integer scan (``max_ap_discrepancy`` and the batch) is one kernel,
-``_step_maxima``: one-lap int32 prefix sums P[0..L] of the step-e orbits of
-Z_r (r | n the least period, ``_period``), in one segmented pass whose
-chunks mix the steps of every gcd, each (e, laps) pair evaluated once.
+``_step_maxima``: one-lap prefix sums P[0..L] of the step-e orbits of
+Z_r (r | n, the least period for ``max_ap_discrepancy``, ``_period``, and
+n for the batch), in one segmented pass whose chunks mix the steps of every
+gcd, each (e, laps) pair evaluated once.
   - With S = P[L] and maxD, minD the extreme windows P[j] - P[i], i < j, the
     largest cyclic window sum is max(maxD, S - minD) and the least is
     min(minD, S - maxD): a window that wraps is the complement of one that
@@ -19,29 +20,17 @@ chunks mix the steps of every gcd, each (e, laps) pair evaluated once.
 A coloring lifted from Z_r costs O(r^2 + n) against O(n^2).  At a prime r
 the units u with f(u*x) = f(x) (``_stabilizer``) shrink that further: u maps
 the rows of step e onto those of step u*e, so the kernel scans one step per
-coset of them, two for a quadratic character, and O(r) in all.  Otherwise the
-full scan (r = n) and the batch first bound every step by its rows' prefix
-ranges (``_step_ranges``: max P - min P <= max |window| <= max P - min P +
-|S|, one gather and cumsum, no extremes swept) and run the kernel only on the
-steps whose upper bound reaches the largest lower bound.  At a prime n every
-step has one row and S is the total sum; an engine coloring, fixed by no unit
-but 1, keeps one or two steps of n/2, and a random +-1 coloring about a tenth
-(198 of 2048 at n = 4096).  A quadratic character would keep every step,
-all its rows being copies, at O(n^2), so it takes the coset route with no
-prefilter.  A periodic scan (r < n) keeps the kernel on every step: a
-window there can add Q - 1 whole laps, so the
-bound widens by Q*|C|, and on the constructions' lifts it keeps from 32 of
-2048 steps (n = 4096) to 1800 of 2025 (n = 4050); where most stay, as at
-n = 4000, 4050 and 4200, the extra pass does not pay.  The witness step
-is scanned on Z_n by its own route, per-end extremes of the doubled prefix
-(``_end_best``), and the witness is re-summed; complex sums, which have no
-extremes to sweep, difference the doubled prefix over every window
-(``_orbit_windows``, the steps of one gcd per numpy call, read by
-``analysis``'s window pass).  Every other route gathers
-its orbit rows in ``_orbit_prefix``, through an index of int32 while
-n*L < 2^31 (L points a row) and of int64 past that; the kernel builds its
-own, int32 while a chunk's prefixes and row shifts stay below 2^31.  The
-tests' oracles sum every window directly.
+coset of them, two for a quadratic character, and O(r) in all.  Any other
+coloring, and every row of the batch, is scanned on all n//2 steps, O(n^2);
+no bound rules steps out first.  The witness step is scanned on Z_n by its
+own route, per-end extremes of the doubled prefix (``_end_best``), and the
+witness is re-summed; complex sums, which have no extremes to sweep,
+difference the doubled prefix over every window (``_orbit_windows``, the
+steps of one gcd per numpy call, read by ``analysis``'s window pass).  Both
+gather their doubled orbit rows in ``_orbit_prefix``, through an index of
+int32 while n*L < 2^31 (L points a row) and of int64 past that; the kernel
+builds its own, int32 while a chunk's prefixes and row shifts stay below
+2^31.  The tests' oracles sum every window directly.
 """
 
 from __future__ import annotations
@@ -189,9 +178,9 @@ def progression_incidence(ctx: ZnContext, min_len: int = 1) -> np.ndarray:
     return np.ascontiguousarray(np.unpackbits(sets, axis=1, count=n).view(bool).T)
 
 
-def _orbit_prefix(values: np.ndarray, n: int, d, laps: int = 2) -> np.ndarray:
-    """Prefix sums of every step-d orbit read ``laps`` times around, shape
-    (..., g, laps*L + 1).
+def _orbit_prefix(values: np.ndarray, n: int, d) -> np.ndarray:
+    """Prefix sums of every step-d orbit read twice around, shape
+    (..., g, 2L + 1).
 
     Row a of the orbit axis follows a, a+d, a+2d, ... (L = n/g points, with
     g = gcd(d, n)), so P[..., a, j] - P[..., a, i] is the sum over the
@@ -209,9 +198,8 @@ def _orbit_prefix(values: np.ndarray, n: int, d, laps: int = 2) -> np.ndarray:
            + np.arange(g, dtype=dtype)[:, None])
     idx -= idx // n * n  # as % n; floor division by a scalar is the faster numpy path
     vals = np.take(values, idx, axis=-1)
-    if laps > 1:
-        vals = np.concatenate([vals] * laps, axis=-1)
-    P = np.zeros(vals.shape[:-1] + (laps * L + 1,), dtype=np.result_type(vals, np.int32))
+    vals = np.concatenate([vals, vals], axis=-1)
+    P = np.zeros(vals.shape[:-1] + (2 * L + 1,), dtype=np.result_type(vals, np.int32))
     np.cumsum(vals, axis=-1, dtype=P.dtype, out=P[..., 1:])
     return P
 
@@ -241,7 +229,8 @@ def _step_maxima(values: np.ndarray, n: int, r: int, steps=None, cosets=None) ->
     that repeats ``values`` (length r, r | n, entries in {-1, 0, +1}), read off
     Z_r; leading batch axes pass through.  ``steps``, an ascending array of
     such d, restricts the scan to them (the last axis then follows ``steps``);
-    only the full scan (r = n) passes it, after ``_step_ranges``.  ``cosets``,
+    no library route passes it, but it lets a test reach the int64 kernel at
+    r = 65537 with a few steps in milliseconds.  ``cosets``,
     the unit labels of ``_stabilizer(values)``, folds each step e onto the
     least e' in [1, r//2] with e' = +-u*e for a unit u that fixes ``values``:
     u maps the rows of step e onto those of step u*e, values and all.
@@ -317,45 +306,6 @@ def _step_maxima(values: np.ndarray, n: int, r: int, steps=None, cosets=None) ->
     return np.take(np.maximum.reduceat(best, key_start, axis=-1), step_key, axis=-1)
 
 
-def _step_ranges(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lower <= max |window sum| <= upper of every step d in [1, n//2]
-    of ``values`` on Z_n, each of shape (..., n//2).
-
-    A one-lap prefix row P[0..L] with sum S = P[L] has a window of |sum|
-    max P - min P (from one extreme to the other), and no window past
-    max P - min P + |S| (a wrapped window is S minus an unwrapped one); lower
-    and upper are those two over the step's rows.  One gather and cumsum per
-    step, no extremes swept; a chunk holds the steps of one gcd, up to
-    _SCAN_CELLS prefix cells (batch rows counted).  The loop over gcd classes
-    stays: at a prime n, the full scan's main case, there is one class.
-    """
-    d = np.arange(1, n // 2 + 1, dtype=np.int64)
-    h = np.gcd(d, n)
-    lower = np.empty(values.shape[:-1] + d.shape, dtype=np.int64)
-    upper = np.empty_like(lower)
-    for g in np.flatnonzero(np.bincount(h)):
-        ds = d[h == g]
-        chunk = max(1, _SCAN_CELLS // (values.size // n * (n + g)))
-        for lo in range(0, ds.size, chunk):
-            part = ds[lo : lo + chunk]
-            P = _orbit_prefix(values, n, part, laps=1)
-            spread = P.max(axis=-1) - P.min(axis=-1)
-            lower[..., part - 1] = spread.max(axis=-1)
-            upper[..., part - 1] = (spread + np.abs(P[..., -1])).max(axis=-1)
-    return lower, upper
-
-
-def _full_scan(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The steps that can attain some row's maximum, ascending, and their
-    exact maxima (``_step_maxima`` with r = n).  A step whose upper bound
-    falls below a row's largest lower bound cannot attain that row's maximum;
-    the batch keeps a step that any row needs."""
-    lower, upper = _step_ranges(values, n)
-    keep = upper >= lower.max(axis=-1, keepdims=True)
-    steps = np.flatnonzero(keep.reshape(-1, keep.shape[-1]).any(axis=0)) + 1
-    return steps, _step_maxima(values, n, n, steps)
-
-
 def _witness(v: np.ndarray, n: int, d: int, best: int) -> ModAP:
     """First window of step d attaining ``best``, over orbit rows, then window
     ends, then window starts.  RuntimeError if its elements do not sum to
@@ -417,13 +367,12 @@ def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
     """Max |chi(A)| over all progressions A, with a witness attaining it.
 
     The witness is the first window attaining the maximum over steps d, then
-    orbit rows, then window ends, then window starts.  When chi has a least
-    period r < n (``_period``), as a coloring lifted from Z_r does, the step
-    maxima come from Z_r and only the witness step is scanned on Z_n.  When
-    units u != 1 of a prime r fix chi[:r] (``_stabilizer``), as the residues
-    fix a quadratic character, the kernel scans one step per coset of them, and at
-    r = n it skips the prefilter of ``_full_scan``, which keeps every step of
-    such a coloring, its rows being copies of each other.
+    orbit rows, then window ends, then window starts.  The step maxima come
+    from one ``_step_maxima`` call on Z_r, r the least period of chi
+    (``_period``; r < n for a coloring lifted from Z_r), which scans one step
+    per coset of the units that fix chi[:r] when r is a prime (``_stabilizer``;
+    the residues fix a quadratic character).  Only the witness step is then
+    scanned on Z_n.
     """
     n = chi.n
     v = chi.values
@@ -432,20 +381,22 @@ def max_ap_discrepancy(chi: Coloring) -> tuple[int, ModAP]:
         witness = ModAP(1, 0, 0, 1) if t else ModAP(1, 0, 1, 0)
         return t, witness
     r = _period(v)
-    cosets = _stabilizer(v[:r])
-    if r < n or cosets is not None:
-        steps, t = np.arange(1, n // 2 + 1), _step_maxima(v[:r], n, r, cosets=cosets)
-    else:
-        steps, t = _full_scan(v, n)
-    i = int(np.argmax(t))  # the first step attaining the maximum
-    best_d, best = int(steps[i]), int(t[i])
+    t = _step_maxima(v[:r], n, r, cosets=_stabilizer(v[:r]))
+    best_d = int(np.argmax(t)) + 1  # the first step attaining the maximum
+    best = int(t[best_d - 1])
     if best == 0:
         return 0, ModAP(n, 0, 1, 0)
     return best, _witness(v, n, best_d, best)
 
 
 def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
-    """Per-row max |progression sum| for a (B, n) matrix of colorings."""
+    """Per-row max |progression sum| for a (B, n) matrix of colorings.
+
+    Every row is scanned on all n//2 steps of Z_n, with no period or
+    stabilizer shortcut, on purpose: the acceptance and lifting-inequality
+    tests use the batch as the route that does not depend on ``_period`` or
+    ``_stabilizer``.
+    """
     values = np.asarray(values)
     if n < 1:
         raise ValueError("modulus must be positive")
@@ -455,7 +406,7 @@ def max_ap_discrepancy_batch(n: int, values: np.ndarray) -> np.ndarray:
     values = values.astype(np.int8)
     if n == 1 or not values.size:
         return np.abs(values[:, 0]).astype(np.int64)
-    return _full_scan(values, n)[1].max(axis=-1)
+    return _step_maxima(values, n, n).max(axis=-1)
 
 
 def _orbit_windows(values: np.ndarray, n: int):

@@ -254,10 +254,14 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
 
 def hereditary_coloring(ctx: ZnContext, xs, seed: int = 0, *, kappa: float = 1.0,
                         retries: int = DEFAULT_RETRIES) -> Coloring:
-    """Full coloring of an arbitrary subset X of Z_n.
+    """Full coloring of a subset X of Z_n, when the schedules' entropy
+    conditions hold.
 
     Runs the totient-tuned schedule while more than phi(n) points remain
-    uncolored, then finishes with the main schedule.
+    uncolored, then finishes with the main schedule.  The hereditary
+    schedule's entropy precondition can fail, whatever the seed, and then
+    ``partial_color`` raises BudgetExceeded naming that schedule: X = Z_270
+    is one such subset.
     """
     xs = _as_subset(ctx.n, xs)
     chi, _ = full_color_iterate(ctx, xs, kind="hereditary", seed=seed,

@@ -608,7 +608,8 @@ def partial_color(req: PartialColorRequest) -> Coloring:
     budget = schedule_entropy_budget(counts, req.deltas, req.kind)
     if budget > threshold + 1e-12:
         raise BudgetExceeded(
-            f"entropy budget {budget:.6g} exceeds {threshold:.6g} for m={m}"
+            f"{req.kind} schedule: entropy budget {budget:.6g} exceeds "
+            f"{threshold:.6g} for m={m}"
         )
     table = _walk_table(req)
     need = -(-m // COLOR_FRACTION_DENOM)

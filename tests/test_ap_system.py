@@ -15,7 +15,6 @@ from zndisc.ap_system import (
     _period,
     _stabilizer,
     _step_maxima,
-    _step_ranges,
     _witness,
     congruence_class_sums,
     full_ap,
@@ -47,7 +46,7 @@ from .oracles import (
 
 def full_route(fn, *args):
     """fn(*args) with ``ap_system._period`` pinned to n and no stabilizer, so
-    that ``max_ap_discrepancy`` runs the full scan on every coloring."""
+    that ``max_ap_discrepancy`` runs the kernel at r = n, no coset folding."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ap_system, "_period", lambda v: v.size)
         mp.setattr(ap_system, "_stabilizer", lambda v: None)
@@ -268,25 +267,21 @@ def _engine_cell_1061():
     (_engine_cell_1061, 1061, None),
 ], ids=["construct-4096", "construct-1061", "alternating-24", "lift-65536", "engine-1061"])
 def test_scan_route_follows_least_period(monkeypatch, make, period, cosets):
-    # the full scan runs exactly when the least period is n and only the unit
-    # 1 fixes the coloring; otherwise the kernel runs once, on Z_period, with
-    # the labels of ``cosets`` cosets of the units that fix it, one step each
-    # (the quadratic residues fix a Legendre coloring; an engine cell has no
-    # such unit)
+    # the kernel runs once, on Z_period, with the labels of ``cosets`` cosets
+    # of the units that fix the coloring, one step each (the quadratic
+    # residues fix a Legendre coloring; an engine cell has no such unit and
+    # is scanned at r = n, no coset folding)
     chi = make()
     assert _period(chi.values) == period
-    full, kernel = [], []
-    real_full, real_kernel = ap_system._full_scan, ap_system._step_maxima
+    kernel = []
+    real_kernel = ap_system._step_maxima
 
     def spy(v, n, r, steps=None, cosets=None):
         kernel.append((r, None if cosets is None else np.unique(cosets[1:]).size))
         return real_kernel(v, n, r, steps, cosets)
 
-    monkeypatch.setattr(ap_system, "_full_scan",
-                        lambda v, n: full.append(n) or real_full(v, n))
     monkeypatch.setattr(ap_system, "_step_maxima", spy)
     max_ap_discrepancy(chi)
-    assert full == ([chi.n] if period == chi.n and cosets is None else [])
     assert kernel == [(period, cosets)]
 
 
@@ -357,7 +352,7 @@ def test_step_maxima_match_naive_windows(case):
     # every cyclic window summed directly, for the period's kernel, the plain
     # scan (r = n) and the batch rows; then a (2, 3) stack of them, each of
     # period r, on the period's kernel and, at r = n, on the odd steps alone
-    # (the full scan's ``steps`` route, spanning several gcds)
+    # (the ``steps`` argument, spanning several gcds)
     chi, r = case
     n = chi.n
     want = step_maxima_naive(chi.values, n)
@@ -447,30 +442,24 @@ def signed_rows(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(signed_rows())
-def test_step_ranges_bracket_step_maxima(case):
-    # per step, max P - min P <= largest |window| <= max P - min P + |S|
+def test_batch_matches_naive_on_skewed_rows(case):
+    # the batch against every window summed directly, on rows whose sums S
+    # reach well past 1
     n, rows = case
-    lower, upper = _step_ranges(rows, n)
     exact = step_maxima_naive(rows, n)
-    assert lower.shape == upper.shape == exact.shape
-    assert (lower <= exact).all() and (exact <= upper).all()
     flat = rows.reshape(-1, n)
     naive = exact.reshape(flat.shape[0], -1).max(axis=-1) if n > 1 else np.abs(flat[:, 0])
     assert np.array_equal(max_ap_discrepancy_batch(n, flat), naive)
 
 
 def test_full_scan_keeps_a_step_reaching_t_by_a_wrapped_window():
-    # step 1 has the widest prefix range (4) but no window past 4; step 3
-    # reaches T = 5 only by a window that wraps, its range 3 plus |S| = 2
+    # step 3 reaches T = 5 only by a window that wraps; no other step passes 4
     a = [1, 1, -1, 1, 1, 1, -1, 1, -1, -1]
-    lower, upper = _step_ranges(np.array(a, dtype=np.int8), 10)
-    assert lower.tolist() == [4, 4, 3, 3, 2] and upper.tolist() == [6, 7, 5, 6, 4]
     assert step_maxima_naive(a, 10).tolist() == [4, 4, 5, 4, 2]
     chi = Coloring(10, a)
     t, wit = max_ap_discrepancy(chi)
     assert (t, wit.d) == (5, 3) and abs(int(chi.values[wit.elements()].sum())) == 5
-    # row b's largest lower bound (6, step 1) tops both rows' step-3 upper
-    # bound, so a bound shared across rows would drop the step row a needs
+    # row b reaches 6 at step 1, above row a's T: each row keeps its own maximum
     b = [-1, -1, 1, 1, 1, 1, 1, 1, -1, -1]
     assert max_ap_discrepancy_batch(10, np.array([a, b])).tolist() == [5, 6]
     assert max_ap_discrepancy_batch(10, np.array([b, a])).tolist() == [6, 5]
@@ -483,14 +472,15 @@ def test_full_scan_keeps_a_step_reaching_t_by_a_wrapped_window():
 ])
 def test_orbit_prefix_index_dtype_switch(n, steps):
     # the gather index is int32 while n*L < 2^31; each point of each row,
-    # one lap, against the orbit walked in Python ints.  No scan at this size
+    # both laps of the doubled prefix, against the orbit walked in Python
+    # ints.  No scan at this size
     values = np.arange(n, dtype=np.int64)
     for d in steps:
         g = math.gcd(d, n)
         L = n // g
-        P = _orbit_prefix(values, n, d, laps=1)
-        assert P.shape == (g, L + 1)
-        assert np.diff(P, axis=-1).tolist() == [[(a + k * d) % n for k in range(L)]
+        P = _orbit_prefix(values, n, d)
+        assert P.shape == (g, 2 * L + 1)
+        assert np.diff(P, axis=-1).tolist() == [[(a + k * d) % n for k in range(L)] * 2
                                                 for a in range(g)]
 
 

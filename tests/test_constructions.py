@@ -22,7 +22,7 @@ from zndisc.constructions import (
     lift_coloring,
     _balanced_cells,
 )
-from zndisc.engine import SearchFailed, _derived_seed
+from zndisc.engine import BudgetExceeded, SearchFailed, _derived_seed
 from zndisc.exact import measure
 from zndisc.number_theory import make_context
 
@@ -353,6 +353,15 @@ def test_hereditary_random_subsets():
         chi = hereditary_coloring(ctx, xs, seed=int(rng.integers(1 << 20)))
         assert np.all(chi.values[xs] != 0)
         assert np.all(chi.values[np.setdiff1d(np.arange(n), xs)] == 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hereditary_schedule_budget_fails_on_z270(seed):
+    # the first, hereditary-schedule request breaches its entropy budget,
+    # which reads only n, X and the schedule, so no seed colors Z_270
+    ctx = make_context(270)
+    with pytest.raises(BudgetExceeded, match="hereditary"):
+        hereditary_coloring(ctx, np.arange(270), seed=seed)
 
 
 def test_determinism_of_constructions():
