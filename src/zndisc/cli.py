@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _PASS_ROWS,
+    FOURIER_BYTES_LIMIT,
     fourier_checks,
     hereditary_upper_bound,
     lower_bound_main,
@@ -80,7 +81,7 @@ def _meta(args, command: str, seed: int | None = None) -> dict:
     """Version, command and the flags the subcommand reads; ``seed`` is the
     resolved seed, None where the subcommand reads no seed."""
     cfg = {"seed": seed, **{key: getattr(args, key, None)
-                            for key in ("c_hat", "kappa", "budget", "method", "format")}}
+                            for key in ("c_hat", "method", "format")}}
     return {"version": __version__, "command": command,
             "config": {k: v for k, v in cfg.items() if v is not None}}
 
@@ -219,10 +220,7 @@ def cmd_construct(args) -> int:
     seed = _resolve_seed(args)
     ctx = make_context(args.n)
     try:
-        chi, report = construct_best_coloring(
-            ctx, c_hat=args.c_hat, seed=seed, kappa=args.kappa,
-            retries=args.budget,
-        )
+        chi, report = construct_best_coloring(ctx, c_hat=args.c_hat, seed=seed)
     except SearchFailed as exc:
         print(f"search failed (cell r={exc.cell}): {exc}", file=sys.stderr)
         return EXIT_SEARCH
@@ -292,6 +290,12 @@ def cmd_herdisc(args) -> int:
 
 
 def _fourier_suite(n: int, trials: int, seed: int) -> list[dict]:
+    # drawing the two trials x n input stacks peaks at about 41 bytes a cell
+    # (tracemalloc): refuse before drawing past FOURIER_BYTES_LIMIT
+    need = 48 * trials * n
+    if need > FOURIER_BYTES_LIMIT:
+        raise LimitExceeded(f"{trials} test functions of n={n} need about {need} bytes, "
+                            f"past the limit of {FOURIER_BYTES_LIMIT}")
     rng = np.random.default_rng(seed)
     # one stack per route: +-1 on the exact int64 route, complex on float64
     signs = np.array([rng.integers(0, 2, size=n) * 2 - 1 for _ in range(trials)])
@@ -343,10 +347,7 @@ def cmd_sweep(args) -> int:
     for n in ns:
         ctx = make_context(n)
         try:
-            chi, report = construct_best_coloring(
-                ctx, c_hat=args.c_hat, seed=seed, kappa=args.kappa,
-                retries=args.budget,
-            )
+            chi, report = construct_best_coloring(ctx, c_hat=args.c_hat, seed=seed)
         except SearchFailed as exc:
             print(f"search failed at n={n} (cell r={exc.cell})", file=sys.stderr)
             return EXIT_SEARCH
@@ -377,8 +378,6 @@ _FLAGS = {
     "--range": dict(type=_parse_range, default=None, metavar="A..B"),
     "--seed": dict(type=int, default=None, help=f"RNG seed (falls back to ${SEED_ENV}, then 0)"),
     "--c-hat": dict(type=float, default=1.0),
-    "--kappa": dict(type=float, default=1.0),
-    "--budget": dict(type=int, default=64, help="engine restart budget"),
     "--method": dict(choices=("exhaustive", "branch_and_bound"), default="branch_and_bound"),
     "--trials": dict(type=int, default=20),
     "--primes-only": dict(action="store_true"),
@@ -388,12 +387,12 @@ _FLAGS = {
 _SUBCOMMANDS = (
     ("bounds", cmd_bounds, "tabulate upper/lower bound formulas", ("--range", "--c-hat")),
     ("construct", cmd_construct, "build and measure a coloring of Z_n",
-     ("--seed", "--c-hat", "--kappa", "--budget")),
+     ("--seed", "--c-hat")),
     ("exact", cmd_exact, "exact discrepancy by full search", ("--method",)),
     ("herdisc", cmd_herdisc, "exact hereditary discrepancy", ()),
     ("fourier-check", cmd_fourier_check, "verify the spectral identities", ("--seed", "--trials")),
     ("sweep", cmd_sweep, "construct over a range and fit the growth",
-     ("--range", "--seed", "--c-hat", "--kappa", "--budget", "--primes-only")),
+     ("--range", "--seed", "--c-hat", "--primes-only")),
 )
 
 

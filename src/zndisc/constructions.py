@@ -17,18 +17,18 @@ effect there: its progression sums are below what the engine finds.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import upper_bound_main
 from .ap_system import Coloring, _as_subset, max_congruence_discrepancy
-from .engine import DEFAULT_RETRIES, SearchFailed, _derived_seed, full_color_iterate
+from .engine import SearchFailed, _derived_seed, full_color_iterate
 from .exact import measure
-from .number_theory import ZnContext, make_context
+from .number_theory import LimitExceeded, ZnContext, make_context
 
 __all__ = [
+    "CONSTRUCT_N_LIMIT",
     "CrtBox",
     "ConstructionReport",
     "lift_coloring",
@@ -37,6 +37,11 @@ __all__ = [
     "construct_best_coloring",
     "hereditary_coloring",
 ]
+
+# construct_best_coloring refuses an n past this before it colors anything:
+# coloring Z_{r*}, the lift and its measure hold about 105 bytes a point at
+# their peak (857 MB at n = 8 388 593), so every n it takes stays under 1 GiB
+CONSTRUCT_N_LIMIT = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,6 @@ class ConstructionReport:
     measure: dict = field(hash=False)
     base_congruence_max: int
     c_hat: float
-    kappa: float
     seed: int
 
 
@@ -121,8 +125,7 @@ def lift_coloring(base: Coloring, n: int) -> Coloring:
     return Coloring(n, np.tile(base.values, n // r))
 
 
-def crt_box_coloring(box: CrtBox, seed: int = 0, *, kappa: float = 1.0,
-                     retries: int = DEFAULT_RETRIES) -> Coloring:
+def crt_box_coloring(box: CrtBox, seed: int = 0) -> Coloring:
     """Color a residue box by sign-flipped doubling across its even extents.
 
     The half box X_0 (T_i/2 along each even extent T_i) is engine-colored; for
@@ -138,8 +141,7 @@ def crt_box_coloring(box: CrtBox, seed: int = 0, *, kappa: float = 1.0,
     shifts = [h * basis for t, h, basis in zip(box.extents, half, ctx.crt_basis)
               if t % 2 == 0]
     x0 = _box_elements(ctx, half)
-    chi0, _ = full_color_iterate(ctx, x0, kind="main", seed=seed,
-                                 kappa=kappa, retries=retries)
+    chi0, _ = full_color_iterate(ctx, x0, kind="main", seed=seed)
     values = np.zeros(n, dtype=np.int8)
     for v in itertools.product((0, 1), repeat=len(shifts)):
         u = sum(vi * s for vi, s in zip(v, shifts)) % n
@@ -186,8 +188,7 @@ def _legendre_coloring(p: int) -> Coloring:
     return Coloring(p, values)
 
 
-def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float = 1.0,
-                                 retries: int = DEFAULT_RETRIES) -> Coloring:
+def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0) -> Coloring:
     """Full coloring of Z_n with every congruence-class sum in {-1, 0, +1}.
 
     Z_n is partitioned into one translated residue box per divisor r (cells of
@@ -204,13 +205,9 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
     values = np.zeros(n, dtype=np.int8)
     for idx, (r, box, shift) in enumerate(_balanced_cells(ctx)):
         try:
-            cell = crt_box_coloring(box, seed=_derived_seed(seed, idx),
-                                    kappa=kappa, retries=retries)
+            cell = crt_box_coloring(box, seed=_derived_seed(seed, idx))
         except SearchFailed as exc:
-            raise SearchFailed(
-                f"cell r={r}: {exc}", restarts=exc.restarts,
-                iteration=exc.iteration, cell=r,
-            ) from exc
+            raise SearchFailed(f"cell r={r}: {exc}", iteration=exc.iteration, cell=r) from exc
         sup = cell.support()
         values[(sup + shift) % n] = cell.values[sup]
     if np.any(values == 0):
@@ -219,7 +216,6 @@ def congruence_balanced_coloring(ctx: ZnContext, seed: int = 0, *, kappa: float 
 
 
 def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
-                            *, kappa: float = 1.0, retries: int = DEFAULT_RETRIES,
                             ) -> tuple[Coloring, ConstructionReport]:
     """Best divisor-balanced coloring of Z_n: pick r* minimizing the predicted
     bound n/r + c_hat*sqrt(r)*2^omega(r) (``upper_bound_main``), color Z_{r*},
@@ -230,30 +226,25 @@ def construct_best_coloring(ctx: ZnContext, c_hat: float = 1.0, seed: int = 0,
     period is r* (mod s < r* a class sum would be +-r*/s), so ``measure``
     scans the lift on Z_{r*}.
     """
-    # the engine checks these too, but a small r* needs no engine request
-    if not 1.0 <= kappa < math.inf:
-        raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
-    if retries < 1:
-        raise ValueError(f"retries (the restart budget) must be at least 1, got {retries}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     bound = upper_bound_main(ctx, c_hat)
+    if ctx.n > CONSTRUCT_N_LIMIT:
+        raise LimitExceeded(f"n={ctx.n} exceeds the construction limit {CONSTRUCT_N_LIMIT}")
     best_r = bound.witness["r"]
     base_ctx = make_context(best_r)
-    base = congruence_balanced_coloring(base_ctx, seed=seed, kappa=kappa,
-                                        retries=retries)
+    base = congruence_balanced_coloring(base_ctx, seed=seed)
     chi = lift_coloring(base, ctx.n)
     summary = measure(chi)
     report = ConstructionReport(
         n=ctx.n, r_star=best_r, predicted=bound.value, measured_t=summary["T"], measure=summary,
         base_congruence_max=max_congruence_discrepancy(base),
-        c_hat=c_hat, kappa=kappa, seed=seed,
+        c_hat=c_hat, seed=seed,
     )
     return chi, report
 
 
-def hereditary_coloring(ctx: ZnContext, xs, seed: int = 0, *, kappa: float = 1.0,
-                        retries: int = DEFAULT_RETRIES) -> Coloring:
+def hereditary_coloring(ctx: ZnContext, xs, seed: int = 0) -> Coloring:
     """Full coloring of a subset X of Z_n, when the schedules' entropy
     conditions hold.
 
@@ -264,6 +255,5 @@ def hereditary_coloring(ctx: ZnContext, xs, seed: int = 0, *, kappa: float = 1.0
     is one such subset.
     """
     xs = _as_subset(ctx.n, xs)
-    chi, _ = full_color_iterate(ctx, xs, kind="hereditary", seed=seed,
-                                kappa=kappa, retries=retries)
+    chi, _ = full_color_iterate(ctx, xs, kind="hereditary", seed=seed)
     return _normalized(ctx.n, chi.values.copy())

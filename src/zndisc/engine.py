@@ -72,7 +72,7 @@ __all__ = [
     "full_color_iterate",
 ]
 
-DEFAULT_RETRIES = 64
+_RESTARTS = 64  # walks partial_color tries before it raises SearchFailed
 _HEREDITARY_C1 = 5.0  # the hereditary schedule's constant: it must exceed 2
 COLOR_FRACTION_DENOM = 10  # at least ceil(m/10) points must receive a sign
 # A request whose walk table would pass this many bytes (a prime cell near
@@ -96,12 +96,11 @@ class BudgetExceeded(ValueError):
 
 
 class SearchFailed(RuntimeError):
-    """The randomized search exhausted its restart budget."""
+    """The randomized search exhausted its restarts."""
 
-    def __init__(self, message: str, *, restarts: int, iteration: int | None = None,
+    def __init__(self, message: str, *, iteration: int | None = None,
                  cell: int | None = None):
         super().__init__(message)
-        self.restarts = restarts
         self.iteration = iteration
         self.cell = cell
 
@@ -208,7 +207,7 @@ class OrbitBlocks:
 
 @dataclass
 class PartialColorRequest:
-    """One partial-coloring job: a point set, block allowances, and search knobs.
+    """One partial-coloring job: a point set, block allowances and a seed.
 
     n, X and ``deltas`` (block size -> allowance; sizes powers of two) fix
     every constraint.  The request builds the orbit layout of X once
@@ -228,7 +227,6 @@ class PartialColorRequest:
     x: np.ndarray
     deltas: Mapping[int, float]
     kind: str = "main"
-    retries: int = DEFAULT_RETRIES
     seed: int = 0
     blocks: dict[int, OrbitBlocks] = field(init=False)
     _layout: list = field(init=False, repr=False, compare=False)
@@ -239,9 +237,6 @@ class PartialColorRequest:
         m = int(self.x.size)
         if m == 0:
             raise ValueError("X must be nonempty")
-        if self.retries < 1:
-            raise ValueError(f"retries (the restart budget) must be at least 1, "
-                             f"got {self.retries}")
         for size, delta in self.deltas.items():
             if not float(delta) > 0:
                 raise ValueError("deltas must be strictly positive")
@@ -613,7 +608,7 @@ def partial_color(req: PartialColorRequest) -> Coloring:
         )
     table = _walk_table(req)
     need = -(-m // COLOR_FRACTION_DENOM)
-    for restart in range(req.retries):
+    for restart in range(_RESTARTS):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=req.seed, spawn_key=(restart,))
         )
@@ -624,19 +619,15 @@ def partial_color(req: PartialColorRequest) -> Coloring:
         values[req.x] = chi_local
         if certify_partial_coloring(req, values):
             return Coloring(req.n, values)
-    raise SearchFailed(
-        f"no certified partial coloring after {req.retries} restarts (m={m})",
-        restarts=req.retries,
-    )
+    raise SearchFailed(f"no certified partial coloring after {_RESTARTS} restarts (m={m})")
 
 
 def _derived_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
-def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
-                     retries: int = DEFAULT_RETRIES, seed: int = 0) -> PartialColorRequest:
-    """The request with allowance kappa*b(2^i) at every scale 2^i <= |X|.
+def build_c2_request(n: int, xs, schedule: DeltaSchedule, seed: int = 0) -> PartialColorRequest:
+    """The request with allowance b(2^i) at every scale 2^i <= |X|.
 
     Scales whose allowance reaches 2^i bind nothing: no signing can violate
     them, so the request enforces none of their blocks.
@@ -644,17 +635,12 @@ def build_c2_request(n: int, xs, schedule: DeltaSchedule, kappa: float = 1.0,
     if schedule.n != n:
         raise ValueError(f"schedule is for n={schedule.n}, request for n={n}")
     xs = _as_subset(n, xs)
-    if not 1.0 <= kappa < math.inf:
-        raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
     sizes = 1 << np.arange(int(xs.size).bit_length())
-    deltas = dict(zip(sizes.tolist(), (kappa * schedule.b(sizes)).tolist()))
-    return PartialColorRequest(
-        n=n, x=xs, deltas=deltas, kind=schedule.kind, retries=retries, seed=seed,
-    )
+    deltas = dict(zip(sizes.tolist(), schedule.b(sizes).tolist()))
+    return PartialColorRequest(n=n, x=xs, deltas=deltas, kind=schedule.kind, seed=seed)
 
 
 def full_color_iterate(ctx: ZnContext, xs, kind: str = "main", seed: int = 0,
-                       kappa: float = 1.0, retries: int = DEFAULT_RETRIES,
                        ) -> tuple[Coloring, list[int]]:
     """Color all of X by repeated partial coloring of the uncolored remainder.
 
@@ -677,17 +663,11 @@ def full_color_iterate(ctx: ZnContext, xs, kind: str = "main", seed: int = 0,
             schedule = DeltaSchedule.hereditary(ctx)
         else:
             schedule = DeltaSchedule.main(ctx.n)
-        req = build_c2_request(
-            ctx.n, remaining, schedule, kappa=kappa, retries=retries,
-            seed=_derived_seed(seed, iteration),
-        )
+        req = build_c2_request(ctx.n, remaining, schedule, seed=_derived_seed(seed, iteration))
         try:
             part = partial_color(req)
         except SearchFailed as exc:
-            raise SearchFailed(
-                f"iteration {iteration}: {exc}",
-                restarts=exc.restarts, iteration=iteration,
-            ) from exc
+            raise SearchFailed(f"iteration {iteration}: {exc}", iteration=iteration) from exc
         values[remaining] += part.values[remaining]
         remaining = remaining[part.values[remaining] == 0]
         iteration += 1

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from zndisc.ap_system import _SCAN_CELLS, _orbit_prefix
-from zndisc.engine import _orbit_layout, _WalkTable
+from zndisc.engine import PartialColorRequest, _orbit_layout, _WalkTable
 from zndisc.exact import _GRID_CELLS_LIMIT, _GRID_CHUNK, LimitExceeded, _digit_sums
 
 _DIRECT_DFT_LIMIT = 4096
@@ -38,6 +38,16 @@ def orbit_intersection(n, d, a, xs):
     sel = xs[xs % g == a]
     k = (sel - a) // g * pow(d // g, -1, L) % L
     return sel[np.argsort(k, kind="stable")]
+
+
+def scaled_request(n, xs, schedule, kappa, seed=0):
+    """``build_c2_request`` with every allowance scaled: kappa*b(2^i) at each
+    scale 2^i <= |X|, b evaluated on all scales at once as the engine does, so
+    kappa = 1 gives the engine's own request bit for bit."""
+    xs = np.unique(np.asarray(xs, dtype=np.int64))
+    sizes = 1 << np.arange(int(xs.size).bit_length())
+    deltas = dict(zip(sizes.tolist(), (kappa * schedule.b(sizes)).tolist()))
+    return PartialColorRequest(n=n, x=xs, deltas=deltas, kind=schedule.kind, seed=seed)
 
 
 def orbit_orders_all_steps(n, xs, g):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,32 @@ def test_fourier_check_limit_exit_code(monkeypatch, tmp_path, capsys):
     assert "limit" in capsys.readouterr().err and not out.exists()
 
 
+def test_fourier_check_trials_limit_exit_code(tmp_path, capsys):
+    # the two 100000 x 6000 input stacks alone would take tens of GB
+    out = tmp_path / "fourier.json"
+    t0 = time.perf_counter()
+    assert run(["fourier-check", "--n", "6000", "--trials", "100000",
+                "--out", str(out)]) == EXIT_LIMIT
+    assert time.perf_counter() - t0 < 5
+    assert "limit" in capsys.readouterr().err and not out.exists()
+
+
+def test_fourier_check_trials_refused_before_drawing(monkeypatch, tmp_path, capsys):
+    import zndisc.cli as cli
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("test functions drawn past the limit")
+
+    # 48 bytes a cell: 2000 x 48 cells pass 1 MiB, while each 16-row call's
+    # grids stay below it
+    monkeypatch.setattr(cli, "FOURIER_BYTES_LIMIT", 1 << 20)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    out = tmp_path / "fourier.json"
+    assert run(["fourier-check", "--n", "48", "--trials", "2000",
+                "--out", str(out)]) == EXIT_LIMIT
+    assert "limit" in capsys.readouterr().err and not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_fourier_check_rejects_no_trials(trials, capsys):
     # zero functions would be zero checks, reported as a pass
@@ -249,23 +276,22 @@ def test_fourier_check_rejects_no_trials(trials, capsys):
 @pytest.mark.parametrize("args, name", [
     (["construct", "--n", "64", "--c-hat", "nan"], "c_hat"),
     (["construct", "--n", "64", "--c-hat", "inf"], "c_hat"),
-    (["construct", "--n", "64", "--kappa", "nan"], "kappa"),
-    (["construct", "--n", "64", "--kappa", "inf"], "kappa"),
-    (["construct", "--n", "64", "--budget", "0"], "budget"),
-    (["construct", "--n", "64", "--budget", "-3"], "budget"),
-    # r* = 1 or 2 colors its base without an engine request
-    (["construct", "--n", "2", "--kappa", "inf"], "kappa"),
-    (["construct", "--n", "3", "--budget", "0"], "budget"),
-    (["sweep", "--range", "2..4", "--kappa", "nan"], "kappa"),
+    # zero and negative, and the same check through sweep and bounds
+    (["construct", "--n", "64", "--c-hat", "0"], "c_hat"),
+    (["construct", "--n", "64", "--c-hat", "-1"], "c_hat"),
+    (["sweep", "--range", "2..4", "--c-hat", "nan"], "c_hat"),
+    (["sweep", "--range", "2..4", "--c-hat", "inf"], "c_hat"),
+    (["sweep", "--n", "4", "--c-hat", "0"], "c_hat"),
+    (["bounds", "--n", "12", "--c-hat", "inf"], "c_hat"),
+    (["bounds", "--n", "12", "--c-hat", "0"], "c_hat"),
     (["bounds", "--n", "12", "--c-hat", "nan"], "c_hat"),
     # numpy refused a negative seed at n = 64 in words that named no flag
     (["construct", "--n", "2", "--seed", "-1"], "--seed"),
     (["construct", "--n", "64", "--seed", "-1"], "--seed"),
+    (["sweep", "--range", "2..4", "--seed", "-1"], "--seed"),
 ])
 def test_rejects_bad_engine_parameters(args, name, capsys):
-    # nan and inf passed every check before: c_hat = inf picked r* = 1, kappa = nan
-    # left the walk unconstrained, kappa = inf wrote Infinity into the JSON, and a
-    # budget below 1 still ran one restart
+    # nan and inf passed every check before: c_hat = inf picked r* = 1
     assert run(args) == EXIT_USAGE
     assert name in capsys.readouterr().err
 
@@ -300,7 +326,7 @@ def test_construct_search_failure_exit_code(monkeypatch):
     from zndisc.engine import SearchFailed
 
     def boom(*args, **kwargs):
-        raise SearchFailed("synthetic", restarts=64, cell=3)
+        raise SearchFailed("synthetic", cell=3)
 
     monkeypatch.setattr(cli, "construct_best_coloring", boom)
     assert run(["construct", "--n", "12"]) == 3
@@ -315,6 +341,37 @@ def test_engine_table_limit_exit_code(command, capsys):
     # allocated
     assert run(command) == EXIT_LIMIT
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--n", "89999997"],  # 3 * 29999999: r* prime
+    ["construct", "--n", str(3**19)],  # r* = 3^13, lifted to 1.16e9 points
+    ["sweep", "--range", "89999997..89999997"],
+])
+def test_construct_size_limit_exit_code(tmp_path, capsys, command):
+    # refused from n alone, before Z_{r*} is colored or the lift allocated
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    assert run(command + ["--out", str(out)]) == EXIT_LIMIT
+    assert time.perf_counter() - t0 < 5
+    assert "limit" in capsys.readouterr().err and not out.exists()
+
+
+def test_construct_size_limit_refused_before_coloring(monkeypatch, tmp_path, capsys):
+    from zndisc import constructions
+
+    def no_coloring(*args, **kwargs):
+        raise AssertionError("colored past the limit")
+
+    # every n the suite constructs stays under the limit
+    assert 3**14 <= constructions.CONSTRUCT_N_LIMIT
+    monkeypatch.setattr(constructions, "CONSTRUCT_N_LIMIT", 1060)
+    out = tmp_path / "out.json"
+    assert run(["construct", "--n", "1060", "--out", str(out)]) == EXIT_OK
+    monkeypatch.setattr(constructions, "congruence_balanced_coloring", no_coloring)
+    out.unlink()
+    assert run(["construct", "--n", "1061", "--out", str(out)]) == EXIT_LIMIT
+    assert "limit" in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("n", [999983, 1999966])
@@ -336,7 +393,7 @@ def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path, capsys):
     def fake(ctx, **kwargs):
         rep = ConstructionReport(n=ctx.n, r_star=1, predicted=1.0, measured_t=1,
                                  measure={"T": 1}, base_congruence_max=2, c_hat=1.0,
-                                 kappa=1.0, seed=0)
+                                 seed=0)
         return Coloring(ctx.n, [1] * ctx.n), rep
 
     monkeypatch.setattr(cli, "construct_best_coloring", fake)
@@ -353,13 +410,13 @@ def test_construct_invariant_breach_exit_code(monkeypatch, tmp_path, capsys):
 # because it carries the configuration, not the computed results.
 GOLDEN_RESULTS = [
     (["construct", "--n", "360", "--seed", "7"],
-     "f330d717f6ccede652143fe2a5b481db4c2cebf2bb188337c85585e2009dc23c"),
+     "4badc472622774cb2fcac6dcea1e95080781e27bfefc7527e594e78e9f5bb509"),
     # prime r*: the quadratic character, scanned one step per coset of the
     # residues (test_constructions pins the engine's coloring of these cells)
     (["construct", "--n", "1061", "--seed", "1"],
-     "9dce858d3c1d6fc3bffc58ee7770655ed7d15d75c1aac041881abecc7881d5d6"),
+     "b44d223889b15959b5a905d44b8147d0b86c47ff0358c92cdc0d9c5a7ceec525"),
     (["construct", "--n", "4001", "--seed", "1"],
-     "925545f87c1e4d4b2db80517711edc1984eedca361618e21dd547f9603a645ff"),
+     "7d74837b680830b5ebb38c5a130cb9c10c91649ef5cc0c373992760cb4c656ee"),
     (["exact", "--n", "12"],
      "c9561459a310c32dba774ec78993794d6df5ceaff584158e1c107b88d3e62bfb"),
     (["herdisc", "--n", "7"],
@@ -384,13 +441,13 @@ GOLDEN_RESULTS = [
      "f2e7f772db71213785a191845ce7358cf638c2529f6fe7218c4f4b72d49a5b76"),
     # a lifted coloring (r* = 512), measured on the periodic scan
     (["construct", "--n", "16384", "--seed", "1"],
-     "b39d109e1528e296684c33f96bc109ce2a8055747ad4a265fa5ce7bf24501714"),
+     "ca8d86138f0b339c395bc3ba9c557a3e2fa73876952f15ad7d9ca9b49163ac68"),
     # lifts from r* = 144 (15 gcd classes of Z_144) and r* = 343 (4 classes):
     # the periodic scan's many-class route
     (["construct", "--n", "4032", "--seed", "1"],
-     "5c6b02ab59eaea405a772a353ee8ce294c56aed91647e2d60bddabdd27ff9b25"),
+     "6bbeda1c25fbdc2e64163b3c77ff9f784cfb1e7f6c8c6b3c936c7cbc97c3a789"),
     (["construct", "--n", "4116", "--seed", "1"],
-     "52741176552ceae5f582dddcba74d036aa83403785e980d232bd6aa3f1bec046"),
+     "edf8a07e695f8e531eee6c02fa8cbaed79d856a4e7fc6be8361d556e77a53a34"),
     # None entries and floats; a sweep whose rows feed a fit
     (["bounds", "--range", "1..30"],
      "fc076d44af6a6a2f81304f436bfd11139e1f78f81c6f6c421a3be11b73f45aba"),
@@ -487,12 +544,11 @@ def test_table_text_and_csv_digests(tmp_path, capsys, command, fmt):
 # every option each subcommand takes; each one is read by the subcommand
 SUBCOMMAND_FLAGS = {
     "bounds": {"--n", "--range", "--c-hat", "--format", "--out"},
-    "construct": {"--n", "--seed", "--c-hat", "--kappa", "--budget", "--format", "--out"},
+    "construct": {"--n", "--seed", "--c-hat", "--format", "--out"},
     "exact": {"--n", "--method", "--format", "--out"},
     "herdisc": {"--n", "--format", "--out"},
     "fourier-check": {"--n", "--seed", "--trials", "--format", "--out"},
-    "sweep": {"--n", "--range", "--seed", "--c-hat", "--kappa", "--budget", "--primes-only",
-              "--format", "--out"},
+    "sweep": {"--n", "--range", "--seed", "--c-hat", "--primes-only", "--format", "--out"},
 }
 
 
@@ -511,6 +567,9 @@ def test_subcommand_flags():
     ["bounds", "--n", "5", "--budget", "-7"],
     ["construct", "--n", "5", "--method", "exhaustive"],
     ["sweep", "--range", "2..4", "--method", "exhaustive"],
+    # no subcommand takes these: the engine's allowance and restarts are fixed
+    ["construct", "--n", "64", "--kappa", "1"],
+    ["sweep", "--range", "2..4", "--budget", "64"],
 ], ids=lambda args: args[0] + args[3])
 def test_unread_flags_rejected(tmp_path, capsys, args):
     # these were accepted, unread, and written into meta.config (kappa=inf as Infinity)

@@ -270,7 +270,7 @@ def test_balanced_coloring_failure_names_cell_and_iteration(monkeypatch):
     def flaky(req):
         calls.append(req)
         if len(calls) > 1:
-            raise SearchFailed("planted failure", restarts=req.retries)
+            raise SearchFailed("planted failure")
         values = real(req).values.copy()
         values[req.x[0]] = 0
         return Coloring(req.n, values)

@@ -26,6 +26,7 @@ from zndisc.number_theory import LimitExceeded, make_context
 from .oracles import (
     explicit_walk_table,
     orbit_intersection,
+    scaled_request,
     sign_walk_sequential,
     walk_table_all_steps,
 )
@@ -151,12 +152,6 @@ def test_budget_exceeded_raised():
         partial_color(req)
 
 
-@pytest.mark.parametrize("retries", [0, -3])
-def test_request_rejects_restart_budget_below_one(retries):
-    with pytest.raises(ValueError, match="retries"):
-        PartialColorRequest(n=8, x=np.arange(8), deltas={}, retries=retries)
-
-
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
 def test_request_rejects_nonpositive_delta(delta):
     with pytest.raises(ValueError, match="deltas"):
@@ -168,14 +163,7 @@ def test_request_rejects_nonpositive_delta(delta):
 def test_request_rejects_block_size_not_power_of_two():
     # the walk read size 3 as shift 1 (size-2 blocks), the certificate as size 3
     with pytest.raises(ValueError, match="powers of two"):
-        PartialColorRequest(n=30, x=np.arange(30), deltas={3: 0.5}, retries=3)
-
-
-@pytest.mark.parametrize("kappa", [0.5, math.nan, math.inf])
-def test_build_request_rejects_bad_kappa(kappa):
-    # kappa = nan made every scale look non-binding: an unconstrained walk
-    with pytest.raises(ValueError, match="kappa"):
-        build_c2_request(1061, range(1, 531), DeltaSchedule.main(1061), kappa=kappa)
+        PartialColorRequest(n=30, x=np.arange(30), deltas={3: 0.5})
 
 
 def test_build_request_rejects_foreign_schedule():
@@ -188,7 +176,8 @@ def test_build_request_rejects_foreign_schedule():
 
 def test_build_request_takes_every_scale_in_one_call():
     # the request evaluates b once on all its scales; each allowance is bit for
-    # bit the scalar kappa * b(2^i), a Python float, for either schedule kind
+    # bit the scalar b(2^i), a Python float, and so is each scaled allowance
+    # kappa * b(2^i) the tests build, for either schedule kind
     kappa = 1.5
     for n in [*range(2, 3000), 1 << 16, 1 << 20, 3**13, 1 << 21]:
         scheds = [DeltaSchedule.main(n)]
@@ -199,10 +188,12 @@ def test_build_request_takes_every_scale_in_one_call():
             want = [kappa * sched.b(int(s)) for s in sizes]
             assert (kappa * sched.b(sizes)).tolist() == want, (n, sched.kind)
     n = 1061
-    req = build_c2_request(n, range(1, 531), DeltaSchedule.main(n), kappa=kappa)
-    want = {1 << i: kappa * DeltaSchedule.main(n).b(1 << i) for i in range(10)}
-    assert req.deltas == want
+    req = build_c2_request(n, range(1, 531), DeltaSchedule.main(n))
+    assert req.deltas == {1 << i: DeltaSchedule.main(n).b(1 << i) for i in range(10)}
     assert all(type(s) is int and type(v) is float for s, v in req.deltas.items())
+    scaled = scaled_request(n, range(1, 531), DeltaSchedule.main(n), kappa)
+    assert scaled.deltas == {1 << i: kappa * DeltaSchedule.main(n).b(1 << i) for i in range(10)}
+    assert scaled_request(n, range(1, 531), DeltaSchedule.main(n), 1.0).deltas == req.deltas
 
 
 @pytest.mark.parametrize("xs", [
@@ -344,11 +335,10 @@ def test_search_failure_reports_iteration(monkeypatch):
 
     monkeypatch.setattr(engine, "_sign_walk", walk)
     with pytest.raises(SearchFailed) as info:
-        full_color_iterate(make_context(127), np.arange(127), seed=5, retries=3)
+        full_color_iterate(make_context(127), np.arange(127), seed=5)
     assert info.value.iteration == 1
-    assert info.value.restarts == 3
     assert "iteration 1" in str(info.value)
-    assert sum(table is not walks[0] for table in walks) == 3
+    assert sum(table is not walks[0] for table in walks) == engine._RESTARTS
 
 
 # ------------------------------------------------- orbit table and certificate
@@ -749,7 +739,7 @@ def test_certificate_agrees_with_orbit_definition(n, density, seed, kappa):
     if xs.size == 0:
         xs = np.array([seed % n])
     sched = DeltaSchedule.main(n)
-    req = build_c2_request(n, xs, sched, kappa=kappa, seed=seed)
+    req = scaled_request(n, xs, sched, kappa, seed=seed)
     try:
         chi = partial_color(req).values
     except SearchFailed:
@@ -851,12 +841,11 @@ def test_sign_check_at_every_call_site(call, values, ok):
     seed=st.integers(0, 2**30),
 )
 def test_certificate_agrees_with_orbit_definition_scaled(n, density, low, bias, seed):
-    # deltas kappa * b(size) for kappa 1.0, 0.8 and 0.5 (below build_c2_request's
-    # kappa >= 1, so the request is written out), on skewed random signs and on
-    # plants in the first block of a mirrored row (step L - u with u < L/2),
-    # which wraps when the row's k = 0 point is in X: all +1 over the random
-    # signs, and alone floor(delta) + 1 points of +1 from the row's start, over
-    # delta only if that first point counts
+    # deltas kappa * b(size) for kappa 1.0, 0.8 and 0.5, on skewed random signs
+    # and on plants in the first block of a mirrored row (step L - u with
+    # u < L/2), which wraps when the row's k = 0 point is in X: all +1 over the
+    # random signs, and alone floor(delta) + 1 points of +1 from the row's
+    # start, over delta only if that first point counts
     rng = np.random.default_rng(seed)
     xs = np.union1d(np.flatnonzero(rng.random(n) < density), np.arange(min(low, n)))
     if xs.size == 0:
@@ -877,9 +866,9 @@ def test_certificate_agrees_with_orbit_definition_scaled(n, density, low, bias, 
     planted = values.copy()
     planted[row[: 1 << max(row.size.bit_length() - 1, 0)]] = 1
     for kappa in (1.0, 0.8, 0.5):
-        deltas = {1 << i: kappa * sched.b(1 << i) for i in range(m.bit_length())}
+        req = scaled_request(n, xs, sched, kappa)
+        deltas = req.deltas
         scales = [i for i in range(m.bit_length()) if deltas[1 << i] < 1 << i]
-        req = PartialColorRequest(n=n, x=xs, deltas=deltas)
         cases = [values, planted]
         if scales and row.size >= 1 << scales[0]:
             edge = np.zeros(n, dtype=np.int8)
